@@ -37,48 +37,18 @@
 //! (coarse — it must survive CI machine variance) or a same-run
 //! speedup over the legacy chain below 1.5x.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use monitorless::features::{
     FeaturePipeline, FittedPipeline, InstanceTransformer, PipelineConfig, RawLayout,
 };
-use monitorless_bench::telemetry_report;
+use monitorless_bench::harness::{alloc_events, time_ms, CountingAlloc, Harness};
+use monitorless_bench::snapshot::featurize::{BenchReport, SizeResult, TickResult};
 use monitorless_learn::Matrix;
 use monitorless_metrics::catalog::Catalog;
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the steady-state online push never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -86,62 +56,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Rows per simulated instance: each group is one instance's
 /// chronological series, so the 100k sweep is a 200-instance fleet.
 const GROUP_LEN: usize = 500;
-
-/// One matrix size's batch-transform measurement.
-#[derive(Debug, Clone, PartialEq)]
-struct SizeResult {
-    rows: usize,
-    raw_width: usize,
-    out_width: usize,
-    groups: usize,
-    legacy_ms: f64,
-    streaming_ms: f64,
-    speedup: f64,
-}
-
-monitorless_std::json_struct!(SizeResult {
-    rows,
-    raw_width,
-    out_width,
-    groups,
-    legacy_ms,
-    streaming_ms,
-    speedup,
-});
-
-/// Online per-instance tick latency (microseconds per push).
-#[derive(Debug, Clone, PartialEq)]
-struct TickResult {
-    instances: usize,
-    legacy_us: f64,
-    streaming_us: f64,
-    legacy_allocs_per_push: f64,
-    streaming_allocs_per_push: f64,
-}
-
-monitorless_std::json_struct!(TickResult {
-    instances,
-    legacy_us,
-    streaming_us,
-    legacy_allocs_per_push,
-    streaming_allocs_per_push,
-});
-
-/// The whole snapshot, as committed to `results/BENCH_featurize.json`.
-#[derive(Debug, Clone, PartialEq)]
-struct BenchReport {
-    scale: String,
-    seed: u64,
-    sizes: Vec<SizeResult>,
-    tick: TickResult,
-}
-
-monitorless_std::json_struct!(BenchReport {
-    scale,
-    seed,
-    sizes,
-    tick,
-});
 
 /// Synthetic catalog-width raw series: `rows` samples split into
 /// `GROUP_LEN`-row instance groups, each column drawn from a
@@ -174,13 +88,6 @@ fn raw_series(rows: usize, raw_width: usize, seed: u64) -> (Matrix, Vec<u8>, Vec
         data.extend_from_slice(&row);
     }
     (Matrix::from_vec(rows, raw_width, data), y, groups)
-}
-
-/// Milliseconds of one run of `f`.
-fn time_ms<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let t0 = Instant::now();
-    let out = f();
-    (t0.elapsed().as_secs_f64() * 1000.0, out)
 }
 
 fn assert_bit_identical(streaming: &Matrix, legacy: &Matrix, rows: usize) {
@@ -216,10 +123,10 @@ fn measure_size(fitted: &FittedPipeline, raw_width: usize, rows: usize, seed: u6
     let mut streaming_out = None;
     let mut legacy_out = None;
     for _ in 0..reps {
-        let (ms, out) = time_ms(|| fitted.transform_batch(&x, &groups).expect("transform"));
+        let (ms, out) = time_ms(1, || fitted.transform_batch(&x, &groups).expect("transform"));
         streaming_ms = streaming_ms.min(ms);
         streaming_out = Some(out);
-        let (ms, out) = time_ms(|| {
+        let (ms, out) = time_ms(1, || {
             fitted
                 .transform_batch_legacy(&x, &groups)
                 .expect("transform")
@@ -288,7 +195,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
     // Timed streaming pass. The windows are full, every scratch buffer
     // is at capacity: the loop must not allocate at all.
     let mut sink = 0.0;
-    let alloc0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let alloc0 = alloc_events();
     let t0 = Instant::now();
     for t in 0..timed_ticks {
         for (i, s) in streaming.iter_mut().enumerate() {
@@ -300,7 +207,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
     }
     let pushes = (timed_ticks * instances) as f64;
     let streaming_us = t0.elapsed().as_secs_f64() * 1e6 / pushes;
-    let streaming_allocs = (ALLOC_EVENTS.load(Ordering::Relaxed) - alloc0) as f64 / pushes;
+    let streaming_allocs = (alloc_events() - alloc0) as f64 / pushes;
     assert!(sink.is_finite());
     assert!(
         streaming_allocs == 0.0,
@@ -310,7 +217,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
 
     // Timed legacy pass on the twin fleet, same tick schedule.
     let mut sink = 0.0;
-    let alloc0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let alloc0 = alloc_events();
     let t0 = Instant::now();
     for t in 0..timed_ticks {
         for (i, l) in legacy.iter_mut().enumerate() {
@@ -321,7 +228,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
         }
     }
     let legacy_us = t0.elapsed().as_secs_f64() * 1e6 / pushes;
-    let legacy_allocs = (ALLOC_EVENTS.load(Ordering::Relaxed) - alloc0) as f64 / pushes;
+    let legacy_allocs = (alloc_events() - alloc0) as f64 / pushes;
     assert!(sink.is_finite());
 
     let r = TickResult {
@@ -338,11 +245,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: &BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         let Some(baseline) = committed.sizes.iter().find(|s| s.rows == current.rows) else {
             continue;
@@ -366,25 +269,14 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let scale = monitorless_bench::Scale::from_args();
+    let harness = Harness::start("table1_featurize");
+    let scale = harness.scale;
     // The pipeline counters and worker-utilization gauge only record
     // with telemetry on; default to a quiet snapshot-only format so the
     // report always carries them.
     if !obs::enabled() {
         obs::init(&obs::TelemetryConfig::with_format(obs::ExportFormat::Prom));
     }
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_featurize.json".into());
 
     // One fitted pipeline serves every sweep size; fitting cost is not
     // what this bench measures. The raw shape is the real catalog.
@@ -408,11 +300,7 @@ fn main() {
         &[1_000, 20_000]
     };
     let report = BenchReport {
-        scale: if scale.full {
-            "full".into()
-        } else {
-            "quick".into()
-        },
+        scale: scale.label().into(),
         seed: scale.seed,
         sizes: sizes
             .iter()
@@ -420,27 +308,45 @@ fn main() {
             .collect(),
         tick: measure_tick(&fitted, raw_width, scale.seed),
     };
+    harness.finish(&report, check);
+}
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> BenchReport {
+        monitorless_std::json::from_str(include_str!("../../../../results/BENCH_featurize.json"))
+            .expect("committed snapshot parses")
     }
-    telemetry_report("table1_featurize");
+
+    #[test]
+    fn wall_time_may_reach_twice_the_committed_value() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[1].streaming_ms = 2.0 * base.sizes[1].streaming_ms;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[1].streaming_ms = fresh.sizes[1].streaming_ms.next_up();
+        assert!(check(&fresh, &base).unwrap_err().contains("more than 2x"));
+    }
+
+    #[test]
+    fn speedup_floor_is_one_and_a_half() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[0].speedup = 1.5;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[0].speedup = 1.5f64.next_down();
+        assert!(check(&fresh, &base).unwrap_err().contains("need >= 1.5x"));
+    }
+
+    #[test]
+    fn rows_without_a_committed_size_are_not_gated() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[0].rows = 123;
+        fresh.sizes[0].streaming_ms = 1e9;
+        fresh.sizes[0].speedup = 0.1;
+        assert_eq!(check(&fresh, &base), Ok(()));
+    }
 }

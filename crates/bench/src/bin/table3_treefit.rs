@@ -24,70 +24,13 @@
 //! bit-identical trees on every run, so the speedup numbers always
 //! describe equivalent models.
 
-use std::time::Instant;
-
-use monitorless_bench::telemetry_report;
+use monitorless_bench::harness::{time_ms, Harness};
+use monitorless_bench::snapshot::table3::{BenchReport, GridResult, SizeResult};
 use monitorless_learn::model_selection::{GridSearch, KFold, ParamGrid, ParamValue};
 use monitorless_learn::tree::{DecisionTree, DecisionTreeParams, MaxFeatures, SplitCriterion};
 use monitorless_learn::{Classifier, Matrix, RandomForest, RandomForestParams};
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
-
-/// One dataset size's forest-fit measurement.
-#[derive(Debug, Clone, PartialEq)]
-struct SizeResult {
-    rows: usize,
-    cols: usize,
-    n_trees: usize,
-    legacy_ms: f64,
-    presorted_ms: f64,
-    speedup: f64,
-}
-
-monitorless_std::json_struct!(SizeResult {
-    rows,
-    cols,
-    n_trees,
-    legacy_ms,
-    presorted_ms,
-    speedup,
-});
-
-/// Grid-search scaling measurement (candidates x folds on worker threads).
-#[derive(Debug, Clone, PartialEq)]
-struct GridResult {
-    candidates: usize,
-    folds: usize,
-    jobs1_ms: f64,
-    jobs4_ms: f64,
-    parallel_speedup: f64,
-    worker_utilization: f64,
-}
-
-monitorless_std::json_struct!(GridResult {
-    candidates,
-    folds,
-    jobs1_ms,
-    jobs4_ms,
-    parallel_speedup,
-    worker_utilization,
-});
-
-/// The whole snapshot, as committed to `results/BENCH_table3.json`.
-#[derive(Debug, Clone, PartialEq)]
-struct BenchReport {
-    scale: String,
-    seed: u64,
-    sizes: Vec<SizeResult>,
-    grid: GridResult,
-}
-
-monitorless_std::json_struct!(BenchReport {
-    scale,
-    seed,
-    sizes,
-    grid,
-});
 
 /// Synthetic training matrix shaped like the paper's feature tables:
 /// a couple of informative columns, heavy-duplicate quantized columns
@@ -179,18 +122,6 @@ fn legacy_forest_fit(x: &Matrix, y: &[u8], params: &RandomForestParams) -> Vec<D
         .collect()
 }
 
-/// Milliseconds of the fastest of `reps` runs of `f`.
-fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1000.0);
-        drop(out);
-    }
-    best
-}
-
 fn measure_size(rows: usize, seed: u64) -> SizeResult {
     let cols = 30;
     let n_trees = 100;
@@ -200,14 +131,11 @@ fn measure_size(rows: usize, seed: u64) -> SizeResult {
 
     obs::progress(&format!("forest fit, {rows} x {cols}, {n_trees} trees..."));
     let mut forest = RandomForest::new(params.clone());
-    let presorted_ms = time_ms(reps, || {
+    let (presorted_ms, ()) = time_ms(reps, || {
         forest = RandomForest::new(params.clone());
         forest.fit(&x, &y, None).unwrap();
     });
-    let mut legacy = Vec::new();
-    let legacy_ms = time_ms(reps, || {
-        legacy = legacy_forest_fit(&x, &y, &params);
-    });
+    let (legacy_ms, legacy) = time_ms(reps, || legacy_forest_fit(&x, &y, &params));
 
     // The speedup claim only holds if both builders grew the same model.
     assert_eq!(forest.trees().len(), legacy.len());
@@ -271,6 +199,7 @@ fn measure_grid(rows: usize, seed: u64) -> GridResult {
                 .run(factory, monitorless_learn::metrics::f1_score, &x, &y)
                 .unwrap()
         })
+        .0
     };
     let jobs1_ms = run(1);
     let jobs4_ms = run(4);
@@ -290,11 +219,7 @@ fn measure_grid(rows: usize, seed: u64) -> GridResult {
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: &BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         let Some(baseline) = committed.sizes.iter().find(|s| s.rows == current.rows) else {
             continue;
@@ -316,24 +241,13 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let scale = monitorless_bench::Scale::from_args();
+    let harness = Harness::start("table3_treefit");
+    let scale = harness.scale;
     // The utilization gauges only record with telemetry on; default to a
     // quiet snapshot-only format so the report always carries them.
     if !obs::enabled() {
         obs::init(&obs::TelemetryConfig::with_format(obs::ExportFormat::Prom));
     }
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_table3.json".into());
 
     let sizes: &[usize] = if scale.full {
         &[1_000, 10_000, 50_000]
@@ -341,36 +255,50 @@ fn main() {
         &[1_000]
     };
     let report = BenchReport {
-        scale: if scale.full {
-            "full".into()
-        } else {
-            "quick".into()
-        },
+        scale: scale.label().into(),
         seed: scale.seed,
         sizes: sizes.iter().map(|&n| measure_size(n, scale.seed)).collect(),
         grid: measure_grid(1_000, scale.seed),
     };
+    harness.finish(&report, check);
+}
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> BenchReport {
+        monitorless_std::json::from_str(include_str!("../../../../results/BENCH_table3.json"))
+            .expect("committed snapshot parses")
     }
-    telemetry_report("table3_treefit");
+
+    #[test]
+    fn wall_time_may_reach_twice_the_committed_value() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[1].presorted_ms = 2.0 * base.sizes[1].presorted_ms;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[1].presorted_ms = fresh.sizes[1].presorted_ms.next_up();
+        assert!(check(&fresh, &base).unwrap_err().contains("more than 2x"));
+    }
+
+    #[test]
+    fn speedup_floor_is_one_and_a_half() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[0].speedup = 1.5;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[0].speedup = 1.5f64.next_down();
+        assert!(check(&fresh, &base).unwrap_err().contains("need >= 1.5x"));
+    }
+
+    #[test]
+    fn rows_without_a_committed_size_are_not_gated() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[0].rows = 123;
+        fresh.sizes[0].presorted_ms = 1e9;
+        fresh.sizes[0].speedup = 0.1;
+        assert_eq!(check(&fresh, &base), Ok(()));
+    }
 }

@@ -34,158 +34,16 @@
 //! it must survive CI machine variance) or a same-run speedup over the
 //! legacy walk below 1.5x.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use monitorless_bench::telemetry_report;
-use monitorless_learn::{Classifier, Matrix, RandomForest, RandomForestParams};
+use monitorless_bench::harness::{alloc_events, time_ms, CountingAlloc, Harness};
+use monitorless_bench::snapshot::predict::{BenchReport, SizeResult, TickResult};
+use monitorless_bench::synth::{dataset, paper_forest};
+use monitorless_learn::{Matrix, RandomForest};
 use monitorless_obs as obs;
-use monitorless_std::rng::{Rng, StdRng};
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the flat tick path never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// One matrix size's batched-predict measurement.
-#[derive(Debug, Clone, PartialEq)]
-struct SizeResult {
-    rows: usize,
-    cols: usize,
-    n_trees: usize,
-    n_nodes: usize,
-    legacy_ms: f64,
-    flat_ms: f64,
-    flat_par_ms: f64,
-    compile_ms: f64,
-    speedup: f64,
-}
-
-monitorless_std::json_struct!(SizeResult {
-    rows,
-    cols,
-    n_trees,
-    n_nodes,
-    legacy_ms,
-    flat_ms,
-    flat_par_ms,
-    compile_ms,
-    speedup,
-});
-
-/// Single-row autoscaler-tick latency (microseconds per tick).
-#[derive(Debug, Clone, PartialEq)]
-struct TickResult {
-    legacy_us: f64,
-    flat_us: f64,
-    legacy_allocs_per_tick: f64,
-    flat_allocs_per_tick: f64,
-}
-
-monitorless_std::json_struct!(TickResult {
-    legacy_us,
-    flat_us,
-    legacy_allocs_per_tick,
-    flat_allocs_per_tick,
-});
-
-/// The whole snapshot, as committed to `results/BENCH_predict.json`.
-#[derive(Debug, Clone, PartialEq)]
-struct BenchReport {
-    scale: String,
-    seed: u64,
-    sizes: Vec<SizeResult>,
-    tick: TickResult,
-}
-
-monitorless_std::json_struct!(BenchReport {
-    scale,
-    seed,
-    sizes,
-    tick,
-});
-
-/// Synthetic matrix shaped like the paper's feature tables — the same
-/// five-column mix as `table3_treefit` (quantized percent gauges,
-/// counter deltas, coarse levels, continuous latency-like values).
-///
-/// Unlike the training bench, the label is a *noisy* combination of
-/// several utilization-style columns: a cleanly separable label grows
-/// 5-node stumps that say nothing about inference cost, while noisy
-/// interactions drive every tree down to its `min_samples_leaf` floor —
-/// the node counts a forest trained on real platform metrics shows.
-fn dataset(n: usize, d: usize, seed: u64) -> (Matrix, Vec<u8>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n * d);
-    let mut y = Vec::with_capacity(n);
-    let mut row = vec![0.0; d];
-    for _ in 0..n {
-        for (c, v) in row.iter_mut().enumerate() {
-            *v = match c % 5 {
-                // Utilization-style gauge in [0, 1].
-                0 => rng.gen::<f64>(),
-                // CPU-style percentage sampled at 0.1% granularity.
-                1 => (rng.gen::<f64>() * 1000.0).floor() / 10.0,
-                // Integer counter delta (packets, page faults, ...).
-                2 => (rng.gen::<f64>() * 256.0).floor(),
-                // Coarse gauge with a handful of levels.
-                3 => (rng.gen::<f64>() * 8.0).floor(),
-                // Continuous latency-like value.
-                _ => rng.gen::<f64>(),
-            };
-        }
-        // Saturation depends on several gauges plus their interaction,
-        // blurred by noise on the same scale as the signal.
-        let score = row[0]
-            + 0.7 * row[d.min(6) - 1]
-            + 0.5 * row[5 % d]
-            + 0.8 * row[0] * row[5 % d]
-            + (rng.gen::<f64>() - 0.5) * 0.9;
-        y.push(u8::from(score > 1.3));
-        data.extend_from_slice(&row);
-    }
-    (Matrix::from_vec(n, d, data), y)
-}
-
-/// Milliseconds of the fastest of `reps` runs of `f`.
-fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1000.0);
-        drop(out);
-    }
-    best
-}
 
 fn measure_size(forest: &RandomForest, rows: usize, seed: u64) -> SizeResult {
     let cols = 30;
@@ -196,8 +54,7 @@ fn measure_size(forest: &RandomForest, rows: usize, seed: u64) -> SizeResult {
     let reps = if rows >= 1_000_000 { 1 } else { 3 };
 
     obs::progress(&format!("batch predict, {rows} x {cols}, {} trees...", forest.trees().len()));
-    let compile_ms = time_ms(reps, || forest.to_flat());
-    let flat = forest.to_flat();
+    let (compile_ms, flat) = time_ms(reps, || forest.to_flat());
 
     // Interleave the timed walks rep by rep: on a shared core a noise
     // burst then hits the flat and legacy samples alike and mostly
@@ -209,13 +66,13 @@ fn measure_size(forest: &RandomForest, rows: usize, seed: u64) -> SizeResult {
     let mut flat_par_ms = f64::INFINITY;
     let mut legacy_ms = f64::INFINITY;
     for _ in 0..reps {
-        flat_ms = flat_ms.min(time_ms(1, || {
-            flat_out = flat.predict_proba(&x, 1);
-        }));
-        legacy_ms = legacy_ms.min(time_ms(1, || {
-            legacy_out = forest.predict_proba_legacy(&x);
-        }));
-        flat_par_ms = flat_par_ms.min(time_ms(1, || flat.predict_proba(&x, 4)));
+        let (ms, out) = time_ms(1, || flat.predict_proba(&x, 1));
+        flat_ms = flat_ms.min(ms);
+        flat_out = out;
+        let (ms, out) = time_ms(1, || forest.predict_proba_legacy(&x));
+        legacy_ms = legacy_ms.min(ms);
+        legacy_out = out;
+        flat_par_ms = flat_par_ms.min(time_ms(1, || flat.predict_proba(&x, 4)).0);
     }
 
     // The speedup claim only holds if both walks scored identically.
@@ -255,13 +112,13 @@ fn measure_ticks(x: &Matrix, ticks: usize, mut f: impl FnMut(&[f64]) -> f64) -> 
     for r in 0..64.min(x.rows()) {
         sink += f(x.row(r));
     }
-    let alloc0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let alloc0 = alloc_events();
     let t0 = Instant::now();
     for t in 0..ticks {
         sink += f(x.row(t % x.rows()));
     }
     let us = t0.elapsed().as_secs_f64() * 1e6 / ticks as f64;
-    let allocs = ALLOC_EVENTS.load(Ordering::Relaxed) - alloc0;
+    let allocs = alloc_events() - alloc0;
     assert!(sink.is_finite());
     (us, allocs as f64 / ticks as f64)
 }
@@ -297,11 +154,7 @@ fn measure_tick(forest: &RandomForest, seed: u64) -> TickResult {
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: &BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         let Some(baseline) = committed.sizes.iter().find(|s| s.rows == current.rows) else {
             continue;
@@ -323,38 +176,17 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let scale = monitorless_bench::Scale::from_args();
+    let harness = Harness::start("table7_predict");
+    let scale = harness.scale;
     // The predict counters and utilization gauge only record with
     // telemetry on; default to a quiet snapshot-only format so the
     // report always carries them.
     if !obs::enabled() {
         obs::init(&obs::TelemetryConfig::with_format(obs::ExportFormat::Prom));
     }
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_predict.json".into());
 
-    // One paper-shaped forest serves every sweep size; training cost is
-    // not what this bench measures.
-    obs::progress("training paper-shaped forest (250 trees, 20k rows)...");
-    let (xt, yt) = dataset(20_000, 30, scale.seed);
-    let mut forest = RandomForest::new(RandomForestParams {
-        n_jobs: 1,
-        seed: scale.seed,
-        ..RandomForestParams::paper_selected()
-    });
-    forest
-        .fit(&xt, &yt, None)
-        .expect("paper-shaped forest trains on the synthetic dataset");
+    // One paper-shaped forest serves every sweep size.
+    let forest = paper_forest(scale.seed);
 
     let sizes: &[usize] = if scale.full {
         &[1_000, 20_000, 100_000, 1_000_000]
@@ -362,11 +194,7 @@ fn main() {
         &[1_000, 20_000]
     };
     let report = BenchReport {
-        scale: if scale.full {
-            "full".into()
-        } else {
-            "quick".into()
-        },
+        scale: scale.label().into(),
         seed: scale.seed,
         sizes: sizes
             .iter()
@@ -374,27 +202,45 @@ fn main() {
             .collect(),
         tick: measure_tick(&forest, scale.seed),
     };
+    harness.finish(&report, check);
+}
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> BenchReport {
+        monitorless_std::json::from_str(include_str!("../../../../results/BENCH_predict.json"))
+            .expect("committed snapshot parses")
     }
-    telemetry_report("table7_predict");
+
+    #[test]
+    fn wall_time_may_reach_twice_the_committed_value() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[1].flat_ms = 2.0 * base.sizes[1].flat_ms;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[1].flat_ms = fresh.sizes[1].flat_ms.next_up();
+        assert!(check(&fresh, &base).unwrap_err().contains("more than 2x"));
+    }
+
+    #[test]
+    fn speedup_floor_is_one_and_a_half() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[0].speedup = 1.5;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[0].speedup = 1.5f64.next_down();
+        assert!(check(&fresh, &base).unwrap_err().contains("need >= 1.5x"));
+    }
+
+    #[test]
+    fn rows_without_a_committed_size_are_not_gated() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[0].rows = 123;
+        fresh.sizes[0].flat_ms = 1e9;
+        fresh.sizes[0].speedup = 0.1;
+        assert_eq!(check(&fresh, &base), Ok(()));
+    }
 }

@@ -32,27 +32,11 @@ use monitorless::autoscale::backend::{
 };
 use monitorless::autoscale::bakeoff::{run_cell, BakeoffOptions, CellOutcome};
 use monitorless::model::MonitorlessModel;
-use monitorless_bench::{telemetry_report, trained_model, Scale};
+use monitorless_bench::harness::Harness;
+use monitorless_bench::snapshot::bakeoff::BenchReport;
+use monitorless_bench::{trained_model, Scale};
 use monitorless_obs as obs;
 use monitorless_workload::scenario::Scenario;
-
-/// The whole snapshot, as committed to `results/BENCH_bakeoff.json`.
-#[derive(Debug, Clone, PartialEq)]
-struct BenchReport {
-    scale: String,
-    seed: u64,
-    slo_ms: f64,
-    capacity_rps: f64,
-    cells: Vec<CellOutcome>,
-}
-
-monitorless_std::json_struct!(BenchReport {
-    scale,
-    seed,
-    slo_ms,
-    capacity_rps,
-    cells,
-});
 
 /// Fresh backend instances, in report order.
 fn backends(model: &Arc<MonitorlessModel>) -> Vec<Box<dyn ScalingBackend>> {
@@ -86,7 +70,7 @@ fn run_matrix(scale: &Scale, model: &Arc<MonitorlessModel>) -> BenchReport {
         }
     }
     BenchReport {
-        scale: if scale.full { "full" } else { "quick" }.to_string(),
+        scale: scale.label().into(),
         seed: scale.seed,
         slo_ms: opts.slo_ms,
         capacity_rps: opts.capacity_rps(),
@@ -122,15 +106,10 @@ fn monitorless_wins(report: &BenchReport) -> Vec<String> {
     wins
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
-
+fn check(report: &BenchReport, committed: &BenchReport) -> Result<(), String> {
     // The headline claim must hold in the committed snapshot AND keep
     // reproducing in the fresh run.
-    for (who, rep) in [("committed snapshot", &committed), ("fresh run", report)] {
+    for (who, rep) in [("committed snapshot", committed), ("fresh run", report)] {
         let wins = monitorless_wins(rep);
         if wins.len() < 2 {
             return Err(format!(
@@ -146,7 +125,7 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
     // small cross-platform float slack, fail on gross drift.
     if committed.scale == report.scale && committed.seed == report.seed {
         for fresh in &report.cells {
-            let Some(base) = cell(&committed, &fresh.backend, &fresh.scenario) else {
+            let Some(base) = cell(committed, &fresh.backend, &fresh.scenario) else {
                 return Err(format!(
                     "committed snapshot is missing cell {} x {}",
                     fresh.backend, fresh.scenario
@@ -180,44 +159,127 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_bakeoff.json".into());
-
-    let model = trained_model(&scale);
-    let report = run_matrix(&scale, &model);
+    let harness = Harness::start("table_bakeoff");
+    let model = trained_model(&harness.scale);
+    let report = run_matrix(&harness.scale, &model);
     let wins = monitorless_wins(&report);
     obs::progress(&format!("monitorless wins on {} scenario(s): {:?}", wins.len(), wins));
+    harness.finish(&report, check);
+}
 
-    if let Some(path) = check_path {
-        // Only write the fresh matrix when asked explicitly — never
-        // clobber the committed baseline from a check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("bake-off check passed against {path}"),
-            Err(msg) => {
-                eprintln!("bake-off check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> BenchReport {
+        monitorless_std::json::from_str(include_str!("../../../../results/BENCH_bakeoff.json"))
+            .expect("committed snapshot parses")
     }
-    telemetry_report("table_bakeoff");
+
+    fn cell_mut<'r>(
+        report: &'r mut BenchReport,
+        backend: &str,
+        scenario: &str,
+    ) -> &'r mut CellOutcome {
+        report
+            .cells
+            .iter_mut()
+            .find(|c| c.backend == backend && c.scenario == scenario)
+            .unwrap()
+    }
+
+    #[test]
+    fn committed_snapshot_wins_exactly_two_scenarios() {
+        let base = committed();
+        assert_eq!(monitorless_wins(&base), ["scale_to_zero", "flash_crowd"]);
+        assert_eq!(check(&base, &base), Ok(()));
+    }
+
+    #[test]
+    fn a_win_needs_fewer_slo_seconds_at_equal_or_lower_overprovisioning() {
+        let base = committed();
+        let mut fresh = base.clone();
+        // Equal over-provisioning still counts as a win.
+        cell_mut(&mut fresh, "monitorless", "scale_to_zero").overprovision_inst_s = 921.0;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        cell_mut(&mut fresh, "monitorless", "scale_to_zero").overprovision_inst_s =
+            921f64.next_up();
+        assert!(check(&fresh, &base).unwrap_err().contains("fresh run"));
+        // Equal SLO seconds do not.
+        let mut fresh = base.clone();
+        cell_mut(&mut fresh, "monitorless", "flash_crowd").slo_violation_s = 94;
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("on only 1 scenario"));
+        // The committed snapshot is held to the same rule.
+        assert!(check(&base, &fresh)
+            .unwrap_err()
+            .contains("committed snapshot"));
+    }
+
+    #[test]
+    fn slo_drift_slack_is_a_quarter_or_fifteen_seconds() {
+        let base = committed();
+        let mut fresh = base.clone();
+        // 25% of the committed 164 s is 41 s.
+        cell_mut(&mut fresh, "monitorless", "scale_to_zero").slo_violation_s = 164 - 41;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        cell_mut(&mut fresh, "monitorless", "scale_to_zero").slo_violation_s = 164 - 42;
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("SLO-violation seconds drifted"));
+        // A committed 0 s allows the 15 s floor.
+        let mut fresh = base.clone();
+        cell_mut(&mut fresh, "reactive_threshold", "slow_ramp").slo_violation_s = 15;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        cell_mut(&mut fresh, "reactive_threshold", "slow_ramp").slo_violation_s = 16;
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("SLO-violation seconds drifted"));
+    }
+
+    #[test]
+    fn overprovisioning_drift_slack_is_a_quarter_or_thirty_instance_seconds() {
+        let mut base = committed();
+        let mut fresh = base.clone();
+        // 25% of the committed 1571 inst-s.
+        let over = cell_mut(&mut fresh, "predictive_trend", "diurnal_trace");
+        over.overprovision_inst_s = 1571.0 + 0.25 * 1571.0;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        let over = cell_mut(&mut fresh, "predictive_trend", "diurnal_trace");
+        over.overprovision_inst_s = over.overprovision_inst_s.next_up();
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("over-provisioning drifted"));
+        // Below 120 inst-s the 30 inst-s floor applies.
+        cell_mut(&mut base, "predictive_trend", "diurnal_trace").overprovision_inst_s = 100.0;
+        cell_mut(&mut fresh, "predictive_trend", "diurnal_trace").overprovision_inst_s = 130.0;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        cell_mut(&mut fresh, "predictive_trend", "diurnal_trace").overprovision_inst_s =
+            130f64.next_up();
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("over-provisioning drifted"));
+    }
+
+    #[test]
+    fn drift_is_only_compared_at_the_same_scale_and_seed() {
+        let base = committed();
+        let mut fresh = base.clone();
+        cell_mut(&mut fresh, "predictive_trend", "slow_ramp").slo_violation_s = 500;
+        fresh.seed += 1;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.seed = base.seed;
+        fresh.scale = "full".into();
+        assert_eq!(check(&fresh, &base), Ok(()));
+    }
+
+    #[test]
+    fn a_cell_missing_from_the_committed_snapshot_fails() {
+        let mut base = committed();
+        let fresh = base.clone();
+        base.cells
+            .retain(|c| !(c.backend == "predictive_trend" && c.scenario == "slow_ramp"));
+        assert!(check(&fresh, &base).unwrap_err().contains("missing cell"));
+    }
 }

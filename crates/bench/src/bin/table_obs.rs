@@ -37,162 +37,16 @@
 //! measured size (a real record-path regression is size-independent;
 //! single-size excursions are CI noise).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use monitorless_bench::telemetry_report;
-use monitorless_learn::{Classifier, FlatEnsemble, Matrix, RandomForest, RandomForestParams};
+use monitorless_bench::harness::{alloc_events, time_ms, CountingAlloc, Harness};
+use monitorless_bench::snapshot::obs::{BenchReport, JournalResult, SizeResult};
+use monitorless_bench::synth::{dataset, paper_forest};
+use monitorless_learn::FlatEnsemble;
 use monitorless_obs as obs;
-use monitorless_std::rng::{Rng, StdRng};
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the attribution-off serving path never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// One matrix size's serving-path measurement.
-#[derive(Debug, Clone, PartialEq)]
-struct SizeResult {
-    rows: usize,
-    cols: usize,
-    n_trees: usize,
-    n_nodes: usize,
-    /// `predict_row` loop, tracing off (ms for the whole matrix).
-    plain_ms: f64,
-    /// `predict_row` plus one ring-journal record per row (ms).
-    traced_ms: f64,
-    /// `predict_row_attributed` loop, reused contribution buffer (ms).
-    attributed_ms: f64,
-    /// Same-run `(traced - plain) / plain`, in percent: the cost of the
-    /// audit trail with attribution off.
-    journal_overhead_pct: f64,
-    /// Same-run `attributed / plain` ratio.
-    attribution_ratio: f64,
-    /// Allocation events per row in the plain loop (must be 0).
-    plain_allocs_per_row: f64,
-}
-
-monitorless_std::json_struct!(SizeResult {
-    rows,
-    cols,
-    n_trees,
-    n_nodes,
-    plain_ms,
-    traced_ms,
-    attributed_ms,
-    journal_overhead_pct,
-    attribution_ratio,
-    plain_allocs_per_row,
-});
-
-/// Raw journal append throughput.
-#[derive(Debug, Clone, PartialEq)]
-struct JournalResult {
-    /// Microseconds per `obs::record` append in ring mode.
-    record_us: f64,
-    /// Microseconds per `obs::record` call with tracing off (the no-op
-    /// guard everyone pays in production defaults).
-    record_off_us: f64,
-    /// Records appended in the micro-section.
-    appended: f64,
-    /// Records still in the ring afterwards (capacity bound).
-    queued: f64,
-    /// Records evicted by overwrite (appended beyond capacity).
-    overwritten: f64,
-}
-
-monitorless_std::json_struct!(JournalResult {
-    record_us,
-    record_off_us,
-    appended,
-    queued,
-    overwritten,
-});
-
-/// The whole snapshot, as committed to `results/BENCH_obs.json`.
-#[derive(Debug, Clone, PartialEq)]
-struct BenchReport {
-    scale: String,
-    seed: u64,
-    sizes: Vec<SizeResult>,
-    journal: JournalResult,
-}
-
-monitorless_std::json_struct!(BenchReport {
-    scale,
-    seed,
-    sizes,
-    journal,
-});
-
-/// Synthetic matrix shaped like the paper's feature tables — the same
-/// five-column mix as `table7_predict`, so the plain-path numbers are
-/// directly comparable with that bench's tick section.
-fn dataset(n: usize, d: usize, seed: u64) -> (Matrix, Vec<u8>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n * d);
-    let mut y = Vec::with_capacity(n);
-    let mut row = vec![0.0; d];
-    for _ in 0..n {
-        for (c, v) in row.iter_mut().enumerate() {
-            *v = match c % 5 {
-                0 => rng.gen::<f64>(),
-                1 => (rng.gen::<f64>() * 1000.0).floor() / 10.0,
-                2 => (rng.gen::<f64>() * 256.0).floor(),
-                3 => (rng.gen::<f64>() * 8.0).floor(),
-                _ => rng.gen::<f64>(),
-            };
-        }
-        let score = row[0]
-            + 0.7 * row[d.min(6) - 1]
-            + 0.5 * row[5 % d]
-            + 0.8 * row[0] * row[5 % d]
-            + (rng.gen::<f64>() - 0.5) * 0.9;
-        y.push(u8::from(score > 1.3));
-        data.extend_from_slice(&row);
-    }
-    (Matrix::from_vec(n, d, data), y)
-}
-
-/// Milliseconds of the fastest of `reps` runs of `f`.
-fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1000.0);
-        drop(out);
-    }
-    best
-}
 
 /// Switches the journal trace mode while keeping the export format.
 fn set_trace(mode: obs::TraceMode) {
@@ -231,17 +85,18 @@ fn measure_size(flat: &FlatEnsemble, n_trees: usize, rows: usize, seed: u64) -> 
     let mut plain_allocs = 0u64;
     for _ in 0..reps {
         // --- plain: tracing off, must be allocation-free ---
-        let alloc0 = ALLOC_EVENTS.load(Ordering::Relaxed);
-        plain_ms = plain_ms.min(time_ms(1, || {
+        let alloc0 = alloc_events();
+        let (ms, ()) = time_ms(1, || {
             for (r, p) in plain.iter_mut().enumerate() {
                 *p = flat.predict_row(x.row(r));
             }
-        }));
-        plain_allocs += ALLOC_EVENTS.load(Ordering::Relaxed) - alloc0;
+        });
+        plain_ms = plain_ms.min(ms);
+        plain_allocs += alloc_events() - alloc0;
 
         // --- traced: one ring-journal record per row ---
         set_trace(obs::TraceMode::Ring);
-        traced_ms = traced_ms.min(time_ms(1, || {
+        let (ms, ()) = time_ms(1, || {
             let mut sink = 0.0;
             for r in 0..rows {
                 let p = flat.predict_row(x.row(r));
@@ -249,16 +104,18 @@ fn measure_size(flat: &FlatEnsemble, n_trees: usize, rows: usize, seed: u64) -> 
                 sink += p;
             }
             assert!(sink.is_finite());
-        }));
+        });
+        traced_ms = traced_ms.min(ms);
         set_trace(obs::TraceMode::Off);
         let _ = obs::drain();
 
         // --- attributed: per-feature contributions, reused buffer ---
-        attributed_ms = attributed_ms.min(time_ms(1, || {
+        let (ms, ()) = time_ms(1, || {
             for (r, p) in attributed.iter_mut().enumerate() {
                 *p = flat.predict_row_attributed(x.row(r), &mut contrib);
             }
-        }));
+        });
+        attributed_ms = attributed_ms.min(ms);
     }
     assert!(
         plain_allocs == 0,
@@ -334,11 +191,7 @@ fn measure_journal() -> JournalResult {
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: &BenchReport) -> Result<(), String> {
     // The journal gate fires only when every size exceeds the limit: a
     // real regression in the record path is size-independent, while a
     // noise burst on a shared CI core hits one measurement at a time.
@@ -375,35 +228,15 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let scale = monitorless_bench::Scale::from_args();
+    let harness = Harness::start("table_obs");
+    let scale = harness.scale;
     // The attribution counters only record with telemetry on; default to
     // a quiet snapshot-only format so the report always carries them.
     if !obs::enabled() {
         obs::init(&obs::TelemetryConfig::with_format(obs::ExportFormat::Prom));
     }
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_obs.json".into());
 
-    obs::progress("training paper-shaped forest (250 trees, 20k rows)...");
-    let (xt, yt) = dataset(20_000, 30, scale.seed);
-    let mut forest = RandomForest::new(RandomForestParams {
-        n_jobs: 1,
-        seed: scale.seed,
-        ..RandomForestParams::paper_selected()
-    });
-    forest
-        .fit(&xt, &yt, None)
-        .expect("paper-shaped forest trains on the synthetic dataset");
+    let forest = paper_forest(scale.seed);
     let flat = forest.to_flat();
     let n_trees = forest.trees().len();
 
@@ -413,11 +246,7 @@ fn main() {
         &[1_000, 100_000]
     };
     let report = BenchReport {
-        scale: if scale.full {
-            "full".into()
-        } else {
-            "quick".into()
-        },
+        scale: scale.label().into(),
         seed: scale.seed,
         sizes: sizes
             .iter()
@@ -425,27 +254,67 @@ fn main() {
             .collect(),
         journal: measure_journal(),
     };
+    harness.finish(&report, check);
+}
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("obs overhead check passed against {path}"),
-            Err(msg) => {
-                eprintln!("obs overhead check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> BenchReport {
+        monitorless_std::json::from_str(include_str!("../../../../results/BENCH_obs.json"))
+            .expect("committed snapshot parses")
     }
-    telemetry_report("table_obs");
+
+    #[test]
+    fn journal_overhead_fails_only_above_ten_percent_at_every_size() {
+        let base = committed();
+        let mut fresh = base.clone();
+        for s in &mut fresh.sizes {
+            s.journal_overhead_pct = 10.0;
+        }
+        assert_eq!(check(&fresh, &base), Ok(()));
+        for s in &mut fresh.sizes {
+            s.journal_overhead_pct = 10f64.next_up();
+        }
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("above 10% at every size"));
+        // One size back under the limit clears the gate.
+        fresh.sizes[0].journal_overhead_pct = 10.0;
+        fresh.sizes[1].journal_overhead_pct = 50.0;
+        assert_eq!(check(&fresh, &base), Ok(()));
+    }
+
+    #[test]
+    fn plain_wall_time_may_reach_twice_the_committed_value() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[1].plain_ms = 2.0 * base.sizes[1].plain_ms;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[1].plain_ms = fresh.sizes[1].plain_ms.next_up();
+        assert!(check(&fresh, &base).unwrap_err().contains("plain predict"));
+    }
+
+    #[test]
+    fn attributed_wall_time_may_reach_twice_the_committed_value() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[0].attributed_ms = 2.0 * base.sizes[0].attributed_ms;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[0].attributed_ms = fresh.sizes[0].attributed_ms.next_up();
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("attributed predict"));
+    }
+
+    #[test]
+    fn rows_without_a_committed_size_are_not_gated() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[0].rows = 123;
+        fresh.sizes[0].plain_ms = 1e9;
+        fresh.sizes[0].attributed_ms = 1e9;
+        assert_eq!(check(&fresh, &base), Ok(()));
+    }
 }

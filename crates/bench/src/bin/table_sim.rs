@@ -27,8 +27,8 @@
 //! per node, KPIs and container ticks — is asserted bit-identical to
 //! the dense loop's, and a counting global allocator asserts the
 //! steady-state event tick (`n_jobs` 1) performs **zero** heap
-//! allocations (skipped when `--telemetry` is on, which allocates by
-//! design). A 4-worker column is reported for information; it
+//! allocations (skipped while telemetry streams `jsonl` events, which
+//! allocate by design). A 4-worker column is reported for information; it
 //! allocates on pool spawn and is not part of the 0-alloc contract.
 //!
 //! `--check <path>` re-measures at the current scale and exits
@@ -37,11 +37,10 @@
 //! the dense loop below 3x at fleets >= 1k nodes, or a committed
 //! 10k-node row below the 5x-speedup / faster-than-real-time floor.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use monitorless_bench::telemetry_report;
+use monitorless_bench::harness::{alloc_events, CountingAlloc, Harness};
+use monitorless_bench::snapshot::sim::{BenchReport, SizeResult};
 use monitorless_metrics::NodeId;
 use monitorless_obs as obs;
 use monitorless_sim::{
@@ -49,90 +48,8 @@ use monitorless_sim::{
 };
 use monitorless_workload::{LoadProfile, SteppedProfile, TraceProfile};
 
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the steady-state event tick never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// One fleet size's interleaved measurement.
-#[derive(Debug, Clone, PartialEq)]
-struct SizeResult {
-    nodes: usize,
-    containers: usize,
-    measured_ticks: usize,
-    dense_ms_per_tick: f64,
-    event_ms_per_tick: f64,
-    event_par_ms_per_tick: f64,
-    /// Simulated seconds per wall-clock second at 1 Hz monitoring.
-    dense_sim_per_wall: f64,
-    event_sim_per_wall: f64,
-    speedup: f64,
-    event_us_per_container_second: f64,
-    evals_per_tick: f64,
-    cached_per_tick: f64,
-    event_allocs_per_tick: f64,
-}
-
-monitorless_std::json_struct!(SizeResult {
-    nodes,
-    containers,
-    measured_ticks,
-    dense_ms_per_tick,
-    event_ms_per_tick,
-    event_par_ms_per_tick,
-    dense_sim_per_wall,
-    event_sim_per_wall,
-    speedup,
-    event_us_per_container_second,
-    evals_per_tick,
-    cached_per_tick,
-    event_allocs_per_tick,
-});
-
-/// The whole snapshot, as committed to `results/BENCH_sim.json`.
-#[derive(Debug, Clone, PartialEq)]
-struct BenchReport {
-    scale: String,
-    seed: u64,
-    monitor_hz: f64,
-    par_jobs: usize,
-    sizes: Vec<SizeResult>,
-}
-
-monitorless_std::json_struct!(BenchReport {
-    scale,
-    seed,
-    monitor_hz,
-    par_jobs,
-    sizes,
-});
 
 /// Nodes per independent placement group: two applications share each
 /// group, no application spans groups.
@@ -248,7 +165,7 @@ fn assert_reports_identical(fast: &TickReport, dense: &TickReport, n: usize, tic
     }
 }
 
-fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize, telemetry_on: bool) -> SizeResult {
+fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize) -> SizeResult {
     obs::progress(&format!("fleet of {n_nodes} nodes..."));
     let (event_cluster, apps) = build_fleet(n_nodes, seed);
     let (mut dense, _) = build_fleet(n_nodes, seed);
@@ -300,11 +217,11 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize, telemetry_on: bool) 
         let mut td = 0.0;
         for _ in 0..ticks {
             let loads = loads_at(t);
-            let a0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+            let a0 = alloc_events();
             let t0 = Instant::now();
             let got = event.step();
             te += t0.elapsed().as_secs_f64();
-            event_allocs += ALLOC_EVENTS.load(Ordering::Relaxed) - a0;
+            event_allocs += alloc_events() - a0;
             let t1 = Instant::now();
             let want = dense.step_dense_legacy(&loads);
             td += t1.elapsed().as_secs_f64();
@@ -320,7 +237,8 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize, telemetry_on: bool) 
     }
     let measured = reps * ticks;
     let allocs_per_tick = event_allocs as f64 / measured as f64;
-    if !telemetry_on {
+    // `jsonl` telemetry streams span events, which allocate by design.
+    if obs::format() != obs::ExportFormat::Jsonl {
         assert!(
             event_allocs == 0,
             "event tick allocated ({allocs_per_tick} events/tick over {measured} ticks); the \
@@ -365,11 +283,7 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize, telemetry_on: bool) 
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: &BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         if let Some(baseline) = committed.sizes.iter().find(|s| s.nodes == current.nodes) {
             if current.event_ms_per_tick > 2.0 * baseline.event_ms_per_tick {
@@ -408,21 +322,8 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let scale = monitorless_bench::Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let telemetry_on = args.iter().any(|a| a == "--telemetry");
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_sim.json".into());
-
+    let harness = Harness::start("table_sim");
+    let scale = harness.scale;
     let sizes: &[usize] = if scale.full {
         &[100, 1_000, 10_000]
     } else {
@@ -430,40 +331,92 @@ fn main() {
     };
     let par_jobs = 4;
     let report = BenchReport {
-        scale: if scale.full {
-            "full".into()
-        } else {
-            "quick".into()
-        },
+        scale: scale.label().into(),
         seed: scale.seed,
         monitor_hz: 1.0,
         par_jobs,
         sizes: sizes
             .iter()
-            .map(|&n| measure_size(n, scale.seed, par_jobs, telemetry_on))
+            .map(|&n| measure_size(n, scale.seed, par_jobs))
             .collect(),
     };
+    harness.finish(&report, check);
+}
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> BenchReport {
+        monitorless_std::json::from_str(include_str!("../../../../results/BENCH_sim.json"))
+            .expect("committed snapshot parses")
     }
-    telemetry_report("table_sim");
+
+    /// The committed sweep with only its 100- and 1k-node rows, the
+    /// sizes a quick run measures.
+    fn quick(base: &BenchReport) -> BenchReport {
+        let mut fresh = base.clone();
+        fresh.sizes.retain(|s| s.nodes < 10_000);
+        fresh
+    }
+
+    #[test]
+    fn wall_time_may_reach_twice_the_committed_value() {
+        let base = committed();
+        let mut fresh = quick(&base);
+        fresh.sizes[0].event_ms_per_tick = 2.0 * base.sizes[0].event_ms_per_tick;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[0].event_ms_per_tick = fresh.sizes[0].event_ms_per_tick.next_up();
+        assert!(check(&fresh, &base).unwrap_err().contains("more than 2x"));
+    }
+
+    #[test]
+    fn speedup_floor_is_three_from_a_thousand_nodes() {
+        let base = committed();
+        let mut fresh = quick(&base);
+        assert_eq!(fresh.sizes[1].nodes, 1_000);
+        fresh.sizes[1].speedup = 3.0;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[1].speedup = 3f64.next_down();
+        assert!(check(&fresh, &base).unwrap_err().contains("need >= 3x"));
+        // The 100-node fleet has no floor.
+        fresh.sizes[1].speedup = 3.0;
+        fresh.sizes[0].speedup = 0.5;
+        assert_eq!(check(&fresh, &base), Ok(()));
+    }
+
+    #[test]
+    fn committed_headline_row_must_clear_five_x() {
+        let mut base = committed();
+        let fresh = quick(&base);
+        let headline = base.sizes.iter_mut().find(|s| s.nodes == 10_000).unwrap();
+        headline.speedup = 5.0;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        let headline = base.sizes.iter_mut().find(|s| s.nodes == 10_000).unwrap();
+        headline.speedup = 5f64.next_down();
+        assert!(check(&fresh, &base).unwrap_err().contains("< 5x floor"));
+    }
+
+    #[test]
+    fn committed_headline_row_must_beat_real_time() {
+        let mut base = committed();
+        let fresh = quick(&base);
+        let headline = base.sizes.iter_mut().find(|s| s.nodes == 10_000).unwrap();
+        headline.event_sim_per_wall = 1f64.next_up();
+        assert_eq!(check(&fresh, &base), Ok(()));
+        let headline = base.sizes.iter_mut().find(|s| s.nodes == 10_000).unwrap();
+        headline.event_sim_per_wall = 1.0;
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("not faster than real time"));
+    }
+
+    #[test]
+    fn committed_snapshot_must_carry_the_headline_row() {
+        let base = committed();
+        let fresh = quick(&base);
+        assert!(check(&fresh, &fresh)
+            .unwrap_err()
+            .contains("missing the 10k-node row"));
+    }
 }

@@ -33,48 +33,19 @@
 //! than 2x the committed snapshot for the same fleet size, or a
 //! same-run speedup over the legacy loop below 1.5x at fleets >= 1k.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use monitorless::model::{ModelOptions, MonitorlessModel};
 use monitorless::orchestrator::{InstancePrediction, Orchestrator};
 use monitorless::training::generate_training_data;
-use monitorless_bench::telemetry_report;
+use monitorless_bench::harness::{alloc_events, CountingAlloc, Harness};
+use monitorless_bench::snapshot::tick::{BenchReport, SizeResult};
+use monitorless_bench::synth::value;
 use monitorless_learn::RandomForestParams;
 use monitorless_metrics::catalog::Catalog;
 use monitorless_metrics::{InstanceId, NodeId, Observation};
 use monitorless_obs as obs;
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the steady-state batched tick never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -83,64 +54,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// 16-sample rolling windows and grows every reused buffer to its
 /// high-water mark.
 const WARMUP_TICKS: usize = 24;
-
-/// One fleet size's interleaved measurement.
-#[derive(Debug, Clone, PartialEq)]
-struct SizeResult {
-    instances: usize,
-    measured_ticks: usize,
-    legacy_us_per_instance: f64,
-    batched_us_per_instance: f64,
-    batched_par_us_per_instance: f64,
-    speedup: f64,
-    batched_allocs_per_tick: f64,
-}
-
-monitorless_std::json_struct!(SizeResult {
-    instances,
-    measured_ticks,
-    legacy_us_per_instance,
-    batched_us_per_instance,
-    batched_par_us_per_instance,
-    speedup,
-    batched_allocs_per_tick,
-});
-
-/// The whole snapshot, as committed to `results/BENCH_tick.json`.
-#[derive(Debug, Clone, PartialEq)]
-struct BenchReport {
-    scale: String,
-    seed: u64,
-    n_trees: usize,
-    n_nodes: usize,
-    feature_width: usize,
-    packed: bool,
-    walk_bytes: usize,
-    sizes: Vec<SizeResult>,
-}
-
-monitorless_std::json_struct!(BenchReport {
-    scale,
-    seed,
-    n_trees,
-    n_nodes,
-    feature_width,
-    packed,
-    walk_bytes,
-    sizes,
-});
-
-/// Bounded deterministic metric value (hash-mixed, no RNG state).
-fn value(entity: u64, metric: u64, t: u64) -> f64 {
-    let mut h = entity
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(metric.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(t.wrapping_mul(0x94d0_49bb_1331_11eb));
-    h ^= h >> 31;
-    h = h.wrapping_mul(0xd6e8_feb8_6659_fd93);
-    h ^= h >> 27;
-    (h % 10_000) as f64 / 100.0
-}
 
 /// Catalog-width observations for one tick: `n` instances over up to 3
 /// nodes, values varying by instance, metric and tick.
@@ -346,11 +259,11 @@ fn measure_size(model: &Arc<MonitorlessModel>, n: usize) -> SizeResult {
         let mut tl = 0.0;
         for _ in 0..ticks {
             let observed = &cycle[tick_no % cycle.len()];
-            let a0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+            let a0 = alloc_events();
             let t0 = Instant::now();
             let b = batched.step(observed).expect("batched tick");
             tb += t0.elapsed().as_secs_f64();
-            batched_allocs += ALLOC_EVENTS.load(Ordering::Relaxed) - a0;
+            batched_allocs += alloc_events() - a0;
             let t1 = Instant::now();
             let l = legacy.step_legacy(observed).expect("legacy tick");
             tl += t1.elapsed().as_secs_f64();
@@ -393,11 +306,7 @@ fn measure_size(model: &Arc<MonitorlessModel>, n: usize) -> SizeResult {
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: &BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         if let Some(baseline) = committed
             .sizes
@@ -426,20 +335,8 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let scale = monitorless_bench::Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_tick.json".into());
-
+    let harness = Harness::start("table_tick");
+    let scale = harness.scale;
     let model = tick_model(scale.seed);
     let flat = model.flat();
     obs::progress(&format!(
@@ -456,11 +353,7 @@ fn main() {
         &[100, 1_000, 10_000]
     };
     let report = BenchReport {
-        scale: if scale.full {
-            "full".into()
-        } else {
-            "quick".into()
-        },
+        scale: scale.label().into(),
         seed: scale.seed,
         n_trees: flat.n_trees(),
         n_nodes: flat.n_nodes(),
@@ -469,27 +362,48 @@ fn main() {
         walk_bytes: flat.walk_bytes(),
         sizes: sizes.iter().map(|&n| measure_size(&model, n)).collect(),
     };
+    harness.finish(&report, check);
+}
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> BenchReport {
+        monitorless_std::json::from_str(include_str!("../../../../results/BENCH_tick.json"))
+            .expect("committed snapshot parses")
     }
-    telemetry_report("table_tick");
+
+    #[test]
+    fn wall_time_may_reach_twice_the_committed_value() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.sizes[0].batched_us_per_instance = 2.0 * base.sizes[0].batched_us_per_instance;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[0].batched_us_per_instance = fresh.sizes[0].batched_us_per_instance.next_up();
+        assert!(check(&fresh, &base).unwrap_err().contains("more than 2x"));
+    }
+
+    #[test]
+    fn speedup_floor_is_one_and_a_half_from_a_thousand_instances() {
+        let base = committed();
+        let mut fresh = base.clone();
+        assert_eq!(fresh.sizes[1].instances, 1_000);
+        fresh.sizes[1].speedup = 1.5;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        fresh.sizes[1].speedup = 1.5f64.next_down();
+        assert!(check(&fresh, &base).unwrap_err().contains("need >= 1.5x"));
+        // Unmatched fleets are still held to the floor.
+        fresh.sizes[1].instances = 5_000;
+        assert!(check(&fresh, &base).unwrap_err().contains("need >= 1.5x"));
+    }
+
+    #[test]
+    fn small_fleets_have_no_speedup_floor() {
+        let base = committed();
+        let mut fresh = base.clone();
+        assert_eq!(fresh.sizes[0].instances, 100);
+        fresh.sizes[0].speedup = 0.5;
+        assert_eq!(check(&fresh, &base), Ok(()));
+    }
 }

@@ -37,106 +37,22 @@
 //! 4; on smaller hosts the check logs the skip and still verifies
 //! byte identity.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use monitorless::adapt::{RetrainParams, ShadowRetrainer};
 use monitorless::training::{
     generate_training_data, run_fresh_episode, table1, TrainingData, TrainingOptions,
 };
-use monitorless_bench::telemetry_report;
+use monitorless_bench::harness::{alloc_events, time_ms, CountingAlloc, Harness};
+use monitorless_bench::snapshot::train::{BenchReport, PhaseResult};
+use monitorless_bench::synth::value;
 use monitorless_learn::{Classifier, Matrix, MatrixBuilder, PresortedDataset, RandomForest};
 use monitorless_metrics::catalog::Catalog;
 use monitorless_metrics::{InstanceId, NodeId, Observation};
 use monitorless_obs as obs;
 
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the zero-copy assembly loop never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// One phase's measurement. `fast_allocs` is the fast path's heap
-/// allocation count where the phase carries a 0-alloc contract
-/// (assembly) and 0 elsewhere; `identical` is 1.0 iff the phase's
-/// bit-identity assertion ran and passed this run.
-#[derive(Debug, Clone, PartialEq)]
-struct PhaseResult {
-    phase: String,
-    rows: usize,
-    baseline_ms: f64,
-    fast_ms: f64,
-    speedup: f64,
-    fast_allocs: f64,
-    identical: f64,
-}
-
-monitorless_std::json_struct!(PhaseResult {
-    phase,
-    rows,
-    baseline_ms,
-    fast_ms,
-    speedup,
-    fast_allocs,
-    identical,
-});
-
-/// The whole snapshot, as committed to `results/BENCH_train.json`.
-#[derive(Debug, Clone, PartialEq)]
-struct BenchReport {
-    scale: String,
-    seed: u64,
-    /// Hardware threads the measuring host reported; the generation
-    /// speedup gate only arms at >= 4.
-    workers: usize,
-    sizes: Vec<PhaseResult>,
-}
-
-monitorless_std::json_struct!(BenchReport {
-    scale,
-    seed,
-    workers,
-    sizes,
-});
-
-fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let v = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        out = Some(v);
-    }
-    (best, out.expect("at least one rep"))
-}
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -179,18 +95,6 @@ fn measure_generation(opts: &TrainingOptions) -> (PhaseResult, TrainingData) {
     (r, seq)
 }
 
-/// Bounded deterministic metric value (hash-mixed, no RNG state).
-fn value(entity: u64, metric: u64, t: u64) -> f64 {
-    let mut h = entity
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(metric.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(t.wrapping_mul(0x94d0_49bb_1331_11eb));
-    h ^= h >> 31;
-    h = h.wrapping_mul(0xd6e8_feb8_6659_fd93);
-    h ^= h >> 27;
-    (h % 10_000) as f64 / 100.0
-}
-
 /// Phase 2: assembling `rows` catalog-width samples into a training
 /// matrix — the legacy allocating chain vs the zero-copy builder
 /// write. Both paths read identical pre-built observations.
@@ -230,14 +134,14 @@ fn measure_assembly(rows: usize) -> PhaseResult {
         {
             let mut regions = builder.regions_mut();
             let region = regions.next().expect("one region");
-            let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+            let before = alloc_events();
             for o in &observations {
                 let row = &mut region[written * width..(written + 1) * width];
                 if o.instance_vector_write(inst, row) {
                     written += 1;
                 }
             }
-            loop_allocs = loop_allocs.min(ALLOC_EVENTS.load(Ordering::Relaxed) - before);
+            loop_allocs = loop_allocs.min(alloc_events() - before);
         }
         builder.finish(&[written])
     });
@@ -404,11 +308,7 @@ fn measure_retrain(
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: &BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         if current.identical != 1.0 {
             return Err(format!("phase {} skipped its identity assertion", current.phase));
@@ -455,20 +355,8 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let scale = monitorless_bench::Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_train.json".into());
-
+    let harness = Harness::start("table_train");
+    let scale = harness.scale;
     let gen_opts = scale.training_options();
     let (assembly_rows, append_rows) = if scale.full {
         (20_000, 200_000)
@@ -478,11 +366,7 @@ fn main() {
 
     let (generation, data) = measure_generation(&gen_opts);
     let report = BenchReport {
-        scale: if scale.full {
-            "full".into()
-        } else {
-            "quick".into()
-        },
+        scale: scale.label().into(),
         seed: scale.seed,
         workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         sizes: vec![
@@ -492,27 +376,68 @@ fn main() {
             measure_retrain(&scale, &data, &gen_opts),
         ],
     };
+    harness.finish(&report, check);
+}
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> BenchReport {
+        monitorless_std::json::from_str(include_str!("../../../../results/BENCH_train.json"))
+            .expect("committed snapshot parses")
     }
-    telemetry_report("table_train");
+
+    fn phase<'r>(report: &'r mut BenchReport, name: &str) -> &'r mut PhaseResult {
+        report.sizes.iter_mut().find(|p| p.phase == name).unwrap()
+    }
+
+    #[test]
+    fn fast_path_may_reach_twice_the_committed_value() {
+        let base = committed();
+        let mut fresh = base.clone();
+        phase(&mut fresh, "retrain").fast_ms = 2.0 * base.sizes[3].fast_ms;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        phase(&mut fresh, "retrain").fast_ms = (2.0 * base.sizes[3].fast_ms).next_up();
+        assert!(check(&fresh, &base).unwrap_err().contains("more than 2x"));
+    }
+
+    #[test]
+    fn append_speedup_floor_is_five() {
+        let base = committed();
+        let mut fresh = base.clone();
+        phase(&mut fresh, "append").speedup = 5.0;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        phase(&mut fresh, "append").speedup = 5f64.next_down();
+        assert!(check(&fresh, &base).unwrap_err().contains("need >= 5x"));
+    }
+
+    #[test]
+    fn generation_floor_is_three_only_from_four_workers() {
+        let base = committed();
+        let mut fresh = base.clone();
+        fresh.workers = 4;
+        phase(&mut fresh, "generation").speedup = 3.0;
+        assert_eq!(check(&fresh, &base), Ok(()));
+        phase(&mut fresh, "generation").speedup = 3f64.next_down();
+        assert!(check(&fresh, &base).unwrap_err().contains("need >= 3x"));
+        fresh.workers = 3;
+        phase(&mut fresh, "generation").speedup = 0.5;
+        assert_eq!(check(&fresh, &base), Ok(()));
+    }
+
+    #[test]
+    fn any_fast_path_allocation_or_skipped_identity_fails() {
+        let base = committed();
+        let mut fresh = base.clone();
+        phase(&mut fresh, "assembly").fast_allocs = 1.0;
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("heap allocations"));
+        let mut fresh = base.clone();
+        phase(&mut fresh, "append").identical = 0.0;
+        assert!(check(&fresh, &base)
+            .unwrap_err()
+            .contains("skipped its identity assertion"));
+    }
 }
