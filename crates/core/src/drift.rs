@@ -19,7 +19,9 @@
 //!   indices, updated incrementally), and every `check_every` rows
 //!   scores each feature with the Population Stability Index
 //!   `PSI = Σ (p_i − q_i) · ln(p_i / q_i)` of the window against the
-//!   uniform reference. Industry folklore reads PSI < 0.1 as stable
+//!   uniform reference. Each term depends only on a bin's count and the
+//!   window total, so a check sums table lookups instead of evaluating
+//!   a logarithm per bin. Industry folklore reads PSI < 0.1 as stable
 //!   and PSI > 0.25 as significant shift; those are the default
 //!   hysteresis bounds.
 //! * **Hysteresis.** A feature *trips* when its PSI crosses
@@ -61,13 +63,23 @@ pub struct FeatureProfile {
 monitorless_std::json_struct!(FeatureProfile { edges, mean, std });
 
 impl FeatureProfile {
-    /// Bin index of `v` among this feature's equi-depth bins. NaN — for
-    /// which every comparison is false — lands in the last bin, mirroring
-    /// the tree walk's NaN-goes-right convention.
+    /// Bin index of `v` among this feature's equi-depth bins: the number
+    /// of edges `v` is not at or below, counted without branches. NaN —
+    /// for which every comparison is false — lands in the last bin,
+    /// mirroring the tree walk's NaN-goes-right convention.
     #[inline]
     pub fn bin(&self, v: f64) -> usize {
-        self.edges.partition_point(|e| *e < v)
+        bin_of(&self.edges, v)
     }
+}
+
+/// The number of `edges` that `v` is not at or below (see
+/// [`FeatureProfile::bin`]). `!(v <= e)` is deliberate: unlike `v > e`
+/// it also counts every edge for NaN.
+#[inline]
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn bin_of(edges: &[f64], v: f64) -> usize {
+    edges.iter().map(|&e| usize::from(!(v <= e))).sum()
 }
 
 /// A per-feature reference profile of the training feature matrix.
@@ -168,10 +180,24 @@ pub struct DriftCheck {
 }
 
 /// Streaming per-feature drift detector (see the module docs).
+///
+/// A push bins each feature with a branch-free count over its edges
+/// (copied into one flat array); a check sums, per feature, the PSI term
+/// of each bin's count from a table indexed by count. The table holds
+/// `(p − q)·ln(p/q)` for every count `0..=window` and is rebuilt only
+/// when the window total changes — at most once per check during
+/// warm-up, never once the window is full. Every score is bit-identical
+/// to evaluating the formula per bin.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     profile: DriftProfile,
     config: DriftConfig,
+    /// Interior edges of every feature, `n_features × (PROFILE_BINS − 1)`.
+    edges: Vec<f64>,
+    /// PSI term per bin count `0..=terms_total` for a window of
+    /// `terms_total` rows (empty before the first check).
+    psi_terms: Vec<f64>,
+    terms_total: usize,
     /// Ring of bin indices, `window × n_features`, row-major.
     ring: Vec<u8>,
     /// Current window histogram, `n_features × PROFILE_BINS`.
@@ -200,14 +226,30 @@ impl DriftDetector {
     ///
     /// # Panics
     ///
-    /// Panics on a zero-feature profile or degenerate config
-    /// (`window == 0`, `check_every == 0`, or `psi_clear > psi_alert`).
+    /// Panics on a zero-feature profile, a feature without exactly
+    /// `PROFILE_BINS − 1` edges, or degenerate config (`window == 0`,
+    /// `check_every == 0`, or `psi_clear > psi_alert`).
     pub fn new(profile: DriftProfile, config: DriftConfig) -> Self {
         let n = profile.n_features();
         assert!(n > 0, "drift profile has no features");
+        assert!(
+            profile
+                .features
+                .iter()
+                .all(|fp| fp.edges.len() == PROFILE_BINS - 1),
+            "every drift profile feature needs {} edges",
+            PROFILE_BINS - 1
+        );
         assert!(config.window > 0 && config.check_every > 0, "degenerate drift config");
         assert!(config.psi_clear <= config.psi_alert, "hysteresis bounds inverted");
         DriftDetector {
+            edges: profile
+                .features
+                .iter()
+                .flat_map(|fp| fp.edges.iter().copied())
+                .collect(),
+            psi_terms: Vec::with_capacity(config.window + 1),
+            terms_total: 0,
             ring: vec![0; config.window * n],
             counts: vec![0; n * PROFILE_BINS],
             head: 0,
@@ -234,13 +276,15 @@ impl DriftDetector {
         let n = self.profile.n_features();
         assert!(row.len() >= n, "row has {} features, profile has {n}", row.len());
         let base = self.head * n;
-        for (f, (&v, fp)) in row[..n].iter().zip(&self.profile.features).enumerate() {
+        let full = self.filled == self.config.window;
+        let edges = self.edges.chunks_exact(PROFILE_BINS - 1);
+        for (f, (&v, edges)) in row[..n].iter().zip(edges).enumerate() {
             // Evict the outgoing row's bin once the ring has wrapped.
-            if self.filled == self.config.window {
+            if full {
                 let old = self.ring[base + f] as usize;
                 self.counts[f * PROFILE_BINS + old] -= 1;
             }
-            let bin = fp.bin(v);
+            let bin = bin_of(edges, v);
             self.ring[base + f] = bin as u8;
             self.counts[f * PROFILE_BINS + bin] += 1;
             // Welford over the whole stream.
@@ -266,9 +310,17 @@ impl DriftDetector {
     /// the hysteresis state.
     fn check(&mut self) -> DriftCheck {
         let n = self.profile.n_features();
-        let total = self.filled as f64;
-        let q = 1.0 / PROFILE_BINS as f64; // equi-depth reference mass
-        let floor = 0.5 / total; // half-a-sample smoothing
+        if self.terms_total != self.filled {
+            self.terms_total = self.filled;
+            let total = self.filled as f64;
+            let q = 1.0 / PROFILE_BINS as f64; // equi-depth reference mass
+            let floor = 0.5 / total; // half-a-sample smoothing
+            self.psi_terms.clear();
+            self.psi_terms.extend((0..=self.filled).map(|c| {
+                let p = (c as f64 / total).max(floor);
+                (p - q) * (p / q).ln()
+            }));
+        }
         let mut max_psi = 0.0;
         let mut max_feature = 0;
         let mut new_alerts = Vec::new();
@@ -276,8 +328,7 @@ impl DriftDetector {
             let counts = &self.counts[f * PROFILE_BINS..(f + 1) * PROFILE_BINS];
             let mut psi = 0.0;
             for &c in counts {
-                let p = (c as f64 / total).max(floor);
-                psi += (p - q) * (p / q).ln();
+                psi += self.psi_terms[c as usize];
             }
             self.scores[f] = psi;
             if psi > max_psi {
@@ -390,6 +441,83 @@ mod tests {
         for c in counts {
             assert!((80..=120).contains(&c), "bin count {c} far from uniform");
         }
+    }
+
+    #[test]
+    fn nan_lands_in_the_last_bin_and_finite_values_bin_as_before() {
+        let fp = FeatureProfile {
+            edges: vec![-2.0, -1.0, -1.0, 0.0, 0.5, 1.0, 2.0, 2.0, 3.0],
+            mean: 0.0,
+            std: 1.0,
+        };
+        assert_eq!(fp.bin(f64::NAN), PROFILE_BINS - 1);
+        assert_eq!(fp.bin(f64::INFINITY), PROFILE_BINS - 1);
+        assert_eq!(fp.bin(f64::NEG_INFINITY), 0);
+        let mut probes = vec![f64::MIN, f64::MAX, -0.0, 0.0];
+        for &e in &fp.edges {
+            probes.extend([e, e.next_down(), e.next_up()]);
+        }
+        for v in probes {
+            // Values at an edge stay in the bin below it.
+            assert_eq!(fp.bin(v), fp.edges.partition_point(|e| *e < v), "v = {v}");
+        }
+    }
+
+    /// Every check's scores equal the PSI formula evaluated directly on
+    /// a histogram the test keeps itself, bit for bit, both while the
+    /// window is still filling and after it has wrapped.
+    #[test]
+    fn table_scores_match_the_direct_formula_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let profile = profile_from(&mut rng, 400, 4);
+        let cfg = DriftConfig {
+            window: 48,
+            min_samples: 8,
+            check_every: 5,
+            ..DriftConfig::default()
+        };
+        let mut det = profile.detector(cfg);
+        let mut recent: std::collections::VecDeque<Vec<f64>> = Default::default();
+        let (mut warm_checks, mut wrapped_checks) = (0, 0);
+        for t in 0..400 {
+            // Drift the stream halfway through so counts move, with the
+            // odd NaN and edge-exact value.
+            let row: Vec<f64> = (0..4)
+                .map(|c| match rng.next_u64() % 40 {
+                    0 => f64::NAN,
+                    1 => profile.features[c].edges[4],
+                    _ => gaussian(&mut rng, c as f64 + (t / 200) as f64, 1.0 + c as f64 * 0.5),
+                })
+                .collect();
+            recent.push_back(row.clone());
+            if recent.len() > cfg.window {
+                recent.pop_front();
+            }
+            if det.push(&row).is_none() {
+                continue;
+            }
+            if recent.len() < cfg.window {
+                warm_checks += 1;
+            } else {
+                wrapped_checks += 1;
+            }
+            let total = recent.len() as f64;
+            let q = 1.0 / PROFILE_BINS as f64;
+            let floor = 0.5 / total;
+            for (f, fp) in profile.features.iter().enumerate() {
+                let mut counts = [0u32; PROFILE_BINS];
+                for r in &recent {
+                    counts[fp.bin(r[f])] += 1;
+                }
+                let mut psi = 0.0;
+                for c in counts {
+                    let p = (c as f64 / total).max(floor);
+                    psi += (p - q) * (p / q).ln();
+                }
+                assert_eq!(det.scores()[f].to_bits(), psi.to_bits(), "row {t} feature {f}");
+            }
+        }
+        assert!(warm_checks >= 5 && wrapped_checks >= 50, "{warm_checks} / {wrapped_checks}");
     }
 
     #[test]

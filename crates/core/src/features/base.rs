@@ -50,6 +50,15 @@ impl RawLayout {
         self.names.len()
     }
 
+    /// Number of host metrics: the leading names, before the first
+    /// `ctr.`-prefixed container metric of [`Catalog::concat_names`].
+    pub(crate) fn host_len(&self) -> usize {
+        self.names
+            .iter()
+            .position(|n| n.starts_with("ctr."))
+            .unwrap_or(self.names.len())
+    }
+
     /// Raw metric names.
     pub fn names(&self) -> &[String] {
         &self.names
@@ -179,22 +188,8 @@ impl BaseExpander {
     ///
     /// Panics if `raw` has the wrong length.
     pub fn expand(&self, raw: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len());
-        self.expand_into(raw, &mut out);
-        out
-    }
-
-    /// Expands one raw vector into `out` (cleared first), so
-    /// steady-state callers can reuse the buffer instead of allocating a
-    /// fresh vector per sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `raw` has the wrong length.
-    pub fn expand_into(&self, raw: &[f64], out: &mut Vec<f64>) {
         assert_eq!(raw.len(), self.layout.raw_len(), "raw vector length");
-        out.clear();
-        out.reserve(self.len());
+        let mut out = Vec::with_capacity(self.len());
         for (v, kind) in raw.iter().zip(&self.layout.kinds) {
             out.push(kind.preprocess(*v));
         }
@@ -206,6 +201,37 @@ impl BaseExpander {
                 BinarySource::CtrMem => self.layout.ctr_mem_util(raw),
             };
             out.push(level.indicator(util));
+        }
+        out
+    }
+
+    /// Base feature `j` of the raw vector `host ++ ctr`, read from the
+    /// two parts without concatenating them — bit-identical to
+    /// `expand(host ++ ctr)[j]`. The split point is `host.len()`, so
+    /// callers check both widths first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.len()` or an index falls outside the parts.
+    #[inline]
+    pub(crate) fn value_at(&self, j: usize, host: &[f64], ctr: &[f64]) -> f64 {
+        let raw = |i: usize| match i.checked_sub(host.len()) {
+            None => host[i],
+            Some(c) => ctr[c],
+        };
+        let l = &self.layout;
+        match j.checked_sub(l.raw_len()) {
+            None => l.kinds[j].preprocess(raw(j)),
+            Some(k) => {
+                let (_, source, level) = BINARY_FEATURES[k];
+                let util = match source {
+                    BinarySource::HostCpu => 100.0 - raw(l.host_cpu_idle),
+                    BinarySource::HostMem => raw(l.host_mem_util),
+                    BinarySource::CtrCpu => raw(l.ctr_cpu_util),
+                    BinarySource::CtrMem => raw(l.ctr_mem_util),
+                };
+                level.indicator(util.clamp(0.0, 100.0))
+            }
         }
     }
 
@@ -248,6 +274,33 @@ mod tests {
         assert_eq!(e.len(), 1040 + 16);
         assert_eq!(e.names().len(), e.len());
         assert_eq!(e.binary_indices().len(), 16);
+    }
+
+    #[test]
+    fn value_at_reads_split_parts_bit_identically() {
+        let (e, catalog) = expander();
+        assert_eq!(e.layout().host_len(), catalog.host_len());
+        let mut raw = raw_vector(
+            &catalog,
+            &HostSignals {
+                cpu_util: 0.83,
+                mem_used_bytes: 3e9,
+                ..HostSignals::default()
+            },
+            &ContainerSignals {
+                cpu_util: 0.97,
+                ..ContainerSignals::default()
+            },
+        );
+        // NaN and negative cells exercise the kind scaling's edge cases.
+        for (i, v) in raw.iter_mut().enumerate().step_by(37) {
+            *v = if i % 2 == 0 { f64::NAN } else { -*v - 1.0 };
+        }
+        let (host, ctr) = raw.split_at(catalog.host_len());
+        for (j, want) in e.expand(&raw).iter().enumerate() {
+            let got = e.value_at(j, host, ctr);
+            assert_eq!(got.to_bits(), want.to_bits(), "base feature {j}");
+        }
     }
 
     #[test]

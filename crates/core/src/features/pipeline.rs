@@ -215,7 +215,9 @@ impl FeaturePipeline {
             reduce2,
             keep,
             names,
-        };
+            serving: Serving::default(),
+        }
+        .with_serving();
         Ok((fitted, final_x))
     }
 }
@@ -437,15 +439,24 @@ enum PlanCell {
     Product(usize, usize),
 }
 
-/// Evaluates the plan for chronological row `i` of a contiguous block
-/// (`rw` stage-C columns), writing one value per plan cell into `out`.
+/// Evaluates the plan for chronological row `i` of a window of stage-C
+/// rows (`rw` columns each), writing one value per plan cell into
+/// `out`. Chronological row `r` starts at `rows[at(r)]`: `r · rw` for a
+/// contiguous batch block, a wrapped slot for the online ring.
 ///
 /// Each `Avg` cell re-accumulates its clamped window in ascending
 /// chronological order — the same left-to-right f64 add sequence as the
 /// legacy full expansion, so every cell is bit-identical to the
 /// corresponding legacy stage-D column.
-fn eval_plan_row(plan: &[PlanCell], block: &[f64], rw: usize, i: usize, out: &mut [f64]) {
-    let cur = &block[i * rw..(i + 1) * rw];
+fn eval_plan_row(
+    plan: &[PlanCell],
+    rows: &[f64],
+    at: impl Fn(usize) -> usize,
+    rw: usize,
+    i: usize,
+    out: &mut [f64],
+) {
+    let cur = &rows[at(i)..at(i) + rw];
     for (dst, cell) in out.iter_mut().zip(plan) {
         *dst = match *cell {
             PlanCell::Orig(f) => cur[f],
@@ -454,30 +465,32 @@ fn eval_plan_row(plan: &[PlanCell], block: &[f64], rw: usize, i: usize, out: &mu
                 let n = (i - start + 1) as f64;
                 let mut acc = 0.0;
                 for r in start..=i {
-                    acc += block[r * rw + f];
+                    acc += rows[at(r) + f];
                 }
                 acc / n
             }
-            PlanCell::Lag { f, lag } => block[i.saturating_sub(lag) * rw + f],
+            PlanCell::Lag { f, lag } => rows[at(i.saturating_sub(lag)) + f],
             PlanCell::Product(a, b) => cur[a] * cur[b],
         };
     }
 }
 
-/// Expands one chronological row of a contiguous block into the full
-/// stage-D row (time features + products), reusing `d` — the online
-/// fallback when the second reduction is PCA and every stage-D column
-/// is needed. Bit-identical to `expand_at` + `apply_products`.
+/// Expands chronological row `i` of a window (addressed as in
+/// [`eval_plan_row`]) into the full stage-D row (time features +
+/// products), reusing `d` — the online fallback when the second
+/// reduction is PCA and every stage-D column is needed. Bit-identical
+/// to `expand_at` + `apply_products`.
 fn expand_row_full(
     time: Option<&TimeExpander>,
-    block: &[f64],
+    rows: &[f64],
+    at: impl Fn(usize) -> usize,
     rw: usize,
     i: usize,
     pairs: &[(usize, usize)],
     d: &mut Vec<f64>,
 ) {
     d.clear();
-    let cur = &block[i * rw..(i + 1) * rw];
+    let cur = &rows[at(i)..at(i) + rw];
     match time {
         Some(_) => {
             d.extend_from_slice(cur);
@@ -487,14 +500,14 @@ fn expand_row_full(
                 for f in 0..rw {
                     let mut acc = 0.0;
                     for r in start..=i {
-                        acc += block[r * rw + f];
+                        acc += rows[at(r) + f];
                     }
                     d.push(acc / n);
                 }
             }
             for &x in &TIME_LAGS {
-                let j = i.saturating_sub(x);
-                d.extend_from_slice(&block[j * rw..(j + 1) * rw]);
+                let j = at(i.saturating_sub(x));
+                d.extend_from_slice(&rows[j..j + rw]);
             }
         }
         None => d.extend_from_slice(cur),
@@ -502,6 +515,33 @@ fn expand_row_full(
     for &(a, b) in pairs {
         d.push(cur[a] * cur[b]);
     }
+}
+
+/// One base column the first reduction reads: its index in the base
+/// feature space and the scaler statistics that standardize it
+/// (mean 0 and std 0 without a scaler, which leaves the value as is).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BaseCell {
+    base: usize,
+    mean: f64,
+    std: f64,
+}
+
+/// Serving state derived from a fitted pipeline's parameters: built
+/// once at fit or load time, shared by every transformer through the
+/// pipeline's `Arc`, never serialized.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Serving {
+    /// Host and container widths of a raw observation.
+    host_len: usize,
+    ctr_len: usize,
+    /// Stages 1–3 as one cell per base column `reduce1` reads, in its
+    /// input order: the selected columns for a forest filter, every
+    /// column for PCA or no reduction.
+    cells: Vec<BaseCell>,
+    /// The selective stage-D/E plan (`None` when the second reduction
+    /// is PCA).
+    plan: Option<Vec<PlanCell>>,
 }
 
 /// A fitted feature pipeline: transforms raw metric windows into model
@@ -518,9 +558,55 @@ pub struct FittedPipeline {
     reduce2: FittedReduction,
     keep: Vec<usize>,
     names: Vec<String>,
+    serving: Serving,
 }
 
 impl FittedPipeline {
+    /// Rebuilds the derived serving state from the fitted parameters.
+    fn with_serving(mut self) -> Self {
+        let layout = self.expander.layout();
+        let host_len = layout.host_len();
+        let columns: Vec<usize> = match &self.reduce1 {
+            FittedReduction::Select(idx) => idx.clone(),
+            FittedReduction::None | FittedReduction::Pca(_) => (0..self.expander.len()).collect(),
+        };
+        let stats = self
+            .scaler
+            .as_ref()
+            .map(|s| (s.means().unwrap_or(&[]), s.stds().unwrap_or(&[])));
+        let cells = columns
+            .into_iter()
+            .map(|base| {
+                let (mean, std) = stats.map_or((0.0, 0.0), |(m, s)| (m[base], s[base]));
+                BaseCell { base, mean, std }
+            })
+            .collect();
+        self.serving = Serving {
+            host_len,
+            ctr_len: layout.raw_len() - host_len,
+            cells,
+            plan: self.plan(),
+        };
+        self
+    }
+
+    /// `(host, container)` metric widths a raw observation must have.
+    pub(crate) fn raw_widths(&self) -> (usize, usize) {
+        (self.serving.host_len, self.serving.ctr_len)
+    }
+
+    /// [`Error::Invalid`] unless `(host, ctr)` are the raw widths.
+    fn check_widths(&self, host: usize, ctr: usize) -> Result<(), Error> {
+        let (want_host, want_ctr) = self.raw_widths();
+        if (host, ctr) == (want_host, want_ctr) {
+            return Ok(());
+        }
+        Err(Error::Invalid(format!(
+            "raw sample has {host} host + {ctr} container metrics, the pipeline expects \
+             {want_host} + {want_ctr}"
+        )))
+    }
+
     /// The configuration used to fit.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
@@ -595,40 +681,36 @@ impl FittedPipeline {
     }
 
     /// Batch transform mirroring the fit-time flow on the streaming
-    /// kernels: stages 1–3 are fused row by row into the reduced matrix
-    /// (no intermediate base/scaled matrices), and stage D/E evaluates
-    /// only the kept output cells when the second reduction is a column
+    /// kernels: stages 1–3 evaluate only the base columns the first
+    /// reduction reads, row by row into the reduced matrix (no
+    /// intermediate base/scaled matrices), and stage D/E evaluates only
+    /// the kept output cells when the second reduction is a column
     /// selection. Rows must be ordered chronologically within each
     /// group. Bit-identical to [`FittedPipeline::transform_batch_legacy`].
     ///
     /// # Errors
     ///
-    /// Propagates scaler/PCA errors.
+    /// [`Error::Invalid`] when `x_raw` is not the raw width; propagates
+    /// PCA errors.
     pub fn transform_batch(&self, x_raw: &Matrix, groups: &[u32]) -> Result<Matrix, Error> {
         let span = obs::Span::enter("pipeline.transform_batch");
         let rows = x_raw.rows();
         let rw = self.names_c.len();
+        let host_len = self.serving.host_len;
+        self.check_widths(x_raw.cols().min(host_len), x_raw.cols().saturating_sub(host_len))?;
 
-        // Fused stages 1-3: expand → scale → reduce, one row at a time.
+        // Stages 1-3 from the selected cells, one row at a time.
         let mut c_data: Vec<f64> = Vec::with_capacity(rows * rw);
-        let mut base = Vec::with_capacity(self.expander.len());
-        let mut scaled = Vec::with_capacity(self.expander.len());
+        let mut scaled = Vec::new();
         let mut reduced = Vec::with_capacity(rw);
         for raw in x_raw.iter_rows() {
-            self.expander.expand_into(raw, &mut base);
-            let srow: &[f64] = match &self.scaler {
-                Some(s) => {
-                    s.transform_row_into(&base, &mut scaled)?;
-                    &scaled
-                }
-                None => &base,
-            };
-            self.reduce1.apply_row_into(srow, &mut reduced)?;
+            let (host, ctr) = raw.split_at(host_len);
+            self.reduce_into(host, ctr, &mut scaled, &mut reduced)?;
             c_data.extend_from_slice(&reduced);
         }
         let c = Matrix::from_vec(rows, rw, c_data);
 
-        let out = match self.plan() {
+        let out = match &self.serving.plan {
             Some(plan) => {
                 let ow = plan.len();
                 let blocks = group_blocks(groups);
@@ -636,11 +718,11 @@ impl FittedPipeline {
                 obs::counter_add("pipeline.groups", blocks.len() as u64);
                 let mut data = vec![0.0; rows * ow];
                 let c_slice = c.as_slice();
-                let plan = &plan;
                 shard_blocks(&mut data, ow, &blocks, self.config.n_jobs, |start, end, out| {
                     let block = &c_slice[start * rw..end * rw];
                     for i in 0..end - start {
-                        eval_plan_row(plan, block, rw, i, &mut out[i * ow..(i + 1) * ow]);
+                        let out = &mut out[i * ow..(i + 1) * ow];
+                        eval_plan_row(plan, block, |r| r * rw, rw, i, out);
                     }
                 });
                 Matrix::from_vec(rows, ow, data)
@@ -704,45 +786,60 @@ impl FittedPipeline {
         Ok(self.keep.iter().map(|&i| reduced[i]).collect())
     }
 
-    /// Stages 1–3 for one raw sample — expand, scale, reduce — written
-    /// into reusable scratch buffers: no 1-row matrix through the
-    /// scaler, no fresh vectors, allocation-free once the buffers have
-    /// capacity.
-    fn reduce_raw_into(
+    /// Stages 1–3 for one raw sample `host ++ ctr` (widths already
+    /// checked): each cell expands, centres and scales one base column
+    /// straight from the two parts, so the concatenated raw vector and
+    /// the base columns the first reduction drops are never built.
+    /// Bit-identical to expand → scale → reduce, and allocation-free
+    /// once the buffers have capacity. `scaled` holds the full
+    /// standardized row only when the first reduction is PCA.
+    fn reduce_into(
         &self,
-        raw: &[f64],
-        base: &mut Vec<f64>,
+        host: &[f64],
+        ctr: &[f64],
         scaled: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> Result<(), Error> {
-        self.expander.expand_into(raw, base);
-        let srow: &[f64] = match &self.scaler {
-            Some(s) => {
-                s.transform_row_into(base, scaled)?;
-                scaled
-            }
-            None => base,
+        let pca = match &self.reduce1 {
+            FittedReduction::Pca(p) => Some(p),
+            FittedReduction::Select(_) | FittedReduction::None => None,
         };
-        self.reduce1.apply_row_into(srow, out)
+        let dst = if pca.is_some() {
+            &mut *scaled
+        } else {
+            &mut *out
+        };
+        dst.clear();
+        dst.extend(self.serving.cells.iter().map(|c| {
+            let v = self.expander.value_at(c.base, host, ctr) - c.mean;
+            if c.std > 0.0 {
+                v / c.std
+            } else {
+                v
+            }
+        }));
+        if let Some(p) = pca {
+            p.transform_row_into(scaled, out)?;
+        }
+        Ok(())
     }
 }
 
 /// Caller-owned working space for [`InstanceTransformer::push_into`],
 /// shared across a whole fleet of transformers.
 ///
-/// Stages 1–3 need roughly `2 × expanded_width + reduced_width` f64s of
-/// transient space per push (~18 KB at paper scale). One instance
-/// owning that is fine; 100 k instances each owning a copy is ~1.8 GB
-/// of scratch that is only ever live for one instance at a time. The
-/// fleet tick therefore owns a single `TransformScratch` and lends it
-/// to each transformer in turn, leaving per-instance state at just the
-/// rolling window (16 × reduced_width).
+/// Stages 1–3 write one stage-C row (`reduced_width` f64s, about 1 KB
+/// for the quick model) per push; a PCA first reduction also needs the
+/// full standardized base row (`expanded_width`, about 8 KB), and a PCA
+/// second reduction the full stage-D row and its projection. The fleet
+/// tick owns a single `TransformScratch` and lends it to each
+/// transformer in turn, so per-instance state is just the rolling
+/// window (`WINDOW_LEN` × `reduced_width`).
 ///
 /// Buffers grow to their high-water mark on first use and are reused
 /// thereafter; a warmed scratch makes `push_into` allocation-free.
 #[derive(Debug, Default, Clone)]
 pub struct TransformScratch {
-    base: Vec<f64>,
     scaled: Vec<f64>,
     reduced: Vec<f64>,
     d: Vec<f64>,
@@ -758,15 +855,18 @@ impl TransformScratch {
     /// A scratch pre-sized for `pipeline`, so even the first push
     /// through it allocates nothing.
     pub fn for_pipeline(pipeline: &FittedPipeline) -> Self {
+        let scaled_cap = match pipeline.reduce1 {
+            FittedReduction::Pca(_) => pipeline.expander.len(),
+            FittedReduction::Select(_) | FittedReduction::None => 0,
+        };
         let d_width = pipeline.time_width() + pipeline.pairs.len();
-        let (d_cap, e_cap) = if pipeline.plan().is_some() {
+        let (d_cap, e_cap) = if pipeline.serving.plan.is_some() {
             (0, 0)
         } else {
             (d_width, pipeline.reduce2.output_width(d_width))
         };
         TransformScratch {
-            base: Vec::with_capacity(pipeline.expander.len()),
-            scaled: Vec::with_capacity(pipeline.expander.len()),
+            scaled: Vec::with_capacity(scaled_cap),
             reduced: Vec::with_capacity(pipeline.reduced_width()),
             d: Vec::with_capacity(d_cap),
             e: Vec::with_capacity(e_cap),
@@ -779,7 +879,11 @@ impl TransformScratch {
 /// the time-dependent features — the orchestrator keeps one of these per
 /// running container.
 ///
-/// The window is a fixed preallocated buffer of reduced rows and every
+/// The window is a ring of the last [`WINDOW_LEN`] stage-C rows: a push
+/// overwrites the oldest row and advances a head index instead of
+/// sliding the buffer, and the plan reads rows back in chronological
+/// order. The serving plans live in the shared [`FittedPipeline`], so
+/// per-instance state is the `Arc`, the ring and a few indices. Every
 /// intermediate lives in preallocated scratch, so steady-state
 /// [`InstanceTransformer::push`] performs no heap allocation (asserted
 /// by `table1_featurize`'s counting allocator). Fleets that serve many
@@ -790,9 +894,11 @@ impl TransformScratch {
 #[derive(Debug, Clone)]
 pub struct InstanceTransformer {
     pipeline: Arc<FittedPipeline>,
-    plan: Option<Vec<PlanCell>>,
-    /// Row-major chronological window, at most [`WINDOW_LEN`] × `rw`.
+    /// Ring of stage-C rows, at most [`WINDOW_LEN`] × `rw`; filled in
+    /// order during warm-up, then overwritten oldest-first.
     window: Vec<f64>,
+    /// Ring slot of the oldest row (0 until the ring is full).
+    head: usize,
     filled: usize,
     rw: usize,
     /// Private working space for [`InstanceTransformer::push`]; stays
@@ -814,8 +920,8 @@ impl InstanceTransformer {
     pub fn new(pipeline: Arc<FittedPipeline>) -> Self {
         let rw = pipeline.reduced_width();
         InstanceTransformer {
-            plan: pipeline.plan(),
             window: Vec::with_capacity(WINDOW_LEN * rw),
+            head: 0,
             filled: 0,
             rw,
             scratch: TransformScratch::new(),
@@ -829,79 +935,80 @@ impl InstanceTransformer {
         self.filled
     }
 
-    /// Pushes one raw metric vector and returns the model-input vector,
-    /// borrowed from an internal buffer (valid until the next push).
+    /// Pushes one raw metric vector (host metrics then container
+    /// metrics) and returns the model-input vector, borrowed from an
+    /// internal buffer (valid until the next push).
     ///
     /// Early samples use a truncated history, exactly like a training
     /// block's first seconds. Steady state performs no heap allocation.
     ///
     /// # Errors
     ///
-    /// Propagates pipeline errors.
+    /// [`Error::Invalid`] when `raw` is not the raw width (the window is
+    /// left untouched); propagates pipeline errors.
     pub fn push(&mut self, raw: &[f64]) -> Result<&[f64], Error> {
         // Lend the private scratch and output buffer to `push_into`;
         // `mem::take` moves the heap pointers without touching the
         // allocator, so this wrapper adds no per-push cost.
         let width = self.pipeline.output_width();
+        let (host, ctr) = raw.split_at(self.pipeline.serving.host_len.min(raw.len()));
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut out = std::mem::take(&mut self.out);
         out.resize(width, 0.0);
-        let result = self.push_into(raw, &mut scratch, &mut out);
+        let result = self.push_into(host, ctr, &mut scratch, &mut out);
         self.scratch = scratch;
         self.out = out;
         result?;
         Ok(&self.out)
     }
 
-    /// [`InstanceTransformer::push`] writing the model-input vector
-    /// directly into a caller-provided slice — the fleet serving entry
-    /// point: the orchestrator hands each instance its row of the
-    /// shared feature matrix plus one fleet-wide [`TransformScratch`],
-    /// so a tick over N instances performs zero heap allocation and
-    /// carries no per-instance scratch (bit-identical to `push`, which
+    /// [`InstanceTransformer::push`] for one observation entry — the
+    /// node's host vector and the instance's container vector, read in
+    /// place — writing the model-input vector directly into a
+    /// caller-provided slice. This is the fleet serving entry point:
+    /// the orchestrator hands each instance its row of the shared
+    /// feature matrix plus one fleet-wide [`TransformScratch`], so a
+    /// tick over N instances performs zero heap allocation and carries
+    /// no per-instance scratch (bit-identical to `push`, which
     /// delegates here).
     ///
     /// # Errors
     ///
-    /// Propagates pipeline errors.
+    /// [`Error::Invalid`] when `host` or `ctr` is not its raw width (the
+    /// window is left untouched); propagates pipeline errors.
     ///
     /// # Panics
     ///
     /// Panics if `out.len()` differs from the pipeline output width.
     pub fn push_into(
         &mut self,
-        raw: &[f64],
+        host: &[f64],
+        ctr: &[f64],
         scratch: &mut TransformScratch,
         out: &mut [f64],
     ) -> Result<(), Error> {
         let _span = obs::Span::enter("pipeline.transform_online");
         obs::counter_add("pipeline.online.pushes", 1);
-        assert_eq!(
-            out.len(),
-            self.pipeline.output_width(),
-            "output slice must match pipeline width"
-        );
-        self.pipeline.reduce_raw_into(
-            raw,
-            &mut scratch.base,
-            &mut scratch.scaled,
-            &mut scratch.reduced,
-        )?;
+        let p = &*self.pipeline;
+        assert_eq!(out.len(), p.output_width(), "output slice must match pipeline width");
+        p.check_widths(host.len(), ctr.len())?;
+        p.reduce_into(host, ctr, &mut scratch.scaled, &mut scratch.reduced)?;
         let rw = self.rw;
         if self.filled == WINDOW_LEN {
-            self.window.copy_within(rw.., 0);
-            self.window[(WINDOW_LEN - 1) * rw..].copy_from_slice(&scratch.reduced);
+            let slot = self.head * rw;
+            self.window[slot..slot + rw].copy_from_slice(&scratch.reduced);
+            self.head = (self.head + 1) % WINDOW_LEN;
         } else {
             self.window.extend_from_slice(&scratch.reduced);
             self.filled += 1;
         }
+        let head = self.head;
+        let at = |r: usize| (head + r) % WINDOW_LEN * rw;
         let i = self.filled - 1;
-        let block = &self.window[..self.filled * rw];
-        match &self.plan {
-            Some(plan) => eval_plan_row(plan, block, rw, i, out),
+        match &p.serving.plan {
+            Some(plan) => eval_plan_row(plan, &self.window, at, rw, i, out),
             None => {
-                let p = &self.pipeline;
-                expand_row_full(p.time.as_ref(), block, rw, i, &p.pairs, &mut scratch.d);
+                expand_row_full(p.time.as_ref(), &self.window, at, rw, i, &p.pairs, &mut scratch.d);
                 p.reduce2.apply_row_into(&scratch.d, &mut scratch.e)?;
                 for (dst, &k) in out.iter_mut().zip(&p.keep) {
                     *dst = scratch.e[k];
@@ -961,18 +1068,48 @@ monitorless_std::json_struct!(PipelineConfig {
     seed,
     n_jobs,
 });
-monitorless_std::json_struct!(FittedPipeline {
-    config,
-    expander,
-    scaler,
-    reduce1,
-    time,
-    pairs,
-    names_c,
-    reduce2,
-    keep,
-    names,
-});
+
+// Hand-written (rather than `json_struct!`) because `serving` is derived
+// state: the ten fitted fields go on the wire in `json_struct!` order,
+// and deserialization rebuilds the serving plans from them.
+impl monitorless_std::json::ToJson for FittedPipeline {
+    fn to_json(&self) -> monitorless_std::json::Json {
+        monitorless_std::json::Json::Obj(vec![
+            ("config".into(), self.config.to_json()),
+            ("expander".into(), self.expander.to_json()),
+            ("scaler".into(), self.scaler.to_json()),
+            ("reduce1".into(), self.reduce1.to_json()),
+            ("time".into(), self.time.to_json()),
+            ("pairs".into(), self.pairs.to_json()),
+            ("names_c".into(), self.names_c.to_json()),
+            ("reduce2".into(), self.reduce2.to_json()),
+            ("keep".into(), self.keep.to_json()),
+            ("names".into(), self.names.to_json()),
+        ])
+    }
+}
+
+impl monitorless_std::json::FromJson for FittedPipeline {
+    fn from_json(
+        json: &monitorless_std::json::Json,
+    ) -> Result<Self, monitorless_std::json::JsonError> {
+        use monitorless_std::json::field;
+        Ok(FittedPipeline {
+            config: field(json, "config")?,
+            expander: field(json, "expander")?,
+            scaler: field(json, "scaler")?,
+            reduce1: field(json, "reduce1")?,
+            time: field(json, "time")?,
+            pairs: field(json, "pairs")?,
+            names_c: field(json, "names_c")?,
+            reduce2: field(json, "reduce2")?,
+            keep: field(json, "keep")?,
+            names: field(json, "names")?,
+            serving: Serving::default(),
+        }
+        .with_serving())
+    }
+}
 
 #[cfg(test)]
 mod tests {

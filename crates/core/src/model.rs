@@ -59,7 +59,9 @@ impl ModelOptions {
 /// used at inference time.
 #[derive(Debug, Clone)]
 pub struct MonitorlessModel {
-    pipeline: FittedPipeline,
+    /// Shared with every per-instance transformer; its serving plans
+    /// are derived state, rebuilt on load like `flat`.
+    pipeline: Arc<FittedPipeline>,
     forest: RandomForest,
     threshold: f64,
     /// The forest compiled for batched inference; rebuilt on load, not
@@ -108,7 +110,7 @@ impl MonitorlessModel {
         let flat = forest.to_flat();
         let drift = Some(DriftProfile::from_matrix(&x));
         Ok(MonitorlessModel {
-            pipeline: fitted,
+            pipeline: Arc::new(fitted),
             forest,
             threshold: opts.threshold,
             flat,
@@ -202,9 +204,10 @@ impl MonitorlessModel {
     }
 
     /// Creates a per-instance online transformer sharing this model's
-    /// pipeline.
-    pub fn transformer(self: &Arc<Self>) -> InstanceTransformer {
-        InstanceTransformer::new(Arc::new(self.pipeline.clone()))
+    /// pipeline (one `Arc` clone: no copy of the fitted parameters or
+    /// the serving plans).
+    pub fn transformer(&self) -> InstanceTransformer {
+        InstanceTransformer::new(Arc::clone(&self.pipeline))
     }
 
     /// Predicts from an already-transformed feature vector.
@@ -302,7 +305,8 @@ impl monitorless_std::json::FromJson for MonitorlessModel {
     fn from_json(
         json: &monitorless_std::json::Json,
     ) -> Result<Self, monitorless_std::json::JsonError> {
-        let pipeline: FittedPipeline = monitorless_std::json::field(json, "pipeline")?;
+        let pipeline: Arc<FittedPipeline> =
+            Arc::new(monitorless_std::json::field(json, "pipeline")?);
         let forest: RandomForest = monitorless_std::json::field(json, "forest")?;
         let threshold: f64 = monitorless_std::json::field(json, "threshold")?;
         let drift = match json.get("drift") {

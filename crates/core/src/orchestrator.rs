@@ -7,8 +7,9 @@
 //!
 //! [`Orchestrator::step`] serves the whole fleet in one pass per tick:
 //! a gather phase writes every instance's transformed feature row into
-//! one reused row-major matrix ([`InstanceTransformer::push_into`] with
-//! a single shared [`TransformScratch`]), one blocked
+//! one reused row-major matrix ([`InstanceTransformer::push_into`]
+//! reading each entry's host and container vectors in place, with a
+//! single shared [`TransformScratch`]), one blocked
 //! [`FlatEnsemble::predict_rows_into`][flat] call scores the matrix
 //! (sharded over the worker pool when [`Orchestrator::set_n_jobs`] asks
 //! for it), and a fan-out phase turns the probability vector back into
@@ -93,7 +94,11 @@ pub struct InstancePrediction {
 #[derive(Debug)]
 pub struct Orchestrator {
     model: Arc<MonitorlessModel>,
-    transformers: HashMap<InstanceId, InstanceTransformer>,
+    /// Per-instance rolling windows, each stamped with the last tick
+    /// that saw its instance.
+    transformers: HashMap<InstanceId, (u64, InstanceTransformer)>,
+    /// Ticks served so far: the stamp that marks an instance live.
+    ticks: u64,
     /// Streaming drift detector over the serving feature rows (`None`
     /// when the model predates drift profiles).
     drift: Option<DriftDetector>,
@@ -104,6 +109,7 @@ pub struct Orchestrator {
     // Per-tick scratch, reused across ticks (zero-alloc steady state).
     live: Vec<InstanceId>,
     predictions: Vec<InstancePrediction>,
+    /// Concatenated host ++ container vector (`step_legacy` only).
     raw: Vec<f64>,
     contrib: Vec<f64>,
     /// Row-major fleet feature matrix, one row per live instance.
@@ -133,6 +139,7 @@ impl Orchestrator {
         Orchestrator {
             model,
             transformers: HashMap::new(),
+            ticks: 0,
             drift,
             last_trace: 0,
             n_jobs: 1,
@@ -194,8 +201,14 @@ impl Orchestrator {
     ///
     /// # Errors
     ///
-    /// Propagates feature-pipeline errors.
+    /// [`Error::Invalid`] when any entry's host or container vector is
+    /// not the pipeline's raw width; every entry is checked before any
+    /// window, drift or trace state changes, so a rejected tick leaves
+    /// the orchestrator as it was. Propagates feature-pipeline errors.
     pub fn step(&mut self, observations: &[Observation]) -> Result<&[InstancePrediction], Error> {
+        self.check_observations(observations)?;
+        self.ticks += 1;
+        let tick = self.ticks;
         self.live.clear();
         self.predictions.clear();
         let tracing = obs::trace_enabled();
@@ -224,15 +237,15 @@ impl Orchestrator {
         let gather_span = obs::Span::enter("orchestrator.gather");
         let mut row = 0usize;
         for observation in observations {
-            for i in 0..observation.n_instances() {
-                let instance = observation.instance_vector_at(i, &mut self.raw);
-                self.live.push(instance);
-                let transformer = self
+            for (instance, ctr) in &observation.containers {
+                self.live.push(*instance);
+                let (seen, transformer) = self
                     .transformers
-                    .entry(instance)
-                    .or_insert_with(|| self.model.transformer());
+                    .entry(*instance)
+                    .or_insert_with(|| (tick, self.model.transformer()));
+                *seen = tick;
                 let out = &mut self.fleet[row * width..(row + 1) * width];
-                transformer.push_into(&self.raw, &mut self.scratch, out)?;
+                transformer.push_into(&observation.host, ctr, &mut self.scratch, out)?;
                 row += 1;
             }
         }
@@ -277,9 +290,33 @@ impl Orchestrator {
                 saturated,
             });
         }
-        let live = &self.live;
-        self.transformers.retain(|id, _| live.contains(id));
+        self.transformers.retain(|_, (seen, _)| *seen == tick);
         Ok(&self.predictions)
+    }
+
+    /// [`Error::Invalid`] naming the first observation entry whose host
+    /// or container vector is not the pipeline's raw width.
+    fn check_observations(&self, observations: &[Observation]) -> Result<(), Error> {
+        let (host_len, ctr_len) = self.model.pipeline().raw_widths();
+        for o in observations {
+            if o.host.len() != host_len {
+                return Err(Error::Invalid(format!(
+                    "{} at t={}: host vector has {} metrics, expected {host_len}",
+                    o.node,
+                    o.time,
+                    o.host.len()
+                )));
+            }
+            if let Some((id, ctr)) = o.containers.iter().find(|(_, c)| c.len() != ctr_len) {
+                return Err(Error::Invalid(format!(
+                    "{} at t={}: {id} container vector has {} metrics, expected {ctr_len}",
+                    o.node,
+                    o.time,
+                    ctr.len()
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Ingests a simulator tick directly: feeds the report's observation
@@ -326,15 +363,18 @@ impl Orchestrator {
                 &[],
             );
         }
+        self.ticks += 1;
+        let tick = self.ticks;
         for observation in observations {
             for instance in observation.instances() {
                 self.live.push(instance);
                 let ok = observation.instance_vector_into(instance, &mut self.raw);
                 debug_assert!(ok, "instance listed by the observation");
-                let transformer = self
+                let (seen, transformer) = self
                     .transformers
                     .entry(instance)
-                    .or_insert_with(|| self.model.transformer());
+                    .or_insert_with(|| (tick, self.model.transformer()));
+                *seen = tick;
                 let predict_span = obs::Span::enter("orchestrator.predict");
                 let features = transformer.push(&self.raw)?;
                 let (probability, saturated) = self.model.predict_features(features);
@@ -366,8 +406,7 @@ impl Orchestrator {
                 });
             }
         }
-        let live = &self.live;
-        self.transformers.retain(|id, _| live.contains(id));
+        self.transformers.retain(|_, (seen, _)| *seen == tick);
         Ok(&self.predictions)
     }
 

@@ -8,8 +8,6 @@
 //! below its knee with zero failures) and uses a conservative decision
 //! threshold so scale-in only fires when the model is confident.
 
-use std::sync::Arc;
-
 use monitorless_learn::Matrix;
 
 use crate::features::InstanceTransformer;
@@ -65,10 +63,10 @@ impl ScaleInModel {
         self.inner.predict_proba_batch(x_raw, groups)
     }
 
-    /// Creates an online per-instance transformer for this model.
-    pub fn transformer(self: &Arc<Self>) -> InstanceTransformer {
-        // Reuse the inner model's pipeline.
-        InstanceTransformer::new(Arc::new(self.inner.pipeline().clone()))
+    /// Creates an online per-instance transformer for this model,
+    /// sharing the inner model's pipeline.
+    pub fn transformer(&self) -> InstanceTransformer {
+        self.inner.transformer()
     }
 
     /// Predicts from an already-transformed feature vector:

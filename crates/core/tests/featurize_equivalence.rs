@@ -133,9 +133,10 @@ fn layout() -> RawLayout {
 }
 
 /// Pipeline variants fitted once and shared across all proptest cases:
-/// the quick Select/Select shape, time features off, products off, and a
+/// the quick Select/Select shape, time features off, products off, a
 /// PCA second stage (which exercises the full-stage-D fallback instead
-/// of the selective plan).
+/// of the selective plan), a PCA first stage (stages 1–3 over every
+/// base column, then the projection) and no standardization.
 fn fitted_variants() -> &'static Vec<(&'static str, Arc<FittedPipeline>)> {
     static CELL: OnceLock<Vec<(&'static str, Arc<FittedPipeline>)>> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -164,6 +165,23 @@ fn fitted_variants() -> &'static Vec<(&'static str, Arc<FittedPipeline>)> {
                         variance: 0.999,
                         max_components: 8,
                     },
+                    ..quick
+                },
+            ),
+            (
+                "pca1",
+                PipelineConfig {
+                    reduce1: Reduction::Pca {
+                        variance: 0.999,
+                        max_components: 8,
+                    },
+                    ..quick
+                },
+            ),
+            (
+                "no_normalize",
+                PipelineConfig {
+                    normalize: false,
                     ..quick
                 },
             ),
@@ -287,6 +305,50 @@ proptest! {
             prop_assert_eq!(online.warmup(), t.min(WINDOW_LEN));
         }
     }
+}
+
+/// One long group wraps the online ring several times: for every
+/// variant, at every tick, the ring-window push equals the legacy
+/// sliding-window push and the batch transform bit for bit.
+#[test]
+fn online_ring_wraps_match_legacy_and_batch() {
+    let rows = 3 * WINDOW_LEN + 7;
+    let raw = messy_raw(77, rows, layout().raw_len(), true);
+    let groups = vec![0u32; rows];
+    for (name, fitted) in fitted_variants() {
+        let batch = fitted.transform_batch(&raw, &groups).unwrap();
+        let mut online = InstanceTransformer::new(Arc::clone(fitted));
+        let mut online_legacy = InstanceTransformer::new(Arc::clone(fitted));
+        for t in 0..rows {
+            let legacy = online_legacy.push_legacy(raw.row(t)).unwrap();
+            let out = online.push(raw.row(t)).unwrap();
+            for (c, ((a, b), l)) in out.iter().zip(batch.row(t)).zip(&legacy).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{name}: tick {t} col {c} vs batch");
+                assert_eq!(a.to_bits(), l.to_bits(), "{name}: tick {t} col {c} vs legacy");
+            }
+        }
+        assert_eq!(online.warmup(), WINDOW_LEN);
+    }
+}
+
+/// A raw sample of the wrong width is rejected with an error by the
+/// online and batch paths, and leaves the online window untouched.
+#[test]
+fn wrong_width_samples_are_rejected() {
+    let (_, fitted) = &fitted_variants()[0];
+    let raw = messy_raw(5, 3, layout().raw_len(), false);
+    let mut online = InstanceTransformer::new(Arc::clone(fitted));
+    let mut twin = InstanceTransformer::new(Arc::clone(fitted));
+    online.push(raw.row(0)).unwrap();
+    twin.push(raw.row(0)).unwrap();
+    let short = &raw.row(1)[..layout().raw_len() - 1];
+    assert!(online.push(short).is_err());
+    assert_eq!(online.warmup(), 1);
+    let a = online.push(raw.row(2)).unwrap().to_vec();
+    let b = twin.push(raw.row(2)).unwrap();
+    assert_eq!(a, b);
+    let narrow = messy_raw(5, 3, layout().raw_len() - 1, false);
+    assert!(fitted.transform_batch(&narrow, &[0, 0, 0]).is_err());
 }
 
 /// Fitting and transforming are independent of the worker count: the

@@ -13,6 +13,9 @@
 //! 3. **Observability equivalence** — under ring tracing, both paths
 //!    journal the same record sequence (names, fields, labels) and the
 //!    same drift-alert set; drift detector state ends identical.
+//! 4. **Malformed input** — a tick with a host or container vector of
+//!    the wrong width is refused with an error before any window or
+//!    drift state moves.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -184,5 +187,41 @@ fn journal_sequence_matches_legacy_under_ring_tracing() {
     assert_eq!(batched.len(), legacy.len(), "journal record count");
     for (b, l) in batched.iter().zip(&legacy) {
         assert_eq!(b, l, "journal records must match name, fields and labels");
+    }
+}
+
+#[test]
+fn malformed_observation_is_rejected_and_leaves_windows_untouched() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let model = model();
+    let mut orch = Orchestrator::new(Arc::clone(&model));
+    let mut twin = Orchestrator::new(Arc::clone(&model));
+    for t in 0..5 {
+        let observed = observations(7, t);
+        orch.step(&observed).unwrap();
+        twin.step(&observed).unwrap();
+    }
+    // One container vector one metric short, then a host vector one
+    // metric long: each tick is refused before any window moves.
+    let mut short = observations(7, 5);
+    short[1].containers[0].1.pop();
+    let mut long = observations(7, 5);
+    long[2].host.push(1.0);
+    for bad in [short, long] {
+        let err = orch.step(&bad).unwrap_err();
+        assert!(matches!(err, monitorless::Error::Invalid(_)), "{err}");
+        assert_eq!(orch.tracked_instances(), 7);
+    }
+    // Enough ticks for the drift detectors to score (7 rows per tick).
+    for t in 5..25 {
+        let observed = observations(7, t);
+        let a = orch.step(&observed).unwrap().to_vec();
+        let b = twin.step(&observed).unwrap().to_vec();
+        assert_ticks_equal(t, &a, &b);
+    }
+    match (orch.drift(), twin.drift()) {
+        (Some(a), Some(b)) => assert_eq!(a.scores(), b.scores()),
+        (None, None) => {}
+        _ => panic!("drift detectors must agree on presence"),
     }
 }
