@@ -11,10 +11,9 @@
 //! fleets of 100 and 1k nodes (10 containers per node); `--full` adds
 //! the 10k-node / 100k-container fleet.
 //!
-//! Fleets are paper-shaped: independent groups of 20 nodes, each
-//! hosting two 10-service applications with 10 instances per service
-//! spread round-robin over the group — so the shard structure the
-//! event path exploits actually exists. Half the applications are
+//! Fleets are paper-shaped: groups of 20 nodes, each hosting two
+//! 10-service applications with 10 instances per service spread
+//! round-robin over the group. Half the applications are
 //! driven by synthesized cluster traces (sparse change points), half by
 //! stepped profiles, both with long constant stretches so the
 //! fixed-point container cache has something to cache — and abrupt

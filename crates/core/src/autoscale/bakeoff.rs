@@ -4,7 +4,7 @@
 //! Each cell builds a small cluster running one CPU-bound service
 //! (calibrated to ~100 req/s per 2-core instance, matching the rate
 //! units of [`monitorless_workload::scenario`]), wraps it in
-//! [`EventSim`], and loops over monitoring ticks: the tick's
+//! [`EventSim`], and loops over its 1 Hz monitoring ticks: the tick's
 //! [`TickReport`] feeds the Monitorless orchestrator via
 //! [`Orchestrator::step_report`], the report plus the orchestrator's
 //! saturation probabilities become a [`BackendSample`], and the
@@ -58,8 +58,6 @@ pub struct BakeoffOptions {
     pub cpu_ms_per_req: f64,
     /// Container CPU limit, cores.
     pub limit_cores: f64,
-    /// Seconds between monitoring samples.
-    pub monitor_every: u64,
     /// Cluster seed.
     pub seed: u64,
 }
@@ -72,7 +70,6 @@ impl BakeoffOptions {
             nodes: 3,
             cpu_ms_per_req: 20.0,
             limit_cores: 2.0,
-            monitor_every: 1,
             seed,
         }
     }
@@ -165,7 +162,6 @@ pub fn run_cell(
         NodeId(0),
     );
     let mut sim = EventSim::new(cluster);
-    sim.set_monitor_every(opts.monitor_every);
     sim.add_workload(app, scenario.profile_box());
     let mut orch = Orchestrator::new(Arc::clone(model));
     let capacity = opts.capacity_rps();
@@ -227,25 +223,24 @@ pub fn run_cell(
             }
         }
 
-        // --- accounting ---
+        // --- accounting (one monitored second per tick) ---
         let n_ready = ready.len() as u64;
-        let dt = opts.monitor_every;
-        out.ticks += dt;
-        instance_integral += n_ready as f64 * dt as f64;
+        out.ticks += 1;
+        instance_integral += n_ready as f64;
         out.peak_instances = out.peak_instances.max(n_ready);
         out.min_instances = out.min_instances.min(n_ready);
         // Offered load with no ready instance serves nobody — capacity
         // still cold-starting doesn't count.
         let zero_capacity = offered > 0.0 && n_ready == 0;
         if zero_capacity {
-            out.zero_capacity_s += dt;
-            out.slo_violation_s += dt;
+            out.zero_capacity_s += 1;
+            out.slo_violation_s += 1;
         } else if kpi.violates_slo(opts.slo_ms) {
-            out.slo_violation_s += dt;
+            out.slo_violation_s += 1;
         }
         let needed = (offered / capacity).ceil() as u64;
         if n_ready > needed {
-            out.overprovision_inst_s += (n_ready - needed) as f64 * dt as f64;
+            out.overprovision_inst_s += (n_ready - needed) as f64;
         }
 
         // --- decision ---
@@ -268,7 +263,7 @@ pub fn run_cell(
             desired = desired.max(1);
         }
 
-        let now = sim.time(); // t + monitor_every: actions land next tick
+        let now = sim.time(); // t + 1: actions land next tick
         let total = sample.total();
         if desired > total {
             let n = desired - total;

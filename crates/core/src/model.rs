@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use monitorless_learn::{Classifier, FlatEnsemble, Matrix, RandomForest, RandomForestParams};
 
-use crate::drift::{DriftConfig, DriftDetector, DriftProfile};
+use crate::drift::{DriftConfig, DriftDetector, DriftProfile, PROFILE_BINS};
 use crate::features::{FeaturePipeline, FittedPipeline, InstanceTransformer, PipelineConfig};
 use crate::training::TrainingData;
 use crate::Error;
@@ -275,7 +275,10 @@ impl MonitorlessModel {
     ///
     /// # Errors
     ///
-    /// Returns I/O or deserialization errors.
+    /// Returns I/O or deserialization errors. A forest with no trees, a
+    /// forest or drift profile whose width differs from the pipeline's
+    /// output width, and a drift feature without `PROFILE_BINS − 1`
+    /// edges are deserialization errors, not panics at the first tick.
     pub fn load(path: &Path) -> Result<Self, Error> {
         let json = std::fs::read_to_string(path)?;
         Ok(monitorless_std::json::from_str(&json)?)
@@ -286,7 +289,9 @@ impl MonitorlessModel {
 // derived state: pipeline/forest/threshold plus the optional drift
 // profile go on the wire, and deserialization recompiles the flat table
 // from the forest. The drift field is read with `json.get` rather than
-// `field` so models saved before it existed still load.
+// `field` so models saved before it existed still load. The widths the
+// serving path indexes by are checked here, so a malformed file fails
+// to load instead of panicking in `Orchestrator::new` or `step`.
 impl monitorless_std::json::ToJson for MonitorlessModel {
     fn to_json(&self) -> monitorless_std::json::Json {
         let mut members = vec![
@@ -313,7 +318,37 @@ impl monitorless_std::json::FromJson for MonitorlessModel {
             Some(j) => Some(DriftProfile::from_json(j)?),
             None => None,
         };
+        let invalid = |msg: String| Err(monitorless_std::json::JsonError(msg));
+        if !forest.is_fitted() {
+            return invalid("forest has no trees".into());
+        }
         let flat = forest.to_flat();
+        let width = pipeline.output_width();
+        if flat.n_features() != width {
+            return invalid(format!(
+                "forest expects {} features, pipeline produces {width}",
+                flat.n_features()
+            ));
+        }
+        if let Some(profile) = &drift {
+            if profile.features.len() != width {
+                return invalid(format!(
+                    "drift profile has {} features, pipeline produces {width}",
+                    profile.features.len()
+                ));
+            }
+            let bad = profile
+                .features
+                .iter()
+                .position(|f| f.edges.len() != PROFILE_BINS - 1);
+            if let Some(i) = bad {
+                return invalid(format!(
+                    "drift feature {i} has {} edges, expected {}",
+                    profile.features[i].edges.len(),
+                    PROFILE_BINS - 1
+                ));
+            }
+        }
         Ok(MonitorlessModel {
             pipeline,
             forest,

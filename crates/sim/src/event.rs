@@ -8,31 +8,19 @@
 //!   its next [`LoadProfile::next_change`] and is left alone in between.
 //!   Sparse profiles (constant, stepped, trace-driven) contribute a
 //!   handful of events per episode instead of one per second.
-//! * **Container state transitions** — while any container is still
-//!   relaxing toward its fixed point the driver runs cheap state-only
-//!   ticks; once the whole cluster reports [`Cluster::is_settled`] it
-//!   fast-forwards to the next event without touching a single
-//!   container.
 //! * **Monitoring samples** — the periodic 1 Hz (configurable) sample
-//!   boundary. Only these seconds produce full [`TickReport`]s, and the
+//!   boundary. These seconds produce full [`TickReport`]s, and the
 //!   stream of reports is bit-identical to calling
-//!   [`Cluster::step_dense_legacy`] every monitored second.
-//! * **Autoscale actions** — scheduled scale-out/scale-in. These are
-//!   cross-group events: applying one re-shards the node groups, so the
-//!   per-shard queues are rebuilt at a barrier.
+//!   [`Cluster::step_dense_legacy`] every monitored second. Any second
+//!   between two samples runs as a state-only tick, in which a settled
+//!   container is a fixed-point cache hit and costs nothing.
+//! * **Autoscale actions** — scheduled scale-out/scale-in, applied to the
+//!   cluster when they fire.
 //!
-//! Events are ordered by a deterministic `(time, seq)` key, where `seq`
-//! is a globally increasing schedule counter — two runs with the same
-//! seed and the same schedule pop events in exactly the same order, on
-//! any worker count.
-//!
-//! Routing: load-change events for an application whose instances all
-//! live in one node group are held in that shard's queue; everything
-//! else (scale actions, unroutable changes) goes to the global queue.
-//! Each tick pops the globally smallest key across all queues, so the
-//! sharding is purely an ownership statement today — it keeps each
-//! group's upcoming work physically separate so a cross-group barrier
-//! only has to re-route the queues it invalidated.
+//! All events sit in one queue ordered by a deterministic `(time, seq)`
+//! key, where `seq` is a globally increasing schedule counter — two runs
+//! with the same seed and the same schedule pop events in exactly the
+//! same order, on any worker count.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -90,8 +78,6 @@ impl Ord for Event {
     }
 }
 
-type Queue = BinaryHeap<Reverse<Event>>;
-
 /// Work counters for the event loop itself (the wrapped cluster keeps
 /// its own [`SimStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -128,14 +114,10 @@ pub struct EventSim {
     /// Current offered load per app, in workload registration order —
     /// exactly the slice a dense driver would pass to `step` each second.
     loads: Vec<(AppId, f64)>,
-    /// One queue per shard plus a global queue (index = shard count).
-    shard_queues: Vec<Queue>,
-    global_queue: Queue,
+    /// Every pending event, smallest `(time, seq)` first.
+    queue: BinaryHeap<Reverse<Event>>,
     seq: u64,
     monitor_every: u64,
-    /// A load-change event fired since the cluster last consumed
-    /// `loads` — fast-forwarding would skip the new load's dynamics.
-    loads_dirty: bool,
     report: TickReport,
     stats: EventStats,
     /// `(time, outcome)` log of fired scale actions.
@@ -149,18 +131,14 @@ pub struct EventSim {
 impl EventSim {
     /// Wraps a cluster. Applications must already exist; register their
     /// workloads with [`EventSim::add_workload`].
-    pub fn new(mut cluster: Cluster) -> Self {
-        cluster.sync_topology();
-        let shards = cluster.shard_count();
+    pub fn new(cluster: Cluster) -> Self {
         EventSim {
             cluster,
             workloads: Vec::new(),
             loads: Vec::new(),
-            shard_queues: (0..shards).map(|_| Queue::new()).collect(),
-            global_queue: Queue::new(),
+            queue: BinaryHeap::new(),
             seq: 0,
             monitor_every: 1,
-            loads_dirty: false,
             report: TickReport::empty(),
             stats: EventStats::default(),
             scale_log: Vec::new(),
@@ -169,13 +147,13 @@ impl EventSim {
     }
 
     /// Seconds between monitoring samples (default 1 — the paper's 1 Hz
-    /// collection interval). Intermediate seconds run state-only or are
-    /// skipped entirely when the cluster is settled.
+    /// collection interval). Intermediate seconds run as state-only
+    /// ticks.
     pub fn set_monitor_every(&mut self, seconds: u64) {
         self.monitor_every = seconds.max(1);
     }
 
-    /// Worker threads for the parallel shard phase.
+    /// Worker threads for the parallel node phase.
     pub fn set_n_jobs(&mut self, n_jobs: usize) {
         self.cluster.set_n_jobs(n_jobs);
     }
@@ -257,82 +235,24 @@ impl EventSim {
     }
 
     fn push_event(&mut self, time: u64, kind: EventKind) -> u64 {
-        let ev = Event {
-            time,
-            seq: self.seq,
-            kind,
-        };
+        let seq = self.seq;
         self.seq += 1;
-        let queue = match &ev.kind {
-            EventKind::LoadChange { workload } => {
-                let app = self.workloads[*workload].0;
-                match self.cluster.shard_of_app(app) {
-                    Some(s) if s < self.shard_queues.len() => &mut self.shard_queues[s],
-                    _ => &mut self.global_queue,
-                }
-            }
-            // Scale actions are cross-group by nature.
-            _ => &mut self.global_queue,
-        };
-        let seq = ev.seq;
-        queue.push(Reverse(ev));
+        self.queue.push(Reverse(Event { time, seq, kind }));
         seq
     }
 
-    /// Smallest `(time, seq)` key across every queue.
-    fn peek_next(&self) -> Option<(u64, u64)> {
-        let mut best: Option<(u64, u64)> = None;
-        for q in self
-            .shard_queues
-            .iter()
-            .chain(std::iter::once(&self.global_queue))
-        {
-            if let Some(Reverse(ev)) = q.peek() {
-                let key = (ev.time, ev.seq);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        best
-    }
-
-    fn pop_next(&mut self) -> Option<Event> {
-        let key = self.peek_next()?;
-        for q in self
-            .shard_queues
-            .iter_mut()
-            .chain(std::iter::once(&mut self.global_queue))
-        {
-            if let Some(Reverse(ev)) = q.peek() {
-                if (ev.time, ev.seq) == key {
-                    return q.pop().map(|Reverse(ev)| ev);
-                }
-            }
-        }
-        None
-    }
-
-    /// Applies every event due at or before `now`, in global `(time,
-    /// seq)` order. Cross-group (scale) events trigger the shard
-    /// barrier: queues are drained, shards rebuilt, events re-routed.
+    /// Applies every event due at or before `now`, in `(time, seq)`
+    /// order.
     fn apply_due(&mut self, now: u64) {
-        while let Some((t, _)) = self.peek_next() {
-            if t > now {
-                break;
-            }
-            let ev = self.pop_next().expect("peeked event exists");
+        while self.queue.peek().is_some_and(|Reverse(ev)| ev.time <= now) {
+            let Reverse(ev) = self.queue.pop().expect("peeked event exists");
             self.stats.events += 1;
             match ev.kind {
                 EventKind::LoadChange { workload } => {
                     self.stats.load_changes += 1;
                     let (app, profile) = &self.workloads[workload];
                     debug_assert_eq!(self.loads[workload].0, *app);
-                    let new = profile.intensity(now);
-                    if new.to_bits() != self.loads[workload].1.to_bits() {
-                        self.loads_dirty = true;
-                    }
-                    self.loads[workload].1 = new;
+                    self.loads[workload].1 = profile.intensity(now);
                     if let Some(next) = profile.next_change(now) {
                         debug_assert!(next > now, "change points must advance");
                         self.push_event(next, EventKind::LoadChange { workload });
@@ -347,7 +267,6 @@ impl EventSim {
                         Err(e) => ScaleOutcome::Failed(e),
                     };
                     self.scale_log.push((now, outcome));
-                    self.reshard();
                 }
                 EventKind::ScaleIn {
                     instance,
@@ -361,75 +280,27 @@ impl EventSim {
                         self.cluster.scale_in(instance)
                     };
                     self.scale_log.push((now, ScaleOutcome::Removed(removed)));
-                    self.reshard();
                 }
             }
-        }
-    }
-
-    /// The cross-group barrier: shard layout changed, so drain every
-    /// shard queue and re-route against the fresh grouping.
-    fn reshard(&mut self) {
-        self.cluster.sync_topology();
-        let mut pending: Vec<Event> = Vec::new();
-        for q in &mut self.shard_queues {
-            pending.extend(q.drain().map(|Reverse(ev)| ev));
-        }
-        self.shard_queues = (0..self.cluster.shard_count())
-            .map(|_| Queue::new())
-            .collect();
-        for ev in pending {
-            let queue = match &ev.kind {
-                EventKind::LoadChange { workload } => {
-                    let app = self.workloads[*workload].0;
-                    match self.cluster.shard_of_app(app) {
-                        Some(s) => &mut self.shard_queues[s],
-                        None => &mut self.global_queue,
-                    }
-                }
-                _ => &mut self.global_queue,
-            };
-            queue.push(Reverse(ev));
         }
     }
 
     /// Advances to the next monitoring sample and returns its report.
     ///
-    /// All seconds in between are either state-only ticks (while some
-    /// container is still converging) or skipped outright (settled
-    /// cluster, no due event). The returned report stream is
-    /// bit-identical to a dense per-second driver sampled at the same
-    /// boundary.
+    /// Every second in between runs as a state-only tick. The returned
+    /// report stream is bit-identical to a dense per-second driver
+    /// sampled at the same boundary.
     pub fn step(&mut self) -> &TickReport {
         loop {
             let t = self.cluster.time();
             self.apply_due(t);
             if t.is_multiple_of(self.monitor_every) {
-                let loads = std::mem::take(&mut self.loads);
-                self.cluster.step_into(&loads, &mut self.report);
-                self.loads = loads;
-                self.loads_dirty = false;
+                self.cluster.step_into(&self.loads, &mut self.report);
                 self.stats.monitor_samples += 1;
                 obs::counter_add("sim.event_monitor_samples", 1);
                 return &self.report;
             }
-            if !self.loads_dirty && self.cluster.is_settled() {
-                // Nothing can change until the next event or the next
-                // monitor boundary: skip straight there.
-                let next_monitor = t.next_multiple_of(self.monitor_every);
-                let horizon = match self.peek_next() {
-                    Some((et, _)) => next_monitor.min(et.max(t + 1)),
-                    None => next_monitor,
-                };
-                if horizon > t {
-                    self.cluster.fast_forward(horizon - t);
-                    continue;
-                }
-            }
-            let loads = std::mem::take(&mut self.loads);
-            self.cluster.tick_state_only(&loads);
-            self.loads = loads;
-            self.loads_dirty = false;
+            self.cluster.tick_state_only(&self.loads);
         }
     }
 
@@ -475,7 +346,7 @@ impl EventSim {
     }
 
     /// Mutable access to the wrapped cluster. Topology changes made
-    /// directly are picked up at the next tick's barrier.
+    /// directly take effect at the next tick.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
     }
@@ -541,10 +412,12 @@ mod tests {
         sim.add_workload(app, Box::new(ConstantProfile::new(50.0, 100_000)));
         sim.run_for(10_000);
         let cs = sim.cluster_stats();
-        // Convergence takes a few hundred state ticks; after that whole
-        // 60 s windows are skipped without touching a container.
-        assert!(cs.skipped_seconds > 8000, "{cs:?}");
-        assert!(cs.state_ticks < 1000, "{cs:?}");
+        // Every unmonitored second is a state-only tick, but convergence
+        // takes a few hundred of them; after that the settled container
+        // is a cache hit and nothing is evaluated.
+        assert_eq!(cs.ticks + cs.state_ticks, sim.time(), "{cs:?}");
+        assert!(cs.container_evals < 1000, "{cs:?}");
+        assert!(cs.cached_ticks > 8000, "{cs:?}");
         assert_eq!(cs.ticks, sim.stats().monitor_samples);
     }
 

@@ -34,13 +34,12 @@
 //!
 //! Two execution modes share one engine. [`Cluster::step`] advances one
 //! second incrementally (fixed-point container caching, per-node
-//! contention factors, shard-parallel evaluation);
+//! contention factors, node-parallel evaluation);
 //! [`Cluster::step_dense_legacy`] is the original dense per-second loop,
 //! kept as the equivalence oracle. [`event::EventSim`] drives the
-//! cluster from an event queue — load change points, scheduled scale
-//! actions, monitoring samples — skipping idle seconds entirely, with a
-//! monitoring-boundary report stream that is bit-identical to the dense
-//! loop's.
+//! cluster from one event queue — load change points, scheduled scale
+//! actions, monitoring samples — with a monitoring-boundary report
+//! stream that is bit-identical to the dense loop's.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

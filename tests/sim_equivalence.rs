@@ -16,15 +16,18 @@
 //!    the trace-driven profiles (bundled sample + synthesizer, both
 //!    interpolations).
 //! 3. **Worker independence** — `n_jobs` 1 vs 4 produce bit-identical
-//!    report streams (shards share no mutable state within a tick).
+//!    report streams and work counters (nodes share no mutable state
+//!    within a tick).
 //! 4. **Deterministic event order** — two identically seeded runs pop
 //!    events in the same `(time, seq)` order and end in the same state.
-//! 5. **Skip-idle accounting** — settled stretches between sparse
-//!    monitor samples are skipped, not simulated.
+//! 5. **Fixed-point accounting** — every second between sparse monitor
+//!    samples runs as a state-only tick, and a settled stretch is
+//!    served from the fixed-point cache instead of re-evaluated.
 
 use monitorless_metrics::{InstanceId, NodeId};
 use monitorless_sim::{
-    AppId, Cluster, ContainerLimits, EventSim, NodeSpec, ServiceProfile, ServiceRole, TickReport,
+    AppId, Cluster, ContainerLimits, EventSim, NodeSpec, ServiceProfile, ServiceRole, SimStats,
+    TickReport,
 };
 use monitorless_std::{Rng, StdRng};
 use monitorless_workload::{
@@ -132,8 +135,9 @@ fn profiles_for(apps: &[AppId], seed: u64) -> Vec<Box<dyn LoadProfile>> {
 
 /// Runs the event path and the dense twin in lockstep for `ticks`
 /// seconds (monitoring at 1 Hz), asserting bitwise-identical reports,
-/// with a scale-out and a scale-in fired mid-episode.
-fn run_equivalence(seed: u64, ticks: u64, n_jobs: usize) {
+/// with a scale-out and a scale-in fired mid-episode. Returns the event
+/// path's work counters.
+fn run_equivalence(seed: u64, ticks: u64, n_jobs: usize) -> SimStats {
     let (cluster, apps) = random_cluster(seed);
     let (mut dense, _) = random_cluster(seed);
     let mut sim = EventSim::new(cluster);
@@ -170,6 +174,7 @@ fn run_equivalence(seed: u64, ticks: u64, n_jobs: usize) {
         let want = dense.step_dense_legacy(&loads);
         assert_reports_identical(report, &want, &format!("seed={seed} t={t}"));
     }
+    sim.cluster_stats()
 }
 
 #[test]
@@ -181,10 +186,12 @@ fn random_topologies_match_dense_bitwise() {
 
 #[test]
 fn parallel_workers_match_dense_bitwise() {
-    // Same scenarios, evaluated with 4 workers: shard parallelism must
-    // not perturb a single bit.
+    // Same scenarios, evaluated with 4 workers: node parallelism must
+    // not perturb a single bit, nor the cache's work counters.
     for seed in 0..2u64 {
-        run_equivalence(seed, 60, 4);
+        let parallel = run_equivalence(seed, 60, 4);
+        let serial = run_equivalence(seed, 60, 1);
+        assert_eq!(parallel, serial, "seed={seed}");
     }
 }
 
@@ -307,9 +314,10 @@ fn identically_seeded_runs_are_bit_identical() {
     assert_eq!(c1, c2);
 }
 
-/// With sparse monitoring, settled stretches are skipped outright: the
-/// cluster's work counters show fast-forwarded seconds and a cache-hit
-/// ratio, not one evaluation per container-second.
+/// With sparse monitoring, every unmonitored second is a state-only
+/// tick, and settled stretches are fixed-point cache hits: the cluster's
+/// work counters show a cache-hit ratio, not one evaluation per
+/// container-second.
 #[test]
 fn settled_stretches_are_skipped_not_simulated() {
     let mut cluster = Cluster::new(vec![NodeSpec::training_server()], 3);
@@ -333,9 +341,12 @@ fn settled_stretches_are_skipped_not_simulated() {
     assert_eq!(samples, 25);
     let cs = sim.cluster_stats();
     assert_eq!(cs.ticks, 25);
-    // Both eras converge in a few hundred seconds; the rest is skipped.
-    assert!(cs.skipped_seconds > 5000, "{cs:?}");
     // Every simulated second is accounted for exactly once.
-    assert_eq!(cs.state_ticks + cs.ticks + cs.skipped_seconds, 7201, "{cs:?}");
+    assert_eq!(cs.state_ticks + cs.ticks, 7201, "{cs:?}");
+    assert_eq!(sim.time(), 7201);
+    // Both eras converge in a few hundred seconds; the rest is served
+    // from the cache.
+    assert!(cs.cached_ticks > 5000, "{cs:?}");
+    assert_eq!(cs.container_evals + cs.cached_ticks, 7201, "{cs:?}");
     assert_eq!(sim.stats().load_changes, 2);
 }
