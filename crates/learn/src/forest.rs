@@ -4,6 +4,15 @@
 //! (Table 3: F1₂ = 0.997): 250 trees, `min_samples_leaf` around 20,
 //! information-gain splitting and no class weighting, with the decision
 //! threshold later lowered to 0.4 to favour recall (Section 4).
+//!
+//! Every tree fits on the shared presorted cache through a bootstrap
+//! row map ([`RandomForest::fit_presorted`]). With no class weighting
+//! the weights are all one, so an information-gain forest takes the
+//! tree builder's entropy filter: each candidate threshold is scored
+//! from a `k·log2 k` table, built once per forest fit and shared by
+//! its trees, and only the few that can still win pay for the exact
+//! entropy, with bit-identical trees. That fit is most of a shadow
+//! retrain's challenger fit.
 
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
@@ -247,6 +256,7 @@ impl RandomForest {
         y: &[u8],
         base_weight: &[f64],
         global_cw: (f64, f64),
+        klogk: Option<&[f64]>,
         tree_idx: usize,
     ) -> DecisionTree {
         let _tree_span = obs::Span::enter("forest.tree_fit");
@@ -293,7 +303,10 @@ impl RandomForest {
         };
         // A bootstrap sample may contain a single class; fall back to a
         // stump trained on the full data in that unlikely case.
-        if tree.fit_traversal(&mut trav, &yb, Some(&wb)).is_err() {
+        if tree
+            .fit_traversal(&mut trav, &yb, Some(&wb), klogk)
+            .is_err()
+        {
             let mut fallback = DecisionTree::new(DecisionTreeParams {
                 max_depth: Some(1),
                 ..DecisionTreeParams::default()
@@ -329,10 +342,15 @@ impl RandomForest {
         let n_jobs = self.params.n_jobs.max(1);
         let n_trees = self.params.n_estimators;
         let fit_span = obs::Span::enter("forest.fit");
+        // Every tree's traversal has `n_rows` rows, so one entropy-filter
+        // table serves them all.
+        let klogk = (self.params.criterion == SplitCriterion::Entropy)
+            .then(|| crate::tree::klogk_table(ps.n_rows()));
+        let klogk = klogk.as_deref();
         obs::gauge_set("forest.workers", n_jobs as f64);
         if n_jobs == 1 {
             self.trees = (0..n_trees)
-                .map(|t| self.train_one(ps, y, &base_weight, global_cw, t))
+                .map(|t| self.train_one(ps, y, &base_weight, global_cw, klogk, t))
                 .collect();
         } else {
             let mut trees: Vec<Option<DecisionTree>> = vec![None; n_trees];
@@ -347,7 +365,7 @@ impl RandomForest {
                 let started = obs::enabled().then(std::time::Instant::now);
                 for (off, slot) in chunk.iter_mut().enumerate() {
                     let t = chunk_id * chunk_size + off;
-                    *slot = Some(this.train_one(ps, y, bw, global_cw, t));
+                    *slot = Some(this.train_one(ps, y, bw, global_cw, klogk, t));
                 }
                 if let Some(started) = started {
                     let us = started.elapsed().as_micros() as u64;
@@ -425,11 +443,47 @@ monitorless_std::json_struct!(RandomForestParams {
     n_jobs,
     seed,
 });
-monitorless_std::json_struct!(RandomForest {
-    params,
-    trees,
-    n_features,
-});
+
+// Hand-written (rather than `json_struct!`) because flattening indexes
+// every tree's split features against the forest's width: each decoded
+// tree (its split features already checked against its own width) must
+// be fitted and no wider than the forest, or the model file fails to
+// decode instead of panicking in `FlatBuilder`.
+impl monitorless_std::json::ToJson for RandomForest {
+    fn to_json(&self) -> monitorless_std::json::Json {
+        monitorless_std::json::Json::Obj(vec![
+            ("params".into(), self.params.to_json()),
+            ("trees".into(), self.trees.to_json()),
+            ("n_features".into(), self.n_features.to_json()),
+        ])
+    }
+}
+
+impl monitorless_std::json::FromJson for RandomForest {
+    fn from_json(
+        json: &monitorless_std::json::Json,
+    ) -> Result<Self, monitorless_std::json::JsonError> {
+        use monitorless_std::json::{field, JsonError};
+        let forest = RandomForest {
+            params: field(json, "params")?,
+            trees: field(json, "trees")?,
+            n_features: field(json, "n_features")?,
+        };
+        for (t, tree) in forest.trees.iter().enumerate() {
+            if !tree.is_fitted() {
+                return Err(JsonError(format!("forest tree {t} has no nodes")));
+            }
+            if tree.n_features() > forest.n_features {
+                return Err(JsonError(format!(
+                    "forest tree {t} has {} features, more than the forest's {}",
+                    tree.n_features(),
+                    forest.n_features
+                )));
+            }
+        }
+        Ok(forest)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,10 @@
 //!   [`PresortTraversal::group_node`] turns a node into its per-rank
 //!   class histogram in two `O(len)` passes, and the split sweep runs
 //!   over *distinct values*, not rows. No sort, no gather, no per-row
-//!   scan survives on this path.
+//!   scan survives on this path. Its class counts are exact integers,
+//!   which is also what lets entropy fits score each boundary from a
+//!   `k·log2 k` table and compute the exact entropy only for the few
+//!   that can still win (see `tree`).
 //! * Weighted fits ([`PresortTraversal::gather_node`]) recover the
 //!   node's sorted order from the ranks — a packed-integer-key sort for
 //!   small nodes, an offset counting sort when the node spans a narrow

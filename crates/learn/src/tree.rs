@@ -6,11 +6,23 @@
 //! limit and per-node feature subsampling (used by the random forest).
 //! Sample weights are supported so AdaBoost and class weighting can reuse
 //! the same builder.
+//!
+//! Unit-weight entropy fits (the paper's selected forest, and every
+//! shadow-retrain challenger) score each candidate threshold first from
+//! a per-fit `k·log2 k` table and compute the exact entropy only where
+//! the table says the candidate can still win; the trees stay
+//! bit-identical (see `DecisionTree::scan_groups_unit`). Fits report
+//! the filter's work as the `tree.split_candidates` and
+//! `tree.entropy_evals` counters.
+//!
+//! A decoded tree is checked before use: split children inside the tree
+//! and after their parent, one parent per node, split features in
+//! range, finite thresholds and leaf probabilities in `[0, 1]`.
 
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
 
-use crate::presort::{FitCache, PresortTraversal, PresortedDataset};
+use crate::presort::{FitCache, NodeGroups, PresortTraversal, PresortedDataset};
 use crate::{validate_fit_parts, Classifier, Error, Matrix};
 
 /// Impurity criterion for choosing splits.
@@ -44,6 +56,62 @@ impl SplitCriterion {
             }
         }
     }
+
+    /// Impurity decrease of splitting a node of weight `node_weight`
+    /// and impurity `parent` into children with class masses
+    /// `(l0, l1)` and `(r0, r1)`, clamped at zero: the exact score
+    /// every split search maximizes.
+    #[inline]
+    fn decrease(
+        self,
+        (l0, l1): (f64, f64),
+        (r0, r1): (f64, f64),
+        parent: f64,
+        node_weight: f64,
+    ) -> f64 {
+        let child =
+            ((l0 + l1) * self.impurity(l0, l1) + (r0 + r1) * self.impurity(r0, r1)) / node_weight;
+        // Ties (zero decrease) are accepted: CART must be able to make
+        // progress on symmetric problems like XOR where the first split
+        // has no immediate gain.
+        (parent - child).max(0.0)
+    }
+}
+
+/// How close (in impurity units) the decrease an entropy split's
+/// [`klogk_score`] implies must come to the node's best exact decrease
+/// so far before the unit-weight sweep computes the split's exact
+/// decrease. The estimate's worst measured error against the exact
+/// formula is 7.4e-15 for nodes of up to 200k rows, five orders of
+/// magnitude below this margin, so every boundary the filter skips has
+/// an exact decrease strictly below the best and could never have been
+/// chosen.
+const ENTROPY_MARGIN: f64 = 1e-9;
+
+/// `T[k] = k·log2 k` for `k` in `0..=n` (`T[0] = 0`): the table behind
+/// the entropy filter of [`DecisionTree::scan_groups_unit`], built once
+/// per fit (per forest fit when its trees share it).
+pub(crate) fn klogk_table(n: usize) -> Vec<f64> {
+    (0..=n)
+        .map(|k| {
+            let k = k as f64;
+            if k > 0.0 {
+                k * k.log2()
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// The entropy filter's score of a split of `n` rows into class counts
+/// `(l0, l1)` and `(r0, r1)`: `n ×` the weighted child entropy,
+/// `T[lw]−T[l0]−T[l1] + T[rw]−T[r0]−T[r1]` over the [`klogk_table`]
+/// (lower is better), without a `log2` or a division.
+#[inline]
+fn klogk_score(t: &[f64], l0: u32, l1: u32, r0: u32, r1: u32) -> f64 {
+    let at = |k: u32| t[k as usize];
+    at(l0 + l1) - at(l0) - at(l1) + at(r0 + r1) - at(r0) - at(r1)
 }
 
 /// Split-point search strategy.
@@ -179,6 +247,11 @@ impl DecisionTree {
         self.nodes.len()
     }
 
+    /// Number of features the tree was fitted on (0 before fitting).
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     /// Depth of the fitted tree (0 for a single leaf).
     pub fn depth(&self) -> usize {
         fn depth_of(nodes: &[Node], idx: usize) -> usize {
@@ -253,6 +326,65 @@ impl DecisionTree {
                 self.walk_rules(*right, names, min_proba, path, rules);
                 path.pop();
             }
+        }
+    }
+
+    /// Checks what walking and flattening the tree rely on: each
+    /// split's children lie inside the tree and after the split, every
+    /// node but the root has exactly one parent, split features are
+    /// below `n_features`, thresholds are finite and leaf probabilities
+    /// lie in `[0, 1]`. Together the first two make the nodes one tree
+    /// rooted at node 0, so every walk ends at a leaf.
+    fn check_structure(&self) -> Result<(), String> {
+        let n = self.nodes.len();
+        let mut has_parent = vec![false; n];
+        for (i, node) in self.nodes.iter().enumerate() {
+            match *node {
+                Node::Leaf { proba } => {
+                    if !(0.0..=1.0).contains(&proba) {
+                        return Err(format!(
+                            "tree node {i}: leaf probability {proba} is not in [0, 1]"
+                        ));
+                    }
+                }
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    if feature >= self.n_features {
+                        return Err(format!(
+                            "tree node {i}: split feature {feature} is out of range for {} features",
+                            self.n_features
+                        ));
+                    }
+                    if !threshold.is_finite() {
+                        return Err(format!(
+                            "tree node {i}: split threshold {threshold} is not finite"
+                        ));
+                    }
+                    for child in [left, right] {
+                        if child >= n {
+                            return Err(format!(
+                                "tree node {i}: child {child} is out of range for {n} nodes"
+                            ));
+                        }
+                        if child <= i {
+                            return Err(format!(
+                                "tree node {i}: child {child} does not follow its parent"
+                            ));
+                        }
+                        if std::mem::replace(&mut has_parent[child], true) {
+                            return Err(format!("tree node {child} has two parents"));
+                        }
+                    }
+                }
+            }
+        }
+        match (1..n).find(|&i| !has_parent[i]) {
+            Some(orphan) => Err(format!("tree node {orphan} has no parent")),
+            None => Ok(()),
         }
     }
 
@@ -501,18 +633,15 @@ impl DecisionTree {
             {
                 continue;
             }
-            let lw = lw0 + lw1;
-            let rw = rw0 + rw1;
-            if lw <= 0.0 || rw <= 0.0 {
+            if lw0 + lw1 <= 0.0 || rw0 + rw1 <= 0.0 {
                 continue;
             }
-            let child = (lw * self.params.criterion.impurity(lw0, lw1)
-                + rw * self.params.criterion.impurity(rw0, rw1))
-                / node_weight;
-            // Ties (zero decrease) are accepted: CART must be able to make
-            // progress on symmetric problems like XOR where the first split
-            // has no immediate gain.
-            let decrease = (parent_impurity - child).max(0.0);
+            let decrease = self.params.criterion.decrease(
+                (lw0, lw1),
+                (rw0, rw1),
+                parent_impurity,
+                node_weight,
+            );
             if best.as_ref().is_none_or(|b| decrease > b.decrease) {
                 best = Some(SplitCandidate {
                     feature: 0,
@@ -550,15 +679,13 @@ impl DecisionTree {
         if left_count < self.params.min_samples_leaf || right_count < self.params.min_samples_leaf {
             return None;
         }
-        let lw = lw0 + lw1;
-        let rw = rw0 + rw1;
-        if lw <= 0.0 || rw <= 0.0 {
+        if lw0 + lw1 <= 0.0 || rw0 + rw1 <= 0.0 {
             return None;
         }
-        let child = (lw * self.params.criterion.impurity(lw0, lw1)
-            + rw * self.params.criterion.impurity(rw0, rw1))
-            / node_weight;
-        let decrease = (parent_impurity - child).max(0.0);
+        let decrease =
+            self.params
+                .criterion
+                .decrease((lw0, lw1), (rw0, rw1), parent_impurity, node_weight);
         Some(SplitCandidate {
             feature: 0,
             threshold,
@@ -578,18 +705,23 @@ impl DecisionTree {
         y: &[u8],
         sample_weight: Option<&[f64]>,
     ) -> Result<(), Error> {
-        self.fit_traversal(&mut PresortTraversal::identity(ps), y, sample_weight)
+        self.fit_traversal(&mut PresortTraversal::identity(ps), y, sample_weight, None)
     }
 
     /// Fits on a prepared traversal, which may carry a bootstrap row map
     /// (`y`/`sample_weight` are then indexed by *virtual* row). The
     /// traversal's segments are consumed (reordered by the partitions);
     /// reset or rebuild it before reuse.
+    ///
+    /// `klogk` may pass a [`klogk_table`] over at least `trav.len()`
+    /// rows for an entropy fit to use instead of building its own; a
+    /// forest builds one for all its trees.
     pub(crate) fn fit_traversal(
         &mut self,
         trav: &mut PresortTraversal<'_>,
         y: &[u8],
         sample_weight: Option<&[f64]>,
+        klogk: Option<&[f64]>,
     ) -> Result<(), Error> {
         let m = trav.len();
         let d = trav.dataset().n_features();
@@ -613,6 +745,18 @@ impl DecisionTree {
             return Err(Error::InvalidParameter("sample weights must not all be zero".into()));
         }
         let unit_w = weights.iter().all(|&x| x == 1.0);
+        let filter = unit_w
+            && self.params.criterion == SplitCriterion::Entropy
+            && self.params.splitter == Splitter::Best;
+        let own_table;
+        let klogk: &[f64] = match klogk {
+            _ if !filter => &[],
+            Some(shared) if shared.len() > m => shared,
+            _ => {
+                own_table = klogk_table(m);
+                &own_table
+            }
+        };
         let mut rng = StdRng::seed_from_u64(self.params.seed);
         let span = obs::Span::enter("tree.fit");
         let mut ctx = PresortCtx {
@@ -624,6 +768,8 @@ impl DecisionTree {
             wts: Vec::with_capacity(m),
             features: Vec::with_capacity(d),
             unit_w,
+            klogk,
+            sweep: SweepCounts::default(),
             rng: &mut rng,
         };
         self.build_presorted(&mut ctx, 0, m, 0, total_weight);
@@ -631,6 +777,10 @@ impl DecisionTree {
             if us > 0.0 {
                 obs::observe("tree.nodes_per_sec", self.nodes.len() as f64 / (us / 1e6));
             }
+        }
+        if filter {
+            obs::counter_add("tree.split_candidates", ctx.sweep.candidates);
+            obs::counter_add("tree.entropy_evals", ctx.sweep.entropy_evals);
         }
 
         let total: f64 = self.importances.iter().sum();
@@ -744,6 +894,8 @@ impl DecisionTree {
             wts,
             features,
             unit_w,
+            klogk,
+            sweep,
             rng,
         } = &mut *ctx;
         let k = self.params.max_features.resolve(self.n_features);
@@ -781,18 +933,34 @@ impl DecisionTree {
                 if lo_v == hi_v {
                     continue;
                 }
-                let candidate = match self.params.splitter {
-                    Splitter::Best => self.scan_groups_unit(
+                match self.params.splitter {
+                    // One sweep, compiled with and without the filter so
+                    // Gini fits pay nothing for it.
+                    Splitter::Best if klogk.is_empty() => self.scan_groups_unit::<false>(
+                        feature,
                         tbl,
-                        groups.counts,
-                        groups.ones,
+                        &groups,
                         len,
                         parent_impurity,
                         node_weight,
+                        klogk,
+                        sweep,
+                        &mut best,
+                    ),
+                    Splitter::Best => self.scan_groups_unit::<true>(
+                        feature,
+                        tbl,
+                        &groups,
+                        len,
+                        parent_impurity,
+                        node_weight,
+                        klogk,
+                        sweep,
+                        &mut best,
                     ),
                     Splitter::Random => {
                         let threshold = rng.gen_range(lo_v..hi_v);
-                        self.evaluate_groups_unit(
+                        let candidate = self.evaluate_groups_unit(
                             tbl,
                             groups.counts,
                             groups.ones,
@@ -800,12 +968,12 @@ impl DecisionTree {
                             threshold,
                             parent_impurity,
                             node_weight,
-                        )
-                    }
-                };
-                if let Some(c) = candidate {
-                    if best.as_ref().is_none_or(|b| c.decrease > b.decrease) {
-                        best = Some(SplitCandidate { feature, ..c });
+                        );
+                        if let Some(c) = candidate {
+                            if best.as_ref().is_none_or(|b| c.decrease > b.decrease) {
+                                best = Some(SplitCandidate { feature, ..c });
+                            }
+                        }
                     }
                 }
                 continue;
@@ -860,26 +1028,51 @@ impl DecisionTree {
         best
     }
 
-    /// The unit-weight split sweep over a node's rank groups (see
-    /// [`PresortTraversal::group_node`]). With all sample weights
-    /// exactly `1.0` the per-row sweep's accumulators are exact integer
-    /// label counts, so summing whole groups — integer addition is
-    /// order-independent — then converting at each boundary yields
-    /// bit-identical impurity inputs, and the boundaries themselves
-    /// (consecutive *present* groups whose values satisfy `next > v`)
-    /// are exactly the rows where the per-row sweep evaluated. `O(t)`
-    /// for `t` distinct node-local values instead of `O(len)`.
-    fn scan_groups_unit(
+    /// The unit-weight best-split sweep of `feature` over a node's rank
+    /// groups (see [`PresortTraversal::group_node`]), folded into the
+    /// node's running `best`: features scanned earlier included, the
+    /// first strict maximum wins. With all sample weights exactly `1.0`
+    /// the per-row sweep's accumulators are exact integer label counts,
+    /// so summing whole groups — integer addition is order-independent
+    /// — then converting at each boundary yields bit-identical impurity
+    /// inputs, and the boundaries themselves (consecutive *present*
+    /// groups whose values satisfy `next > v`) are exactly the rows
+    /// where the per-row sweep evaluated. `O(t)` for `t` distinct
+    /// node-local values instead of `O(len)`.
+    ///
+    /// Entropy fits sweep with `FILTER` set and the fit's
+    /// [`klogk_table`]; Gini fits compile the filter out. Each boundary
+    /// is then first scored from the table with six loads and five
+    /// adds, and only a boundary whose [`klogk_score`] comes within
+    /// [`ENTROPY_MARGIN`] of `best` pays for the exact formula's four
+    /// `log2` and three divisions. The score's error is far below the
+    /// margin, so a skipped boundary's exact decrease is strictly below
+    /// `best`'s and could not have replaced it: the chosen split, and
+    /// with it the tree, is bit-identical to scoring every boundary
+    /// exactly.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_groups_unit<const FILTER: bool>(
         &self,
+        feature: usize,
         tbl: &[f64],
-        counts: &[u32],
-        ones: &[u32],
+        groups: &NodeGroups<'_>,
         n: usize,
         parent_impurity: f64,
         node_weight: f64,
-    ) -> Option<SplitCandidate> {
-        let n1: u32 = ones.iter().sum();
+        klogk: &[f64],
+        sweep: &mut SweepCounts,
+        best: &mut Option<SplitCandidate>,
+    ) {
+        let min_leaf = self.params.min_samples_leaf;
+        let n1: u32 = groups.ones.iter().sum();
         let n0 = n as u32 - n1;
+        // Table scores at or above the cut cannot beat the best so far.
+        let cut_of = |best: &Option<SplitCandidate>| match best {
+            Some(b) => (parent_impurity - b.decrease + ENTROPY_MARGIN) * node_weight,
+            None => f64::INFINITY,
+        };
+        let mut local = *best;
+        let mut cut = cut_of(&local);
         let (mut l0, mut l1) = (0u32, 0u32);
         let mut left_count = 0usize;
         // Value of the last non-empty group accumulated into the left
@@ -887,32 +1080,36 @@ impl DecisionTree {
         // non-empty group, matching the per-row sweep's `next > v` gate
         // (which also rejects NaN and `-0.0`/`+0.0` boundaries).
         let mut pending: Option<f64> = None;
-        let mut best: Option<SplitCandidate> = None;
-        for (g, (&c, &o)) in counts.iter().zip(ones).enumerate() {
+        for (g, (&c, &o)) in groups.counts.iter().zip(groups.ones).enumerate() {
             if c == 0 {
                 continue;
             }
             let v = tbl[g];
             if let Some(pv) = pending {
-                if v > pv
-                    && left_count >= self.params.min_samples_leaf
-                    && n - left_count >= self.params.min_samples_leaf
-                {
-                    let (lw0, lw1) = (l0 as f64, l1 as f64);
-                    let (rw0, rw1) = ((n0 - l0) as f64, (n1 - l1) as f64);
-                    let lw = lw0 + lw1;
-                    let rw = rw0 + rw1;
-                    if lw > 0.0 && rw > 0.0 {
-                        let child = (lw * self.params.criterion.impurity(lw0, lw1)
-                            + rw * self.params.criterion.impurity(rw0, rw1))
-                            / node_weight;
-                        let decrease = (parent_impurity - child).max(0.0);
-                        if best.as_ref().is_none_or(|b| decrease > b.decrease) {
-                            best = Some(SplitCandidate {
-                                feature: 0,
+                if v > pv && left_count >= min_leaf && n - left_count >= min_leaf {
+                    let (r0, r1) = (n0 - l0, n1 - l1);
+                    let exact = !FILTER || {
+                        sweep.candidates += 1;
+                        let pass = klogk_score(klogk, l0, l1, r0, r1) < cut;
+                        sweep.entropy_evals += u64::from(pass);
+                        pass
+                    };
+                    if exact {
+                        // Both sides hold at least `min_samples_leaf >= 1`
+                        // rows, so neither side's mass is zero.
+                        let decrease = self.params.criterion.decrease(
+                            (f64::from(l0), f64::from(l1)),
+                            (f64::from(r0), f64::from(r1)),
+                            parent_impurity,
+                            node_weight,
+                        );
+                        if local.as_ref().is_none_or(|b| decrease > b.decrease) {
+                            local = Some(SplitCandidate {
+                                feature,
                                 threshold: pv + (v - pv) / 2.0,
                                 decrease,
                             });
+                            cut = cut_of(&local);
                         }
                     }
                 }
@@ -922,7 +1119,7 @@ impl DecisionTree {
             left_count += c as usize;
             pending = Some(v);
         }
-        best
+        *best = local;
     }
 
     /// [`Self::evaluate_threshold`] over a node's rank groups for unit
@@ -958,15 +1155,13 @@ impl DecisionTree {
         }
         let (lw0, lw1) = (l0 as f64, l1 as f64);
         let (rw0, rw1) = ((n0 - l0) as f64, (n1 - l1) as f64);
-        let lw = lw0 + lw1;
-        let rw = rw0 + rw1;
-        if lw <= 0.0 || rw <= 0.0 {
+        if lw0 + lw1 <= 0.0 || rw0 + rw1 <= 0.0 {
             return None;
         }
-        let child = (lw * self.params.criterion.impurity(lw0, lw1)
-            + rw * self.params.criterion.impurity(rw0, rw1))
-            / node_weight;
-        let decrease = (parent_impurity - child).max(0.0);
+        let decrease =
+            self.params
+                .criterion
+                .decrease((lw0, lw1), (rw0, rw1), parent_impurity, node_weight);
         Some(SplitCandidate {
             feature: 0,
             threshold,
@@ -1021,15 +1216,15 @@ impl DecisionTree {
             {
                 continue;
             }
-            let lw = lw0 + lw1;
-            let rw = rw0 + rw1;
-            if lw <= 0.0 || rw <= 0.0 {
+            if lw0 + lw1 <= 0.0 || rw0 + rw1 <= 0.0 {
                 continue;
             }
-            let child = (lw * self.params.criterion.impurity(lw0, lw1)
-                + rw * self.params.criterion.impurity(rw0, rw1))
-                / node_weight;
-            let decrease = (parent_impurity - child).max(0.0);
+            let decrease = self.params.criterion.decrease(
+                (lw0, lw1),
+                (rw0, rw1),
+                parent_impurity,
+                node_weight,
+            );
             if best.as_ref().is_none_or(|b| decrease > b.decrease) {
                 best = Some(SplitCandidate {
                     feature: 0,
@@ -1071,15 +1266,13 @@ impl DecisionTree {
         if left_count < self.params.min_samples_leaf || right_count < self.params.min_samples_leaf {
             return None;
         }
-        let lw = lw0 + lw1;
-        let rw = rw0 + rw1;
-        if lw <= 0.0 || rw <= 0.0 {
+        if lw0 + lw1 <= 0.0 || rw0 + rw1 <= 0.0 {
             return None;
         }
-        let child = (lw * self.params.criterion.impurity(lw0, lw1)
-            + rw * self.params.criterion.impurity(rw0, rw1))
-            / node_weight;
-        let decrease = (parent_impurity - child).max(0.0);
+        let decrease =
+            self.params
+                .criterion
+                .decrease((lw0, lw1), (rw0, rw1), parent_impurity, node_weight);
         Some(SplitCandidate {
             feature: 0,
             threshold,
@@ -1153,7 +1346,22 @@ struct PresortCtx<'a, 'b> {
     /// integer counts and the sweep can use the unit-weight scans
     /// (bit-identical results: `f64` sums of ones are exact).
     unit_w: bool,
+    /// The entropy filter's [`klogk_table`] over at least the fit's
+    /// rows; empty unless the fit is unit-weight, best-split and
+    /// entropy.
+    klogk: &'b [f64],
+    sweep: SweepCounts,
     rng: &'b mut StdRng,
+}
+
+/// What the entropy filter did over one fit, reported once per tree as
+/// the `tree.split_candidates` and `tree.entropy_evals` counters.
+#[derive(Debug, Default)]
+struct SweepCounts {
+    /// Admissible boundaries the filtered sweep reached.
+    candidates: u64,
+    /// Boundaries among them scored with the exact formula.
+    entropy_evals: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -1205,12 +1413,37 @@ monitorless_std::json_struct!(DecisionTreeParams {
     max_features,
     seed,
 });
-monitorless_std::json_struct!(DecisionTree {
-    params,
-    nodes,
-    n_features,
-    importances,
-});
+
+// Hand-written (rather than `json_struct!`) so a decoded tree is
+// structurally sound before anything walks or flattens it: a malformed
+// model file fails to decode instead of panicking in `FlatBuilder`.
+impl monitorless_std::json::ToJson for DecisionTree {
+    fn to_json(&self) -> monitorless_std::json::Json {
+        monitorless_std::json::Json::Obj(vec![
+            ("params".into(), self.params.to_json()),
+            ("nodes".into(), self.nodes.to_json()),
+            ("n_features".into(), self.n_features.to_json()),
+            ("importances".into(), self.importances.to_json()),
+        ])
+    }
+}
+
+impl monitorless_std::json::FromJson for DecisionTree {
+    fn from_json(
+        json: &monitorless_std::json::Json,
+    ) -> Result<Self, monitorless_std::json::JsonError> {
+        use monitorless_std::json::field;
+        let tree = DecisionTree {
+            params: field(json, "params")?,
+            nodes: field(json, "nodes")?,
+            n_features: field(json, "n_features")?,
+            importances: field(json, "importances")?,
+        };
+        tree.check_structure()
+            .map_err(monitorless_std::json::JsonError)?;
+        Ok(tree)
+    }
+}
 
 // `MaxFeatures::Fraction` and `Node` carry data, so they keep the
 // externally tagged encoding by hand.
@@ -1450,5 +1683,114 @@ mod tests {
         assert_eq!(MaxFeatures::Log2.resolve(64), 6);
         assert_eq!(MaxFeatures::Fraction(0.25).resolve(10), 3);
         assert_eq!(MaxFeatures::Fraction(0.001).resolve(10), 1);
+    }
+
+    /// Gap between the entropy filter's decrease estimate,
+    /// `parent − score / n`, and the exact decrease of the split into
+    /// class counts `(l0, l1)` and `(r0, r1)`.
+    fn klogk_gap(t: &[f64], l0: u32, l1: u32, r0: u32, r1: u32) -> f64 {
+        let e = SplitCriterion::Entropy;
+        let n = f64::from(l0 + l1 + r0 + r1);
+        let parent = e.impurity(f64::from(l0 + r0), f64::from(l1 + r1));
+        let exact =
+            e.decrease((f64::from(l0), f64::from(l1)), (f64::from(r0), f64::from(r1)), parent, n);
+        (parent - klogk_score(t, l0, l1, r0, r1) / n - exact).abs()
+    }
+
+    #[test]
+    fn klogk_score_tracks_the_exact_entropy_far_inside_the_margin() {
+        let bound = ENTROPY_MARGIN / 1e4;
+        // Every split of every node of up to 64 rows.
+        let t = klogk_table(64);
+        let mut worst = 0.0f64;
+        for n in 2..=64u32 {
+            for left in 1..n {
+                for l1 in 0..=left {
+                    for r1 in 0..=n - left {
+                        worst = worst.max(klogk_gap(&t, left - l1, l1, n - left - r1, r1));
+                    }
+                }
+            }
+        }
+        assert!(worst <= bound, "worst gap {worst:e} up to 64 rows");
+        // A million random splits of nodes of up to 200k rows.
+        const MAX_ROWS: u32 = 200_000;
+        let t = klogk_table(MAX_ROWS as usize);
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        let mut worst = 0.0f64;
+        for _ in 0..1_000_000 {
+            let n = rng.gen_range(2..MAX_ROWS + 1);
+            let left = rng.gen_range(1..n);
+            let l1 = rng.gen_range(0..left + 1);
+            let r1 = rng.gen_range(0..n - left + 1);
+            worst = worst.max(klogk_gap(&t, left - l1, l1, n - left - r1, r1));
+        }
+        assert!(worst <= bound, "worst gap {worst:e} up to {MAX_ROWS} rows");
+    }
+
+    #[test]
+    fn bit_equal_entropy_ties_keep_the_first_split() {
+        // Splitting off either end row of feature 0 gives bit-equal
+        // decreases, the best of all its boundaries, and feature 1 (a
+        // rescaled copy) repeats both: the first boundary of the first
+        // feature must win, as it does without the entropy filter.
+        let x = Matrix::from_rows(&[
+            &[0.0, 0.0],
+            &[1.0, 10.0],
+            &[2.0, 20.0],
+            &[3.0, 30.0],
+            &[4.0, 40.0],
+            &[5.0, 50.0],
+        ]);
+        let y = vec![0, 1, 1, 1, 1, 0];
+        let e = SplitCriterion::Entropy;
+        let parent = e.impurity(2.0, 4.0);
+        let low = e.decrease((1.0, 0.0), (1.0, 4.0), parent, 6.0);
+        let high = e.decrease((1.0, 4.0), (1.0, 0.0), parent, 6.0);
+        assert_eq!(low.to_bits(), high.to_bits());
+        assert!(low > e.decrease((1.0, 1.0), (1.0, 3.0), parent, 6.0));
+        assert!(low > e.decrease((1.0, 2.0), (1.0, 2.0), parent, 6.0));
+
+        let params = DecisionTreeParams {
+            criterion: SplitCriterion::Entropy,
+            max_depth: Some(1),
+            ..DecisionTreeParams::default()
+        };
+        let mut t = DecisionTree::new(params.clone());
+        t.fit(&x, &y, None).unwrap();
+        assert_eq!(
+            t.nodes[0],
+            Node::Split {
+                feature: 0,
+                threshold: 0.5,
+                left: 1,
+                right: 2
+            }
+        );
+        let mut legacy = DecisionTree::new(params);
+        legacy.fit_resorting(&x, &y, None).unwrap();
+        assert_eq!(t, legacy);
+    }
+
+    #[test]
+    fn decoding_checks_tree_structure() {
+        // One check each way here; `tests/model_load.rs` covers every
+        // rule through a saved model.
+        let (x, y) = xor_data();
+        let mut t = DecisionTree::new(DecisionTreeParams::default());
+        t.fit(&x, &y, None).unwrap();
+        let decode = |t: &DecisionTree| {
+            let json = monitorless_std::json::to_string(t);
+            monitorless_std::json::from_str::<DecisionTree>(&json).map_err(|e| e.0)
+        };
+        assert_eq!(decode(&t), Ok(t.clone()));
+        let mut unreachable = t.clone();
+        unreachable.nodes.push(Node::Leaf { proba: 0.5 });
+        let n = t.nodes.len();
+        assert_eq!(decode(&unreachable), Err(format!("tree node {n} has no parent")));
+        let mut narrow = t.clone();
+        narrow.n_features = 1;
+        let err = decode(&narrow).unwrap_err();
+        assert!(err.contains("split feature 1 is out of range for 1 features"), "{err}");
     }
 }

@@ -3,8 +3,9 @@
 //! sequential counterpart.
 //!
 //! The presorted path is an *exact* reimplementation: for every input —
-//! duplicate values, constant columns, NaN cells, arbitrary sample
-//! weights, feature subsampling, the random splitter — the serialized
+//! duplicate values and rows, constant columns, NaN cells, arbitrary
+//! sample weights, feature subsampling, the random splitter, the
+//! entropy filter of the unit-weight sweep — the serialized
 //! trees must be bit-for-bit identical, and parallel CV / grid search
 //! must produce exactly the scores of the sequential scan.
 
@@ -83,6 +84,31 @@ fn messy_weights(seed: u64, rows: usize) -> Vec<f64> {
         .collect()
 }
 
+/// A materialized bootstrap of `x`/`y`: `x.rows()` rows drawn with
+/// replacement, so most distinct rows appear more than once.
+fn bootstrap(seed: u64, x: &Matrix, y: &[u8]) -> (Matrix, Vec<u8>) {
+    let mut rng = Mix(seed ^ 0xB007);
+    let rows = x.rows();
+    let picks: Vec<usize> = (0..rows).map(|_| rng.below(rows as u64) as usize).collect();
+    let data = picks
+        .iter()
+        .flat_map(|&r| x.row(r).iter().copied())
+        .collect();
+    let yb = picks.iter().map(|&r| y[r]).collect();
+    (Matrix::from_vec(rows, x.cols(), data), yb)
+}
+
+/// Case count for the tree-builder properties: `PROPTEST_CASES` when
+/// set (a nightly run raises it to hunt rare rounding ties), otherwise
+/// `default`.
+fn tree_cases(default: u32) -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
 fn tree_params(seed: u64) -> DecisionTreeParams {
     let mut rng = Mix(seed ^ 0xC3C3);
     DecisionTreeParams {
@@ -131,7 +157,7 @@ fn assert_tree_paths_agree(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(tree_cases(48))]
 
     #[test]
     fn presorted_tree_matches_resorting_builder(
@@ -205,6 +231,36 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(tree_cases(12))]
+
+    #[test]
+    fn presorted_entropy_tree_matches_resorting_builder_on_bootstraps(
+        seed in 0u64..1_000_000,
+        // Large enough that nodes near the root weigh hundreds of
+        // candidate thresholds per feature, most of which the entropy
+        // filter of the unit-weight sweep skips.
+        rows in 500usize..3000,
+        // At least three sampled features per node, so a node rarely
+        // draws only constant columns.
+        cols in 8usize..17,
+        min_samples_leaf in 1usize..21,
+    ) {
+        let base = messy_matrix(seed, rows, cols, true);
+        let (x, y) = bootstrap(seed, &base, &messy_labels(seed, rows));
+        let params = DecisionTreeParams {
+            criterion: SplitCriterion::Entropy,
+            splitter: Splitter::Best,
+            max_depth: None,
+            min_samples_split: 2,
+            min_samples_leaf,
+            max_features: MaxFeatures::Sqrt,
+            seed,
+        };
+        assert_tree_paths_agree(&x, &y, None, &params)?;
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
@@ -212,12 +268,18 @@ proptest! {
         seed in 0u64..10_000,
         rows in 12usize..40,
         bootstrap in 0u64..2,
+        entropy in 0u64..2,
     ) {
         let x = messy_matrix(seed, rows, 4, true);
         let y = messy_labels(seed, rows);
         let fit = |n_jobs: usize| {
             let mut rf = RandomForest::new(RandomForestParams {
                 n_estimators: 7,
+                criterion: if entropy == 1 {
+                    SplitCriterion::Entropy
+                } else {
+                    SplitCriterion::Gini
+                },
                 min_samples_leaf: 2,
                 bootstrap: bootstrap == 1,
                 n_jobs,

@@ -3,12 +3,15 @@
 //!
 //! Each test saves one small trained model, edits one member of its
 //! JSON, and asserts that `MonitorlessModel::load` returns `Err`. Left
-//! unchecked, four of the edits panic: an empty forest while decoding
-//! builds the flat table, a forest wider than the pipeline in the first
-//! `Orchestrator::step`, too few drift edges in `Orchestrator::new`, and
-//! an over-long drift profile in the drift detector's first push. An
-//! under-long profile would load and silently leave the last feature
-//! unmonitored.
+//! unchecked, several of the edits panic: an empty forest or tree, a
+//! split child out of range, before its parent or shared by two
+//! parents, an unreachable node, and a split feature beyond its tree's
+//! or its forest's width while decoding builds the flat table; a
+//! forest wider than the pipeline in the first `Orchestrator::step`,
+//! too few drift edges in `Orchestrator::new`, and an over-long drift
+//! profile in the drift detector's first push. An under-long profile,
+//! a non-finite threshold or a leaf probability outside `[0, 1]` would
+//! load and silently serve wrong predictions.
 
 use std::sync::OnceLock;
 
@@ -56,6 +59,35 @@ fn elements(json: &mut Json) -> &mut Vec<Json> {
         panic!("expected an array")
     };
     items
+}
+
+/// The nodes of the forest's first tree.
+fn first_tree_nodes(json: &mut Json) -> &mut Vec<Json> {
+    let trees = elements(member(member(json, "forest"), "trees"));
+    elements(member(&mut trees[0], "nodes"))
+}
+
+/// The body of the first tree's root split (node 0 of a trained tree).
+fn root_split(json: &mut Json) -> &mut Json {
+    member(&mut first_tree_nodes(json)[0], "Split")
+}
+
+/// The body of the first tree's first leaf, and that leaf's index.
+fn first_leaf(json: &mut Json) -> (usize, &mut Json) {
+    let nodes = first_tree_nodes(json);
+    let i = nodes
+        .iter()
+        .position(|n| n.get("Leaf").is_some())
+        .expect("a tree has leaves");
+    (i, member(&mut nodes[i], "Leaf"))
+}
+
+/// A non-negative JSON integer.
+fn index(json: &Json) -> usize {
+    match json {
+        Json::Int(i) => *i as usize,
+        other => panic!("expected an integer, got {other:?}"),
+    }
 }
 
 /// The pipeline's output width, read from the unedited model.
@@ -128,4 +160,112 @@ fn drift_profile_shorter_than_pipeline_fails_to_load() {
         elements(member(member(json, "drift"), "features")).pop();
     });
     assert_rejected(loaded, &format!("drift profile has {} features", width - 1));
+}
+
+#[test]
+fn split_child_out_of_range_fails_to_load() {
+    let mut n = 0;
+    let loaded = load_edited("child_out_of_range", |json| {
+        n = first_tree_nodes(json).len();
+        *member(root_split(json), "left") = Json::Int(n as i64 + 5);
+    });
+    assert_rejected(loaded, &format!("tree node 0: child {} is out of range for {n} nodes", n + 5));
+}
+
+#[test]
+fn split_child_before_its_parent_fails_to_load() {
+    let loaded = load_edited("child_before_parent", |json| {
+        *member(root_split(json), "right") = Json::Int(0);
+    });
+    assert_rejected(loaded, "tree node 0: child 0 does not follow its parent");
+}
+
+#[test]
+fn node_with_two_parents_fails_to_load() {
+    let mut left = 0;
+    let loaded = load_edited("two_parents", |json| {
+        let split = root_split(json);
+        left = index(member(split, "left"));
+        *member(split, "right") = Json::Int(left as i64);
+    });
+    assert_rejected(loaded, &format!("tree node {left} has two parents"));
+}
+
+#[test]
+fn node_without_parent_fails_to_load() {
+    let mut n = 0;
+    let loaded = load_edited("no_parent", |json| {
+        let nodes = first_tree_nodes(json);
+        n = nodes.len();
+        let leaf = nodes
+            .iter()
+            .find(|node| node.get("Leaf").is_some())
+            .cloned()
+            .expect("a tree has leaves");
+        nodes.push(leaf);
+    });
+    assert_rejected(loaded, &format!("tree node {n} has no parent"));
+}
+
+#[test]
+fn split_feature_out_of_range_fails_to_load() {
+    let width = output_width();
+    let loaded = load_edited("feature_out_of_range", |json| {
+        *member(root_split(json), "feature") = Json::Int(width as i64);
+    });
+    assert_rejected(
+        loaded,
+        &format!("tree node 0: split feature {width} is out of range for {width} features"),
+    );
+}
+
+#[test]
+fn non_finite_threshold_fails_to_load() {
+    let loaded = load_edited("nan_threshold", |json| {
+        *member(root_split(json), "threshold") = Json::Str("NaN".into());
+    });
+    assert_rejected(loaded, "tree node 0: split threshold NaN is not finite");
+}
+
+#[test]
+fn nan_leaf_probability_fails_to_load() {
+    let mut i = 0;
+    let loaded = load_edited("nan_proba", |json| {
+        let (at, leaf) = first_leaf(json);
+        i = at;
+        *member(leaf, "proba") = Json::Str("NaN".into());
+    });
+    assert_rejected(loaded, &format!("tree node {i}: leaf probability NaN is not in [0, 1]"));
+}
+
+#[test]
+fn leaf_probability_above_one_fails_to_load() {
+    let mut i = 0;
+    let loaded = load_edited("proba_above_one", |json| {
+        let (at, leaf) = first_leaf(json);
+        i = at;
+        *member(leaf, "proba") = Json::Num(1.5);
+    });
+    assert_rejected(loaded, &format!("tree node {i}: leaf probability 1.5 is not in [0, 1]"));
+}
+
+#[test]
+fn tree_without_nodes_fails_to_load() {
+    let loaded = load_edited("empty_tree", |json| first_tree_nodes(json).clear());
+    assert_rejected(loaded, "forest tree 0 has no nodes");
+}
+
+#[test]
+fn tree_wider_than_forest_fails_to_load() {
+    // The root splits on a column the tree claims but the forest lacks.
+    let width = output_width();
+    let loaded = load_edited("wide_tree", |json| {
+        *member(root_split(json), "feature") = Json::Int(width as i64);
+        let trees = elements(member(member(json, "forest"), "trees"));
+        *member(&mut trees[0], "n_features") = Json::Int(width as i64 + 1);
+    });
+    assert_rejected(
+        loaded,
+        &format!("forest tree 0 has {} features, more than the forest's {width}", width + 1),
+    );
 }
