@@ -27,8 +27,11 @@
 //! `--csv`) or to the telemetry layer (`--trace <mode>`).
 //!
 //! Binaries that need a trained model reuse a cached one from
-//! `target/monitorless-model-<scale>-<seed>.json` when present, so the
-//! full table series can be regenerated without retraining each time.
+//! `target/monitorless-model-<scale>-<seed>-<digest>.json` when present,
+//! so the full table series can be regenerated without retraining each
+//! time. The digest covers the training options, the model options and
+//! a model format version, so a model trained with other options or by
+//! older code is not reused.
 
 pub mod harness;
 pub mod snapshot;
@@ -97,9 +100,37 @@ impl Scale {
     }
 
     fn cache_path(&self) -> std::path::PathBuf {
-        let scale = self.label();
-        std::path::PathBuf::from(format!("target/monitorless-model-{scale}-{}.json", self.seed))
+        model_cache_path(
+            self.label(),
+            self.seed,
+            &self.training_options(),
+            &self.model_options(),
+            MODEL_FORMAT_VERSION,
+        )
     }
+}
+
+/// Version of the cached model: bump it whenever a change alters the
+/// model [`MonitorlessModel::train`] fits from the same options, or the
+/// file [`MonitorlessModel::save`] writes, so caches written before the
+/// change are retrained instead of reused.
+const MODEL_FORMAT_VERSION: u32 = 1;
+
+/// Where [`trained_model`] caches the model for `scale` and `seed`:
+/// the file name ends in a 64-bit FNV-1a digest of the training
+/// options, the model options and the format `version`.
+fn model_cache_path(
+    scale: &str,
+    seed: u64,
+    training: &TrainingOptions,
+    model: &ModelOptions,
+    version: u32,
+) -> std::path::PathBuf {
+    let key = format!("{version} {training:?} {model:?}");
+    let digest = key
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    std::path::PathBuf::from(format!("target/monitorless-model-{scale}-{seed}-{digest:016x}.json"))
 }
 
 /// Parsed command line: the scale plus the perf-gate binaries'
@@ -248,6 +279,48 @@ mod tests {
         };
         assert!(s.training_options().run_seconds >= 2000);
         assert_eq!(s.model_options().forest.n_estimators, 250);
+    }
+
+    #[test]
+    fn model_cache_path_changes_with_every_input() {
+        let scale = Scale {
+            full: false,
+            seed: 7,
+        };
+        let (training, model) = (scale.training_options(), scale.model_options());
+        let path =
+            |t: &TrainingOptions, m: &ModelOptions, v: u32| model_cache_path("quick", 7, t, m, v);
+        let base = path(&training, &model, MODEL_FORMAT_VERSION);
+        assert_eq!(base, scale.cache_path());
+        let (same_training, same_model) = (scale.training_options(), scale.model_options());
+        assert_eq!(base, path(&same_training, &same_model, MODEL_FORMAT_VERSION));
+        let name = base.to_str().unwrap();
+        assert!(name.starts_with("target/monitorless-model-quick-7-"), "{name}");
+        let longer_runs = TrainingOptions {
+            run_seconds: training.run_seconds + 1,
+            ..training
+        };
+        let other_threshold = ModelOptions {
+            threshold: 0.5,
+            ..model.clone()
+        };
+        let no_time = ModelOptions {
+            pipeline: monitorless::features::PipelineConfig {
+                time_features: false,
+                ..model.pipeline
+            },
+            ..model.clone()
+        };
+        for (what, other) in [
+            ("training options", path(&longer_runs, &model, MODEL_FORMAT_VERSION)),
+            ("model threshold", path(&training, &other_threshold, MODEL_FORMAT_VERSION)),
+            ("pipeline config", path(&training, &no_time, MODEL_FORMAT_VERSION)),
+            ("format version", path(&training, &model, MODEL_FORMAT_VERSION + 1)),
+            ("scale", model_cache_path("full", 7, &training, &model, MODEL_FORMAT_VERSION)),
+            ("seed", model_cache_path("quick", 8, &training, &model, MODEL_FORMAT_VERSION)),
+        ] {
+            assert_ne!(base, other, "{what}");
+        }
     }
 
     fn parse(args: &str) -> Result<Args, String> {

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use monitorless_learn::{Matrix, StandardScaler, Transformer};
 use monitorless_obs as obs;
+use monitorless_std::json::JsonError;
 
 use super::base::{BaseExpander, RawLayout};
 use super::combine::{apply_products, product_names, product_pairs};
@@ -217,7 +218,7 @@ impl FeaturePipeline {
             names,
             serving: Serving::default(),
         }
-        .with_serving();
+        .with_serving()?;
         Ok((fitted, final_x))
     }
 }
@@ -421,17 +422,17 @@ pub fn expand_stage_d_legacy(
 enum PlanCell {
     /// Stage-C column `f` of the current row.
     Orig(usize),
-    /// Mean of stage-C column `f` over the clamped trailing window.
+    /// Mean of history slot `h` over the clamped trailing window.
     Avg {
-        /// Stage-C column.
-        f: usize,
+        /// History slot: index into [`Serving::history`].
+        h: usize,
         /// Lag distance (window is `lag + 1` samples).
         lag: usize,
     },
-    /// Stage-C column `f`, `lag` samples ago (clamped at block start).
+    /// History slot `h`, `lag` samples ago (clamped at block start).
     Lag {
-        /// Stage-C column.
-        f: usize,
+        /// History slot: index into [`Serving::history`].
+        h: usize,
         /// Lag distance.
         lag: usize,
     },
@@ -439,10 +440,10 @@ enum PlanCell {
     Product(usize, usize),
 }
 
-/// Evaluates the plan for chronological row `i` of a window of stage-C
-/// rows (`rw` columns each), writing one value per plan cell into
-/// `out`. Chronological row `r` starts at `rows[at(r)]`: `r · rw` for a
-/// contiguous batch block, a wrapped slot for the online ring.
+/// Evaluates the plan for chronological row `i` of a window, writing
+/// one value per plan cell into `out`. `cur` is row `i`'s stage-C row;
+/// `hist(h, r)` reads history slot `h` at chronological row `r ≤ i`
+/// (a column of the contiguous batch block, or the online ring).
 ///
 /// Each `Avg` cell re-accumulates its clamped window in ascending
 /// chronological order — the same left-to-right f64 add sequence as the
@@ -450,79 +451,76 @@ enum PlanCell {
 /// corresponding legacy stage-D column.
 fn eval_plan_row(
     plan: &[PlanCell],
-    rows: &[f64],
-    at: impl Fn(usize) -> usize,
-    rw: usize,
+    cur: &[f64],
+    hist: impl Fn(usize, usize) -> f64,
     i: usize,
     out: &mut [f64],
 ) {
-    let cur = &rows[at(i)..at(i) + rw];
     for (dst, cell) in out.iter_mut().zip(plan) {
         *dst = match *cell {
             PlanCell::Orig(f) => cur[f],
-            PlanCell::Avg { f, lag } => {
+            PlanCell::Avg { h, lag } => {
                 let start = i.saturating_sub(lag);
                 let n = (i - start + 1) as f64;
                 let mut acc = 0.0;
                 for r in start..=i {
-                    acc += rows[at(r) + f];
+                    acc += hist(h, r);
                 }
                 acc / n
             }
-            PlanCell::Lag { f, lag } => rows[at(i.saturating_sub(lag)) + f],
+            PlanCell::Lag { h, lag } => hist(h, i.saturating_sub(lag)),
             PlanCell::Product(a, b) => cur[a] * cur[b],
         };
     }
 }
 
-/// Expands chronological row `i` of a window (addressed as in
-/// [`eval_plan_row`]) into the full stage-D row (time features +
-/// products), reusing `d` — the online fallback when the second
-/// reduction is PCA and every stage-D column is needed. Bit-identical
-/// to `expand_at` + `apply_products`.
+/// Expands chronological row `i` (addressed as in [`eval_plan_row`],
+/// with every stage-C column in history, slot `f` holding column `f`)
+/// into the full stage-D row (time features + products), reusing `d` —
+/// the online fallback when the second reduction is PCA and every
+/// stage-D column is needed. Bit-identical to `expand_at` +
+/// `apply_products`.
 fn expand_row_full(
     time: Option<&TimeExpander>,
-    rows: &[f64],
-    at: impl Fn(usize) -> usize,
-    rw: usize,
+    cur: &[f64],
+    hist: impl Fn(usize, usize) -> f64,
     i: usize,
     pairs: &[(usize, usize)],
     d: &mut Vec<f64>,
 ) {
     d.clear();
-    let cur = &rows[at(i)..at(i) + rw];
-    match time {
-        Some(_) => {
-            d.extend_from_slice(cur);
-            for &x in &TIME_LAGS {
-                let start = i.saturating_sub(x);
-                let n = (i - start + 1) as f64;
-                for f in 0..rw {
-                    let mut acc = 0.0;
-                    for r in start..=i {
-                        acc += rows[at(r) + f];
-                    }
-                    d.push(acc / n);
+    d.extend_from_slice(cur);
+    if time.is_some() {
+        let rw = cur.len();
+        for &x in &TIME_LAGS {
+            let start = i.saturating_sub(x);
+            let n = (i - start + 1) as f64;
+            for f in 0..rw {
+                let mut acc = 0.0;
+                for r in start..=i {
+                    acc += hist(f, r);
                 }
-            }
-            for &x in &TIME_LAGS {
-                let j = at(i.saturating_sub(x));
-                d.extend_from_slice(&rows[j..j + rw]);
+                d.push(acc / n);
             }
         }
-        None => d.extend_from_slice(cur),
+        for &x in &TIME_LAGS {
+            let j = i.saturating_sub(x);
+            d.extend((0..rw).map(|f| hist(f, j)));
+        }
     }
     for &(a, b) in pairs {
         d.push(cur[a] * cur[b]);
     }
 }
 
-/// One base column the first reduction reads: its index in the base
-/// feature space and the scaler statistics that standardize it
-/// (mean 0 and std 0 without a scaler, which leaves the value as is).
+/// One value stages 1–3 write: base column `base`, standardized with
+/// the scaler statistics (mean 0 and std 0 without a scaler, which
+/// leaves the value as is), lands at `col` — its stage-C column, or its
+/// base index in the standardized row a PCA first reduction projects.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BaseCell {
     base: usize,
+    col: usize,
     mean: f64,
     std: f64,
 }
@@ -535,13 +533,21 @@ struct Serving {
     /// Host and container widths of a raw observation.
     host_len: usize,
     ctr_len: usize,
-    /// Stages 1–3 as one cell per base column `reduce1` reads, in its
-    /// input order: the selected columns for a forest filter, every
-    /// column for PCA or no reduction.
+    /// Stages 1–3 as one cell per value they write. For a forest filter
+    /// or no first reduction, that is each stage-C column some plan
+    /// cell reads (every column when the second reduction is PCA); the
+    /// stage-C columns no cell reads are never computed. A PCA first
+    /// reduction projects the whole standardized base row, so it gets
+    /// every base column.
     cells: Vec<BaseCell>,
     /// The selective stage-D/E plan (`None` when the second reduction
     /// is PCA).
     plan: Option<Vec<PlanCell>>,
+    /// The stage-C column each history slot holds, ascending: the
+    /// columns the plan's `Avg`/`Lag` cells read, every column when the
+    /// second reduction is PCA, none without time features. The online
+    /// ring keeps [`WINDOW_LEN`] samples of these columns only.
+    history: Vec<usize>,
 }
 
 /// A fitted feature pipeline: transforms raw metric windows into model
@@ -562,13 +568,44 @@ pub struct FittedPipeline {
 }
 
 impl FittedPipeline {
-    /// Rebuilds the derived serving state from the fitted parameters.
-    fn with_serving(mut self) -> Self {
-        let layout = self.expander.layout();
-        let host_len = layout.host_len();
-        let columns: Vec<usize> = match &self.reduce1 {
-            FittedReduction::Select(idx) => idx.clone(),
-            FittedReduction::None | FittedReduction::Pca(_) => (0..self.expander.len()).collect(),
+    /// Checks the fitted parameters against each other and rebuilds the
+    /// derived serving state from them.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] naming the first width or index that disagrees
+    /// (see [`FittedPipeline::check_parameters`]), so a malformed model
+    /// file fails to decode instead of panicking in the serving plans.
+    fn with_serving(mut self) -> Result<Self, JsonError> {
+        self.check_parameters().map_err(JsonError)?;
+        let base_len = self.expander.len();
+        let rw = self.names_c.len();
+        let (plan, history) = match self.plan() {
+            Some((plan, history)) => (Some(plan), history),
+            None if self.time.is_some() => (None, (0..rw).collect()),
+            None => (None, Vec::new()),
+        };
+        let mut read = vec![plan.is_none(); rw];
+        for cell in plan.iter().flatten() {
+            match *cell {
+                PlanCell::Orig(f) => read[f] = true,
+                PlanCell::Product(a, b) => {
+                    read[a] = true;
+                    read[b] = true;
+                }
+                PlanCell::Avg { .. } | PlanCell::Lag { .. } => {}
+            }
+        }
+        for &f in &history {
+            read[f] = true;
+        }
+        // `(base, col)` per value stages 1–3 write.
+        let columns: Vec<(usize, usize)> = match &self.reduce1 {
+            FittedReduction::Select(idx) => {
+                (0..rw).filter(|&c| read[c]).map(|c| (idx[c], c)).collect()
+            }
+            FittedReduction::None => (0..rw).filter(|&c| read[c]).map(|c| (c, c)).collect(),
+            FittedReduction::Pca(_) => (0..base_len).map(|b| (b, b)).collect(),
         };
         let stats = self
             .scaler
@@ -576,18 +613,95 @@ impl FittedPipeline {
             .map(|s| (s.means().unwrap_or(&[]), s.stds().unwrap_or(&[])));
         let cells = columns
             .into_iter()
-            .map(|base| {
+            .map(|(base, col)| {
                 let (mean, std) = stats.map_or((0.0, 0.0), |(m, s)| (m[base], s[base]));
-                BaseCell { base, mean, std }
+                BaseCell {
+                    base,
+                    col,
+                    mean,
+                    std,
+                }
             })
             .collect();
+        let layout = self.expander.layout();
+        let host_len = layout.host_len();
         self.serving = Serving {
             host_len,
             ctr_len: layout.raw_len() - host_len,
             cells,
-            plan: self.plan(),
+            plan,
+            history,
         };
-        self
+        Ok(self)
+    }
+
+    /// The decode contract of the fitted parameters: every width and
+    /// index the serving plans rely on, checked in stage order.
+    ///
+    /// # Errors
+    ///
+    /// The message naming the first mismatch: scaler statistics not the
+    /// base width; a `reduce1` selection beyond the base width;
+    /// `names_c` not `reduce1`'s output width; a time expander not that
+    /// wide; a product pair beyond it; a `reduce2` selection beyond the
+    /// stage-D width; a `keep` index beyond `reduce2`'s output width; or
+    /// `names` not one per `keep` index.
+    fn check_parameters(&self) -> Result<(), String> {
+        let base_len = self.expander.len();
+        if let Some(s) = &self.scaler {
+            let (means, stds) =
+                (s.means().map_or(0, <[f64]>::len), s.stds().map_or(0, <[f64]>::len));
+            if (means, stds) != (base_len, base_len) {
+                return Err(format!(
+                    "scaler has {means} means and {stds} stds, the base width is {base_len}"
+                ));
+            }
+        }
+        if let FittedReduction::Select(idx) = &self.reduce1 {
+            if let Some(&b) = idx.iter().find(|&&b| b >= base_len) {
+                return Err(format!(
+                    "reduce1 selects base column {b}, beyond the base width {base_len}"
+                ));
+            }
+        }
+        let rw = self.names_c.len();
+        let c_width = self.reduce1.output_width(base_len);
+        if rw != c_width {
+            return Err(format!("names_c has {rw} names, reduce1 outputs {c_width} columns"));
+        }
+        if let Some(t) = &self.time {
+            if t.input_width() != rw {
+                return Err(format!(
+                    "time expander is {} wide, names_c has {rw} names",
+                    t.input_width()
+                ));
+            }
+        }
+        if let Some(&(a, b)) = self.pairs.iter().find(|&&(a, b)| a.max(b) >= rw) {
+            return Err(format!(
+                "product pair ({a}, {b}) is out of range for {rw} stage-C columns"
+            ));
+        }
+        let d_width = self.time_width() + self.pairs.len();
+        if let FittedReduction::Select(idx) = &self.reduce2 {
+            if let Some(&j) = idx.iter().find(|&&j| j >= d_width) {
+                return Err(format!(
+                    "reduce2 selects stage-D column {j}, beyond the stage-D width {d_width}"
+                ));
+            }
+        }
+        let e_width = self.reduce2.output_width(d_width);
+        if let Some(&k) = self.keep.iter().find(|&&k| k >= e_width) {
+            return Err(format!("keep index {k} is out of range for {e_width} reduce2 outputs"));
+        }
+        if self.names.len() != self.keep.len() {
+            return Err(format!(
+                "names has {} entries, keep has {}",
+                self.names.len(),
+                self.keep.len()
+            ));
+        }
+        Ok(())
     }
 
     /// `(host, container)` metric widths a raw observation must have.
@@ -640,53 +754,62 @@ impl FittedPipeline {
     /// reduction is a column selection (or identity), final output
     /// column `k` is exactly one stage-D value, so the batch and online
     /// paths compute only those cells instead of materializing the full
-    /// stage-D row. Returns `None` for PCA, which mixes every column.
-    fn plan(&self) -> Option<Vec<PlanCell>> {
+    /// stage-D row. Returns the plan with its history columns (the
+    /// stage-C columns its `Avg`/`Lag` cells read, ascending; each
+    /// cell's slot indexes this list), or `None` for PCA, which mixes
+    /// every column. Indices are in range once
+    /// [`FittedPipeline::check_parameters`] has passed.
+    fn plan(&self) -> Option<(Vec<PlanCell>, Vec<usize>)> {
         let rw = self.names_c.len();
         let time_width = self.time_width();
-        let d_index = |k: usize| match &self.reduce2 {
-            FittedReduction::Select(idx) => Some(idx[self.keep[k]]),
-            FittedReduction::None => Some(self.keep[k]),
-            FittedReduction::Pca(_) => None,
+        let d_columns: Vec<usize> = match &self.reduce2 {
+            FittedReduction::Select(idx) => self.keep.iter().map(|&k| idx[k]).collect(),
+            FittedReduction::None => self.keep.clone(),
+            FittedReduction::Pca(_) => return None,
         };
-        (0..self.keep.len())
-            .map(|k| {
-                let j = d_index(k)?;
-                Some(if j < time_width {
-                    if self.time.is_some() {
-                        let band = j / rw;
-                        let f = j % rw;
-                        if band == 0 {
-                            PlanCell::Orig(f)
-                        } else if band <= TIME_LAGS.len() {
-                            PlanCell::Avg {
-                                f,
-                                lag: TIME_LAGS[band - 1],
-                            }
-                        } else {
-                            PlanCell::Lag {
-                                f,
-                                lag: TIME_LAGS[band - 1 - TIME_LAGS.len()],
-                            }
-                        }
-                    } else {
-                        PlanCell::Orig(j)
+        // Stage-D columns in bands 1.. of the time span are Avg/Lag.
+        let is_history = |j: usize| self.time.is_some() && (rw..time_width).contains(&j);
+        let mut history: Vec<usize> = d_columns
+            .iter()
+            .filter(|&&j| is_history(j))
+            .map(|&j| j % rw)
+            .collect();
+        history.sort_unstable();
+        history.dedup();
+        let plan = d_columns
+            .iter()
+            .map(|&j| {
+                if j >= time_width {
+                    let (a, b) = self.pairs[j - time_width];
+                    return PlanCell::Product(a, b);
+                }
+                if !is_history(j) {
+                    return PlanCell::Orig(j);
+                }
+                let (band, h) = (j / rw, history.partition_point(|&f| f < j % rw));
+                if band <= TIME_LAGS.len() {
+                    PlanCell::Avg {
+                        h,
+                        lag: TIME_LAGS[band - 1],
                     }
                 } else {
-                    let (a, b) = self.pairs[j - time_width];
-                    PlanCell::Product(a, b)
-                })
+                    PlanCell::Lag {
+                        h,
+                        lag: TIME_LAGS[band - 1 - TIME_LAGS.len()],
+                    }
+                }
             })
-            .collect()
+            .collect();
+        Some((plan, history))
     }
 
     /// Batch transform mirroring the fit-time flow on the streaming
-    /// kernels: stages 1–3 evaluate only the base columns the first
-    /// reduction reads, row by row into the reduced matrix (no
-    /// intermediate base/scaled matrices), and stage D/E evaluates only
-    /// the kept output cells when the second reduction is a column
-    /// selection. Rows must be ordered chronologically within each
-    /// group. Bit-identical to [`FittedPipeline::transform_batch_legacy`].
+    /// kernels: stages 1–3 evaluate only the stage-C cells some plan
+    /// cell reads, row by row into the reduced matrix (no intermediate
+    /// base/scaled matrices), and stage D/E evaluates only the kept
+    /// output cells when the second reduction is a column selection.
+    /// Rows must be ordered chronologically within each group.
+    /// Bit-identical to [`FittedPipeline::transform_batch_legacy`].
     ///
     /// # Errors
     ///
@@ -718,11 +841,13 @@ impl FittedPipeline {
                 obs::counter_add("pipeline.groups", blocks.len() as u64);
                 let mut data = vec![0.0; rows * ow];
                 let c_slice = c.as_slice();
+                let history = &self.serving.history;
                 shard_blocks(&mut data, ow, &blocks, self.config.n_jobs, |start, end, out| {
                     let block = &c_slice[start * rw..end * rw];
+                    let hist = |h: usize, r: usize| block[r * rw + history[h]];
                     for i in 0..end - start {
-                        let out = &mut out[i * ow..(i + 1) * ow];
-                        eval_plan_row(plan, block, |r| r * rw, rw, i, out);
+                        let cur = &block[i * rw..(i + 1) * rw];
+                        eval_plan_row(plan, cur, hist, i, &mut out[i * ow..(i + 1) * ow]);
                     }
                 });
                 Matrix::from_vec(rows, ow, data)
@@ -787,12 +912,14 @@ impl FittedPipeline {
     }
 
     /// Stages 1–3 for one raw sample `host ++ ctr` (widths already
-    /// checked): each cell expands, centres and scales one base column
-    /// straight from the two parts, so the concatenated raw vector and
-    /// the base columns the first reduction drops are never built.
-    /// Bit-identical to expand → scale → reduce, and allocation-free
-    /// once the buffers have capacity. `scaled` holds the full
-    /// standardized row only when the first reduction is PCA.
+    /// checked) into the stage-C row `out`: each cell expands, centres
+    /// and scales one base column straight from the two parts, so the
+    /// concatenated raw vector, the base columns the first reduction
+    /// drops and the stage-C columns no plan cell reads are never
+    /// built (the unread cells of `out` keep whatever they held).
+    /// Bit-identical to expand → scale → reduce on every read cell, and
+    /// allocation-free once the buffers have capacity. `scaled` holds
+    /// the full standardized row only when the first reduction is PCA.
     fn reduce_into(
         &self,
         host: &[f64],
@@ -800,24 +927,17 @@ impl FittedPipeline {
         scaled: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> Result<(), Error> {
-        let pca = match &self.reduce1 {
-            FittedReduction::Pca(p) => Some(p),
-            FittedReduction::Select(_) | FittedReduction::None => None,
-        };
-        let dst = if pca.is_some() {
-            &mut *scaled
-        } else {
-            &mut *out
-        };
-        dst.clear();
-        dst.extend(self.serving.cells.iter().map(|c| {
-            let v = self.expander.value_at(c.base, host, ctr) - c.mean;
-            if c.std > 0.0 {
-                v / c.std
-            } else {
-                v
+        let (pca, dst, width) = match &self.reduce1 {
+            FittedReduction::Pca(p) => (Some(p), &mut *scaled, self.expander.len()),
+            FittedReduction::Select(_) | FittedReduction::None => {
+                (None, &mut *out, self.names_c.len())
             }
-        }));
+        };
+        dst.resize(width, 0.0);
+        for c in &self.serving.cells {
+            let v = self.expander.value_at(c.base, host, ctr) - c.mean;
+            dst[c.col] = if c.std > 0.0 { v / c.std } else { v };
+        }
         if let Some(p) = pca {
             p.transform_row_into(scaled, out)?;
         }
@@ -828,13 +948,13 @@ impl FittedPipeline {
 /// Caller-owned working space for [`InstanceTransformer::push_into`],
 /// shared across a whole fleet of transformers.
 ///
-/// Stages 1–3 write one stage-C row (`reduced_width` f64s, about 1 KB
-/// for the quick model) per push; a PCA first reduction also needs the
-/// full standardized base row (`expanded_width`, about 8 KB), and a PCA
-/// second reduction the full stage-D row and its projection. The fleet
-/// tick owns a single `TransformScratch` and lends it to each
-/// transformer in turn, so per-instance state is just the rolling
-/// window (`WINDOW_LEN` × `reduced_width`).
+/// Stages 1–3 write the current stage-C row (`reduced_width` f64s,
+/// about 1 KB for the quick model) per push; a PCA first reduction also
+/// needs the full standardized base row (`expanded_width`, about 8 KB),
+/// and a PCA second reduction the full stage-D row and its projection.
+/// The fleet tick owns a single `TransformScratch` and lends it to each
+/// transformer in turn, so per-instance state is just the history ring
+/// (`WINDOW_LEN` samples of each history column).
 ///
 /// Buffers grow to their high-water mark on first use and are reused
 /// thereafter; a warmed scratch makes `push_into` allocation-free.
@@ -879,12 +999,16 @@ impl TransformScratch {
 /// the time-dependent features — the orchestrator keeps one of these per
 /// running container.
 ///
-/// The window is a ring of the last [`WINDOW_LEN`] stage-C rows: a push
-/// overwrites the oldest row and advances a head index instead of
-/// sliding the buffer, and the plan reads rows back in chronological
-/// order. The serving plans live in the shared [`FittedPipeline`], so
-/// per-instance state is the `Arc`, the ring and a few indices. Every
-/// intermediate lives in preallocated scratch, so steady-state
+/// The window is a feature-major ring holding the last [`WINDOW_LEN`]
+/// samples of the history columns only — the stage-C columns the
+/// model's `X-AVG`/`X-LAG` cells read — with each column's samples
+/// contiguous. The current stage-C row stays in the caller's
+/// [`TransformScratch`]. A push overwrites the oldest sample of each
+/// column and advances a head index instead of sliding the buffer, and
+/// the plan reads samples back in chronological order. The serving
+/// plans live in the shared [`FittedPipeline`], so per-instance state
+/// is the `Arc`, the ring and a few indices. Every intermediate lives
+/// in preallocated scratch, so steady-state
 /// [`InstanceTransformer::push`] performs no heap allocation (asserted
 /// by `table1_featurize`'s counting allocator). Fleets that serve many
 /// instances should prefer [`InstanceTransformer::push_into`] with one
@@ -894,17 +1018,20 @@ impl TransformScratch {
 #[derive(Debug, Clone)]
 pub struct InstanceTransformer {
     pipeline: Arc<FittedPipeline>,
-    /// Ring of stage-C rows, at most [`WINDOW_LEN`] × `rw`; filled in
-    /// order during warm-up, then overwritten oldest-first.
-    window: Vec<f64>,
-    /// Ring slot of the oldest row (0 until the ring is full).
+    /// History ring, `history columns × WINDOW_LEN`: history slot `h`
+    /// keeps its samples at `h * WINDOW_LEN ..`, filled in order during
+    /// warm-up, then overwritten oldest-first.
+    ring: Vec<f64>,
+    /// Ring position of the oldest sample (0 until the ring is full).
     head: usize,
     filled: usize,
-    rw: usize,
     /// Private working space for [`InstanceTransformer::push`]; stays
     /// empty (zero heap) on instances served via `push_into`.
     scratch: TransformScratch,
     out: Vec<f64>,
+    /// [`InstanceTransformer::push_legacy`]'s sliding window of full
+    /// stage-C rows, oldest first; empty unless that oracle runs.
+    legacy_window: Vec<f64>,
 }
 
 /// Window length required by the 15-second lags (current + 15 history).
@@ -913,24 +1040,25 @@ pub const WINDOW_LEN: usize = 16;
 impl InstanceTransformer {
     /// Creates a transformer bound to a fitted pipeline.
     ///
-    /// Only the rolling window is preallocated; the private
+    /// Only the history ring is preallocated; the private
     /// stage-1–3 scratch grows lazily on the first
     /// [`InstanceTransformer::push`] and never materialises on
     /// instances served through [`InstanceTransformer::push_into`].
     pub fn new(pipeline: Arc<FittedPipeline>) -> Self {
-        let rw = pipeline.reduced_width();
         InstanceTransformer {
-            window: Vec::with_capacity(WINDOW_LEN * rw),
+            ring: vec![0.0; pipeline.serving.history.len() * WINDOW_LEN],
             head: 0,
             filled: 0,
-            rw,
             scratch: TransformScratch::new(),
             out: Vec::new(),
+            legacy_window: Vec::new(),
             pipeline,
         }
     }
 
-    /// Number of samples seen so far (capped at the window length).
+    /// Number of samples [`InstanceTransformer::push`] and
+    /// [`InstanceTransformer::push_into`] have seen so far (capped at
+    /// the window length).
     pub fn warmup(&self) -> usize {
         self.filled
     }
@@ -993,22 +1121,29 @@ impl InstanceTransformer {
         assert_eq!(out.len(), p.output_width(), "output slice must match pipeline width");
         p.check_widths(host.len(), ctr.len())?;
         p.reduce_into(host, ctr, &mut scratch.scaled, &mut scratch.reduced)?;
-        let rw = self.rw;
-        if self.filled == WINDOW_LEN {
-            let slot = self.head * rw;
-            self.window[slot..slot + rw].copy_from_slice(&scratch.reduced);
-            self.head = (self.head + 1) % WINDOW_LEN;
+        let cur = &scratch.reduced;
+        let pos = if self.filled == WINDOW_LEN {
+            let oldest = self.head;
+            self.head = (oldest + 1) % WINDOW_LEN;
+            oldest
         } else {
-            self.window.extend_from_slice(&scratch.reduced);
             self.filled += 1;
+            self.filled - 1
+        };
+        for (samples, &f) in self
+            .ring
+            .chunks_exact_mut(WINDOW_LEN)
+            .zip(&p.serving.history)
+        {
+            samples[pos] = cur[f];
         }
-        let head = self.head;
-        let at = |r: usize| (head + r) % WINDOW_LEN * rw;
+        let (ring, head) = (&self.ring, self.head);
+        let hist = |h: usize, r: usize| ring[h * WINDOW_LEN + (head + r) % WINDOW_LEN];
         let i = self.filled - 1;
         match &p.serving.plan {
-            Some(plan) => eval_plan_row(plan, &self.window, at, rw, i, out),
+            Some(plan) => eval_plan_row(plan, cur, hist, i, out),
             None => {
-                expand_row_full(p.time.as_ref(), &self.window, at, rw, i, &p.pairs, &mut scratch.d);
+                expand_row_full(p.time.as_ref(), cur, hist, i, &p.pairs, &mut scratch.d);
                 p.reduce2.apply_row_into(&scratch.d, &mut scratch.e)?;
                 for (dst, &k) in out.iter_mut().zip(&p.keep) {
                     *dst = scratch.e[k];
@@ -1018,12 +1153,12 @@ impl InstanceTransformer {
         Ok(())
     }
 
-    /// The original per-tick path (1-row matrix through the scaler, the
-    /// window cloned into fresh vectors, full stage-D row), retained as
-    /// the reference [`InstanceTransformer::push`] is proven
-    /// bit-identical against. Maintains the same window state, so the
-    /// two paths cannot be interleaved on one instance — feed separate
-    /// instances the same samples to compare.
+    /// The original per-tick path (1-row matrix through the scaler, a
+    /// sliding window of full stage-C rows cloned into fresh vectors,
+    /// full stage-D row), retained as the reference
+    /// [`InstanceTransformer::push`] is proven bit-identical against. It
+    /// keeps its own window, so feed separate instances the same
+    /// samples to compare the two paths.
     ///
     /// # Errors
     ///
@@ -1041,20 +1176,14 @@ impl InstanceTransformer {
             None => base,
         };
         let reduced = p.reduce1.apply_row(&scaled)?;
-        let rw = self.rw;
-        if self.filled == WINDOW_LEN {
-            self.window.copy_within(rw.., 0);
-            self.window[(WINDOW_LEN - 1) * rw..].copy_from_slice(&reduced);
+        let rw = reduced.len();
+        if self.legacy_window.len() == WINDOW_LEN * rw {
+            self.legacy_window.copy_within(rw.., 0);
+            self.legacy_window[(WINDOW_LEN - 1) * rw..].copy_from_slice(&reduced);
         } else {
-            self.window.extend_from_slice(&reduced);
-            self.filled += 1;
+            self.legacy_window.extend_from_slice(&reduced);
         }
-        let rows: Vec<Vec<f64>> = self
-            .window
-            .chunks(rw)
-            .take(self.filled)
-            .map(<[f64]>::to_vec)
-            .collect();
+        let rows: Vec<Vec<f64>> = self.legacy_window.chunks(rw).map(<[f64]>::to_vec).collect();
         p.transform_window(&rows)
     }
 }
@@ -1090,11 +1219,9 @@ impl monitorless_std::json::ToJson for FittedPipeline {
 }
 
 impl monitorless_std::json::FromJson for FittedPipeline {
-    fn from_json(
-        json: &monitorless_std::json::Json,
-    ) -> Result<Self, monitorless_std::json::JsonError> {
+    fn from_json(json: &monitorless_std::json::Json) -> Result<Self, JsonError> {
         use monitorless_std::json::field;
-        Ok(FittedPipeline {
+        FittedPipeline {
             config: field(json, "config")?,
             expander: field(json, "expander")?,
             scaler: field(json, "scaler")?,
@@ -1107,7 +1234,7 @@ impl monitorless_std::json::FromJson for FittedPipeline {
             names: field(json, "names")?,
             serving: Serving::default(),
         }
-        .with_serving())
+        .with_serving()
     }
 }
 
@@ -1222,6 +1349,93 @@ mod tests {
             }
         }
         assert_eq!(online.warmup(), WINDOW_LEN);
+    }
+
+    fn fit(config: PipelineConfig) -> FittedPipeline {
+        let (x, y, groups) = toy_raw(40, 3);
+        FeaturePipeline::new(config)
+            .fit_transform(&x, &y, &groups, layout())
+            .unwrap()
+            .0
+    }
+
+    #[test]
+    fn history_columns_are_the_stage_c_columns_time_cells_read() {
+        // Read back from the kept names, independently of the plan: a
+        // time cell is `<stage-C name>-AVG<x>` or `-LAG<x>`, a product
+        // `<a> × <b>`, any other name a stage-C column.
+        let quick = fit(PipelineConfig::quick());
+        let stage_c = |name: &str| quick.names_c.iter().position(|c| c == name);
+        fn time_stem(n: &str) -> Option<&str> {
+            TIME_LAGS.iter().find_map(|x| {
+                n.strip_suffix(&format!("-AVG{x}"))
+                    .or_else(|| n.strip_suffix(&format!("-LAG{x}")))
+            })
+        }
+        let sorted = |mut v: Vec<usize>| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let names = quick.feature_names();
+        let history = sorted(
+            names
+                .iter()
+                .filter_map(|n| stage_c(time_stem(n)?))
+                .collect(),
+        );
+        assert!(!history.is_empty(), "the quick plan reads time features");
+        assert!(history.len() < quick.reduced_width(), "and not every stage-C column");
+        assert_eq!(quick.serving.history, history);
+        let read = sorted(
+            names
+                .iter()
+                .flat_map(|n| time_stem(n).map_or_else(|| n.split(" × ").collect(), |s| vec![s]))
+                .map(|name| stage_c(name).expect("a stage-C name"))
+                .collect(),
+        );
+        let cells: Vec<usize> = quick.serving.cells.iter().map(|c| c.col).collect();
+        assert_eq!(cells, read, "stages 1–3 compute exactly the read stage-C columns");
+
+        let pca2 = fit(PipelineConfig {
+            reduce2: Reduction::Pca {
+                variance: 0.999,
+                max_components: 8,
+            },
+            ..PipelineConfig::quick()
+        });
+        let every: Vec<usize> = (0..pca2.reduced_width()).collect();
+        assert_eq!(pca2.serving.history, every);
+
+        let no_time = fit(PipelineConfig {
+            time_features: false,
+            ..PipelineConfig::quick()
+        });
+        assert!(no_time.serving.history.is_empty());
+    }
+
+    #[test]
+    fn ring_holds_window_len_samples_of_each_history_column() {
+        let quick = Arc::new(fit(PipelineConfig::quick()));
+        let (x, _, _) = toy_raw(40, 4);
+        let mut online = InstanceTransformer::new(Arc::clone(&quick));
+        let values = quick.serving.history.len() * WINDOW_LEN;
+        assert!(values < quick.reduced_width() * WINDOW_LEN, "not full stage-C rows");
+        for t in 0..2 * WINDOW_LEN {
+            online.push(x.row(t)).unwrap();
+            assert_eq!((online.ring.len(), online.ring.capacity()), (values, values), "t={t}");
+        }
+        assert!(online.legacy_window.is_empty());
+
+        let no_time = Arc::new(fit(PipelineConfig {
+            time_features: false,
+            ..PipelineConfig::quick()
+        }));
+        let mut online = InstanceTransformer::new(no_time);
+        for t in 0..2 * WINDOW_LEN {
+            online.push(x.row(t)).unwrap();
+        }
+        assert_eq!(online.ring.capacity(), 0);
     }
 
     #[test]

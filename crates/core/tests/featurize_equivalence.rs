@@ -198,6 +198,17 @@ fn fitted_variants() -> &'static Vec<(&'static str, Arc<FittedPipeline>)> {
     })
 }
 
+/// Case count for the properties: `PROPTEST_CASES` when set (a nightly
+/// run raises it to search more group layouts and NaN patterns),
+/// otherwise `default`.
+fn cases(default: u32) -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
 fn assert_matrices_bit_identical(
     a: &Matrix,
     b: &Matrix,
@@ -214,7 +225,7 @@ fn assert_matrices_bit_identical(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(cases(32))]
 
     /// The streaming stage-D kernel (any worker count) is bit-identical
     /// to the legacy row-cloning expansion.
@@ -249,7 +260,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(cases(12))]
 
     /// The fused batch transform is bit-identical to the legacy
     /// stage-by-stage transform on arbitrary raw inputs and group

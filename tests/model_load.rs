@@ -7,11 +7,13 @@
 //! split child out of range, before its parent or shared by two
 //! parents, an unreachable node, and a split feature beyond its tree's
 //! or its forest's width while decoding builds the flat table; a
-//! forest wider than the pipeline in the first `Orchestrator::step`,
-//! too few drift edges in `Orchestrator::new`, and an over-long drift
-//! profile in the drift detector's first push. An under-long profile,
-//! a non-finite threshold or a leaf probability outside `[0, 1]` would
-//! load and silently serve wrong predictions.
+//! feature-pipeline width or index that disagrees with the stage
+//! before it while decoding builds the serving plans, or at the first
+//! transform; a forest wider than the pipeline in the first
+//! `Orchestrator::step`, too few drift edges in `Orchestrator::new`,
+//! and an over-long drift profile in the drift detector's first push.
+//! An under-long profile, a non-finite threshold or a leaf probability
+//! outside `[0, 1]` would load and silently serve wrong predictions.
 
 use std::sync::OnceLock;
 
@@ -80,6 +82,11 @@ fn first_leaf(json: &mut Json) -> (usize, &mut Json) {
         .position(|n| n.get("Leaf").is_some())
         .expect("a tree has leaves");
     (i, member(&mut nodes[i], "Leaf"))
+}
+
+/// The feature pipeline's member `key`.
+fn pipeline<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+    member(member(json, "pipeline"), key)
 }
 
 /// A non-negative JSON integer.
@@ -268,4 +275,109 @@ fn tree_wider_than_forest_fails_to_load() {
         loaded,
         &format!("forest tree 0 has {} features, more than the forest's {width}", width + 1),
     );
+}
+
+#[test]
+fn scaler_statistics_not_the_base_width_fail_to_load() {
+    let mut base = 0;
+    let loaded = load_edited("short_scaler", |json| {
+        let means = elements(member(pipeline(json, "scaler"), "means"));
+        base = means.len();
+        means.pop();
+    });
+    assert_rejected(
+        loaded,
+        &format!("scaler has {} means and {base} stds, the base width is {base}", base - 1),
+    );
+}
+
+#[test]
+fn reduce1_selection_beyond_the_base_width_fails_to_load() {
+    let mut base = 0;
+    let loaded = load_edited("reduce1_out_of_range", |json| {
+        base = elements(member(pipeline(json, "scaler"), "means")).len();
+        let selected = elements(member(pipeline(json, "reduce1"), "Select"));
+        *selected.last_mut().expect("reduce1 selects columns") = Json::Int(base as i64);
+    });
+    assert_rejected(
+        loaded,
+        &format!("reduce1 selects base column {base}, beyond the base width {base}"),
+    );
+}
+
+#[test]
+fn names_c_not_the_reduce1_width_fails_to_load() {
+    // One name short used to load, then panic in the first tick.
+    let mut rw = 0;
+    let loaded = load_edited("short_names_c", |json| {
+        let names_c = elements(pipeline(json, "names_c"));
+        rw = names_c.len();
+        names_c.pop();
+    });
+    assert_rejected(loaded, &format!("names_c has {} names, reduce1 outputs {rw} columns", rw - 1));
+}
+
+#[test]
+fn time_expander_not_the_names_c_width_fails_to_load() {
+    let mut rw = 0;
+    let loaded = load_edited("wide_time", |json| {
+        rw = elements(pipeline(json, "names_c")).len();
+        *member(pipeline(json, "time"), "width") = Json::Int(rw as i64 + 1);
+    });
+    assert_rejected(loaded, &format!("time expander is {} wide, names_c has {rw} names", rw + 1));
+}
+
+#[test]
+fn product_pair_out_of_range_fails_to_load() {
+    let (mut rw, mut a) = (0, 0);
+    let loaded = load_edited("pair_out_of_range", |json| {
+        rw = elements(pipeline(json, "names_c")).len();
+        let pair = elements(&mut elements(pipeline(json, "pairs"))[0]);
+        a = index(&pair[0]);
+        pair[1] = Json::Int(rw as i64);
+    });
+    assert_rejected(
+        loaded,
+        &format!("product pair ({a}, {rw}) is out of range for {rw} stage-C columns"),
+    );
+}
+
+#[test]
+fn reduce2_selection_beyond_the_stage_d_width_fails_to_load() {
+    // Stage D is the stage-C row, three averages and three lags of it,
+    // then one column per product pair.
+    let mut d_width = 0;
+    let loaded = load_edited("reduce2_out_of_range", |json| {
+        let rw = elements(pipeline(json, "names_c")).len();
+        d_width = 7 * rw + elements(pipeline(json, "pairs")).len();
+        let selected = elements(member(pipeline(json, "reduce2"), "Select"));
+        *selected.last_mut().expect("reduce2 selects columns") = Json::Int(d_width as i64);
+    });
+    assert_rejected(
+        loaded,
+        &format!("reduce2 selects stage-D column {d_width}, beyond the stage-D width {d_width}"),
+    );
+}
+
+#[test]
+fn keep_index_out_of_range_fails_to_load() {
+    // Used to panic while decoding built the serving plan.
+    let mut e_width = 0;
+    let loaded = load_edited("keep_out_of_range", |json| {
+        e_width = elements(member(pipeline(json, "reduce2"), "Select")).len();
+        elements(pipeline(json, "keep"))[0] = Json::Int(1_000_000);
+    });
+    assert_rejected(
+        loaded,
+        &format!("keep index 1000000 is out of range for {e_width} reduce2 outputs"),
+    );
+}
+
+#[test]
+fn names_not_one_per_keep_index_fail_to_load() {
+    let width = output_width();
+    let loaded = load_edited("short_names", |json| {
+        elements(pipeline(json, "names")).pop();
+    });
+    assert_rejected(loaded, &format!("names has {} entries, keep has {width}", width - 1));
 }
