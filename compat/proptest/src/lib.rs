@@ -12,7 +12,7 @@
 //!   (override with `PROPTEST_RNG_SEED`); case count defaults to 64
 //!   (override with `PROPTEST_CASES` or `ProptestConfig::with_cases`).
 //!
-//! Deleting the `[patch.crates-io]` table in the workspace manifest
+//! Pointing the workspace manifest's `proptest` entry at crates.io
 //! swaps in the real crate with no changes to the test files.
 
 pub mod strategy;

@@ -27,7 +27,11 @@
 //! A separate micro-section times raw `obs::record` appends to size the
 //! journal itself, and reports how many records survived in the ring
 //! versus were overwritten (the ring keeps the newest
-//! `JOURNAL_CAPACITY`).
+//! `JOURNAL_CAPACITY`). It also times each instrumentation call
+//! (`counter_add`, `gauge_set`, `observe`, `Span::enter`) with
+//! telemetry off — the price every instrumented site pays in an
+//! untraced run — and prints those costs beside the journal's; they
+//! stay out of the report.
 //!
 //! `--check <path>` re-measures at the current scale and exits non-zero
 //! if observability got expensive: plain or attributed wall time more
@@ -37,6 +41,7 @@
 //! measured size (a real record-path regression is size-independent;
 //! single-size excursions are CI noise).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use monitorless_bench::harness::{alloc_events, time_ms, CountingAlloc, Harness};
@@ -151,6 +156,13 @@ fn measure_size(flat: &FlatEnsemble, n_trees: usize, rows: usize, seed: u64) -> 
     r
 }
 
+/// Nanoseconds per `call`: the best of three runs of a million calls.
+fn ns_per_call(call: impl Fn()) -> f64 {
+    const CALLS: usize = 1_000_000;
+    let (ms, ()) = time_ms(3, || (0..CALLS).for_each(|_| call()));
+    ms * 1e6 / CALLS as f64
+}
+
 fn measure_journal() -> JournalResult {
     const APPENDS: usize = 100_000;
     obs::progress("journal append micro-section...");
@@ -161,6 +173,18 @@ fn measure_journal() -> JournalResult {
         obs::record("bench.journal", i as u64 + 1, &[("i", i as f64)], &[]);
     }
     let record_off_us = t0.elapsed().as_secs_f64() * 1e6 / APPENDS as f64;
+
+    // Each call starts with one relaxed atomic load and returns when
+    // telemetry is off: no lock, clock read or allocation.
+    let format = obs::format();
+    obs::init(&obs::TelemetryConfig::off());
+    let [counter_ns, gauge_ns, observe_ns, span_ns] = [
+        ns_per_call(|| obs::counter_add(black_box("bench.counter"), 1)),
+        ns_per_call(|| obs::gauge_set(black_box("bench.gauge"), 1.5)),
+        ns_per_call(|| obs::observe(black_box("bench.hist"), 123.0)),
+        ns_per_call(|| drop(obs::Span::enter(black_box("bench.span")))),
+    ];
+    obs::init(&obs::TelemetryConfig::with_format(format));
 
     set_trace(obs::TraceMode::Ring);
     let _ = obs::drain();
@@ -184,6 +208,10 @@ fn measure_journal() -> JournalResult {
     obs::progress(&format!(
         "  append {:.3} us (off {:.4} us); {} appended, {} queued, {} overwritten",
         r.record_us, r.record_off_us, r.appended, r.queued, r.overwritten
+    ));
+    obs::progress(&format!(
+        "  telemetry off, per call: counter_add {counter_ns:.2} ns, gauge_set {gauge_ns:.2} ns, \
+         observe {observe_ns:.2} ns, Span::enter {span_ns:.2} ns"
     ));
     // The ring keeps the newest records and evicts the rest.
     assert_eq!(r.appended as usize, APPENDS);

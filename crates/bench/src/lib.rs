@@ -9,7 +9,9 @@
 //!   the `MONITORLESS_OBS` env var; the flag wins). `jsonl` streams
 //!   span/progress events to stderr as the run proceeds; both formats
 //!   end with a counter/histogram snapshot on stderr and a copy under
-//!   `target/telemetry-<binary>.txt`.
+//!   `target/telemetry-<binary>.txt`;
+//! * `--trace <off|ring|jsonl>` — the causal journal's trace mode (also
+//!   via the `MONITORLESS_TRACE` env var; the flag wins).
 //!
 //! The eight perf-gate binaries also take `--check <path>` and
 //! `--out <path>`; [`harness`] documents how those two combine. A
@@ -23,8 +25,8 @@
 //! anything runs, when the value is missing (the flag ends the command
 //! line or is followed by another `--` flag) or does not parse (a
 //! `--seed` that is not an unsigned integer, an unknown `--telemetry`
-//! format). Other arguments are left to the binary (`fig2_kneedle`'s
-//! `--csv`) or to the telemetry layer (`--trace <mode>`).
+//! format or `--trace` mode). Other arguments are left to the binary
+//! (`fig2_kneedle`'s `--csv`).
 //!
 //! Binaries that need a trained model reuse a cached one from
 //! `target/monitorless-model-<scale>-<seed>-<digest>.json` when present,
@@ -56,7 +58,8 @@ pub struct Scale {
 impl Scale {
     /// Parses `--full` and `--seed <n>` from `std::env::args`, and
     /// installs the process-wide telemetry configuration from the
-    /// `MONITORLESS_OBS` env var and/or the `--telemetry <fmt>` flag.
+    /// `MONITORLESS_OBS`/`MONITORLESS_TRACE` env vars and/or the
+    /// `--telemetry <fmt>`/`--trace <mode>` flags.
     /// Exits with status 2 on a malformed flag (see the crate docs).
     pub fn from_args() -> Self {
         Args::from_env().scale
@@ -167,7 +170,7 @@ impl Args {
             if flag == "--full" {
                 parsed.scale.full = true;
             }
-            if !matches!(flag, "--seed" | "--telemetry" | "--check" | "--out") {
+            if !matches!(flag, "--seed" | "--telemetry" | "--trace" | "--check" | "--out") {
                 continue;
             }
             let value = match args.next() {
@@ -185,6 +188,11 @@ impl Args {
                     value
                         .parse::<obs::ExportFormat>()
                         .map_err(|e| format!("--telemetry: {e}"))?;
+                }
+                "--trace" => {
+                    value
+                        .parse::<obs::TraceMode>()
+                        .map_err(|e| format!("--trace: {e}"))?;
                 }
                 "--check" => parsed.check = Some(value.to_owned()),
                 _ => parsed.out = Some(value.to_owned()),
@@ -372,11 +380,17 @@ mod tests {
 
     #[test]
     fn a_telemetry_format_that_is_missing_or_unknown_is_an_error() {
-        assert_eq!(parse("--telemetry").unwrap_err(), "--telemetry needs a value");
-        assert!(parse("--telemetry bogus")
-            .unwrap_err()
-            .contains("unknown telemetry format"));
-        assert!(parse("--telemetry off").is_ok());
+        for (flag, what) in [
+            ("--telemetry", "telemetry format"),
+            ("--trace", "trace mode"),
+        ] {
+            let missing = format!("{flag} needs a value");
+            assert_eq!(parse(flag).unwrap_err(), missing);
+            assert_eq!(parse(&format!("{flag} --full")).unwrap_err(), missing);
+            let unknown = parse(&format!("{flag} bogus")).unwrap_err();
+            assert!(unknown.contains(&format!("unknown {what}")), "{unknown}");
+            assert!(parse(&format!("{flag} off")).is_ok());
+        }
     }
 
     #[test]

@@ -45,6 +45,31 @@ impl RawLayout {
         })
     }
 
+    /// The layout's decode contract: one kind per name, and every
+    /// utilization index inside the raw width, so expanding a raw
+    /// vector of `raw_len` metrics cannot index out of bounds.
+    ///
+    /// # Errors
+    ///
+    /// The message naming the first violation.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let n = self.names.len();
+        if self.kinds.len() != n {
+            return Err(format!("raw layout has {} kinds for {n} names", self.kinds.len()));
+        }
+        for (what, i) in [
+            ("host_cpu_idle", self.host_cpu_idle),
+            ("host_mem_util", self.host_mem_util),
+            ("ctr_cpu_util", self.ctr_cpu_util),
+            ("ctr_mem_util", self.ctr_mem_util),
+        ] {
+            if i >= n {
+                return Err(format!("raw layout's {what} index {i} is beyond the raw width {n}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of raw metrics.
     pub fn raw_len(&self) -> usize {
         self.names.len()

@@ -640,13 +640,16 @@ impl FittedPipeline {
     ///
     /// # Errors
     ///
-    /// The message naming the first mismatch: scaler statistics not the
-    /// base width; a `reduce1` selection beyond the base width;
-    /// `names_c` not `reduce1`'s output width; a time expander not that
-    /// wide; a product pair beyond it; a `reduce2` selection beyond the
-    /// stage-D width; a `keep` index beyond `reduce2`'s output width; or
-    /// `names` not one per `keep` index.
+    /// The message naming the first mismatch: a raw layout without one
+    /// kind per name or with a utilization index beyond the raw width;
+    /// scaler statistics not the base width; a `reduce1` selection
+    /// beyond the base width; `names_c` not `reduce1`'s output width; a
+    /// time expander not that wide; a product pair beyond it; a
+    /// `reduce2` selection beyond the stage-D width; a `keep` index
+    /// beyond `reduce2`'s output width; or `names` not one per `keep`
+    /// index.
     fn check_parameters(&self) -> Result<(), String> {
+        self.expander.layout().check()?;
         let base_len = self.expander.len();
         if let Some(s) = &self.scaler {
             let (means, stds) =

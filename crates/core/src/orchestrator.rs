@@ -38,7 +38,7 @@
 //!   allocation (`table_obs` asserts this).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use monitorless_metrics::{InstanceId, Observation};
 use monitorless_obs as obs;
@@ -514,8 +514,8 @@ impl Orchestrator {
 /// node feed one central orchestrator.
 #[derive(Debug)]
 pub struct StreamingOrchestrator {
-    observation_tx: monitorless_std::channel::Sender<Observation>,
-    prediction_rx: monitorless_std::channel::Receiver<TickPredictions>,
+    observation_tx: mpsc::SyncSender<Observation>,
+    prediction_rx: mpsc::Receiver<TickPredictions>,
     worker: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -539,9 +539,8 @@ impl StreamingOrchestrator {
     /// Panics if `nodes` is zero.
     pub fn spawn(model: Arc<MonitorlessModel>, nodes: usize) -> Self {
         assert!(nodes > 0, "at least one node must report");
-        let (observation_tx, observation_rx) =
-            monitorless_std::channel::bounded::<Observation>(nodes * 4);
-        let (prediction_tx, prediction_rx) = monitorless_std::channel::unbounded();
+        let (observation_tx, observation_rx) = mpsc::sync_channel::<Observation>(nodes * 4);
+        let (prediction_tx, prediction_rx) = mpsc::channel();
         let worker = std::thread::spawn(move || {
             let mut orchestrator = Orchestrator::new(model);
             let mut pending: HashMap<u64, Vec<Observation>> = HashMap::new();
@@ -576,12 +575,12 @@ impl StreamingOrchestrator {
     }
 
     /// Channel on which node agents submit observations.
-    pub fn observations(&self) -> &monitorless_std::channel::Sender<Observation> {
+    pub fn observations(&self) -> &mpsc::SyncSender<Observation> {
         &self.observation_tx
     }
 
     /// Channel delivering completed prediction ticks.
-    pub fn predictions(&self) -> &monitorless_std::channel::Receiver<TickPredictions> {
+    pub fn predictions(&self) -> &mpsc::Receiver<TickPredictions> {
         &self.prediction_rx
     }
 
@@ -590,7 +589,7 @@ impl StreamingOrchestrator {
     pub fn shutdown(mut self) -> Vec<TickPredictions> {
         // Replace (and thereby drop) our sender so the worker drains and
         // exits, then join it before collecting the queued ticks.
-        let (dead_tx, _) = monitorless_std::channel::bounded(1);
+        let (dead_tx, _) = mpsc::sync_channel(1);
         let _ = std::mem::replace(&mut self.observation_tx, dead_tx);
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
@@ -608,7 +607,7 @@ impl Drop for StreamingOrchestrator {
         // Close our sender so the worker exits once all clones are gone;
         // the handle is detached rather than joined (C-DTOR-BLOCK) — use
         // [`StreamingOrchestrator::shutdown`] for a clean teardown.
-        let (dead_tx, _) = monitorless_std::channel::bounded(1);
+        let (dead_tx, _) = mpsc::sync_channel(1);
         let _ = std::mem::replace(&mut self.observation_tx, dead_tx);
         drop(self.worker.take());
     }

@@ -13,8 +13,8 @@
 //!   instrumentation call ([`counter_add`], [`gauge_set`], [`observe`],
 //!   [`Span::enter`]) starts with one `Relaxed` atomic load and returns
 //!   immediately when off — no locks, no clock reads, no allocation.
-//!   The `obs_overhead` Criterion bench in `monitorless-bench` verifies
-//!   the instrumented sim tick loop stays within noise of baseline.
+//!   The `table_obs` binary in `monitorless-bench` times each of these
+//!   calls with telemetry off and prints the per-call cost.
 //! * **Global registry.** Metrics live in one process-wide registry
 //!   keyed by dotted name; hot-path cells are atomics (see
 //!   [`registry`]).

@@ -13,7 +13,7 @@
 //! When telemetry is disabled (the default) every operation returns
 //! after a single `Relaxed` atomic load — no locking, no allocation, no
 //! clock reads — which is what keeps instrumented hot loops within noise
-//! of their uninstrumented cost (see the `obs_overhead` bench).
+//! of their uninstrumented cost (`table_obs` prints the per-call cost).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};

@@ -1,28 +1,17 @@
 //! Offline-first standard-library compatibility layer.
 //!
-//! Every crate in this workspace compiles against the facades in this
-//! crate instead of depending on crates.io directly, so the whole
-//! reproduction builds and tests with an empty cargo registry:
+//! Every crate in this workspace compiles against the modules in this
+//! crate instead of depending on crates.io, so the whole reproduction
+//! builds and tests with an empty cargo registry:
 //!
 //! - [`rng`] — deterministic pseudo-random numbers (SplitMix64 seeding,
-//!   xoshiro256++ generation) replacing `rand`.
+//!   xoshiro256++ generation) in place of `rand`.
 //! - [`json`] — a minimal JSON value, parser and serializer plus the
-//!   [`json::ToJson`]/[`json::FromJson`] traits replacing
+//!   [`json::ToJson`]/[`json::FromJson`] traits in place of
 //!   `serde`/`serde_json` for the types that round-trip to disk.
-//! - [`sync`] — poison-transparent [`sync::Mutex`]/[`sync::RwLock`]
-//!   replacing `parking_lot`.
-//! - [`channel`] — bounded/unbounded MPSC channels replacing
-//!   `crossbeam::channel`.
-//! - [`pool`] — scoped worker pools replacing `crossbeam::thread`.
-//!
-//! The off-by-default `ext` cargo feature swaps the [`sync`],
-//! [`channel`] and [`pool`] backends to the original external crates
-//! (`parking_lot`, `crossbeam`) and exposes a `rand`-backed generator
-//! in [`rng`], with the same public API either way. The [`rng`] default
-//! generator and [`json`] codec are always in-tree so that seeded runs
-//! and saved models are identical in both configurations.
+//! - [`sync`] — a poison-transparent [`sync::Mutex`].
+//! - [`pool`] — worker pools over [`std::thread::scope`].
 
-pub mod channel;
 pub mod json;
 pub mod pool;
 pub mod rng;

@@ -1,9 +1,7 @@
-//! Scoped worker pools replacing `crossbeam::thread::scope`.
+//! Scoped worker pools over [`std::thread::scope`].
 //!
 //! Training fans work out over borrowed data (the feature matrix, the
 //! label vector); scoped threads let workers borrow instead of clone.
-//! The std backend uses [`std::thread::scope`]; the `ext` feature swaps
-//! in `crossbeam::thread::scope`, which predates it.
 
 /// Splits `items` into `n_workers` contiguous chunks and runs
 /// `work(chunk_index, chunk)` on each chunk in its own scoped thread.
@@ -29,7 +27,12 @@ where
         work(0, items);
         return;
     }
-    imp::scope_chunks(items, chunk_size, &work);
+    let work = &work;
+    std::thread::scope(|scope| {
+        for (chunk_idx, chunk) in items.chunks_mut(chunk_size).enumerate() {
+            scope.spawn(move || work(chunk_idx, chunk));
+        }
+    });
 }
 
 /// Runs `work(index, item)` once per item, with `n_workers` scoped
@@ -57,7 +60,7 @@ where
         return;
     }
     let queue = std::sync::Mutex::new(items.chunks_mut(1).enumerate());
-    imp::scope_workers(n_workers, &|| loop {
+    let worker = || loop {
         let next = queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -66,85 +69,12 @@ where
             Some((i, cell)) => work(i, &mut cell[0]),
             None => break,
         }
-    });
-}
-
-/// Computes `f(i)` for every `i < n` across `n_workers` scoped threads
-/// and returns the results in index order.
-///
-/// # Panics
-///
-/// Propagates panics from worker threads.
-pub fn parallel_map<R, F>(n: usize, n_workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for_each_chunk_mut(&mut slots, n_workers, |chunk_idx, chunk| {
-        let chunk_size = n.div_ceil(n_workers.max(1));
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            *slot = Some(f(chunk_idx * chunk_size + off));
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..n_workers {
+            scope.spawn(worker);
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("all slots are filled by workers"))
-        .collect()
-}
-
-#[cfg(not(feature = "ext"))]
-mod imp {
-    pub(super) fn scope_chunks<T, F>(items: &mut [T], chunk_size: usize, work: &F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in items.chunks_mut(chunk_size).enumerate() {
-                scope.spawn(move || work(chunk_idx, chunk));
-            }
-        });
-    }
-
-    pub(super) fn scope_workers<F>(n_workers: usize, worker: &F)
-    where
-        F: Fn() + Sync,
-    {
-        std::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                scope.spawn(worker);
-            }
-        });
-    }
-}
-
-#[cfg(feature = "ext")]
-mod imp {
-    pub(super) fn scope_chunks<T, F>(items: &mut [T], chunk_size: usize, work: &F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        crossbeam::thread::scope(|scope| {
-            for (chunk_idx, chunk) in items.chunks_mut(chunk_size).enumerate() {
-                scope.spawn(move |_| work(chunk_idx, chunk));
-            }
-        })
-        .expect("scoped worker thread panicked");
-    }
-
-    pub(super) fn scope_workers<F>(n_workers: usize, worker: &F)
-    where
-        F: Fn() + Sync,
-    {
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                scope.spawn(move |_| worker());
-            }
-        })
-        .expect("scoped worker thread panicked");
-    }
 }
 
 #[cfg(test)]
@@ -186,12 +116,5 @@ mod tests {
 
         let mut empty: Vec<u32> = Vec::new();
         for_each_item_mut(&mut empty, 4, |_, _| unreachable!());
-    }
-
-    #[test]
-    fn parallel_map_preserves_index_order() {
-        let squares = parallel_map(20, 4, |i| i * i);
-        assert_eq!(squares, (0..20).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
     }
 }

@@ -263,28 +263,6 @@ impl Rng for Xoshiro256PlusPlus {
     }
 }
 
-/// A generator backed by `rand::rngs::StdRng`, available with the `ext`
-/// feature for cross-checking the in-tree generators against `rand`.
-#[cfg(feature = "ext")]
-#[derive(Debug, Clone)]
-pub struct ExtStdRng(rand::rngs::StdRng);
-
-#[cfg(feature = "ext")]
-impl ExtStdRng {
-    /// Creates a `rand`-backed generator from a 64-bit seed.
-    pub fn seed_from_u64(seed: u64) -> Self {
-        use rand::SeedableRng as _;
-        ExtStdRng(rand::rngs::StdRng::seed_from_u64(seed))
-    }
-}
-
-#[cfg(feature = "ext")]
-impl Rng for ExtStdRng {
-    fn next_u64(&mut self) -> u64 {
-        rand::Rng::gen(&mut self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

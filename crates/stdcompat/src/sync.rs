@@ -1,140 +1,39 @@
-//! Poison-transparent locks.
+//! A poison-transparent mutex.
 //!
-//! `parking_lot`'s locks do not poison, and the workspace's lock users
-//! (the monitoring agent, telemetry registries) treat a panic while
-//! holding a lock as recoverable — the guarded state is plain data. The
-//! std backend therefore unwraps poison via
-//! [`std::sync::PoisonError::into_inner`], giving the same lock API
-//! whether or not the `ext` feature swaps the backend to `parking_lot`.
+//! The workspace's lock users (the monitoring agent) treat a panic
+//! while holding a lock as recoverable — the guarded state is plain
+//! data — so [`Mutex::lock`] unwraps poison via
+//! [`std::sync::PoisonError::into_inner`] instead of returning a
+//! `Result` every caller would have to unwrap.
 
-#[cfg(not(feature = "ext"))]
-mod imp {
-    /// A mutual-exclusion lock.
-    #[derive(Debug, Default)]
-    pub struct Mutex<T>(std::sync::Mutex<T>);
+/// A mutual-exclusion lock.
+#[derive(Debug, Default)]
+pub struct Mutex<T>(std::sync::Mutex<T>);
 
-    /// RAII guard for [`Mutex`].
-    pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
+/// RAII guard for [`Mutex`].
+pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
-    impl<T> Mutex<T> {
-        /// Creates a lock around `value`.
-        pub fn new(value: T) -> Self {
-            Mutex(std::sync::Mutex::new(value))
-        }
-
-        /// Acquires the lock, blocking the current thread. Poison from
-        /// a panicked holder is ignored.
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            self.0
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        /// Consumes the lock, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.0
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
+impl<T> Mutex<T> {
+    /// Creates a lock around `value`.
+    pub fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
     }
 
-    /// A reader-writer lock.
-    #[derive(Debug, Default)]
-    pub struct RwLock<T>(std::sync::RwLock<T>);
+    /// Acquires the lock, blocking the current thread. Poison from a
+    /// panicked holder is ignored.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
-    /// Shared-read guard for [`RwLock`].
-    pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-    /// Exclusive-write guard for [`RwLock`].
-    pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-    impl<T> RwLock<T> {
-        /// Creates a lock around `value`.
-        pub fn new(value: T) -> Self {
-            RwLock(std::sync::RwLock::new(value))
-        }
-
-        /// Acquires shared read access. Poison is ignored.
-        pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            self.0
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        /// Acquires exclusive write access. Poison is ignored.
-        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            self.0
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        /// Consumes the lock, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.0
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
+    /// Consumes the lock, returning the inner value.
+    pub fn into_inner(self) -> T {
+        self.0
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
-
-#[cfg(feature = "ext")]
-mod imp {
-    /// A mutual-exclusion lock (`parking_lot` backend).
-    #[derive(Debug, Default)]
-    pub struct Mutex<T>(parking_lot::Mutex<T>);
-
-    /// RAII guard for [`Mutex`].
-    pub type MutexGuard<'a, T> = parking_lot::MutexGuard<'a, T>;
-
-    impl<T> Mutex<T> {
-        /// Creates a lock around `value`.
-        pub fn new(value: T) -> Self {
-            Mutex(parking_lot::Mutex::new(value))
-        }
-
-        /// Acquires the lock, blocking the current thread.
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            self.0.lock()
-        }
-
-        /// Consumes the lock, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.0.into_inner()
-        }
-    }
-
-    /// A reader-writer lock (`parking_lot` backend).
-    #[derive(Debug, Default)]
-    pub struct RwLock<T>(parking_lot::RwLock<T>);
-
-    /// Shared-read guard for [`RwLock`].
-    pub type RwLockReadGuard<'a, T> = parking_lot::RwLockReadGuard<'a, T>;
-    /// Exclusive-write guard for [`RwLock`].
-    pub type RwLockWriteGuard<'a, T> = parking_lot::RwLockWriteGuard<'a, T>;
-
-    impl<T> RwLock<T> {
-        /// Creates a lock around `value`.
-        pub fn new(value: T) -> Self {
-            RwLock(parking_lot::RwLock::new(value))
-        }
-
-        /// Acquires shared read access.
-        pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            self.0.read()
-        }
-
-        /// Acquires exclusive write access.
-        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            self.0.write()
-        }
-
-        /// Consumes the lock, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.0.into_inner()
-        }
-    }
-}
-
-pub use imp::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(test)]
 mod tests {
@@ -156,18 +55,6 @@ mod tests {
         assert_eq!(*m.lock(), 4000);
     }
 
-    #[test]
-    fn rwlock_allows_concurrent_reads() {
-        let l = RwLock::new(7u32);
-        let a = l.read();
-        let b = l.read();
-        assert_eq!((*a, *b), (7, 7));
-        drop((a, b));
-        *l.write() = 8;
-        assert_eq!(l.into_inner(), 8);
-    }
-
-    #[cfg(not(feature = "ext"))]
     #[test]
     fn poisoned_mutex_stays_usable() {
         let m = std::sync::Arc::new(Mutex::new(1u32));

@@ -8,10 +8,11 @@
 //! parents, an unreachable node, and a split feature beyond its tree's
 //! or its forest's width while decoding builds the flat table; a
 //! feature-pipeline width or index that disagrees with the stage
-//! before it while decoding builds the serving plans, or at the first
-//! transform; a forest wider than the pipeline in the first
-//! `Orchestrator::step`, too few drift edges in `Orchestrator::new`,
-//! and an over-long drift profile in the drift detector's first push.
+//! before it (from the raw layout's kinds and utilization indices on)
+//! while decoding builds the serving plans, or at the first transform;
+//! a forest wider than the pipeline in the first `Orchestrator::step`,
+//! too few drift edges in `Orchestrator::new`, and an over-long drift
+//! profile in the drift detector's first push.
 //! An under-long profile, a non-finite threshold or a leaf probability
 //! outside `[0, 1]` would load and silently serve wrong predictions.
 
@@ -274,6 +275,48 @@ fn tree_wider_than_forest_fails_to_load() {
     assert_rejected(
         loaded,
         &format!("forest tree 0 has {} features, more than the forest's {width}", width + 1),
+    );
+}
+
+/// The feature pipeline's raw layout member `key`.
+fn raw_layout<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+    member(member(pipeline(json, "expander"), "layout"), key)
+}
+
+#[test]
+fn raw_layout_kinds_not_one_per_name_fail_to_load() {
+    // One kind short used to load, then panic in the first transform.
+    let mut n = 0;
+    let loaded = load_edited("short_kinds", |json| {
+        n = elements(raw_layout(json, "names")).len();
+        elements(raw_layout(json, "kinds")).pop();
+    });
+    assert_rejected(loaded, &format!("raw layout has {} kinds for {n} names", n - 1));
+}
+
+#[test]
+fn host_utilization_index_beyond_the_raw_width_fails_to_load() {
+    let mut n = 0;
+    let loaded = load_edited("host_index_out_of_range", |json| {
+        n = elements(raw_layout(json, "names")).len();
+        *raw_layout(json, "host_cpu_idle") = Json::Int(n as i64);
+    });
+    assert_rejected(
+        loaded,
+        &format!("raw layout's host_cpu_idle index {n} is beyond the raw width {n}"),
+    );
+}
+
+#[test]
+fn container_utilization_index_beyond_the_raw_width_fails_to_load() {
+    let mut n = 0;
+    let loaded = load_edited("ctr_index_out_of_range", |json| {
+        n = elements(raw_layout(json, "names")).len();
+        *raw_layout(json, "ctr_mem_util") = Json::Int(n as i64);
+    });
+    assert_rejected(
+        loaded,
+        &format!("raw layout's ctr_mem_util index {n} is beyond the raw width {n}"),
     );
 }
 
