@@ -14,10 +14,10 @@
 //! Fleets are paper-shaped: groups of 20 nodes, each hosting two
 //! 10-service applications with 10 instances per service spread
 //! round-robin over the group. Half the applications are
-//! driven by synthesized cluster traces (sparse change points), half by
-//! stepped profiles, both with long constant stretches so the
-//! fixed-point container cache has something to cache — and abrupt
-//! steps so it keeps getting invalidated.
+//! driven by synthesized cluster traces (a new rate every 10 minutes),
+//! half by stepped profiles. The event path samples every profile each
+//! second; the long constant stretches give the fixed-point container
+//! cache something to cache, and the abrupt steps keep invalidating it.
 //!
 //! Measurements interleave the two paths tick by tick (best-of-3
 //! reps) against twin clusters built from the same seed, so a noise
@@ -106,9 +106,9 @@ fn build_fleet(n_nodes: usize, seed: u64) -> (Cluster, Vec<AppId>) {
     (cluster, apps)
 }
 
-/// Per-app workloads: alternating synthesized cluster traces (sparse
-/// change points, trace-driven arrivals) and stepped profiles. Both
-/// hold each level long enough for the fixed-point cache to engage.
+/// Per-app workloads: alternating synthesized cluster traces
+/// (trace-driven arrivals) and stepped profiles. Both hold each level
+/// long enough for the fixed-point cache to engage.
 fn workloads(apps: &[AppId], seed: u64) -> Vec<Box<dyn LoadProfile>> {
     apps.iter()
         .enumerate()

@@ -51,7 +51,7 @@ use crate::Error;
 pub struct BakeoffOptions {
     /// SLO response-time limit, milliseconds (paper: 750).
     pub slo_ms: f64,
-    /// Nodes instances spread over (round-robin).
+    /// Nodes instances spread over (round-robin); 0 runs as 1.
     pub nodes: usize,
     /// CPU milliseconds per request of the scaled service — 20 ms at a
     /// 2-core limit gives the calibrated ~100 req/s per instance.
@@ -146,9 +146,9 @@ pub fn run_cell(
     opts: &BakeoffOptions,
 ) -> Result<CellOutcome, Error> {
     backend.reset();
-    let specs: Vec<NodeSpec> = (0..opts.nodes.max(1))
-        .map(|_| NodeSpec::training_server())
-        .collect();
+    // At least one node, and the scale-out placement cycles over the same count.
+    let nodes = opts.nodes.max(1);
+    let specs: Vec<NodeSpec> = (0..nodes).map(|_| NodeSpec::training_server()).collect();
     let mut cluster = Cluster::new(specs, opts.seed);
     let app = cluster.add_app("bakeoff");
     cluster.add_service(
@@ -268,7 +268,7 @@ pub fn run_cell(
         if desired > total {
             let n = desired - total;
             for _ in 0..n {
-                let node = NodeId((placements % opts.nodes as u64) as u32);
+                let node = NodeId((placements % nodes as u64) as u32);
                 placements += 1;
                 sim.schedule_scale_out_cold(now, scenario.cold_start_s, app, "web", node);
             }

@@ -567,6 +567,29 @@ pub struct FittedPipeline {
     serving: Serving,
 }
 
+/// Checks `reduction` against its `input` stage's `width`: a selected
+/// column beyond it, or a PCA fitted on a different width.
+fn check_reduction_input(
+    reduction: &FittedReduction,
+    stage: &str,
+    input: &str,
+    width: usize,
+) -> Result<(), String> {
+    match reduction {
+        FittedReduction::Select(idx) => match idx.iter().find(|&&c| c >= width) {
+            Some(c) => {
+                Err(format!("{stage} selects {input} column {c}, beyond the {input} width {width}"))
+            }
+            None => Ok(()),
+        },
+        FittedReduction::Pca(p) if p.n_features() != width => Err(format!(
+            "{stage} PCA was fitted on {} columns, the {input} width is {width}",
+            p.n_features()
+        )),
+        FittedReduction::None | FittedReduction::Pca(_) => Ok(()),
+    }
+}
+
 impl FittedPipeline {
     /// Checks the fitted parameters against each other and rebuilds the
     /// derived serving state from them.
@@ -643,11 +666,13 @@ impl FittedPipeline {
     /// The message naming the first mismatch: a raw layout without one
     /// kind per name or with a utilization index beyond the raw width;
     /// scaler statistics not the base width; a `reduce1` selection
-    /// beyond the base width; `names_c` not `reduce1`'s output width; a
-    /// time expander not that wide; a product pair beyond it; a
-    /// `reduce2` selection beyond the stage-D width; a `keep` index
-    /// beyond `reduce2`'s output width; or `names` not one per `keep`
-    /// index.
+    /// beyond the base width, or a `reduce1` PCA not fitted on it;
+    /// `names_c` not `reduce1`'s output width; a time expander not that
+    /// wide; a product pair beyond it; a `reduce2` selection beyond the
+    /// stage-D width, or a `reduce2` PCA not fitted on it; a `keep`
+    /// index beyond `reduce2`'s output width; or `names` not one per
+    /// `keep` index. (A PCA without components, or with a component
+    /// not as long as its mean, already fails in its own decode.)
     fn check_parameters(&self) -> Result<(), String> {
         self.expander.layout().check()?;
         let base_len = self.expander.len();
@@ -660,13 +685,7 @@ impl FittedPipeline {
                 ));
             }
         }
-        if let FittedReduction::Select(idx) = &self.reduce1 {
-            if let Some(&b) = idx.iter().find(|&&b| b >= base_len) {
-                return Err(format!(
-                    "reduce1 selects base column {b}, beyond the base width {base_len}"
-                ));
-            }
-        }
+        check_reduction_input(&self.reduce1, "reduce1", "base", base_len)?;
         let rw = self.names_c.len();
         let c_width = self.reduce1.output_width(base_len);
         if rw != c_width {
@@ -686,13 +705,7 @@ impl FittedPipeline {
             ));
         }
         let d_width = self.time_width() + self.pairs.len();
-        if let FittedReduction::Select(idx) = &self.reduce2 {
-            if let Some(&j) = idx.iter().find(|&&j| j >= d_width) {
-                return Err(format!(
-                    "reduce2 selects stage-D column {j}, beyond the stage-D width {d_width}"
-                ));
-            }
-        }
+        check_reduction_input(&self.reduce2, "reduce2", "stage-D", d_width)?;
         let e_width = self.reduce2.output_width(d_width);
         if let Some(&k) = self.keep.iter().find(|&&k| k >= e_width) {
             return Err(format!("keep index {k} is out of range for {e_width} reduce2 outputs"));
@@ -1246,6 +1259,7 @@ mod tests {
     use super::*;
     use monitorless_metrics::catalog::Catalog;
     use monitorless_metrics::signals::{ContainerSignals, HostSignals};
+    use monitorless_std::json::{FromJson, Json, ToJson};
 
     /// Builds a toy labeled run: container CPU utilization ramps up and
     /// the label is "cpu util > 0.85".
@@ -1453,29 +1467,122 @@ mod tests {
         );
     }
 
+    /// A toy pipeline with PCA in both reductions, and its output,
+    /// fitted once for all the tests that read it.
+    fn pca_pipeline() -> &'static (FittedPipeline, Matrix) {
+        static FITTED: std::sync::OnceLock<(FittedPipeline, Matrix)> = std::sync::OnceLock::new();
+        FITTED.get_or_init(|| {
+            let (x, y, groups) = toy_raw(30, 11);
+            let config = PipelineConfig {
+                normalize: true,
+                reduce1: Reduction::Pca {
+                    variance: 0.999,
+                    max_components: 10,
+                },
+                time_features: true,
+                products: true,
+                reduce2: Reduction::Pca {
+                    variance: 0.999,
+                    max_components: 8,
+                },
+                seed: 0,
+                n_jobs: 2,
+            };
+            FeaturePipeline::new(config)
+                .fit_transform(&x, &y, &groups, layout())
+                .unwrap()
+        })
+    }
+
     #[test]
     fn pca_pipeline_also_works() {
-        let (x, y, groups) = toy_raw(30, 11);
-        let config = PipelineConfig {
-            normalize: true,
-            reduce1: Reduction::Pca {
-                variance: 0.999,
-                max_components: 10,
-            },
-            time_features: true,
-            products: true,
-            reduce2: Reduction::Pca {
-                variance: 0.999,
-                max_components: 8,
-            },
-            seed: 0,
-            n_jobs: 2,
-        };
-        let (fitted, xt) = FeaturePipeline::new(config)
-            .fit_transform(&x, &y, &groups, layout())
-            .unwrap();
+        let (fitted, xt) = pca_pipeline();
         assert!(xt.cols() <= 8);
         assert!(fitted.feature_names().iter().all(|n| n.starts_with("PC")));
+    }
+
+    /// The member `key` of a JSON object.
+    fn member<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(members) = json else {
+            panic!("expected an object holding {key}")
+        };
+        let (_, value) = members.iter_mut().find(|(k, _)| k == key).unwrap();
+        value
+    }
+
+    /// The elements of a JSON array.
+    fn elements(json: &mut Json) -> &mut Vec<Json> {
+        let Json::Arr(items) = json else {
+            panic!("expected an array")
+        };
+        items
+    }
+
+    /// Applies `edit` to the PCA body of the saved pipeline's
+    /// `reduction` (`"reduce1"` or `"reduce2"`) and asserts that
+    /// decoding fails with a message ending in `want`.
+    fn assert_edited_pca_rejected(reduction: &str, edit: impl FnOnce(&mut Json), want: &str) {
+        let mut json = pca_pipeline().0.to_json();
+        edit(member(member(&mut json, reduction), "Pca"));
+        match FittedPipeline::from_json(&json) {
+            Err(JsonError(msg)) => assert!(msg.ends_with(want), "{want}: got {msg}"),
+            Ok(_) => panic!("{want}: the edited {reduction} PCA decoded"),
+        }
+    }
+
+    /// Drops the last input column from a PCA body: its mean and every
+    /// component lose their last entry, which keeps the PCA itself
+    /// consistent but fitted on a width one too narrow.
+    fn narrow_pca(pca: &mut Json) {
+        elements(member(pca, "mean")).pop();
+        for comp in elements(member(pca, "components")) {
+            elements(comp).pop();
+        }
+    }
+
+    #[test]
+    fn pca_without_components_fails_to_decode() {
+        assert_edited_pca_rejected(
+            "reduce2",
+            |pca| elements(member(pca, "components")).clear(),
+            "PCA has no components",
+        );
+    }
+
+    #[test]
+    fn pca_component_not_the_mean_width_fails_to_decode() {
+        let base = pca_pipeline().0.expander.len();
+        assert_edited_pca_rejected(
+            "reduce1",
+            |pca| {
+                elements(&mut elements(member(pca, "components"))[0]).pop();
+            },
+            &format!("PCA component 0 has {} entries, the mean has {base}", base - 1),
+        );
+    }
+
+    #[test]
+    fn reduce1_pca_not_fitted_on_the_base_width_fails_to_decode() {
+        let base = pca_pipeline().0.expander.len();
+        assert_edited_pca_rejected(
+            "reduce1",
+            narrow_pca,
+            &format!("reduce1 PCA was fitted on {} columns, the base width is {base}", base - 1),
+        );
+    }
+
+    #[test]
+    fn reduce2_pca_not_fitted_on_the_stage_d_width_fails_to_decode() {
+        let fitted = &pca_pipeline().0;
+        let d_width = fitted.time_width() + fitted.pairs.len();
+        assert_edited_pca_rejected(
+            "reduce2",
+            narrow_pca,
+            &format!(
+                "reduce2 PCA was fitted on {} columns, the stage-D width is {d_width}",
+                d_width - 1
+            ),
+        );
     }
 
     #[test]

@@ -59,6 +59,11 @@ impl Pca {
         self.components.len()
     }
 
+    /// Input width the PCA was fitted on (0 before fitting).
+    pub fn n_features(&self) -> usize {
+        self.mean.len()
+    }
+
     /// Per-component explained variance ratios (descending).
     pub fn explained_variance_ratio(&self) -> Vec<f64> {
         if self.total_variance <= 0.0 {
@@ -396,13 +401,49 @@ fn jacobi_eigen(a: &mut [f64], d: usize) -> Result<(Vec<f64>, Vec<f64>), Error> 
     Err(Error::NoConvergence("jacobi eigensolver exceeded sweep limit".into()))
 }
 
-monitorless_std::json_struct!(Pca {
-    selection,
-    mean,
-    components,
-    explained_variance,
-    total_variance,
-});
+// Hand-written (rather than `json_struct!`) because only a fitted PCA
+// is ever saved: a decoded one must keep at least one component, each
+// as long as `mean`, or the model file fails to decode instead of every
+// projection failing or silently stopping its dot product short.
+impl monitorless_std::json::ToJson for Pca {
+    fn to_json(&self) -> monitorless_std::json::Json {
+        monitorless_std::json::Json::Obj(vec![
+            ("selection".into(), self.selection.to_json()),
+            ("mean".into(), self.mean.to_json()),
+            ("components".into(), self.components.to_json()),
+            ("explained_variance".into(), self.explained_variance.to_json()),
+            ("total_variance".into(), self.total_variance.to_json()),
+        ])
+    }
+}
+
+impl monitorless_std::json::FromJson for Pca {
+    fn from_json(
+        json: &monitorless_std::json::Json,
+    ) -> Result<Self, monitorless_std::json::JsonError> {
+        use monitorless_std::json::{field, JsonError};
+        let pca = Pca {
+            selection: field(json, "selection")?,
+            mean: field(json, "mean")?,
+            components: field(json, "components")?,
+            explained_variance: field(json, "explained_variance")?,
+            total_variance: field(json, "total_variance")?,
+        };
+        if pca.components.is_empty() {
+            return Err(JsonError("PCA has no components".into()));
+        }
+        let d = pca.mean.len();
+        for (k, c) in pca.components.iter().enumerate() {
+            if c.len() != d {
+                return Err(JsonError(format!(
+                    "PCA component {k} has {} entries, the mean has {d}",
+                    c.len()
+                )));
+            }
+        }
+        Ok(pca)
+    }
+}
 
 // `ComponentSelection` variants carry data, so they keep the externally
 // tagged encoding by hand.

@@ -420,6 +420,88 @@ mod tests {
         assert_eq!(seen, 400);
     }
 
+    /// Producer `p`'s record number `i` of a stress run, with every
+    /// payload field derived from its trace so a torn record shows.
+    fn stamped(p: u64, i: u64, per_producer: u64) -> JournalRecord {
+        let trace = p * per_producer + i;
+        JournalRecord {
+            trace,
+            t_us: i,
+            name: "test.stress",
+            fields: vec![("trace", trace as f64)],
+            labels: vec![("producer", p.to_string())],
+        }
+    }
+
+    #[test]
+    fn overwriting_producers_and_concurrent_consumers_account_for_every_record() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 5_000;
+        let ring = &Ring::new(64);
+        let producers_done = &AtomicUsize::new(0);
+        // Every thread starts at once, so producers and consumers overlap.
+        let start = &std::sync::Barrier::new(PRODUCERS as usize + 2);
+        let (evicted, consumed) = std::thread::scope(|s| {
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    s.spawn(move || {
+                        start.wait();
+                        let evicted: u64 = (0..PER_PRODUCER)
+                            .map(|i| ring.push_overwriting(stamped(p, i, PER_PRODUCER)))
+                            .sum();
+                        producers_done.fetch_add(1, Ordering::SeqCst);
+                        evicted
+                    })
+                })
+                .collect();
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(move || {
+                        // Stop with the producers: what is still queued
+                        // then is the final drain's.
+                        start.wait();
+                        let mut popped = Vec::new();
+                        while producers_done.load(Ordering::SeqCst) < PRODUCERS as usize {
+                            match ring.try_pop() {
+                                Some(rec) => popped.push(rec),
+                                None => std::thread::yield_now(),
+                            }
+                        }
+                        popped
+                    })
+                })
+                .collect();
+            let evicted: u64 = producers.into_iter().map(|h| h.join().unwrap()).sum();
+            let consumed: Vec<Vec<JournalRecord>> =
+                consumers.into_iter().map(|h| h.join().unwrap()).collect();
+            (evicted, consumed)
+        });
+        let drained: Vec<JournalRecord> = std::iter::from_fn(|| ring.try_pop()).collect();
+
+        let mut seen = std::collections::HashSet::new();
+        for batch in consumed.iter().chain([&drained]) {
+            let mut last: [Option<u64>; PRODUCERS as usize] = [None; PRODUCERS as usize];
+            for rec in batch {
+                let (p, i) = (rec.trace / PER_PRODUCER, rec.trace % PER_PRODUCER);
+                assert!(p < PRODUCERS, "trace {} from no producer", rec.trace);
+                assert_eq!(rec, &stamped(p, i, PER_PRODUCER), "torn record");
+                let prev = last[p as usize].replace(i);
+                assert!(
+                    prev.is_none_or(|prev| prev < i),
+                    "producer {p}: record {i} popped after {prev:?}"
+                );
+                assert!(seen.insert(rec.trace), "trace {} popped twice", rec.trace);
+            }
+        }
+        let popped: usize = consumed.iter().map(Vec::len).sum();
+        assert_eq!(
+            popped as u64 + drained.len() as u64 + evicted,
+            PRODUCERS * PER_PRODUCER,
+            "{popped} popped + {} drained + {evicted} evicted",
+            drained.len()
+        );
+    }
+
     #[test]
     fn jsonl_rendering_is_flat() {
         let r = JournalRecord {

@@ -1,23 +1,21 @@
 //! Event-driven simulation driver.
 //!
-//! [`EventSim`] wraps a [`Cluster`] and replaces the dense
-//! "recompute everything every second" loop with an event queue. The
-//! only work between events is what the cluster genuinely needs:
+//! [`EventSim`] wraps a [`Cluster`] and advances it one simulated second
+//! at a time:
 //!
-//! * **Load-profile change points** — each registered workload schedules
-//!   its next [`LoadProfile::next_change`] and is left alone in between.
-//!   Sparse profiles (constant, stepped, trace-driven) contribute a
-//!   handful of events per episode instead of one per second.
+//! * **Load** — every registered workload is sampled with
+//!   [`LoadProfile::intensity`] each second. An unchanged load costs
+//!   nothing: a settled container whose offered load is bitwise the same
+//!   is a fixed-point cache hit in the cluster.
 //! * **Monitoring samples** — the periodic 1 Hz (configurable) sample
 //!   boundary. These seconds produce full [`TickReport`]s, and the
 //!   stream of reports is bit-identical to calling
 //!   [`Cluster::step_dense_legacy`] every monitored second. Any second
-//!   between two samples runs as a state-only tick, in which a settled
-//!   container is a fixed-point cache hit and costs nothing.
-//! * **Autoscale actions** — scheduled scale-out/scale-in, applied to the
-//!   cluster when they fire.
+//!   between two samples runs as a state-only tick.
+//! * **Autoscale actions** — scheduled scale-out/scale-in events, applied
+//!   to the cluster when they fire.
 //!
-//! All events sit in one queue ordered by a deterministic `(time, seq)`
+//! Scale events sit in one queue ordered by a deterministic `(time, seq)`
 //! key, where `seq` is a globally increasing schedule counter — two runs
 //! with the same seed and the same schedule pop events in exactly the
 //! same order, on any worker count.
@@ -35,8 +33,6 @@ use monitorless_metrics::{InstanceId, NodeId};
 /// What happens when an event fires.
 #[derive(Debug, Clone, PartialEq)]
 enum EventKind {
-    /// Re-sample workload `idx` and reschedule its next change point.
-    LoadChange { workload: usize },
     /// Start an extra instance of `(app, service)` on `node`.
     ScaleOut {
         app: AppId,
@@ -82,14 +78,8 @@ impl Ord for Event {
 /// its own [`SimStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventStats {
-    /// Total events popped and applied.
+    /// Scale-out/in events popped and applied.
     pub events: u64,
-    /// Load change-point events applied.
-    pub load_changes: u64,
-    /// Scale-out/in events applied.
-    pub scale_actions: u64,
-    /// Monitoring samples produced (full report ticks).
-    pub monitor_samples: u64,
     /// Scale-outs scheduled with a non-zero cold start.
     pub cold_starts: u64,
 }
@@ -110,8 +100,9 @@ pub enum ScaleOutcome {
 #[derive(Debug)]
 pub struct EventSim {
     cluster: Cluster,
-    workloads: Vec<(AppId, Box<dyn LoadProfile>)>,
-    /// Current offered load per app, in workload registration order —
+    /// One load profile per registered workload, in registration order.
+    profiles: Vec<Box<dyn LoadProfile>>,
+    /// Current offered load per app, one entry per profile —
     /// exactly the slice a dense driver would pass to `step` each second.
     loads: Vec<(AppId, f64)>,
     /// Every pending event, smallest `(time, seq)` first.
@@ -134,7 +125,7 @@ impl EventSim {
     pub fn new(cluster: Cluster) -> Self {
         EventSim {
             cluster,
-            workloads: Vec::new(),
+            profiles: Vec::new(),
             loads: Vec::new(),
             queue: BinaryHeap::new(),
             seq: 0,
@@ -158,14 +149,11 @@ impl EventSim {
         self.cluster.set_n_jobs(n_jobs);
     }
 
-    /// Drives `app` with `profile`. The profile's first change point is
-    /// scheduled immediately (at the current simulation time).
+    /// Drives `app` with `profile`, sampled every simulated second from
+    /// the next tick on.
     pub fn add_workload(&mut self, app: AppId, profile: Box<dyn LoadProfile>) {
-        let idx = self.workloads.len();
-        self.workloads.push((app, profile));
+        self.profiles.push(profile);
         self.loads.push((app, 0.0));
-        let now = self.cluster.time();
-        self.push_event(now, EventKind::LoadChange { workload: idx });
     }
 
     /// Schedules a scale-out of `(app, service)` onto `node` at absolute
@@ -248,18 +236,7 @@ impl EventSim {
             let Reverse(ev) = self.queue.pop().expect("peeked event exists");
             self.stats.events += 1;
             match ev.kind {
-                EventKind::LoadChange { workload } => {
-                    self.stats.load_changes += 1;
-                    let (app, profile) = &self.workloads[workload];
-                    debug_assert_eq!(self.loads[workload].0, *app);
-                    self.loads[workload].1 = profile.intensity(now);
-                    if let Some(next) = profile.next_change(now) {
-                        debug_assert!(next > now, "change points must advance");
-                        self.push_event(next, EventKind::LoadChange { workload });
-                    }
-                }
                 EventKind::ScaleOut { app, service, node } => {
-                    self.stats.scale_actions += 1;
                     obs::counter_add("sim.event_scale", 1);
                     self.pending.retain(|(seq, _)| *seq != ev.seq);
                     let outcome = match self.cluster.scale_out(app, &service, node) {
@@ -272,7 +249,6 @@ impl EventSim {
                     instance,
                     allow_zero,
                 } => {
-                    self.stats.scale_actions += 1;
                     obs::counter_add("sim.event_scale", 1);
                     let removed = if allow_zero {
                         self.cluster.scale_in_to_zero(instance)
@@ -287,17 +263,20 @@ impl EventSim {
 
     /// Advances to the next monitoring sample and returns its report.
     ///
-    /// Every second in between runs as a state-only tick. The returned
-    /// report stream is bit-identical to a dense per-second driver
-    /// sampled at the same boundary.
+    /// Each second applies the scale events due, samples every workload
+    /// at that second, then ticks the cluster; every second before the
+    /// sample runs as a state-only tick. The returned report stream is
+    /// bit-identical to a dense per-second driver sampled at the same
+    /// boundary.
     pub fn step(&mut self) -> &TickReport {
         loop {
             let t = self.cluster.time();
             self.apply_due(t);
+            for ((_, load), profile) in self.loads.iter_mut().zip(&self.profiles) {
+                *load = profile.intensity(t);
+            }
             if t.is_multiple_of(self.monitor_every) {
                 self.cluster.step_into(&self.loads, &mut self.report);
-                self.stats.monitor_samples += 1;
-                obs::counter_add("sim.event_monitor_samples", 1);
                 return &self.report;
             }
             self.cluster.tick_state_only(&self.loads);
@@ -318,11 +297,6 @@ impl EventSim {
     /// Current simulation time in seconds.
     pub fn time(&self) -> u64 {
         self.cluster.time()
-    }
-
-    /// The current offered load per application (registration order).
-    pub fn loads(&self) -> &[(AppId, f64)] {
-        &self.loads
     }
 
     /// Event-loop counters.
@@ -349,11 +323,6 @@ impl EventSim {
     /// directly take effect at the next tick.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
-    }
-
-    /// Unwraps the cluster.
-    pub fn into_cluster(self) -> Cluster {
-        self.cluster
     }
 }
 
@@ -399,9 +368,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(sim.stats().monitor_samples, 120);
-        // Three steps → exactly three load-change events fired.
-        assert_eq!(sim.stats().load_changes, 3);
+        assert_eq!(sim.cluster_stats().ticks, 120);
     }
 
     #[test]
@@ -418,7 +385,6 @@ mod tests {
         assert_eq!(cs.ticks + cs.state_ticks, sim.time(), "{cs:?}");
         assert!(cs.container_evals < 1000, "{cs:?}");
         assert!(cs.cached_ticks > 8000, "{cs:?}");
-        assert_eq!(cs.ticks, sim.stats().monitor_samples);
     }
 
     #[test]

@@ -37,9 +37,10 @@
 //! contention factors, node-parallel evaluation);
 //! [`Cluster::step_dense_legacy`] is the original dense per-second loop,
 //! kept as the equivalence oracle. [`event::EventSim`] drives the
-//! cluster from one event queue — load change points, scheduled scale
-//! actions, monitoring samples — with a monitoring-boundary report
-//! stream that is bit-identical to the dense loop's.
+//! cluster one second at a time — it samples every workload's load,
+//! applies the scheduled scale actions due from its event queue and
+//! emits a report at each monitoring sample — with a report stream that
+//! is bit-identical to the dense loop's.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -15,21 +15,6 @@ pub trait LoadProfile: std::fmt::Debug + Send + Sync {
     /// Length of the profile in seconds.
     fn duration(&self) -> u64;
 
-    /// The next second after `t` at which the intensity *may* change, or
-    /// `None` if the profile is constant for all seconds after `t`.
-    ///
-    /// This is the change-point feed for event-driven simulation: an
-    /// event queue schedules one load-change event per returned time and
-    /// skips the seconds in between. Implementations must be
-    /// **conservative** — returning an earlier time than the real change
-    /// (or a time where the value turns out unchanged) only costs a
-    /// spurious event, but skipping past a real change would desynchronize
-    /// the simulation. The default assumes the profile may change every
-    /// second, which is always sound.
-    fn next_change(&self, t: u64) -> Option<u64> {
-        Some(t + 1)
-    }
-
     /// Samples the whole profile as one value per second.
     fn series(&self) -> Vec<f64>
     where
@@ -45,9 +30,6 @@ impl<P: LoadProfile + ?Sized> LoadProfile for Arc<P> {
     }
     fn duration(&self) -> u64 {
         (**self).duration()
-    }
-    fn next_change(&self, t: u64) -> Option<u64> {
-        (**self).next_change(t)
     }
 }
 
@@ -168,10 +150,6 @@ impl LoadProfile for ConstantProfile {
     fn duration(&self) -> u64 {
         self.duration
     }
-
-    fn next_change(&self, _t: u64) -> Option<u64> {
-        None
-    }
 }
 
 /// Several constant target levels applied back to back — how the paper
@@ -226,15 +204,6 @@ impl LoadProfile for SteppedProfile {
     fn duration(&self) -> u64 {
         self.levels.len() as u64 * self.step_duration
     }
-
-    fn next_change(&self, t: u64) -> Option<u64> {
-        let idx = (t / self.step_duration) as usize;
-        if idx + 1 >= self.levels.len() {
-            None // holding the last level forever
-        } else {
-            Some((idx as u64 + 1) * self.step_duration)
-        }
-    }
 }
 
 /// Linearly increasing load from `start` to `end` req/s — used for the
@@ -270,14 +239,6 @@ impl LoadProfile for RampProfile {
 
     fn duration(&self) -> u64 {
         self.duration
-    }
-
-    fn next_change(&self, t: u64) -> Option<u64> {
-        if t < self.duration {
-            Some(t + 1) // still ramping
-        } else {
-            None // clamped at `end` forever
-        }
     }
 }
 
@@ -327,16 +288,6 @@ impl LoadProfile for LocustProfile {
     fn duration(&self) -> u64 {
         self.hatch_time + self.hold_time
     }
-
-    fn next_change(&self, t: u64) -> Option<u64> {
-        if t < self.hatch_time {
-            Some(t + 1) // hatching: grows every second
-        } else if t < self.hatch_time + self.hold_time {
-            Some(self.hatch_time + self.hold_time) // holding: next change is the drop to zero
-        } else {
-            None // run is over
-        }
-    }
 }
 
 /// Delays a profile by `offset` seconds (zero before it starts).
@@ -364,16 +315,6 @@ impl<P: LoadProfile> LoadProfile for ShiftedProfile<P> {
 
     fn duration(&self) -> u64 {
         self.offset + self.base.duration()
-    }
-
-    fn next_change(&self, t: u64) -> Option<u64> {
-        if t < self.offset {
-            Some(self.offset) // quiet until the base starts
-        } else {
-            self.base
-                .next_change(t - self.offset)
-                .map(|n| n + self.offset)
-        }
     }
 }
 
@@ -408,10 +349,6 @@ impl LoadProfile for SumProfile {
 
     fn duration(&self) -> u64 {
         self.parts.iter().map(|p| p.duration()).max().unwrap_or(0)
-    }
-
-    fn next_change(&self, t: u64) -> Option<u64> {
-        self.parts.iter().filter_map(|p| p.next_change(t)).min()
     }
 }
 
@@ -591,75 +528,6 @@ mod tests {
         assert!(peak > 1.8 * mean, "peak {peak} vs mean {mean}");
         // Deterministic.
         assert_eq!(p.intensity(777), p.intensity(777));
-    }
-
-    /// Brute-force check of the `next_change` contract: walking the
-    /// profile only through its reported change points must reproduce the
-    /// per-second intensity series exactly (a skipped real change would
-    /// show up as a mismatch in the held value).
-    fn assert_next_change_sound(p: &dyn LoadProfile, horizon: u64) {
-        let mut t = 0;
-        let mut held = p.intensity(0);
-        let mut next = p.next_change(0);
-        for s in 0..horizon {
-            while t < s {
-                match next {
-                    Some(n) => {
-                        t = n.min(s);
-                        if t == n {
-                            held = p.intensity(n);
-                            next = p.next_change(n);
-                        }
-                    }
-                    None => t = s, // constant forever: hold
-                }
-            }
-            assert_eq!(
-                held.to_bits(),
-                p.intensity(s).to_bits(),
-                "next_change skipped a real change at t={s}"
-            );
-        }
-        if let Some(n) = p.next_change(0) {
-            assert!(n > 0, "next_change must advance time");
-        }
-    }
-
-    #[test]
-    fn next_change_is_conservative_for_all_profiles() {
-        let profiles: Vec<Box<dyn LoadProfile>> = vec![
-            Box::new(ConstantProfile::new(250.0, 60)),
-            Box::new(SteppedProfile::new(vec![10.0, 20.0, 30.0], 5)),
-            Box::new(SteppedProfile::range(100.0, 300.0, 3, 10)),
-            Box::new(RampProfile::new(0.0, 100.0, 100)),
-            Box::new(LocustProfile::new(700.0, 70, 30)),
-            Box::new(ShiftedProfile::new(ConstantProfile::new(10.0, 100), 50)),
-            Box::new(ShiftedProfile::new(LocustProfile::new(9.0, 8, 7), 13)),
-            Box::new(SumProfile::sockshop(0.2)),
-            Box::new(SineProfile::sin1000(300)),
-            Box::new(NoisyProfile::<SineProfile>::sinnoise1000(120, 3)),
-        ];
-        for p in &profiles {
-            assert_next_change_sound(p.as_ref(), p.duration() + 50);
-        }
-    }
-
-    #[test]
-    fn sparse_profiles_report_few_change_points() {
-        // Event-driven benefit: a stepped profile holding three levels
-        // reports exactly two interior change points, then goes quiet.
-        let p = SteppedProfile::new(vec![10.0, 20.0, 30.0], 100);
-        assert_eq!(p.next_change(0), Some(100));
-        assert_eq!(p.next_change(99), Some(100));
-        assert_eq!(p.next_change(100), Some(200));
-        assert_eq!(p.next_change(200), None);
-        assert_eq!(ConstantProfile::new(5.0, 1000).next_change(0), None);
-        let l = LocustProfile::new(700.0, 700, 300);
-        assert_eq!(l.next_change(700), Some(1000));
-        assert_eq!(l.next_change(1000), None);
-        let r = RampProfile::new(0.0, 1.0, 10);
-        assert_eq!(r.next_change(9), Some(10));
-        assert_eq!(r.next_change(10), None);
     }
 
     #[test]

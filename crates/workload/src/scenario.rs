@@ -234,35 +234,4 @@ mod tests {
             prev = r;
         }
     }
-
-    #[test]
-    fn next_change_contract_holds_for_scenario_profiles() {
-        // The event-driven sim relies on change points being
-        // conservative: no intensity change may happen strictly between
-        // t and the reported next change.
-        for sc in Scenario::pack(3, true) {
-            let p = &sc.profile;
-            let mut t = 0u64;
-            let mut guard = 0;
-            while t < sc.duration {
-                let next = match p.next_change(t) {
-                    Some(n) => n.min(sc.duration),
-                    None => break,
-                };
-                assert!(next > t, "{}: change point must advance", sc.name);
-                let base = p.intensity(t);
-                for u in t + 1..next {
-                    assert_eq!(
-                        p.intensity(u).to_bits(),
-                        base.to_bits(),
-                        "{}: unannounced change at {u} (window {t}..{next})",
-                        sc.name
-                    );
-                }
-                t = next;
-                guard += 1;
-                assert!(guard < 100_000, "{}: too many change points", sc.name);
-            }
-        }
-    }
 }

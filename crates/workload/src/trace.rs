@@ -5,8 +5,7 @@
 //! per-second signal: a usage row holds until the next row replaces it.
 //! [`TraceProfile`] replays such a series behind the [`LoadProfile`]
 //! trait, so traced workloads compose with the synthetic profiles and
-//! plug straight into the simulator's event queue — each trace row is one
-//! load-change event and nothing happens in between.
+//! drive the simulator like any other profile.
 //!
 //! # Trace format
 //!
@@ -29,8 +28,7 @@
 //! # Interpolation
 //!
 //! * [`TraceInterp::Step`] — the rate holds between rows. This matches
-//!   cluster-trace semantics and gives the event queue maximal skip: the
-//!   only change points are the rows themselves.
+//!   cluster-trace semantics: the rate only changes at the rows.
 //! * [`TraceInterp::Linear`] — the rate ramps linearly between rows,
 //!   changing every second until the last row.
 //!
@@ -40,8 +38,7 @@
 //! let trace = TraceProfile::parse("0 100\n60 300\n120 50\n", TraceInterp::Step).unwrap();
 //! assert_eq!(trace.intensity(59), 100.0);
 //! assert_eq!(trace.intensity(60), 300.0);
-//! assert_eq!(trace.next_change(0), Some(60)); // nothing moves until row 2
-//! assert_eq!(trace.next_change(120), None); // last row holds forever
+//! assert_eq!(trace.intensity(10_000), 50.0); // last row holds forever
 //! ```
 
 use std::fmt;
@@ -260,27 +257,6 @@ impl LoadProfile for TraceProfile {
     fn duration(&self) -> u64 {
         self.points.last().expect("non-empty").0 + 1
     }
-
-    fn next_change(&self, t: u64) -> Option<u64> {
-        let last = self.points.last().expect("non-empty").0;
-        match self.interp {
-            TraceInterp::Step => {
-                // Next row with a bitwise-different rate, if any.
-                let cur = self.intensity(t).to_bits();
-                self.points
-                    .iter()
-                    .find(|&&(pt, r)| pt > t && r.to_bits() != cur)
-                    .map(|&(pt, _)| pt)
-            }
-            TraceInterp::Linear => {
-                if t < last {
-                    Some(t + 1) // still ramping between rows
-                } else {
-                    None
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -342,48 +318,6 @@ mod tests {
         assert_eq!(p.intensity(15), 100.0);
         assert_eq!(p.intensity(20), 0.0);
         assert_eq!(p.intensity(99), 0.0);
-    }
-
-    #[test]
-    fn step_next_change_skips_straight_to_differing_rows() {
-        let p = TraceProfile::parse("0 100\n60 100\n120 50\n", TraceInterp::Step).unwrap();
-        // Row at 60 repeats the rate, so the first real change is 120.
-        assert_eq!(p.next_change(0), Some(120));
-        assert_eq!(p.next_change(119), Some(120));
-        assert_eq!(p.next_change(120), None);
-    }
-
-    #[test]
-    fn linear_next_change_goes_quiet_after_last_row() {
-        let p = TraceProfile::parse("0 1\n5 2\n", TraceInterp::Linear).unwrap();
-        assert_eq!(p.next_change(0), Some(1));
-        assert_eq!(p.next_change(4), Some(5));
-        assert_eq!(p.next_change(5), None);
-    }
-
-    #[test]
-    fn next_change_is_sound_for_both_interps() {
-        for interp in [TraceInterp::Step, TraceInterp::Linear] {
-            let p = TraceProfile::parse("3 10\n9 40\n15 40\n22 5\n", interp).unwrap();
-            let mut t = 0;
-            let mut held = p.intensity(0);
-            let mut next = p.next_change(0);
-            for s in 0..40 {
-                while t < s {
-                    match next {
-                        Some(n) => {
-                            t = n.min(s);
-                            if t == n {
-                                held = p.intensity(n);
-                                next = p.next_change(n);
-                            }
-                        }
-                        None => t = s,
-                    }
-                }
-                assert_eq!(held.to_bits(), p.intensity(s).to_bits(), "{interp:?} t={s}");
-            }
-        }
     }
 
     #[test]

@@ -91,3 +91,22 @@ fn scale_to_zero_reaches_zero_between_bursts_and_comes_back() {
     assert!(cell.cold_starts > 0, "restarting from zero pays cold starts");
     assert!(cell.zero_capacity_s > 0, "cold-start bursts necessarily hit zero-capacity seconds");
 }
+
+#[test]
+fn zero_nodes_run_as_one_node() {
+    let model = quick_model();
+    let scenario = Scenario::flash_crowd(11, true);
+    let one = BakeoffOptions {
+        nodes: 1,
+        ..BakeoffOptions::standard(11)
+    };
+    let zero = BakeoffOptions {
+        nodes: 0,
+        ..one.clone()
+    };
+
+    let cell = run_cell(&mut ReactiveThreshold::hpa_cpu(), &scenario, &model, &zero).unwrap();
+    assert!(cell.scale_outs > 0, "the flash crowd must place scale-outs");
+    let on_one = run_cell(&mut ReactiveThreshold::hpa_cpu(), &scenario, &model, &one).unwrap();
+    assert_eq!(cell, on_one);
+}

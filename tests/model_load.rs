@@ -15,14 +15,28 @@
 //! profile in the drift detector's first push.
 //! An under-long profile, a non-finite threshold or a leaf probability
 //! outside `[0, 1]` would load and silently serve wrong predictions.
+//!
+//! A property then makes one to three random structured edits to the
+//! same file — a value replaced, an array element removed or
+//! duplicated, an array cleared, an object member removed — and
+//! asserts that decoding never panics and that every model it accepts
+//! serves 40 ticks with probabilities in `[0, 1]`. It runs 64 cases
+//! unless `PROPTEST_CASES` sets another count.
 
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 
 use monitorless::drift::PROFILE_BINS;
 use monitorless::model::{ModelOptions, MonitorlessModel};
+use monitorless::orchestrator::Orchestrator;
 use monitorless::training::{generate_training_data, TrainingOptions};
 use monitorless::Error;
+use monitorless_metrics::catalog::Catalog;
+use monitorless_metrics::signals::{ContainerSignals, HostSignals};
+use monitorless_metrics::{InstanceId, NodeId, Observation};
 use monitorless_std::json::Json;
+use proptest::collection::vec;
+use proptest::prelude::*;
 
 /// The saved JSON of one quick model, trained once for the whole file.
 fn saved_json() -> &'static str {
@@ -423,4 +437,179 @@ fn names_not_one_per_keep_index_fail_to_load() {
         elements(pipeline(json, "names")).pop();
     });
     assert_rejected(loaded, &format!("names has {} entries, keep has {width}", width - 1));
+}
+
+/// Where an edit may land, drawn evenly: each member of the feature
+/// pipeline, the forest's parameters, its first tree, the threshold and
+/// the drift profile, as a member path from the model's root.
+const EDIT_TARGETS: &[&[&str]] = &[
+    &["pipeline", "config"],
+    &["pipeline", "expander"],
+    &["pipeline", "scaler"],
+    &["pipeline", "reduce1"],
+    &["pipeline", "time"],
+    &["pipeline", "pairs"],
+    &["pipeline", "names_c"],
+    &["pipeline", "reduce2"],
+    &["pipeline", "keep"],
+    &["pipeline", "names"],
+    &["forest", "params"],
+    &["forest", "trees", "0"],
+    &["threshold"],
+    &["drift"],
+];
+
+/// The node at `path` below `json`: member names for objects, element
+/// indices for arrays.
+fn at_path<'a, S: AsRef<str>>(mut json: &'a mut Json, path: &[S]) -> &'a mut Json {
+    for step in path {
+        let step = step.as_ref();
+        json = match json {
+            Json::Arr(items) => &mut items[step.parse::<usize>().expect("an element index")],
+            other => member(other, step),
+        };
+    }
+    json
+}
+
+/// Paths, relative to `json`, of every node below it (itself included)
+/// that `keep` accepts, in document order.
+fn node_paths(json: &Json, keep: fn(&Json) -> bool) -> Vec<Vec<String>> {
+    fn walk(
+        json: &Json,
+        path: &mut Vec<String>,
+        keep: fn(&Json) -> bool,
+        out: &mut Vec<Vec<String>>,
+    ) {
+        if keep(json) {
+            out.push(path.clone());
+        }
+        let children: Vec<(String, &Json)> = match json {
+            Json::Arr(items) => items
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (i.to_string(), v))
+                .collect(),
+            Json::Obj(members) => members.iter().map(|(k, v)| (k.clone(), v)).collect(),
+            _ => Vec::new(),
+        };
+        for (step, child) in children {
+            path.push(step);
+            walk(child, path, keep, out);
+            path.pop();
+        }
+    }
+    let mut out = Vec::new();
+    walk(json, &mut Vec::new(), keep, &mut out);
+    out
+}
+
+/// Applies one structured edit `(target, pick, op, variant, number)` to
+/// the model JSON. `target` indexes [`EDIT_TARGETS`]; `pick` chooses
+/// the node below it and, for array and object edits, the element or
+/// member. `op` 0 replaces a number (`variant` picks `"NaN"`,
+/// `"-Infinity"`, -1, 1e300 or `number`); `op` 1 removes, duplicates
+/// (`variant` 0, 1) or clears (2–4) an array's elements; `op` 2 removes
+/// an object member. An edit finding no node of its kind below the
+/// target replaces the target's value instead.
+fn apply_edit(json: &mut Json, (target, pick, op, variant, number): (usize, usize, u8, u8, f64)) {
+    let root = at_path(json, EDIT_TARGETS[target]);
+    let keep: fn(&Json) -> bool = match op {
+        1 => |j| matches!(j, Json::Arr(_)),
+        2 => |j| matches!(j, Json::Obj(_)),
+        _ => |j| matches!(j, Json::Int(_) | Json::Num(_)),
+    };
+    let paths = node_paths(root, keep);
+    let (op, paths) = if paths.is_empty() {
+        (0, vec![Vec::new()])
+    } else {
+        (op, paths)
+    };
+    let node = at_path(root, &paths[pick % paths.len()]);
+    let at = pick / paths.len();
+    match (op, node) {
+        (1, Json::Arr(items)) if variant >= 2 => items.clear(),
+        (1, Json::Arr(items)) if !items.is_empty() => {
+            let i = at % items.len();
+            if variant == 0 {
+                items.remove(i);
+            } else {
+                items.insert(i, items[i].clone());
+            }
+        }
+        (2, Json::Obj(members)) if !members.is_empty() => {
+            members.remove(at % members.len());
+        }
+        (1 | 2, _) => {} // an empty array or object
+        (_, node) => {
+            *node = match variant {
+                0 => Json::Str("NaN".into()),
+                1 => Json::Str("-Infinity".into()),
+                2 => Json::Int(-1),
+                3 => Json::Num(1e300),
+                _ => Json::Num(number),
+            }
+        }
+    }
+}
+
+/// One node's observation at second `t`: a single instance whose
+/// catalog-width metrics ramp up over the 40 served ticks.
+fn observation(t: u64) -> Observation {
+    let catalog = Catalog::standard();
+    let util = t as f64 / 40.0;
+    let host = HostSignals {
+        cpu_util: 0.9 * util,
+        tcp_estab: 50.0 + 100.0 * util,
+        ..HostSignals::default()
+    };
+    let ctr = ContainerSignals {
+        cpu_util: util,
+        mem_util: 0.4,
+        ..ContainerSignals::default()
+    };
+    Observation {
+        node: NodeId(0),
+        time: t,
+        host: catalog.expand_host(&host, t, 1),
+        containers: vec![(InstanceId(0), catalog.expand_container(&ctr, t, 2))],
+    }
+}
+
+/// Decodes `text` as a model and, when it is accepted, serves 40 ticks
+/// with it. `Err` names the first tick that errors or yields a
+/// probability outside `[0, 1]`.
+fn decode_and_serve(text: &str) -> Result<(), String> {
+    let Ok(model) = monitorless_std::json::from_str::<MonitorlessModel>(text) else {
+        return Ok(());
+    };
+    let mut orchestrator = Orchestrator::new(Arc::new(model));
+    for t in 0..40 {
+        let predictions = orchestrator
+            .step(&[observation(t)])
+            .map_err(|e| format!("tick {t}: {e}"))?;
+        if let Some(p) = predictions
+            .iter()
+            .find(|p| !(0.0..=1.0).contains(&p.probability))
+        {
+            return Err(format!("tick {t}: probability {}", p.probability));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn edited_models_fail_to_load_or_serve_valid_probabilities(
+        edits in vec((0usize..EDIT_TARGETS.len(), 0usize..usize::MAX, 0u8..3, 0u8..5, -1e6f64..1e6), 1..4),
+    ) {
+        let mut json = Json::parse(saved_json()).unwrap();
+        for &edit in &edits {
+            apply_edit(&mut json, edit);
+        }
+        let text = monitorless_std::json::to_string(&json);
+        let outcome = catch_unwind(AssertUnwindSafe(|| decode_and_serve(&text)))
+            .unwrap_or_else(|_| Err("panicked".into()));
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
 }

@@ -348,5 +348,4 @@ fn settled_stretches_are_skipped_not_simulated() {
     // from the cache.
     assert!(cs.cached_ticks > 5000, "{cs:?}");
     assert_eq!(cs.container_evals + cs.cached_ticks, 7201, "{cs:?}");
-    assert_eq!(sim.stats().load_changes, 2);
 }
