@@ -11,7 +11,10 @@
 //!   end with a counter/histogram snapshot on stderr and a copy under
 //!   `target/telemetry-<binary>.txt`;
 //! * `--trace <off|ring|jsonl>` — the causal journal's trace mode (also
-//!   via the `MONITORLESS_TRACE` env var; the flag wins).
+//!   via the `MONITORLESS_TRACE` env var; the flag wins). In `ring` mode
+//!   the binary ends by draining the journal's newest records (up to
+//!   [`obs::journal::JOURNAL_CAPACITY`]) into
+//!   `target/audit-<binary>.jsonl`, one JSON record per line.
 //!
 //! The eight perf-gate binaries also take `--check <path>` and
 //! `--out <path>`; [`harness`] documents how those two combine. A
@@ -252,16 +255,24 @@ pub fn trained_model(scale: &Scale) -> Arc<MonitorlessModel> {
 
 /// Writes the experiment's telemetry summary: the final counter/histogram
 /// snapshot goes to stderr and to `target/telemetry-<name>.txt` next to
-/// the cached models. No-op when telemetry is disabled.
+/// the cached models, and in `--trace ring` mode the journal's records
+/// are drained into `target/audit-<name>.jsonl`. No-op when telemetry
+/// and tracing are both off.
 pub fn telemetry_report(name: &str) {
-    if !obs::enabled() {
-        return;
+    if obs::enabled() {
+        obs::report_to_stderr();
+        let path = std::path::PathBuf::from(format!("target/telemetry-{name}.txt"));
+        match obs::write_report(&path) {
+            Ok(()) => obs::progress(&format!("telemetry snapshot written to {}", path.display())),
+            Err(e) => obs::progress(&format!("telemetry snapshot not written: {e}")),
+        }
     }
-    obs::report_to_stderr();
-    let path = std::path::PathBuf::from(format!("target/telemetry-{name}.txt"));
-    match obs::write_report(&path) {
-        Ok(()) => obs::progress(&format!("telemetry snapshot written to {}", path.display())),
-        Err(e) => obs::progress(&format!("telemetry snapshot not written: {e}")),
+    if obs::trace_mode() == obs::TraceMode::Ring {
+        let path = std::path::PathBuf::from(format!("target/audit-{name}.jsonl"));
+        match obs::write_audit(&path) {
+            Ok(()) => obs::progress(&format!("audit trail written to {}", path.display())),
+            Err(e) => obs::progress(&format!("audit trail not written: {e}")),
+        }
     }
 }
 

@@ -38,7 +38,7 @@
 //!   allocation (`table_obs` asserts this).
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use monitorless_metrics::{InstanceId, Observation};
 use monitorless_obs as obs;
@@ -507,112 +507,6 @@ impl Orchestrator {
     }
 }
 
-/// A monitoring-pipeline handle: per-node agents (producer threads) send
-/// observations over a bounded channel; a dedicated orchestrator thread
-/// transforms, predicts and publishes per-second prediction batches —
-/// the deployment shape of the paper's Figure 1, where agents on every
-/// node feed one central orchestrator.
-#[derive(Debug)]
-pub struct StreamingOrchestrator {
-    observation_tx: mpsc::SyncSender<Observation>,
-    prediction_rx: mpsc::Receiver<TickPredictions>,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
-
-/// One second's worth of predictions published by the streaming
-/// orchestrator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TickPredictions {
-    /// The second these observations belong to.
-    pub time: u64,
-    /// Per-instance predictions across all nodes that reported.
-    pub predictions: Vec<InstancePrediction>,
-}
-
-impl StreamingOrchestrator {
-    /// Spawns the orchestrator thread. `nodes` is the number of agents
-    /// expected to report each second: a tick's predictions are published
-    /// once observations for that second have arrived from every node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn spawn(model: Arc<MonitorlessModel>, nodes: usize) -> Self {
-        assert!(nodes > 0, "at least one node must report");
-        let (observation_tx, observation_rx) = mpsc::sync_channel::<Observation>(nodes * 4);
-        let (prediction_tx, prediction_rx) = mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let mut orchestrator = Orchestrator::new(model);
-            let mut pending: HashMap<u64, Vec<Observation>> = HashMap::new();
-            while let Ok(obs) = observation_rx.recv() {
-                let t = obs.time;
-                let batch = pending.entry(t).or_default();
-                batch.push(obs);
-                if batch.len() == nodes {
-                    let batch = pending.remove(&t).expect("inserted above");
-                    match orchestrator.step(&batch) {
-                        Ok(predictions) => {
-                            if prediction_tx
-                                .send(TickPredictions {
-                                    time: t,
-                                    predictions: predictions.to_vec(),
-                                })
-                                .is_err()
-                            {
-                                break; // receiver dropped
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-        });
-        StreamingOrchestrator {
-            observation_tx,
-            prediction_rx,
-            worker: Some(worker),
-        }
-    }
-
-    /// Channel on which node agents submit observations.
-    pub fn observations(&self) -> &mpsc::SyncSender<Observation> {
-        &self.observation_tx
-    }
-
-    /// Channel delivering completed prediction ticks.
-    pub fn predictions(&self) -> &mpsc::Receiver<TickPredictions> {
-        &self.prediction_rx
-    }
-
-    /// Closes the observation channel and joins the worker thread,
-    /// returning any prediction ticks still queued.
-    pub fn shutdown(mut self) -> Vec<TickPredictions> {
-        // Replace (and thereby drop) our sender so the worker drains and
-        // exits, then join it before collecting the queued ticks.
-        let (dead_tx, _) = mpsc::sync_channel(1);
-        let _ = std::mem::replace(&mut self.observation_tx, dead_tx);
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-        let mut rest = Vec::new();
-        while let Ok(tick) = self.prediction_rx.try_recv() {
-            rest.push(tick);
-        }
-        rest
-    }
-}
-
-impl Drop for StreamingOrchestrator {
-    fn drop(&mut self) {
-        // Close our sender so the worker exits once all clones are gone;
-        // the handle is detached rather than joined (C-DTOR-BLOCK) — use
-        // [`StreamingOrchestrator::shutdown`] for a clean teardown.
-        let (dead_tx, _) = mpsc::sync_channel(1);
-        let _ = std::mem::replace(&mut self.observation_tx, dead_tx);
-        drop(self.worker.take());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,56 +584,6 @@ mod tests {
                 assert_eq!(x.probability.to_bits(), y.probability.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn streaming_orchestrator_collates_nodes_per_tick() {
-        let model = trained_model();
-        // Two nodes, two services.
-        let mut cluster = Cluster::new(vec![NodeSpec::m1(), NodeSpec::m2()], 19);
-        let app = cluster.add_app("dist");
-        for (name, node) in [("front", NodeId(0)), ("back", NodeId(1))] {
-            cluster.add_service(
-                app,
-                monitorless_sim::ServiceRole {
-                    name: name.into(),
-                    profile: ServiceProfile::test_cpu_bound(name, 10.0),
-                    fanout: 1.0,
-                    limits: ContainerLimits::cpu(1.0),
-                },
-                node,
-            );
-        }
-        let streaming = StreamingOrchestrator::spawn(model, 2);
-        for _ in 0..5 {
-            let report = cluster.step(&[(app, 20.0)]);
-            for obs in report.observations {
-                streaming.observations().send(obs).unwrap();
-            }
-        }
-        let mut ticks = Vec::new();
-        for _ in 0..5 {
-            ticks.push(
-                streaming
-                    .predictions()
-                    .recv_timeout(std::time::Duration::from_secs(30))
-                    .unwrap(),
-            );
-        }
-        // Ticks arrive in order with predictions from both nodes.
-        for (i, tick) in ticks.iter().enumerate() {
-            assert_eq!(tick.time, i as u64);
-            assert_eq!(tick.predictions.len(), 2);
-        }
-        let rest = streaming.shutdown();
-        assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn streaming_orchestrator_drop_does_not_block() {
-        let model = trained_model();
-        let streaming = StreamingOrchestrator::spawn(model, 1);
-        drop(streaming); // must return promptly without panicking
     }
 
     #[test]

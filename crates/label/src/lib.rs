@@ -21,6 +21,7 @@
 //! assert!((knee.x - 50.0).abs() < 5.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -354,24 +354,6 @@ impl Classifier for AdaBoost {
     }
 }
 
-monitorless_std::json_enum!(BoostAlgorithm { Samme, SammeR });
-monitorless_std::json_struct!(AdaBoostParams {
-    n_estimators,
-    algorithm,
-    criterion,
-    splitter,
-    min_samples_split,
-    max_depth,
-    learning_rate,
-    seed,
-});
-monitorless_std::json_struct!(Stage { tree, alpha });
-monitorless_std::json_struct!(AdaBoost {
-    params,
-    stages,
-    n_features,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,18 +462,5 @@ mod tests {
         ab.fit(&x, &y, Some(&[0.1, 10.0, 10.0, 0.1])).unwrap();
         let p = ab.predict_proba(&x);
         assert!(p[1] > 0.5 || p[2] < 0.5);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_predictions() {
-        let (x, y) = stripes();
-        let mut ab = AdaBoost::new(AdaBoostParams {
-            n_estimators: 10,
-            ..AdaBoostParams::default()
-        });
-        ab.fit(&x, &y, None).unwrap();
-        let json = monitorless_std::json::to_string(&ab);
-        let back: AdaBoost = monitorless_std::json::from_str(&json).unwrap();
-        assert_eq!(back.predict_proba(&x), ab.predict_proba(&x));
     }
 }

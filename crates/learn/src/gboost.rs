@@ -396,72 +396,6 @@ impl Classifier for GradientBoosting {
     }
 }
 
-monitorless_std::json_struct!(GradientBoostingParams {
-    n_rounds,
-    max_depth,
-    min_child_weight,
-    gamma,
-    lambda,
-    learning_rate,
-});
-monitorless_std::json_struct!(RegTree { nodes });
-monitorless_std::json_struct!(GradientBoosting {
-    params,
-    trees,
-    base_score,
-    n_features,
-});
-
-// `RegNode` variants carry data, so they keep the externally tagged
-// encoding by hand.
-impl monitorless_std::json::ToJson for RegNode {
-    fn to_json(&self) -> monitorless_std::json::Json {
-        use monitorless_std::json::Json;
-        match self {
-            RegNode::Leaf { value } => {
-                Json::Obj(vec![("Leaf".into(), Json::Obj(vec![("value".into(), value.to_json())]))])
-            }
-            RegNode::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => Json::Obj(vec![(
-                "Split".into(),
-                Json::Obj(vec![
-                    ("feature".into(), feature.to_json()),
-                    ("threshold".into(), threshold.to_json()),
-                    ("left".into(), left.to_json()),
-                    ("right".into(), right.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl monitorless_std::json::FromJson for RegNode {
-    fn from_json(
-        json: &monitorless_std::json::Json,
-    ) -> Result<Self, monitorless_std::json::JsonError> {
-        use monitorless_std::json::{field, Json, JsonError};
-        match json {
-            Json::Obj(members) => match members.first().map(|(k, v)| (k.as_str(), v)) {
-                Some(("Leaf", body)) => Ok(RegNode::Leaf {
-                    value: field(body, "value")?,
-                }),
-                Some(("Split", body)) => Ok(RegNode::Split {
-                    feature: field(body, "feature")?,
-                    threshold: field(body, "threshold")?,
-                    left: field(body, "left")?,
-                    right: field(body, "right")?,
-                }),
-                _ => Err(JsonError("unknown RegNode variant".into())),
-            },
-            _ => Err(JsonError("expected RegNode object".into())),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,15 +516,5 @@ mod tests {
             ..GradientBoostingParams::default()
         });
         assert!(gb.fit(&x, &[0, 1], None).is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_predictions() {
-        let (x, y) = xor_data();
-        let mut gb = GradientBoosting::new(GradientBoostingParams::default());
-        gb.fit(&x, &y, None).unwrap();
-        let json = monitorless_std::json::to_string(&gb);
-        let back: GradientBoosting = monitorless_std::json::from_str(&json).unwrap();
-        assert_eq!(back.predict_proba(&x), gb.predict_proba(&x));
     }
 }

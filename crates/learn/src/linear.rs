@@ -371,35 +371,6 @@ impl Classifier for LinearSvc {
     }
 }
 
-monitorless_std::json_enum!(Penalty { L1, L2 });
-monitorless_std::json_struct!(LogisticRegressionParams {
-    c,
-    tol,
-    max_iter,
-    balanced,
-    seed,
-});
-monitorless_std::json_struct!(LogisticRegression {
-    params,
-    weights,
-    bias,
-    fitted,
-});
-monitorless_std::json_struct!(LinearSvcParams {
-    c,
-    tol,
-    penalty,
-    max_iter,
-    balanced,
-    seed,
-});
-monitorless_std::json_struct!(LinearSvc {
-    params,
-    weights,
-    bias,
-    fitted,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,15 +518,5 @@ mod tests {
         });
         let x = Matrix::from_rows(&[&[0.0], &[1.0]]);
         assert!(svc.fit(&x, &[0, 1], None).is_err());
-    }
-
-    #[test]
-    fn linear_models_serde_roundtrip() {
-        let (x, y) = separable(10);
-        let mut lr = LogisticRegression::new(LogisticRegressionParams::default());
-        lr.fit(&x, &y, None).unwrap();
-        let back: LogisticRegression =
-            monitorless_std::json::from_str(&monitorless_std::json::to_string(&lr)).unwrap();
-        assert_eq!(back.predict_proba(&x), lr.predict_proba(&x));
     }
 }

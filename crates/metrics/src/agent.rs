@@ -9,8 +9,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use monitorless_std::sync::Mutex;
-
 use crate::catalog::Catalog;
 use crate::kind::MetricKind;
 use crate::rates::{CounterAccumulator, RateConverter};
@@ -19,19 +17,16 @@ use crate::signals::{ContainerSignals, HostSignals};
 
 /// Monitoring agent for one node.
 ///
-/// The agent is `Send + Sync`; per-instance rate state is behind a mutex
-/// so a collection thread per node can feed a shared orchestrator.
+/// The agent owns its per-instance rate state and collects through
+/// `&mut self`: each node's agent is driven by one caller at a time
+/// (the simulator's node entry), and it is `Send + Sync`, so a worker
+/// pool can tick different nodes' agents on different threads.
 #[derive(Debug)]
 pub struct MonitoringAgent {
     node: NodeId,
     catalog: Arc<Catalog>,
     seed: u64,
     ctr_kinds: Vec<MetricKind>,
-    state: Mutex<AgentState>,
-}
-
-#[derive(Debug)]
-struct AgentState {
     host_acc: CounterAccumulator,
     host_rates: RateConverter,
     containers: HashMap<InstanceId, (CounterAccumulator, RateConverter)>,
@@ -49,13 +44,11 @@ impl MonitoringAgent {
             node,
             seed,
             ctr_kinds,
-            state: Mutex::new(AgentState {
-                host_acc: CounterAccumulator::new(host_kinds.clone()),
-                host_rates: RateConverter::new(host_kinds),
-                containers: HashMap::new(),
-                scratch_inst: Vec::new(),
-                scratch_raw: Vec::new(),
-            }),
+            host_acc: CounterAccumulator::new(host_kinds.clone()),
+            host_rates: RateConverter::new(host_kinds),
+            containers: HashMap::new(),
+            scratch_inst: Vec::new(),
+            scratch_raw: Vec::new(),
             catalog,
         }
     }
@@ -77,7 +70,7 @@ impl MonitoringAgent {
     /// new instances start with a zero-rate first interval, exactly like a
     /// freshly started container.
     pub fn collect(
-        &self,
+        &mut self,
         time: u64,
         host: &HostSignals,
         containers: &[(InstanceId, ContainerSignals)],
@@ -101,7 +94,7 @@ impl MonitoringAgent {
     /// and the output vectors are all reused in place. The event-driven
     /// simulator calls this once per node per monitoring sample.
     pub fn collect_into(
-        &self,
+        &mut self,
         time: u64,
         host: &HostSignals,
         containers: &[(InstanceId, ContainerSignals)],
@@ -109,24 +102,18 @@ impl MonitoringAgent {
     ) {
         let _span = monitorless_obs::Span::enter("agent.collect");
         monitorless_obs::counter_add("agent.collections", 1);
-        let mut state = self.state.lock();
-        let AgentState {
-            host_acc,
-            host_rates,
-            containers: rate_state,
-            scratch_inst,
-            scratch_raw,
-        } = &mut *state;
-
         out.node = self.node;
         out.time = time;
         self.catalog
-            .expand_host_into(host, time, self.seed, scratch_inst);
-        host_acc.accumulate_into(scratch_inst, scratch_raw);
-        host_rates.convert_into(scratch_raw, 1.0, &mut out.host);
+            .expand_host_into(host, time, self.seed, &mut self.scratch_inst);
+        self.host_acc
+            .accumulate_into(&self.scratch_inst, &mut self.scratch_raw);
+        self.host_rates
+            .convert_into(&self.scratch_raw, 1.0, &mut out.host);
 
         // Drop state for instances that no longer exist.
-        rate_state.retain(|id, _| containers.iter().any(|(live, _)| live == id));
+        self.containers
+            .retain(|id, _| containers.iter().any(|(live, _)| live == id));
 
         out.containers.truncate(containers.len());
         while out.containers.len() < containers.len() {
@@ -138,16 +125,16 @@ impl MonitoringAgent {
                 signals,
                 time,
                 self.seed ^ (id.0 as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-                scratch_inst,
+                &mut self.scratch_inst,
             );
-            let (acc, conv) = rate_state.entry(*id).or_insert_with(|| {
+            let (acc, conv) = self.containers.entry(*id).or_insert_with(|| {
                 (
                     CounterAccumulator::new(self.ctr_kinds.clone()),
                     RateConverter::new(self.ctr_kinds.clone()),
                 )
             });
-            acc.accumulate_into(scratch_inst, scratch_raw);
-            conv.convert_into(scratch_raw, 1.0, &mut slot.1);
+            acc.accumulate_into(&self.scratch_inst, &mut self.scratch_raw);
+            conv.convert_into(&self.scratch_raw, 1.0, &mut slot.1);
         }
     }
 }
@@ -162,7 +149,7 @@ mod tests {
 
     #[test]
     fn collect_produces_full_vectors() {
-        let a = agent();
+        let mut a = agent();
         let obs =
             a.collect(0, &HostSignals::default(), &[(InstanceId(1), ContainerSignals::default())]);
         assert_eq!(obs.host.len(), 952);
@@ -172,7 +159,7 @@ mod tests {
 
     #[test]
     fn counter_rates_recover_after_warmup() {
-        let a = agent();
+        let mut a = agent();
         let cat = Catalog::standard();
         let pswitch = cat.host_index("kernel.all.pswitch").unwrap();
         let hs = HostSignals {
@@ -187,7 +174,7 @@ mod tests {
 
     #[test]
     fn departed_instances_reset_rate_state() {
-        let a = agent();
+        let mut a = agent();
         let cs = ContainerSignals {
             pgfault_rate: 100.0,
             ..ContainerSignals::default()
@@ -205,8 +192,8 @@ mod tests {
 
     #[test]
     fn collect_into_reused_buffers_match_fresh_collect() {
-        let fresh = agent();
-        let reused = agent();
+        let mut fresh = agent();
+        let mut reused = agent();
         let mut buf = Observation {
             node: NodeId(9),
             time: 99,
@@ -249,7 +236,7 @@ mod tests {
 
     #[test]
     fn different_containers_get_different_noise() {
-        let a = agent();
+        let mut a = agent();
         let cs = ContainerSignals {
             tcp_conns: 50.0,
             ..ContainerSignals::default()

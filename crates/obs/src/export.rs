@@ -272,13 +272,24 @@ pub fn write_report(path: &std::path::Path) -> std::io::Result<()> {
     if format == ExportFormat::Off {
         return Ok(());
     }
+    create_file(path)?.write_all(Snapshot::take().render(format).as_bytes())
+}
+
+/// Drains the trace journal into a JSONL audit file, one record per
+/// line, oldest first ([`crate::audit_jsonl`]). The file is created
+/// before the drain, so records stay queued when it cannot be.
+pub fn write_audit(path: &std::path::Path) -> std::io::Result<()> {
+    create_file(path)?.write_all(crate::journal::audit_jsonl().as_bytes())
+}
+
+/// Creates (or truncates) `path`, creating its parent directory first.
+fn create_file(path: &std::path::Path) -> std::io::Result<std::fs::File> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(Snapshot::take().render(format).as_bytes())
+    std::fs::File::create(path)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! The causal event journal: a bounded lock-free ring buffer of
-//! trace-stamped records.
+//! The causal event journal: a bounded ring buffer of trace-stamped
+//! records.
 //!
 //! Where counters and histograms answer "how much / how fast", the
 //! journal answers "what happened to *this* prediction": every stage of
@@ -12,33 +12,34 @@
 //!
 //! ## Design
 //!
-//! * **Bounded and lock-free.** Records land in a fixed-capacity
-//!   (power-of-two) ring using the classic bounded-MPMC protocol: each
-//!   slot carries a sequence number; producers claim a position with a
-//!   CAS on the enqueue cursor and publish with a release store of the
-//!   slot sequence, consumers mirror the dance on the dequeue cursor.
-//!   No mutex is ever taken on the record path. When the ring is full
-//!   the *oldest* record is popped and counted as overwritten — an
-//!   audit trail keeps its most recent history under backpressure.
+//! * **Bounded.** Records land in a fixed-capacity ring: a
+//!   `VecDeque` behind one mutex, which the record path holds for a
+//!   single push (and, when full, a pop). When the ring is full the
+//!   *oldest* record is popped and counted as overwritten — an audit
+//!   trail keeps its most recent history under backpressure.
 //! * **Off by default.** Tracing is configured separately from metric
 //!   telemetry (`MONITORLESS_TRACE` / `--trace <off|ring|jsonl>`); when
 //!   off, [`record`] is a single relaxed atomic load and the serving
 //!   loop's zero-allocation contract is untouched. `ring` keeps records
-//!   in memory for an end-of-run [`drain`]; `jsonl` additionally
-//!   streams each record to stderr as it happens.
+//!   in memory for an end-of-run [`drain`] (or
+//!   [`write_audit`](crate::write_audit), which drains them into a JSONL
+//!   file); `jsonl` additionally streams each record to stderr as it
+//!   happens.
 //! * **Trace ids.** [`next_trace`] mints process-unique ids from an
 //!   atomic counter; [`enter_trace`] installs one as the thread's
 //!   current trace for the duration of an RAII scope.
 
-use std::cell::{Cell, UnsafeCell};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use crate::config::TraceMode;
 use crate::export::{json_escape, json_f64, process_start_us};
+use crate::registry::lock;
 
-/// Capacity of the global ring (power of two). 4096 records cover
-/// several seconds of a busy fleet tick loop between drains.
+/// Capacity of the global ring. 4096 records cover several seconds of a
+/// busy fleet tick loop between drains.
 pub const JOURNAL_CAPACITY: usize = 4096;
 
 static MODE: AtomicU8 = AtomicU8::new(0);
@@ -161,122 +162,50 @@ impl JournalRecord {
     }
 }
 
-/// One ring slot: the bounded-MPMC sequence cell plus the record.
-struct Slot {
-    seq: AtomicUsize,
-    rec: UnsafeCell<Option<JournalRecord>>,
-}
-
-/// The bounded lock-free MPMC ring. Producers and consumers coordinate
-/// purely through per-slot sequence numbers and two cursors.
+/// The bounded ring: a deque that never holds more than `capacity`
+/// records, behind one lock shared by producers and consumers.
 struct Ring {
-    slots: Box<[Slot]>,
-    enqueue: AtomicUsize,
-    dequeue: AtomicUsize,
+    capacity: usize,
+    records: Mutex<VecDeque<JournalRecord>>,
 }
-
-// SAFETY: slot contents are only touched by the thread that won the
-// corresponding cursor CAS, between its claim and its release store of
-// the slot sequence; the sequence protocol makes those windows
-// exclusive (standard bounded-MPMC argument).
-unsafe impl Sync for Ring {}
-unsafe impl Send for Ring {}
 
 impl Ring {
     fn new(capacity: usize) -> Self {
-        assert!(capacity.is_power_of_two());
-        let slots: Vec<Slot> = (0..capacity)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                rec: UnsafeCell::new(None),
-            })
-            .collect();
+        assert!(capacity > 0, "a journal ring needs at least one slot");
         Ring {
-            slots: slots.into_boxed_slice(),
-            enqueue: AtomicUsize::new(0),
-            dequeue: AtomicUsize::new(0),
+            capacity,
+            records: Mutex::new(VecDeque::with_capacity(capacity)),
         }
     }
 
     /// Appends a record, or returns it back when the ring is full.
+    #[cfg(test)]
     fn try_push(&self, rec: JournalRecord) -> Result<(), JournalRecord> {
-        let cap = self.slots.len();
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & (cap - 1)];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos as isize;
-            if dif == 0 {
-                match self.enqueue.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS grants exclusive
-                        // access to this slot until the release store.
-                        unsafe { *slot.rec.get() = Some(rec) };
-                        slot.seq.store(pos + 1, Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if dif < 0 {
-                return Err(rec); // full: a whole lap behind
-            } else {
-                pos = self.enqueue.load(Ordering::Relaxed);
-            }
+        let mut records = lock(&self.records);
+        if records.len() == self.capacity {
+            return Err(rec);
         }
+        records.push_back(rec);
+        Ok(())
     }
 
     /// Removes the oldest record, or `None` when empty.
     fn try_pop(&self) -> Option<JournalRecord> {
-        let cap = self.slots.len();
-        let mut pos = self.dequeue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & (cap - 1)];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - (pos + 1) as isize;
-            if dif == 0 {
-                match self.dequeue.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS grants exclusive
-                        // access to this slot until the release store.
-                        let rec = unsafe { (*slot.rec.get()).take() };
-                        slot.seq.store(pos + cap, Ordering::Release);
-                        return rec;
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if dif < 0 {
-                return None; // empty
-            } else {
-                pos = self.dequeue.load(Ordering::Relaxed);
-            }
-        }
+        lock(&self.records).pop_front()
     }
 
     /// Appends, evicting the oldest record when full. Returns how many
-    /// records were evicted to make room (0 or, under a race, a few).
-    fn push_overwriting(&self, mut rec: JournalRecord) -> u64 {
-        let mut evicted = 0;
-        loop {
-            match self.try_push(rec) {
-                Ok(()) => return evicted,
-                Err(back) => {
-                    rec = back;
-                    if self.try_pop().is_some() {
-                        evicted += 1;
-                    }
-                }
-            }
-        }
+    /// records were evicted to make room (0 or 1).
+    fn push_overwriting(&self, rec: JournalRecord) -> u64 {
+        let mut records = lock(&self.records);
+        let evicted = if records.len() == self.capacity {
+            records.pop_front();
+            1
+        } else {
+            0
+        };
+        records.push_back(rec);
+        evicted
     }
 }
 
@@ -345,20 +274,20 @@ pub struct JournalStats {
     pub queued: u64,
 }
 
-/// Current journal statistics (cheap; three atomic loads).
+/// Current journal statistics (cheap: two atomic loads and the ring's
+/// length, read under its lock).
 pub fn journal_stats() -> JournalStats {
-    let enq = ring().enqueue.load(Ordering::Relaxed) as u64;
-    let deq = ring().dequeue.load(Ordering::Relaxed) as u64;
     JournalStats {
         records: RECORDS.load(Ordering::Relaxed),
         overwritten: OVERWRITTEN.load(Ordering::Relaxed),
-        queued: enq.saturating_sub(deq),
+        queued: lock(&ring().records).len() as u64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     fn rec(trace: u64) -> JournalRecord {
         JournalRecord {

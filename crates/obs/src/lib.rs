@@ -43,6 +43,8 @@
 //! assert!(text.contains("monitorless_pipeline_fits 1"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod export;
 pub mod histogram;
@@ -51,7 +53,7 @@ pub mod registry;
 pub mod span;
 
 pub use config::{ExportFormat, TelemetryConfig, TraceMode, ENV_VAR, TRACE_ENV_VAR};
-pub use export::{event, progress, report_to_stderr, write_report, Snapshot};
+pub use export::{event, progress, report_to_stderr, write_audit, write_report, Snapshot};
 pub use histogram::{HistogramSummary, LogHistogram};
 pub use journal::{
     audit_jsonl, current_trace, drain, enter_trace, journal_stats, next_trace, record,

@@ -70,7 +70,10 @@ fn registry() -> &'static Registry {
     })
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Takes `m`'s lock, recovering it from poison: the registry's maps and
+/// histograms and the journal's ring hold plain telemetry data, which a
+/// panic that cuts one update short leaves usable.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -1120,7 +1120,7 @@ impl Cluster {
                 inodes_free: 1_500_000.0 - 100.0 * procs,
             };
             obs::observe("sim.node_queue_depth", queue);
-            observations.push(entry.agent.collect(t, &host, &ctr_signals));
+            observations.push(self.nodes[i].agent.collect(t, &host, &ctr_signals));
         }
 
         self.time += 1;

@@ -42,6 +42,7 @@
 //! emits a report at each monitoring sample — with a report stream that
 //! is bit-identical to the dense loop's.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

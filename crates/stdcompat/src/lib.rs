@@ -9,13 +9,13 @@
 //! - [`json`] — a minimal JSON value, parser and serializer plus the
 //!   [`json::ToJson`]/[`json::FromJson`] traits in place of
 //!   `serde`/`serde_json` for the types that round-trip to disk.
-//! - [`sync`] — a poison-transparent [`sync::Mutex`].
 //! - [`pool`] — worker pools over [`std::thread::scope`].
+
+#![forbid(unsafe_code)]
 
 pub mod json;
 pub mod pool;
 pub mod rng;
-pub mod sync;
 
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::{Rng, SplitMix64, StdRng, Xoshiro256PlusPlus};

@@ -38,6 +38,7 @@
 //! assert!(peak > 990.0 && peak <= 1000.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

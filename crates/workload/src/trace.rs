@@ -19,11 +19,11 @@
 //! 600,80
 //! ```
 //!
-//! Times must be non-negative integers in strictly increasing order;
-//! rates must be finite and non-negative. The rate of the first row also
-//! applies to all seconds before it, and the last row holds forever
-//! (step interpolation) or becomes the final value of the last ramp
-//! (linear interpolation).
+//! Times must be integers from 0 to `u64::MAX - 1` in strictly
+//! increasing order; rates must be finite and non-negative. The rate of
+//! the first row also applies to all seconds before it, and the last row
+//! holds forever (step interpolation) or becomes the final value of the
+//! last ramp (linear interpolation).
 //!
 //! # Interpolation
 //!
@@ -61,7 +61,8 @@ pub enum TraceInterp {
 pub enum TraceError {
     /// The trace contained no data rows.
     Empty,
-    /// A line could not be parsed as `<time> <rate>`.
+    /// A line could not be parsed as `<time> <rate>`, or its time was
+    /// `u64::MAX`, which leaves no second after the trace's last row.
     Malformed {
         /// 1-based line number of the offending line.
         line: usize,
@@ -111,14 +112,16 @@ impl TraceProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `points` is empty, times are not strictly increasing, or
-    /// a rate is negative/non-finite. Use [`TraceProfile::parse`] for
-    /// fallible construction from untrusted text.
+    /// Panics if `points` is empty, times are not strictly increasing or
+    /// reach `u64::MAX`, or a rate is negative/non-finite. Use
+    /// [`TraceProfile::parse`] for fallible construction from untrusted
+    /// text.
     pub fn new(points: Vec<(u64, f64)>, interp: TraceInterp) -> Self {
         assert!(!points.is_empty(), "trace needs at least one point");
         for w in points.windows(2) {
             assert!(w[1].0 > w[0].0, "times must be strictly increasing");
         }
+        assert!(points[points.len() - 1].0 < u64::MAX, "times must be below u64::MAX");
         for &(_, r) in &points {
             assert!(r.is_finite() && r >= 0.0, "rates must be finite and non-negative");
         }
@@ -139,7 +142,7 @@ impl TraceProfile {
                 .filter(|f| !f.is_empty());
             let (time, rate) = match (fields.next(), fields.next(), fields.next()) {
                 (Some(t), Some(r), None) => match (t.parse::<u64>(), r.parse::<f64>()) {
-                    (Ok(t), Ok(r)) => (t, r),
+                    (Ok(t), Ok(r)) if t < u64::MAX => (t, r),
                     _ => {
                         return Err(TraceError::Malformed {
                             line,
@@ -272,7 +275,15 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_lines() {
-        for bad in ["oops", "1", "1 2 3", "x 5", "5 y", "3 1e999999"] {
+        for bad in [
+            "oops",
+            "1",
+            "1 2 3",
+            "x 5",
+            "5 y",
+            "3 1e999999",
+            "18446744073709551615 5",
+        ] {
             let err = TraceProfile::parse(bad, TraceInterp::Step).unwrap_err();
             match err {
                 TraceError::Malformed { line: 1, .. } | TraceError::BadRate { line: 1 } => {}
