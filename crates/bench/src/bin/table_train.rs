@@ -20,8 +20,9 @@
 //!   chain vs `instance_vector_write` into a pre-sized
 //!   `MatrixBuilder` region. A counting global allocator asserts the
 //!   zero-copy row loop performs **zero** heap allocations.
-//! * `append` — refreshing a `PresortedDataset` after a 10% row delta:
-//!   full rebuild of the concatenated matrix vs
+//! * `append` — refreshing a fully sorted `PresortedDataset` after a
+//!   10% row delta: a fully sorted rebuild of the concatenated matrix
+//!   (`PresortedDataset::build_sorted`) vs
 //!   `PresortedDataset::append_rows`. The incremental cache is
 //!   asserted bit-identical to the fresh presort every run.
 //! * `retrain` — the end-to-end shadow retrain (label + ingest +
@@ -196,18 +197,21 @@ fn measure_append(rows: usize) -> PhaseResult {
     let base = feature_matrix(base_rows, cols, 3, 0);
     // ~5% of delta cells carry values the cache has never seen.
     let delta = feature_matrix(rows - base_rows, cols, 4, 19);
-    let mut cache = PresortedDataset::build(&base);
-    // Steady-state cache: the retraining loop provisions append slack
-    // when it adopts a cache (`ShadowRetrainer::new`), so deltas land
-    // in place.
+    // Steady-state cache: the retraining loop sorts every column and
+    // provisions append slack when it adopts a cache
+    // (`ShadowRetrainer::new`), so deltas merge into sorted columns
+    // and land in place.
+    let mut cache = PresortedDataset::build_sorted(&base);
     cache.reserve_rows(base.rows() / 4 + 256);
     // The from-scratch path pays to materialize the concatenated
     // matrix before it can presort; the incremental path never does.
+    // `build` would sort lazily, so the rebuild sorts every column up
+    // front: the work an append saves.
     let (full_ms, fresh) = time_ms(5, || {
         let mut all = Vec::with_capacity(rows * cols);
         all.extend_from_slice(base.as_slice());
         all.extend_from_slice(delta.as_slice());
-        PresortedDataset::build(&Matrix::from_vec(rows, cols, all))
+        PresortedDataset::build_sorted(&Matrix::from_vec(rows, cols, all))
     });
     // Clones happen outside the timed section: production appends
     // mutate the cache in place.

@@ -269,8 +269,19 @@ pub fn telemetry_report(name: &str) {
     }
     if obs::trace_mode() == obs::TraceMode::Ring {
         let path = std::path::PathBuf::from(format!("target/audit-{name}.jsonl"));
+        // Read before the drain: a full ring keeps only the newest
+        // records, and the file alone cannot say how many it lost.
+        let stats = obs::journal_stats();
         match obs::write_audit(&path) {
-            Ok(()) => obs::progress(&format!("audit trail written to {}", path.display())),
+            Ok(kept) => {
+                obs::progress(&format!("audit trail written to {}", path.display()));
+                obs::progress(&format!(
+                    "kept {kept} of {} journaled records, {} overwritten by the {}-record ring",
+                    stats.records,
+                    stats.overwritten,
+                    obs::journal::JOURNAL_CAPACITY
+                ));
+            }
             Err(e) => obs::progress(&format!("audit trail not written: {e}")),
         }
     }

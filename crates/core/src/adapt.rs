@@ -235,8 +235,9 @@ pub struct ShadowRetrainer {
 impl ShadowRetrainer {
     /// Seeds the retrainer with the champion and its original training
     /// data: the base rows are transformed through the champion's
-    /// pipeline once and presorted once; every later ingest is
-    /// incremental.
+    /// pipeline once and every column is sorted once, here, so the
+    /// sort cost stays in set-up rather than landing in the first
+    /// retrain round; every later ingest is incremental.
     ///
     /// # Errors
     ///
@@ -249,7 +250,7 @@ impl ShadowRetrainer {
         let x = champion
             .pipeline()
             .transform_batch(data.dataset.x(), data.dataset.groups())?;
-        let mut ps = PresortedDataset::build(&x);
+        let mut ps = PresortedDataset::build_sorted(&x);
         // Headroom for the ingest loop: the first episodes land in
         // existing slack instead of forcing a cache re-stride.
         ps.reserve_rows(x.rows() / 4 + 256);

@@ -39,7 +39,7 @@
 //! a `drift.max_psi` gauge through `monitorless-obs`; the orchestrator
 //! adds trace-stamped journal records on alert transitions.
 
-use monitorless_learn::Matrix;
+use monitorless_learn::{Matrix, PresortedDataset};
 use monitorless_obs as obs;
 
 /// Number of equi-depth bins per feature in the reference profile. Ten
@@ -63,6 +63,22 @@ pub struct FeatureProfile {
 monitorless_std::json_struct!(FeatureProfile { edges, mean, std });
 
 impl FeatureProfile {
+    /// The profile of a non-empty column sorted in `total_cmp` order:
+    /// equi-depth decile edges, then mean and std summed in that order.
+    fn of_sorted(col: &[f64]) -> Self {
+        let rows = col.len();
+        let edges = (1..PROFILE_BINS)
+            .map(|i| col[(i * rows / PROFILE_BINS).min(rows - 1)])
+            .collect();
+        let mean = col.iter().sum::<f64>() / rows as f64;
+        let var = col.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / rows as f64;
+        FeatureProfile {
+            edges,
+            mean,
+            std: var.sqrt(),
+        }
+    }
+
     /// Bin index of `v` among this feature's equi-depth bins: the number
     /// of edges `v` is not at or below, counted without branches. NaN —
     /// for which every comparison is false — lands in the last bin,
@@ -100,9 +116,8 @@ impl DriftProfile {
     /// Panics if `x` has no rows.
     pub fn from_matrix(x: &Matrix) -> Self {
         assert!(x.rows() > 0, "cannot profile an empty matrix");
-        let rows = x.rows();
         let mut features = Vec::with_capacity(x.cols());
-        let mut col = vec![0.0; rows];
+        let mut col = vec![0.0; x.rows()];
         for c in 0..x.cols() {
             for (r, slot) in col.iter_mut().enumerate() {
                 *slot = x.row(r)[c];
@@ -111,16 +126,37 @@ impl DriftProfile {
             // edges; training matrices are imputed upstream so this is
             // a safety net, not a design point.
             col.sort_by(|a, b| a.total_cmp(b));
-            let edges = (1..PROFILE_BINS)
-                .map(|i| col[(i * rows / PROFILE_BINS).min(rows - 1)])
-                .collect();
-            let mean = col.iter().sum::<f64>() / rows as f64;
-            let var = col.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / rows as f64;
-            features.push(FeatureProfile {
-                edges,
-                mean,
-                std: var.sqrt(),
-            });
+            features.push(FeatureProfile::of_sorted(&col));
+        }
+        DriftProfile { features }
+    }
+
+    /// Captures the same profile as [`DriftProfile::from_matrix`], bit
+    /// for bit, from a presorted view of the matrix, without sorting a
+    /// column again: a column in `total_cmp` order is its distinct
+    /// values in rank order, each repeated as many times as rows hold
+    /// its rank. A forest fit on the same view has sorted most columns
+    /// already; this sorts the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ps` has no rows.
+    pub fn from_presorted(ps: &PresortedDataset) -> Self {
+        assert!(ps.n_rows() > 0, "cannot profile an empty matrix");
+        let mut features = Vec::with_capacity(ps.n_features());
+        let mut counts: Vec<u32> = Vec::new();
+        let mut col = Vec::with_capacity(ps.n_rows());
+        for f in 0..ps.n_features() {
+            counts.clear();
+            counts.resize(ps.n_ranks(f), 0);
+            for r in ps.ranks(f) {
+                counts[r as usize] += 1;
+            }
+            col.clear();
+            for (v, &c) in ps.rank_values(f).zip(&counts) {
+                col.extend(std::iter::repeat_n(v, c as usize));
+            }
+            features.push(FeatureProfile::of_sorted(&col));
         }
         DriftProfile { features }
     }
@@ -440,6 +476,42 @@ mod tests {
         }
         for c in counts {
             assert!((80..=120).contains(&c), "bin count {c} far from uniform");
+        }
+    }
+
+    #[test]
+    fn presorted_profile_matches_the_matrix_profile_bit_for_bit() {
+        let bits = |p: &DriftProfile| -> Vec<u64> {
+            p.features
+                .iter()
+                .flat_map(|fp| {
+                    fp.edges
+                        .iter()
+                        .chain([&fp.mean, &fp.std])
+                        .map(|v| v.to_bits())
+                })
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        let palette = [-0.0, 0.0, 1.5, -2.25, f64::NAN, -f64::NAN, 1e300];
+        for rows in [1usize, 2, 7, 10, 13, 64, 257] {
+            let cols = 6;
+            let data: Vec<f64> = (0..rows * cols)
+                .map(|i| match i % cols {
+                    // Constant, heavily duplicated, continuous and
+                    // NaN-holding columns.
+                    0 => 4.0,
+                    1 | 2 => palette[rng.gen_range(0..palette.len())],
+                    3 => palette[rng.gen_range(0..4usize)],
+                    _ => gaussian(&mut rng, 3.0, 2.0),
+                })
+                .collect();
+            let x = Matrix::from_vec(rows, cols, data);
+            let ps = PresortedDataset::build(&x);
+            // Sort one column before the profile sorts the rest.
+            let _ = ps.is_constant(2);
+            let want = DriftProfile::from_matrix(&x);
+            assert_eq!(bits(&DriftProfile::from_presorted(&ps)), bits(&want), "{rows} rows");
         }
     }
 

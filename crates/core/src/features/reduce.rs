@@ -2,7 +2,7 @@
 //! (Section 3.3.4).
 
 use monitorless_learn::pca::ComponentSelection;
-use monitorless_learn::{Classifier, Matrix, Pca, RandomForest, RandomForestParams};
+use monitorless_learn::{Matrix, Pca, PresortedDataset, RandomForest, RandomForestParams};
 
 use crate::Error;
 
@@ -114,13 +114,16 @@ impl FittedReduction {
                     if n_pos == 0 || n_pos == yg.len() {
                         continue; // degenerate configuration
                     }
-                    let xg = x.select_rows(&idx);
+                    // Gathered straight from `x`'s rows: no per-group
+                    // row copy, and only the columns the forest's
+                    // split searches sample are ever sorted.
+                    let ps = PresortedDataset::build_rows(x, &idx);
                     let mut rf = RandomForest::new(RandomForestParams {
                         n_estimators,
                         seed: seed ^ u64::from(g),
                         ..RandomForestParams::default()
                     });
-                    rf.fit(&xg, &yg, None)?;
+                    rf.fit_presorted(&ps, &yg, None)?;
                     union.extend(rf.top_features(top_k));
                 }
                 union.sort_unstable();

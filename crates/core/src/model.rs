@@ -3,7 +3,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use monitorless_learn::{Classifier, FlatEnsemble, Matrix, RandomForest, RandomForestParams};
+use monitorless_learn::{FlatEnsemble, Matrix, PresortedDataset, RandomForest, RandomForestParams};
 
 use crate::drift::{DriftConfig, DriftDetector, DriftProfile, PROFILE_BINS};
 use crate::features::{FeaturePipeline, FittedPipeline, InstanceTransformer, PipelineConfig};
@@ -105,10 +105,15 @@ impl MonitorlessModel {
             data.dataset.groups(),
             data.layout.clone(),
         )?;
+        // One presort serves the forest and the drift profile: the
+        // profile reuses every column the forest sorted and sorts only
+        // the ones it never read.
+        let ps = PresortedDataset::build(&x);
+        drop(x);
         let mut forest = RandomForest::new(opts.forest.clone());
-        forest.fit(&x, labels, None)?;
+        forest.fit_presorted(&ps, labels, None)?;
         let flat = forest.to_flat();
-        let drift = Some(DriftProfile::from_matrix(&x));
+        let drift = Some(DriftProfile::from_presorted(&ps));
         Ok(MonitorlessModel {
             pipeline: Arc::new(fitted),
             forest,

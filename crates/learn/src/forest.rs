@@ -6,7 +6,12 @@
 //! threshold later lowered to 0.4 to favour recall (Section 4).
 //!
 //! Every tree fits on the shared presorted cache through a bootstrap
-//! row map ([`RandomForest::fit_presorted`]). With no class weighting
+//! row map ([`RandomForest::fit_presorted`]). The cache sorts a feature
+//! the first time any tree's split search samples it, on whichever
+//! worker gets there first, and every other tree reuses that sort;
+//! features no tree samples are never sorted, which is most of them
+//! when a small forest filters thousands of columns (the feature
+//! pipeline's per-configuration filters). With no class weighting
 //! the weights are all one, so an information-gain forest takes the
 //! tree builder's entropy filter: each candidate threshold is scored
 //! from a `k·log2 k` table, built once per forest fit and shared by

@@ -438,15 +438,33 @@ impl PartialEq for ColumnsView {
 impl ColumnsView {
     /// Gathers the matrix into column-major order (tiled transpose).
     pub fn from_matrix(m: &Matrix) -> Self {
+        Self::gather(m, m.rows, |r| r)
+    }
+
+    /// Gathers the listed rows of `m`, in list order, into column-major
+    /// order: the view of `m.select_rows(rows)` in the same tiled pass,
+    /// without materializing that row subset first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds.
+    pub(crate) fn gather_rows(m: &Matrix, rows: &[usize]) -> Self {
+        Self::gather(m, rows.len(), |r| rows[r])
+    }
+
+    /// Tiled transpose of `rows` rows, row `r` of the view being row
+    /// `row_of(r)` of `m`.
+    fn gather(m: &Matrix, rows: usize, row_of: impl Fn(usize) -> usize) -> Self {
         const TILE: usize = 32;
-        let (rows, cols) = (m.rows, m.cols);
+        let cols = m.cols;
         let mut data = vec![0.0; rows * cols];
         for r0 in (0..rows).step_by(TILE) {
             let r1 = (r0 + TILE).min(rows);
             for c0 in (0..cols).step_by(TILE) {
                 let c1 = (c0 + TILE).min(cols);
                 for r in r0..r1 {
-                    let row = &m.data[r * cols..(r + 1) * cols];
+                    let src = row_of(r);
+                    let row = &m.data[src * cols..(src + 1) * cols];
                     for c in c0..c1 {
                         data[c * rows + r] = row[c];
                     }

@@ -5,12 +5,20 @@
 //! `O(n log n)` comparison sort of `(f64, label, weight)` tuples per
 //! feature per node, gathered through the strided row-major
 //! [`Matrix`]. This module replaces the expensive part of that work
-//! with a once-per-dataset presort:
+//! with one sort per feature, paid once per feature, on first read:
 //!
-//! * [`PresortedDataset::build`] sorts every feature **once** and keeps
-//!   each row's per-feature *value rank* (ties share a rank; ranks
-//!   increase in `f64::total_cmp` order), the distinct values per rank,
-//!   and a contiguous column-major copy of the values.
+//! * [`PresortedDataset::build`] copies the matrix into column-major
+//!   order and sorts nothing. The first reader of a feature — a split
+//!   search sampling it, [`PresortedDataset::is_constant`], a drift
+//!   profile — sorts it and keeps each row's per-feature *value rank*
+//!   (ties share a rank; ranks increase in `f64::total_cmp` order) and
+//!   the distinct values per rank. Every later node, tree and worker
+//!   reuses that sort, and a feature no split search samples is never
+//!   sorted: a twelve-tree filtering forest over thousands of columns
+//!   reads only a fraction of them.
+//! * [`PresortedDataset::build_sorted`] sorts every feature up front
+//!   and packs the distinct values densely — the form a long-lived
+//!   cache keeps, appends to and clones.
 //! * With unit sample weights — every non-boosted fit —
 //!   [`PresortTraversal::group_node`] turns a node into its per-rank
 //!   class histogram in two `O(len)` passes, and the split sweep runs
@@ -29,33 +37,57 @@
 //! * Partitioning a node into its children touches the membership list
 //!   alone (`O(len)`), not any per-feature state.
 //!
-//! The cache is immutable and shared: all trees of a forest fit, all
-//! AdaBoost rounds, all gradient-boosting stages and all grid-search
-//! candidates evaluating the same fold reuse one build. Bootstrap
-//! resampling does not invalidate it either — a bootstrap sample only
-//! *duplicates and reorders* rows, so ranks keep working through the
-//! traversal's virtual-row map.
+//! The cache is shared: all trees of a forest fit, all AdaBoost rounds,
+//! all gradient-boosting stages and all grid-search candidates
+//! evaluating the same fold reuse one build. Bootstrap resampling does
+//! not invalidate it either — a bootstrap sample only *duplicates and
+//! reorders* rows, so ranks keep working through the traversal's
+//! virtual-row map.
+//!
+//! # Storage
+//!
+//! `build` allocates a few packed buffers on the calling thread: ranks
+//! at a stride of the row capacity, and a slot of `n_rows` distinct
+//! values per feature. A feature's sort fills its two regions in place,
+//! and the feature's `OnceLock` publishes them. Forest workers share
+//! the cache by `&`, so the cells are atomics (`AtomicU32` ranks,
+//! `AtomicU64` value bits), written and read `Relaxed` under the lock's
+//! happens-before edge; on x86-64 those are plain loads and stores. The
+//! buffers start zeroed, so the pages of features nobody reads are
+//! never touched. A heap buffer per feature would cost the same CPU but
+//! scatter thousands of allocations over the workers' allocator arenas
+//! and raise the process's resident memory. `build_sorted` allocates no
+//! slots at all: it learns each feature's distinct count as it packs.
+//! Allocating slots only to pack the values after sorting raised the
+//! resident memory of a process holding several retraining caches by
+//! about 18 MB.
 //!
 //! Everything here is bit-identity-preserving with respect to the
 //! legacy per-node re-sort (see `DecisionTree::fit_resorting`): equal
 //! ranks mean bit-identical values, the `(rank, position)` key order is
 //! exactly `(total_cmp value, row-ascending)` — what the legacy stable
 //! sort produced for its always row-ascending node index lists — and
-//! key uniqueness makes the unstable sort deterministic.
-//! `tests/presort_equivalence.rs` pins the equivalence property-test
-//! style.
+//! key uniqueness makes the unstable sort deterministic. When a feature
+//! is sorted changes nothing: its ranks and distinct values depend only
+//! on its column's bits, and which features a node evaluates depends
+//! only on the tree's own random stream. `tests/presort_equivalence.rs`
+//! pins the equivalence property-test style, lazy reads from several
+//! threads included.
 
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 
 use monitorless_obs as obs;
 
 use crate::matrix::{ColumnsView, Matrix};
 
-/// A column-major snapshot of a feature matrix with per-row value ranks.
+/// A column-major snapshot of a feature matrix whose features are
+/// sorted on first read ([`PresortedDataset::build`]) or all up front
+/// ([`PresortedDataset::build_sorted`]).
 ///
 /// Built once per `(Matrix, y)` pair and shared (by reference) across
 /// trees, boosting rounds and cross-validation candidates.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PresortedDataset {
     /// Column-major copy of the matrix values (carries the row
     /// capacity shared with `ranks`).
@@ -63,111 +95,224 @@ pub struct PresortedDataset {
     /// Per-feature value rank of each row (feature `f` owns
     /// `ranks[f*row_cap .. f*row_cap + n]`; the tail up to `row_cap`
     /// is append slack): rows with bit-identical values share a rank,
-    /// and ranks increase with the `total_cmp` value order.
-    ranks: Vec<u32>,
+    /// and ranks increase with the `total_cmp` value order. Valid for a
+    /// feature once it is `sorted`.
+    ranks: Vec<AtomicU32>,
     /// Per-feature stride of `ranks` — kept equal to
     /// `columns.capacity_rows()` so in-capacity appends touch no
     /// existing rank.
     row_cap: usize,
-    /// Number of distinct ranks per feature.
-    n_ranks: Vec<u32>,
-    /// Every feature's distinct values in rank order, concatenated
-    /// (feature `f` occupies `rank_offsets[f]..rank_offsets[f] +
-    /// n_ranks[f]`). `rank_values_of(f)[r]` is the bit-exact value all
-    /// rows of rank `r` share, so consumers can turn ranks back into
-    /// values without touching the columns.
-    rank_values: Vec<f64>,
-    /// Start of each feature's block in `rank_values`.
+    /// Per feature, its number of distinct ranks, set by the feature's
+    /// sort. Setting it publishes the feature's `ranks` and
+    /// `rank_values` regions: their cells are stored `Relaxed` inside
+    /// the lock's initializer and loaded `Relaxed` only after `get` or
+    /// `get_or_init` returns, and the lock's completion (a release)
+    /// and a successful read of it (an acquire) order the two.
+    sorted: Vec<OnceLock<u32>>,
+    /// The bits of every feature's distinct values in rank order
+    /// (feature `f`'s block starts at `rank_offsets[f]`). Entry `r` of
+    /// a sorted feature's block is the bit-exact value all rows of rank
+    /// `r` share, so consumers can turn ranks back into values without
+    /// touching the columns.
+    rank_values: Vec<AtomicU64>,
+    /// Start of each feature's block in `rank_values`. Blocks lie in
+    /// feature order: a sorted feature's holds its distinct values, an
+    /// unsorted one's has room for `n_rows` of them.
     rank_offsets: Vec<usize>,
 }
 
+/// A copy of the cache as far as it is sorted. Each feature's flag is
+/// read before its cells: a feature seen sorted was fully written
+/// before the flag was set, and one seen unsorted is sorted again by
+/// the copy on first read.
+impl Clone for PresortedDataset {
+    fn clone(&self) -> Self {
+        let sorted = self.sorted.clone();
+        PresortedDataset {
+            columns: self.columns.clone(),
+            ranks: self
+                .ranks
+                .iter()
+                .map(|r| AtomicU32::new(r.load(Relaxed)))
+                .collect(),
+            row_cap: self.row_cap,
+            sorted,
+            rank_values: self
+                .rank_values
+                .iter()
+                .map(|v| AtomicU64::new(v.load(Relaxed)))
+                .collect(),
+            rank_offsets: self.rank_offsets.clone(),
+        }
+    }
+}
+
 /// Logical equality: shape, column contents, ranks and distinct
-/// values. Capacity slack never participates, so an appended-into
-/// cache with headroom still compares equal to a fresh build — except
-/// through NaN cells, which (as everywhere in `f64` comparison) are
-/// unequal to themselves; use [`PresortedDataset::bit_identical`] to
-/// prove NaN-holding caches identical.
+/// values, sorting any feature either side has not read yet. Capacity
+/// slack never participates, so an appended-into cache with headroom
+/// still compares equal to a fresh build — except through NaN cells,
+/// which (as everywhere in `f64` comparison) are unequal to themselves;
+/// use [`PresortedDataset::bit_identical`] to prove NaN-holding caches
+/// identical.
 impl PartialEq for PresortedDataset {
     fn eq(&self, other: &Self) -> bool {
         self.columns == other.columns
-            && self.n_ranks == other.n_ranks
             && (0..self.n_features()).all(|f| {
-                self.ranks_of(f) == other.ranks_of(f)
-                    && self.rank_values_of(f) == other.rank_values_of(f)
+                self.n_ranks(f) == other.n_ranks(f)
+                    && self.ranks(f).eq(other.ranks(f))
+                    && self.rank_values(f).eq(other.rank_values(f))
             })
     }
 }
 
-impl PresortedDataset {
-    /// Builds the cache: one column gather plus one `O(n log n)` sort
-    /// per feature — the only comparison sort any consumer ever pays.
-    pub fn build(x: &Matrix) -> Self {
-        let span = obs::Span::enter("presort.build");
-        let n = x.rows();
-        let d = x.cols();
-        let columns = x.columns();
-        let mut ranks = vec![0u32; n * d];
-        let mut n_ranks = vec![0u32; d];
-        let mut rank_values = Vec::with_capacity(d);
-        let mut rank_offsets = vec![0usize; d];
-        let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
-        for f in 0..d {
-            rank_offsets[f] = rank_values.len();
-            let col = columns.column_slice(f);
-            // The order-preserving bit trick: this u64 key compares
-            // exactly like `f64::total_cmp`, and key equality is bit
-            // equality. Ranks only depend on the value blocks — not on
-            // tie order — so an unstable sort of `(key, row)` pairs
-            // suffices and beats the comparator-based index sort.
-            keyed.clear();
-            keyed.extend(col.iter().enumerate().map(|(row, v)| {
-                let b = v.to_bits();
-                let key = if b >> 63 == 1 { !b } else { b ^ (1u64 << 63) };
-                (key, row as u32)
-            }));
-            keyed.sort_unstable_by_key(|p| p.0);
-            let rk = &mut ranks[f * n..(f + 1) * n];
-            let mut id = 0u32;
-            let mut prev_key = 0u64;
-            for (pos, &(key, row)) in keyed.iter().enumerate() {
-                if pos == 0 || key != prev_key {
-                    if pos > 0 {
-                        id += 1;
-                    }
-                    rank_values.push(col[row as usize]);
-                }
-                prev_key = key;
-                rk[row as usize] = id;
+/// The order-preserving bit trick: this key compares exactly like
+/// `f64::total_cmp`, and key equality is bit equality.
+#[inline]
+fn sort_key(v: f64) -> u64 {
+    let b = v.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b ^ (1u64 << 63)
+    }
+}
+
+/// Sorts one column: calls `rank(row, id)` once per row and
+/// `distinct(value)` once per distinct bit pattern, in ascending
+/// `total_cmp` order, where `id` counts distinct values from 0 in that
+/// order. Returns the number of distinct values.
+fn rank_column(
+    col: &[f64],
+    mut rank: impl FnMut(usize, u32),
+    mut distinct: impl FnMut(f64),
+) -> u32 {
+    // Ranks only depend on the value blocks — not on tie order — so an
+    // unstable sort of `(key, row)` pairs suffices and beats the
+    // comparator-based index sort.
+    let mut keyed: Vec<(u64, u32)> = col
+        .iter()
+        .enumerate()
+        .map(|(row, &v)| (sort_key(v), row as u32))
+        .collect();
+    keyed.sort_unstable_by_key(|p| p.0);
+    let mut id = 0u32;
+    let mut prev_key = 0u64;
+    for (pos, &(key, row)) in keyed.iter().enumerate() {
+        if pos == 0 || key != prev_key {
+            if pos > 0 {
+                id += 1;
             }
-            n_ranks[f] = if n == 0 { 0 } else { id + 1 };
+            distinct(col[row as usize]);
         }
+        prev_key = key;
+        rank(row as usize, id);
+    }
+    obs::counter_add("presort.features_sorted", 1);
+    if col.is_empty() {
+        0
+    } else {
+        id + 1
+    }
+}
+
+impl PresortedDataset {
+    /// Builds the cache: one column gather and no sort. Each feature is
+    /// sorted once, on first read.
+    pub fn build(x: &Matrix) -> Self {
+        Self::from_columns(|| x.columns(), false)
+    }
+
+    /// Builds the cache of `x`'s listed rows, in list order — what
+    /// [`PresortedDataset::build`] of `x.select_rows(rows)` builds,
+    /// without that intermediate copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds.
+    pub fn build_rows(x: &Matrix, rows: &[usize]) -> Self {
+        Self::from_columns(|| ColumnsView::gather_rows(x, rows), false)
+    }
+
+    /// Builds the cache with every feature sorted up front and the
+    /// distinct values packed densely, in `distinct` cells rather than
+    /// a slot of `n_rows` per feature. This is the form for a
+    /// long-lived cache that is appended to and cloned, such as the
+    /// retraining loop's: no later read sorts, and no slot buffer is
+    /// ever allocated.
+    pub fn build_sorted(x: &Matrix) -> Self {
+        Self::from_columns(|| x.columns(), true)
+    }
+
+    fn from_columns(gather: impl FnOnce() -> ColumnsView, sort_now: bool) -> Self {
+        let span = obs::Span::enter("presort.build");
+        let columns = gather();
+        let (n, d) = (columns.rows(), columns.cols());
+        let ranks: Vec<AtomicU32> = (0..n * d).map(|_| AtomicU32::new(0)).collect();
+        let (sorted, rank_values, rank_offsets) = if sort_now {
+            let mut packed: Vec<AtomicU64> = Vec::with_capacity(d);
+            let mut offsets = Vec::with_capacity(d);
+            let sorted = (0..d)
+                .map(|f| {
+                    offsets.push(packed.len());
+                    let rk = &ranks[f * n..];
+                    OnceLock::from(rank_column(
+                        columns.column_slice(f),
+                        |row, id| rk[row].store(id, Relaxed),
+                        |v| packed.push(AtomicU64::new(v.to_bits())),
+                    ))
+                })
+                .collect();
+            (sorted, packed, offsets)
+        } else {
+            (
+                (0..d).map(|_| OnceLock::new()).collect(),
+                (0..n * d).map(|_| AtomicU64::new(0)).collect(),
+                (0..d).map(|f| f * n).collect(),
+            )
+        };
         drop(span);
         obs::counter_add("presort.builds", 1);
         PresortedDataset {
             columns,
             ranks,
             row_cap: n,
-            n_ranks,
+            sorted,
             rank_values,
             rank_offsets,
         }
     }
 
-    /// Appends `extra`'s rows to the cache incrementally: per feature,
-    /// one `O(m log m)` sort of the `m` new rows, one merge pass over
-    /// the existing *distinct* values and one `O(n)` rank remap —
-    /// instead of the full `O(n log n)` re-sort a fresh
-    /// [`PresortedDataset::build`] of the concatenated matrix pays.
-    /// Retraining on `old + fresh episodes` therefore pays only for
-    /// the delta.
+    /// Sorts feature `f` into its regions; the caller publishes it.
+    fn sort_feature(&self, f: usize) -> u32 {
+        let rk = &self.ranks[f * self.row_cap..];
+        let vals = &self.rank_values[self.rank_offsets[f]..];
+        let mut next = 0;
+        rank_column(
+            self.column(f),
+            |row, id| rk[row].store(id, Relaxed),
+            |v| {
+                vals[next].store(v.to_bits(), Relaxed);
+                next += 1;
+            },
+        )
+    }
+
+    /// Appends `extra`'s rows to the cache incrementally: per sorted
+    /// feature, one `O(m log m)` sort of the `m` new rows, one merge
+    /// pass over the existing *distinct* values and one `O(n)` rank
+    /// remap — instead of the full `O(n log n)` re-sort a fresh build
+    /// of the concatenated matrix pays. A feature not sorted yet stays
+    /// unsorted; its first read sorts the whole column. Retraining on
+    /// `old + fresh episodes` therefore pays only for the delta.
     ///
     /// Bit-identical to that fresh build: ranks depend only on the
     /// multiset of value bit patterns (the order-preserving key makes
     /// key equality bit equality), and each rank's representative
     /// value is the bit pattern all its rows share, so merging old
     /// representatives with first-seen new values reproduces the
-    /// from-scratch `rank_values` exactly. `tests/train_equivalence.rs`
-    /// pins the property, NaN cells and bootstrap maps included.
+    /// from-scratch distinct values exactly. `tests/train_equivalence.rs`
+    /// pins the property, NaN cells and bootstrap maps included, and
+    /// `tests/presort_equivalence.rs` appends after partial reads.
     ///
     /// # Panics
     ///
@@ -191,32 +336,32 @@ impl PresortedDataset {
         self.restride_ranks();
         self.columns.append_rows(extra);
         let cap = self.row_cap;
-        let key_of = |v: f64| {
-            let b = v.to_bits();
-            if b >> 63 == 1 {
-                !b
-            } else {
-                b ^ (1u64 << 63)
-            }
-        };
 
         // Scratch reused across features.
         let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(m);
         let mut tail_ranks = vec![0u32; m];
         let mut shift: Vec<u32> = Vec::new();
-        let mut new_rank_values: Vec<f64> = Vec::with_capacity(self.rank_values.len() + m * d);
+        let mut new_rank_values: Vec<AtomicU64> =
+            Vec::with_capacity(self.rank_values.len() + m * d);
         let mut new_rank_offsets = Vec::with_capacity(d);
 
         for f in 0..d {
             new_rank_offsets.push(new_rank_values.len());
             let vals_start = new_rank_values.len();
+            let Some(&r_old) = self.sorted[f].get() else {
+                // Never read: room for all `n` rows' distinct values.
+                new_rank_values.extend((0..n).map(|_| AtomicU64::new(0)));
+                continue;
+            };
+            let r_old = r_old as usize;
             let col = self.columns.column_slice(f);
-            let r_old = self.n_ranks[f] as usize;
             let old_start = self.rank_offsets[f];
             let old_vals = &self.rank_values[old_start..old_start + r_old];
+            let old_val = |i: usize| f64::from_bits(old_vals[i].load(Relaxed));
+            let push = |vals: &mut Vec<AtomicU64>, v: f64| vals.push(AtomicU64::new(v.to_bits()));
 
             keyed.clear();
-            keyed.extend((0..m).map(|j| (key_of(col[old_n + j]), j as u32)));
+            keyed.extend((0..m).map(|j| (sort_key(col[old_n + j]), j as u32)));
             keyed.sort_unstable_by_key(|p| p.0);
 
             // One fused merge over the old distinct values and the
@@ -235,21 +380,21 @@ impl PresortedDataset {
             while ki < m {
                 let key = keyed[ki].0;
                 while lo < r_old {
-                    let v = old_vals[lo];
-                    if key_of(v) >= key {
+                    let v = old_val(lo);
+                    if sort_key(v) >= key {
                         break;
                     }
-                    new_rank_values.push(v);
+                    push(&mut new_rank_values, v);
                     shift.push(count);
                     lo += 1;
                 }
                 let id = (new_rank_values.len() - vals_start) as u32;
-                if lo < r_old && key_of(old_vals[lo]) == key {
-                    new_rank_values.push(old_vals[lo]);
+                if lo < r_old && sort_key(old_val(lo)) == key {
+                    push(&mut new_rank_values, old_val(lo));
                     shift.push(count);
                     lo += 1;
                 } else {
-                    new_rank_values.push(col[old_n + keyed[ki].1 as usize]);
+                    push(&mut new_rank_values, col[old_n + keyed[ki].1 as usize]);
                     count += 1;
                 }
                 while ki < m && keyed[ki].0 == key {
@@ -257,8 +402,8 @@ impl PresortedDataset {
                     ki += 1;
                 }
             }
-            new_rank_values.extend_from_slice(&old_vals[lo..]);
-            self.n_ranks[f] = r_old as u32 + count;
+            new_rank_values.extend((lo..r_old).map(|i| AtomicU64::new(old_vals[i].load(Relaxed))));
+            self.sorted[f] = OnceLock::from(r_old as u32 + count);
 
             // Remap the existing rows' ranks in place — old id `i`
             // gains `shift[i]`, the number of inserts at positions
@@ -268,11 +413,12 @@ impl PresortedDataset {
             if count > 0 {
                 shift.resize(r_old, count);
                 for v in rk[..old_n].iter_mut() {
+                    let v = v.get_mut();
                     *v += shift[*v as usize];
                 }
             }
-            for (j, &id) in tail_ranks.iter().enumerate() {
-                rk[old_n + j] = id;
+            for (cell, &id) in rk[old_n..].iter_mut().zip(&tail_ranks) {
+                *cell.get_mut() = id;
             }
         }
         self.rank_values = new_rank_values;
@@ -290,19 +436,21 @@ impl PresortedDataset {
     }
 
     /// Brings the `ranks` stride back in line with the columns' row
-    /// capacity after the columns grew. Features move right-to-left,
-    /// so each `copy_within` reads a region not yet overwritten.
+    /// capacity after the columns grew. Features move right-to-left and
+    /// each feature's cells back to front: no destination lies below
+    /// its source, so every cell is read before it is overwritten.
     fn restride_ranks(&mut self) {
         let cap = self.columns.capacity_rows();
         if cap == self.row_cap {
             return;
         }
-        let d = self.n_features();
-        let n = self.n_rows();
-        self.ranks.resize(cap * d, 0);
-        for f in (0..d).rev() {
-            self.ranks
-                .copy_within(f * self.row_cap..f * self.row_cap + n, f * cap);
+        let (d, n, old) = (self.n_features(), self.n_rows(), self.row_cap);
+        self.ranks.resize_with(cap * d, || AtomicU32::new(0));
+        for f in (1..d).rev() {
+            for i in (0..n).rev() {
+                let r = *self.ranks[f * old + i].get_mut();
+                *self.ranks[f * cap + i].get_mut() = r;
+            }
         }
         self.row_cap = cap;
     }
@@ -311,18 +459,19 @@ impl PresortedDataset {
     /// compare by bit pattern, so NaN-holding caches can still be
     /// proven identical to their independently built twins (derived
     /// `PartialEq` makes any NaN cell unequal to itself). This is the
-    /// relation the append-vs-fresh-build equivalence proofs use.
+    /// relation the append-vs-fresh-build equivalence proofs use. Like
+    /// `==`, it sorts any feature either side has not read yet.
     pub fn bit_identical(&self, other: &Self) -> bool {
-        fn same_bits(a: &[f64], b: &[f64]) -> bool {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        fn same_bits(a: impl Iterator<Item = f64>, b: impl Iterator<Item = f64>) -> bool {
+            a.map(f64::to_bits).eq(b.map(f64::to_bits))
         }
         self.n_rows() == other.n_rows()
             && self.n_features() == other.n_features()
-            && self.n_ranks == other.n_ranks
             && (0..self.n_features()).all(|f| {
-                same_bits(self.column(f), other.column(f))
-                    && self.ranks_of(f) == other.ranks_of(f)
-                    && same_bits(self.rank_values_of(f), other.rank_values_of(f))
+                self.n_ranks(f) == other.n_ranks(f)
+                    && same_bits(self.column(f).iter().copied(), other.column(f).iter().copied())
+                    && self.ranks(f).eq(other.ranks(f))
+                    && same_bits(self.rank_values(f), other.rank_values(f))
             })
     }
 
@@ -338,33 +487,71 @@ impl PresortedDataset {
         self.columns.cols()
     }
 
-    /// Borrowed contiguous values of feature `f`.
+    /// Borrowed contiguous values of feature `f`. Reading the values
+    /// sorts nothing.
     #[inline]
     pub fn column(&self, f: usize) -> &[f64] {
         self.columns.column_slice(f)
     }
 
+    /// Number of features sorted so far.
+    pub fn sorted_features(&self) -> usize {
+        self.sorted.iter().filter(|s| s.get().is_some()).count()
+    }
+
+    /// Number of distinct values (ranks) of feature `f`, sorting the
+    /// feature on first read.
+    #[inline]
+    pub fn n_ranks(&self, f: usize) -> usize {
+        *self.sorted[f].get_or_init(|| self.sort_feature(f)) as usize
+    }
+
     /// Whether feature `f` holds one bit-identical non-NaN value in
     /// every row. Such a feature can never split — and, unlike the NaN
-    /// case, skipping it does not consume splitter randomness.
+    /// case, skipping it does not consume splitter randomness. Sorts
+    /// the feature on first read.
     #[inline]
     pub fn is_constant(&self, f: usize) -> bool {
-        self.n_ranks[f] == 1 && !self.column(f)[0].is_nan()
+        self.n_ranks(f) == 1 && !self.column(f)[0].is_nan()
     }
 
     /// The value ranks of feature `f`, indexed by row.
     #[inline]
-    fn ranks_of(&self, f: usize) -> &[u32] {
+    pub(crate) fn ranks_of(&self, f: usize) -> &[AtomicU32] {
+        self.n_ranks(f);
         &self.ranks[f * self.row_cap..f * self.row_cap + self.n_rows()]
+    }
+
+    /// Feature `f`'s distinct values in rank order, as bits: entry `r`
+    /// holds the bit-exact value every row of rank `r` holds (read it
+    /// with [`value_at`]). Split scans index this slice directly.
+    #[inline]
+    pub(crate) fn rank_values_of(&self, f: usize) -> &[AtomicU64] {
+        let len = self.n_ranks(f);
+        let start = self.rank_offsets[f];
+        &self.rank_values[start..start + len]
+    }
+
+    /// The value rank of every row of feature `f`, in row order: rows
+    /// with bit-identical values share a rank, and ranks increase with
+    /// the `total_cmp` value order.
+    pub fn ranks(&self, f: usize) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.ranks_of(f).iter().map(|r| r.load(Relaxed))
     }
 
     /// Feature `f`'s distinct values in rank order: entry `r` is the
     /// bit-exact value every row of rank `r` holds.
-    #[inline]
-    pub fn rank_values_of(&self, f: usize) -> &[f64] {
-        let start = self.rank_offsets[f];
-        &self.rank_values[start..start + self.n_ranks[f] as usize]
+    pub fn rank_values(&self, f: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.rank_values_of(f)
+            .iter()
+            .map(|v| f64::from_bits(v.load(Relaxed)))
     }
+}
+
+/// Entry `i` of a [`PresortedDataset::rank_values_of`] slice.
+#[inline]
+pub(crate) fn value_at(values: &[AtomicU64], i: usize) -> f64 {
+    f64::from_bits(values[i].load(Relaxed))
 }
 
 /// Mutable per-fit traversal state over a shared [`PresortedDataset`]:
@@ -539,7 +726,7 @@ impl<'a> PresortTraversal<'a> {
         cached.clear();
         let (mut min_rank, mut max_rank) = (u32::MAX, 0u32);
         cached.extend(seg.iter().map(|&v| {
-            let r = rk[row_of(v)];
+            let r = rk[row_of(v)].load(Relaxed);
             min_rank = min_rank.min(r);
             max_rank = max_rank.max(r);
             r
@@ -665,7 +852,7 @@ impl<'a> PresortTraversal<'a> {
     /// values)` — reproduces the legacy per-row sweep bit for bit
     /// (integer addition is order-independent, and each group's value
     /// comes back bit-exact via
-    /// [`PresortedDataset::rank_values_of`]).
+    /// [`PresortedDataset::rank_values`]).
     ///
     /// Returns `None` when the feature is constant and non-NaN across
     /// the node — exactly when the caller's `lo_v == hi_v` guard would
@@ -690,13 +877,13 @@ impl<'a> PresortTraversal<'a> {
         cached.clear();
         let (mut min_rank, mut max_rank) = (u32::MAX, 0u32);
         cached.extend(seg.iter().map(|&v| {
-            let r = rk[row_of(v)];
+            let r = rk[row_of(v)].load(Relaxed);
             min_rank = min_rank.min(r);
             max_rank = max_rank.max(r);
             r
         }));
         let range = (max_rank - min_rank) as usize + 1;
-        if range == 1 && !self.ps.rank_values_of(feature)[min_rank as usize].is_nan() {
+        if range == 1 && !value_at(self.ps.rank_values_of(feature), min_rank as usize).is_nan() {
             return None;
         }
         let counts = &mut self.counts;
@@ -756,8 +943,10 @@ fn stable_split(seg: &mut [u32], scratch: &mut [u32], side: &[bool], n_left: usi
 /// share across fits on the same matrix (grid-search folds, the
 /// Table 3 comparison, repeated retraining).
 ///
-/// Only tree-family classifiers request the presorted view, so the sort
-/// cost is paid on first use — linear models never trigger it.
+/// Only tree-family classifiers request the presorted view, so the
+/// column gather is paid on first use — linear models never trigger
+/// it — and each feature's sort on the first split search that reads
+/// it, by whichever fit gets there first.
 #[derive(Debug, Default)]
 pub struct FitCache {
     presorted: OnceLock<PresortedDataset>,
@@ -811,9 +1000,10 @@ mod tests {
     #[test]
     fn ranks_follow_value_order_with_shared_ties() {
         let ps = PresortedDataset::build(&sample_matrix());
-        assert_eq!(ps.ranks_of(0), &[2, 0, 1, 0, 2]);
-        assert_eq!(ps.ranks_of(1), &[1, 1, 1, 0, 2]);
-        assert_eq!(ps.n_ranks, vec![3, 3]);
+        assert_eq!(ps.ranks(0).collect::<Vec<_>>(), [2, 0, 1, 0, 2]);
+        assert_eq!(ps.ranks(1).collect::<Vec<_>>(), [1, 1, 1, 0, 2]);
+        assert_eq!((ps.n_ranks(0), ps.n_ranks(1)), (3, 3));
+        assert_eq!(ps.rank_values(0).collect::<Vec<_>>(), [1.0, 2.0, 3.0]);
         assert!(!ps.is_constant(0));
     }
 
@@ -833,7 +1023,7 @@ mod tests {
         assert_eq!(sorted_rows(&mut t, 0, 0, 4), vec![3, 1, 0, 2]);
         // Bit-identical NaNs share a rank, and an all-NaN-free constant
         // check must not claim a NaN column.
-        assert_eq!(ps.n_ranks[0], 3);
+        assert_eq!(ps.n_ranks(0), 3);
         assert!(!ps.is_constant(0));
     }
 
@@ -950,6 +1140,56 @@ mod tests {
     #[should_panic(expected = "feature count")]
     fn append_rejects_width_mismatch() {
         PresortedDataset::build(&sample_matrix()).append_rows(&Matrix::zeros(1, 3));
+    }
+
+    #[test]
+    fn features_sort_on_first_read_only() {
+        let ps = PresortedDataset::build(&sample_matrix());
+        assert_eq!(ps.sorted_features(), 0);
+        // Column values are there without a sort.
+        assert_eq!(ps.column(1), &[1.0, 1.0, 1.0, 0.0, 2.0]);
+        assert_eq!(ps.sorted_features(), 0);
+        assert!(!ps.is_constant(1));
+        assert_eq!(ps.sorted_features(), 1);
+        let eager = PresortedDataset::build_sorted(&sample_matrix());
+        assert_eq!(eager.sorted_features(), 2);
+        // Packed densely: one cell per distinct value.
+        assert_eq!(eager.rank_values.len(), 6);
+        assert_eq!(eager, ps);
+    }
+
+    #[test]
+    fn build_rows_matches_build_of_the_selected_rows() {
+        let x = sample_matrix();
+        let rows = [4, 0, 0, 3];
+        let ps = PresortedDataset::build_rows(&x, &rows);
+        assert_eq!(ps, PresortedDataset::build(&x.select_rows(&rows)));
+    }
+
+    #[test]
+    fn stump_forest_sorts_only_the_sampled_features() {
+        // Every column separates the label, so each tree's root split
+        // is pure and every tree is a stump: a tree reads only the
+        // sqrt(2000) = 44 features its root samples.
+        let (rows, cols) = (150, 2000);
+        let y: Vec<u8> = (0..rows).map(|r| (r % 2) as u8).collect();
+        let data = (0..rows)
+            .flat_map(|r| {
+                let sign = if y[r] == 1 { 1.0 } else { -1.0 };
+                (0..cols).map(move |c| sign * (1.0 + ((r * 31 + c * 17) % 13) as f64 / 100.0))
+            })
+            .collect();
+        let x = Matrix::from_vec(rows, cols, data);
+        let ps = PresortedDataset::build(&x);
+        let mut rf = crate::RandomForest::new(crate::RandomForestParams {
+            n_estimators: 12,
+            ..crate::RandomForestParams::default()
+        });
+        rf.fit_presorted(&ps, &y, None).unwrap();
+        assert!(rf.trees().iter().all(|t| t.node_count() == 3), "every tree is a stump");
+        let sorted = ps.sorted_features();
+        assert!(sorted > 0 && sorted < cols / 3, "{sorted} of {cols} columns sorted");
+        assert_eq!(PresortedDataset::build_sorted(&x).sorted_features(), cols);
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //! and after their parent, one parent per node, split features in
 //! range, finite thresholds and leaf probabilities in `[0, 1]`.
 
+use std::sync::atomic::AtomicU64;
+
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
 
-use crate::presort::{FitCache, NodeGroups, PresortTraversal, PresortedDataset};
+use crate::presort::{value_at, FitCache, NodeGroups, PresortTraversal, PresortedDataset};
 use crate::{validate_fit_parts, Classifier, Error, Matrix};
 
 /// Impurity criterion for choosing splits.
@@ -928,8 +930,8 @@ impl DecisionTree {
                 };
                 let tbl = &ps.rank_values_of(feature)[groups.min_rank..];
                 let n_groups = groups.counts.len();
-                let lo_v = tbl[0];
-                let hi_v = tbl[n_groups - 1];
+                let lo_v = value_at(tbl, 0);
+                let hi_v = value_at(tbl, n_groups - 1);
                 if lo_v == hi_v {
                     continue;
                 }
@@ -1054,7 +1056,7 @@ impl DecisionTree {
     fn scan_groups_unit<const FILTER: bool>(
         &self,
         feature: usize,
-        tbl: &[f64],
+        tbl: &[AtomicU64],
         groups: &NodeGroups<'_>,
         n: usize,
         parent_impurity: f64,
@@ -1084,7 +1086,7 @@ impl DecisionTree {
             if c == 0 {
                 continue;
             }
-            let v = tbl[g];
+            let v = value_at(tbl, g);
             if let Some(pv) = pending {
                 if v > pv && left_count >= min_leaf && n - left_count >= min_leaf {
                     let (r0, r1) = (n0 - l0, n1 - l1);
@@ -1128,7 +1130,7 @@ impl DecisionTree {
     #[allow(clippy::too_many_arguments)]
     fn evaluate_groups_unit(
         &self,
-        tbl: &[f64],
+        tbl: &[AtomicU64],
         counts: &[u32],
         ones: &[u32],
         n: usize,
@@ -1143,7 +1145,7 @@ impl DecisionTree {
         for (g, (&c, &o)) in counts.iter().zip(ones).enumerate() {
             // NaN groups compare false and stay on the right, exactly
             // like the per-row `v <= threshold` test.
-            if c > 0 && tbl[g] <= threshold {
+            if c > 0 && value_at(tbl, g) <= threshold {
                 l1 += o;
                 l0 += c - o;
                 left_count += c as usize;

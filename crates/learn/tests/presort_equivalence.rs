@@ -1,13 +1,18 @@
 //! Property tests pinning the presorted tree builder to the legacy
-//! per-node resorting builder, and parallel model selection to its
-//! sequential counterpart.
+//! per-node resorting builder, the lazily sorted cache to a fully
+//! sorted one, and parallel model selection to its sequential
+//! counterpart.
 //!
 //! The presorted path is an *exact* reimplementation: for every input —
 //! duplicate values and rows, constant columns, NaN cells, arbitrary
 //! sample weights, feature subsampling, the random splitter, the
 //! entropy filter of the unit-weight sweep — the serialized
 //! trees must be bit-for-bit identical, and parallel CV / grid search
-//! must produce exactly the scores of the sequential scan.
+//! must produce exactly the scores of the sequential scan. A cache
+//! sorts each feature on first read: in whatever order, and from
+//! however many threads, features are read, every feature's ranks and
+//! distinct values, the trees fit on it, its appends and its clones
+//! must equal those of a cache sorted up front.
 
 use monitorless_learn::prelude::*;
 use monitorless_learn::tree::MaxFeatures;
@@ -59,6 +64,55 @@ fn messy_matrix(seed: u64, rows: usize, cols: usize, allow_nan: bool) -> Matrix 
         }
     }
     Matrix::from_vec(rows, cols, data)
+}
+
+/// [`messy_matrix`] with signed zeros: about half of its `0.0` cells
+/// become `-0.0`, a distinct bit pattern that compares equal.
+fn signed_zero_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
+    let mut rng = Mix(seed ^ 0x2E50);
+    let mut data = messy_matrix(seed, rows, cols, true).into_vec();
+    for v in &mut data {
+        if *v == 0.0 && rng.below(2) == 0 {
+            *v = -0.0;
+        }
+    }
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// A random permutation of `0..n`.
+fn permutation(rng: &mut Mix, n: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    order
+}
+
+/// Everything a reader can learn about feature `f`: its ranks, the
+/// bits of its distinct values, their count and whether the feature is
+/// constant. `first` picks which of the four reads comes first, so
+/// each one in turn triggers the feature's sort.
+fn feature_view(ps: &PresortedDataset, f: usize, first: u64) -> (Vec<u32>, Vec<u64>, usize, bool) {
+    match first {
+        0 => {
+            let _ = ps.ranks(f);
+        }
+        1 => {
+            let _ = ps.rank_values(f);
+        }
+        2 => {
+            let _ = ps.n_ranks(f);
+        }
+        _ => {
+            let _ = ps.is_constant(f);
+        }
+    }
+    (
+        ps.ranks(f).collect(),
+        ps.rank_values(f).map(f64::to_bits).collect(),
+        ps.n_ranks(f),
+        ps.is_constant(f),
+    )
 }
 
 /// Random binary labels with both classes guaranteed present.
@@ -227,6 +281,143 @@ proptest! {
         let want = monitorless_std::json::to_string(&fresh);
         prop_assert_eq!(monitorless_std::json::to_string(&first), want.clone());
         prop_assert_eq!(monitorless_std::json::to_string(&second), want);
+    }
+}
+
+proptest! {
+    #![proptest_config(tree_cases(32))]
+
+    #[test]
+    fn lazy_reads_in_any_order_match_an_eager_build(
+        seed in 0u64..1_000_000,
+        rows in 1usize..120,
+        cols in 1usize..12,
+    ) {
+        let x = signed_zero_matrix(seed, rows, cols);
+        let reference = PresortedDataset::build_sorted(&x);
+        prop_assert_eq!(reference.sorted_features(), cols);
+        let want: Vec<_> = (0..cols).map(|f| feature_view(&reference, f, 0)).collect();
+
+        // One reader, features in a random order.
+        let mut rng = Mix(seed ^ 0x1A27);
+        let lazy = PresortedDataset::build(&x);
+        prop_assert_eq!(lazy.sorted_features(), 0);
+        for f in permutation(&mut rng, cols) {
+            prop_assert_eq!(&feature_view(&lazy, f, rng.below(4)), &want[f], "feature {}", f);
+        }
+        prop_assert_eq!(lazy.sorted_features(), cols);
+
+        // Four readers at once, each in its own order, racing to sort
+        // the same features.
+        let shared = PresortedDataset::build(&x);
+        let orders: Vec<Vec<(usize, u64)>> = (0..4)
+            .map(|_| {
+                permutation(&mut rng, cols)
+                    .into_iter()
+                    .map(|f| (f, rng.below(4)))
+                    .collect()
+            })
+            .collect();
+        let seen: Vec<Vec<_>> = std::thread::scope(|s| {
+            let workers: Vec<_> = orders
+                .iter()
+                .map(|order| {
+                    let shared = &shared;
+                    s.spawn(move || {
+                        order
+                            .iter()
+                            .map(|&(f, first)| (f, feature_view(shared, f, first)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("reader thread")).collect()
+        });
+        for views in &seen {
+            for (f, view) in views {
+                prop_assert_eq!(view, &want[*f], "feature {} read concurrently", f);
+            }
+        }
+        prop_assert!(shared.bit_identical(&reference));
+    }
+
+    #[test]
+    fn forests_on_lazy_and_sorted_caches_agree(
+        seed in 0u64..1_000_000,
+        rows in 8usize..150,
+        cols in 4usize..24,
+        n_jobs in 1usize..5,
+        entropy in 0u64..2,
+    ) {
+        let x = signed_zero_matrix(seed, rows, cols);
+        let y = messy_labels(seed, rows);
+        let fit = |ps: &PresortedDataset| {
+            let mut rf = RandomForest::new(RandomForestParams {
+                n_estimators: 6,
+                criterion: if entropy == 1 {
+                    SplitCriterion::Entropy
+                } else {
+                    SplitCriterion::Gini
+                },
+                min_samples_leaf: 1 + (seed % 3) as usize,
+                n_jobs,
+                seed,
+                ..RandomForestParams::default()
+            });
+            rf.fit_presorted(ps, &y, None).unwrap();
+            monitorless_std::json::to_string(&rf)
+        };
+        let lazy = PresortedDataset::build(&x);
+        let from_lazy = fit(&lazy);
+        prop_assert!(lazy.sorted_features() <= cols);
+        prop_assert_eq!(from_lazy, fit(&PresortedDataset::build_sorted(&x)));
+    }
+
+    #[test]
+    fn append_after_partial_reads_matches_a_fresh_sorted_build(
+        seed in 0u64..1_000_000,
+        rows in 1usize..80,
+        extra_rows in 0usize..40,
+        cols in 1usize..10,
+    ) {
+        let base = signed_zero_matrix(seed, rows, cols);
+        let extra = signed_zero_matrix(seed ^ 0xADD, extra_rows, cols);
+        let mut rng = Mix(seed ^ 0xA99);
+        let mut ps = PresortedDataset::build(&base);
+        for f in 0..cols {
+            if rng.below(2) == 0 {
+                feature_view(&ps, f, rng.below(4));
+            }
+        }
+        let read_before = ps.sorted_features();
+        if rng.below(3) == 0 {
+            ps.reserve_rows(rng.below(50) as usize);
+        }
+        ps.append_rows(&extra);
+        // Features read before the append were merged; the rest are
+        // still unsorted.
+        prop_assert_eq!(ps.sorted_features(), read_before);
+        prop_assert!(ps.bit_identical(&PresortedDataset::build_sorted(&base.vstack(&extra))));
+    }
+
+    #[test]
+    fn clone_of_a_partly_sorted_cache_equals_the_original(
+        seed in 0u64..1_000_000,
+        rows in 1usize..80,
+        cols in 1usize..10,
+    ) {
+        let x = signed_zero_matrix(seed, rows, cols);
+        let mut rng = Mix(seed ^ 0xC10E);
+        let ps = PresortedDataset::build(&x);
+        for f in 0..cols {
+            if rng.below(2) == 0 {
+                feature_view(&ps, f, rng.below(4));
+            }
+        }
+        let copy = ps.clone();
+        prop_assert_eq!(copy.sorted_features(), ps.sorted_features());
+        prop_assert!(copy.bit_identical(&ps));
+        prop_assert!(copy.bit_identical(&PresortedDataset::build_sorted(&x)));
     }
 }
 

@@ -276,10 +276,14 @@ pub fn write_report(path: &std::path::Path) -> std::io::Result<()> {
 }
 
 /// Drains the trace journal into a JSONL audit file, one record per
-/// line, oldest first ([`crate::audit_jsonl`]). The file is created
-/// before the drain, so records stay queued when it cannot be.
-pub fn write_audit(path: &std::path::Path) -> std::io::Result<()> {
-    create_file(path)?.write_all(crate::journal::audit_jsonl().as_bytes())
+/// line, oldest first ([`crate::audit_jsonl`]), and returns how many
+/// records it wrote. The file is created before the drain, so records
+/// stay queued when it cannot be.
+pub fn write_audit(path: &std::path::Path) -> std::io::Result<usize> {
+    let mut file = create_file(path)?;
+    let records = crate::journal::drain();
+    file.write_all(crate::journal::jsonl_lines(&records).as_bytes())?;
+    Ok(records.len())
 }
 
 /// Creates (or truncates) `path`, creating its parent directory first.

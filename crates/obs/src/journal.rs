@@ -255,8 +255,13 @@ pub fn drain() -> Vec<JournalRecord> {
 /// Drains the journal and renders it as a JSONL audit trail (one
 /// record per line, oldest first).
 pub fn audit_jsonl() -> String {
+    jsonl_lines(&drain())
+}
+
+/// Renders `records` as JSONL, one record per line.
+pub(crate) fn jsonl_lines(records: &[JournalRecord]) -> String {
     let mut out = String::new();
-    for rec in drain() {
+    for rec in records {
         out.push_str(&rec.to_jsonl());
         out.push('\n');
     }

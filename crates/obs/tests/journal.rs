@@ -87,7 +87,8 @@ fn ring_mode_keeps_the_newest_records_and_counts_the_rest() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs-journal-audit");
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("audit.jsonl");
-    obs::write_audit(&path).expect("write the audit file");
+    let written = obs::write_audit(&path).expect("write the audit file");
+    assert_eq!(written, drained.len(), "write_audit counts the records it wrote");
     let text = std::fs::read_to_string(&path).expect("read the audit file back");
     std::fs::remove_dir_all(&dir).expect("remove the audit directory");
     let lines: Vec<&str> = text.lines().collect();

@@ -17,6 +17,13 @@ fn options() -> TrainingOptions {
     }
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 #[test]
 fn same_seed_is_bit_for_bit_reproducible() {
     let a = generate_training_data(&options()).unwrap();
@@ -36,6 +43,17 @@ fn same_seed_is_bit_for_bit_reproducible() {
     let json_a = monitorless_std::json::to_string(&model_a);
     let json_b = monitorless_std::json::to_string(&model_b);
     assert!(json_a == json_b, "serialized models differ");
+
+    // Golden: the serialized model's FNV-1a-64 digest. Determinism
+    // between two runs cannot catch a change that moves both; this
+    // committed value can. It pins the floating-point bits of the
+    // x86-64 Linux build; a platform with other libm rounding may
+    // differ and needs its own golden.
+    assert_eq!(
+        fnv1a64(json_a.as_bytes()),
+        0xc4d2_05ef_7ce9_40e8,
+        "serialized model differs from the committed golden"
+    );
 
     // And so are the predictions they emit.
     let pa = model_a
