@@ -1,11 +1,20 @@
 //! Stage orchestration: the six-step feature pipeline (Section 3.3.7)
 //! and its online per-instance form.
 //!
-//! The batch and online transform paths run on streaming, column-major
-//! kernels that write straight into preallocated buffers; the original
-//! row-cloning implementations are retained as `*_legacy` reference
-//! paths and the streaming paths are proven bit-identical to them
-//! (`tests/featurize_equivalence.rs`, `table1_featurize`).
+//! Stage D (the `X-AVG`/`X-LAG` time features and the cross-domain
+//! products) has one evaluator: a plan of cells, one per stage-D value,
+//! run one row at a time by `eval_plan_row`. The fit evaluates the full
+//! plan over each group block ([`expand_stage_d`]). A fitted pipeline
+//! keeps the plan it serves: the kept output columns under a
+//! column-selecting second reduction, the full plan for a PCA one to
+//! project. It runs that plan over group blocks in
+//! [`FittedPipeline::transform_batch`] and over the history ring in
+//! [`InstanceTransformer::push_into`], and stages 1–3 compute only the
+//! stage-C cells the plan reads. Every path writes straight into
+//! preallocated buffers. The original row-cloning implementations are
+//! retained as `*_legacy` reference paths, and the plan paths are
+//! proven bit-identical to them (`tests/featurize_equivalence.rs`,
+//! `table1_featurize`).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,7 +257,18 @@ fn forced_base_indices(names_b: &[String]) -> Vec<usize> {
 
 /// Contiguous `[start, end)` row ranges of equal group id, in input
 /// order (rows of one group must be adjacent and chronological).
-fn group_blocks(groups: &[u32]) -> Vec<(usize, usize)> {
+///
+/// # Errors
+///
+/// [`Error::Invalid`] unless `groups` holds one id per row of a
+/// `rows`-row batch.
+fn group_blocks(groups: &[u32], rows: usize) -> Result<Vec<(usize, usize)>, Error> {
+    if groups.len() != rows {
+        return Err(Error::Invalid(format!(
+            "{} group ids for {rows} rows: each row needs exactly one",
+            groups.len()
+        )));
+    }
     let mut blocks = Vec::new();
     let mut i = 0;
     while i < groups.len() {
@@ -260,36 +280,47 @@ fn group_blocks(groups: &[u32]) -> Vec<(usize, usize)> {
         blocks.push((i, j));
         i = j;
     }
-    blocks
+    Ok(blocks)
 }
 
-/// Carves one contiguous output slice per group block out of `data`
-/// (row-major, `width` columns) and runs `work(start, end, out)` for
-/// each block over `n_jobs` pool workers, recording per-block busy time
-/// behind the `pipeline.worker_utilization` gauge.
-fn shard_blocks<F>(
-    data: &mut [f64],
-    width: usize,
+/// The block runner both batch stage-D paths share: evaluates `plan` at
+/// every row of the stage-C matrix `c` into a new `c.rows() × plan.len()`
+/// matrix, one group block (from [`group_blocks`]) at a time. Each block
+/// writes its own contiguous slice of the output, and independent
+/// blocks are sharded over `n_jobs` pool workers, so the output is
+/// identical for any worker count. History slot `h` of the plan reads
+/// stage-C column `history[h]`. Per-block busy time feeds the
+/// `pipeline.worker_utilization` gauge.
+fn eval_plan_blocks(
+    plan: &[PlanCell],
+    history: &[usize],
+    c: &Matrix,
     blocks: &[(usize, usize)],
     n_jobs: usize,
-    work: F,
-) where
-    F: Fn(usize, usize, &mut [f64]) + Sync,
-{
+) -> Matrix {
     let span = obs::Span::enter("pipeline.stage_d");
+    obs::counter_add("pipeline.rows", c.rows() as u64);
+    obs::counter_add("pipeline.groups", blocks.len() as u64);
+    let (rw, width) = (c.cols(), plan.len());
+    let mut data = vec![0.0; c.rows() * width];
     let mut tasks: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(blocks.len());
-    let mut rest = data;
+    let mut rest = data.as_mut_slice();
     for &(start, end) in blocks {
         let (head, tail) = rest.split_at_mut((end - start) * width);
         tasks.push((start, end, head));
         rest = tail;
     }
+    let c_data = c.as_slice();
     let busy_us = AtomicU64::new(0);
     let busy = &busy_us;
-    let work = &work;
     monitorless_std::pool::for_each_item_mut(&mut tasks, n_jobs, |_, (start, end, out)| {
         let started = obs::enabled().then(std::time::Instant::now);
-        work(*start, *end, out);
+        let block = &c_data[*start * rw..*end * rw];
+        let hist = |h: usize, r: usize| block[r * rw + history[h]];
+        for i in 0..*end - *start {
+            let cur = &block[i * rw..(i + 1) * rw];
+            eval_plan_row(plan, cur, hist, i, &mut out[i * width..(i + 1) * width]);
+        }
         if let Some(started) = started {
             let us = started.elapsed().as_micros() as u64;
             obs::observe("pipeline.block_busy_us", us as f64);
@@ -305,13 +336,19 @@ fn shard_blocks<F>(
             );
         }
     }
+    Matrix::from_vec(c.rows(), width, data)
 }
 
-/// Stage D (time features + products) on the streaming kernels: every
-/// group block is expanded straight into its slice of the output matrix
-/// buffer — no row clones, no per-row vectors — and independent blocks
-/// are sharded over `n_jobs` pool workers (the output is identical for
-/// any worker count). Bit-identical to [`expand_stage_d_legacy`].
+/// Stage D (time features + products) through the plan evaluator: the
+/// full stage-D plan (`stage_d_plan`) evaluated over every group block
+/// straight into the output matrix buffer — no row clones, no per-row
+/// vectors — with independent blocks sharded over `n_jobs` pool workers
+/// (the output is identical for any worker count). Bit-identical to
+/// [`expand_stage_d_legacy`].
+///
+/// # Panics
+///
+/// Panics unless `groups` holds one id per row of `c`.
 pub fn expand_stage_d(
     c: &Matrix,
     groups: &[u32],
@@ -320,62 +357,20 @@ pub fn expand_stage_d(
     names_c: &[String],
     n_jobs: usize,
 ) -> (Matrix, Vec<String>) {
-    let w = c.cols();
-    let time_width = time.map_or(w, |t| t.output_width());
-    let width = time_width + pairs.len();
-    let blocks = group_blocks(groups);
-    obs::counter_add("pipeline.rows", c.rows() as u64);
-    obs::counter_add("pipeline.groups", blocks.len() as u64);
-    let mut data = vec![0.0; c.rows() * width];
-    let c_data = c.as_slice();
-    shard_blocks(&mut data, width, &blocks, n_jobs, |start, end, out| {
-        let block = &c_data[start * w..end * w];
-        expand_block_full(block, w, time, pairs, time_width, width, out);
-    });
-
+    let blocks = group_blocks(groups, c.rows()).unwrap_or_else(|e| panic!("stage D: {e}"));
+    let plan = stage_d_plan(c.cols(), time.is_some(), pairs);
+    let history: Vec<usize> = (0..c.cols()).collect();
+    let d = eval_plan_blocks(&plan, &history, c, &blocks, n_jobs);
     let mut names = match time {
         Some(t) => t.names(names_c),
         None => names_c.to_vec(),
     };
     names.extend(product_names(names_c, pairs));
-    (Matrix::from_vec(c.rows(), width, data), names)
-}
-
-/// Expands one contiguous group block (`block`, row-major with `w`
-/// columns) into `out` (row-major with `width` columns): time features
-/// first, then products of the original (stage-C) values.
-fn expand_block_full(
-    block: &[f64],
-    w: usize,
-    time: Option<&TimeExpander>,
-    pairs: &[(usize, usize)],
-    time_width: usize,
-    width: usize,
-    out: &mut [f64],
-) {
-    let n_rows = block.len().checked_div(w).unwrap_or(0);
-    match time {
-        Some(t) => {
-            let mut acc = vec![0.0; w];
-            t.expand_block_into(block, out, width, &mut acc);
-        }
-        None => {
-            for i in 0..n_rows {
-                out[i * width..i * width + w].copy_from_slice(&block[i * w..(i + 1) * w]);
-            }
-        }
-    }
-    for i in 0..n_rows {
-        let orig = &block[i * w..(i + 1) * w];
-        let prod = &mut out[i * width + time_width..(i + 1) * width];
-        for (dst, &(a, b)) in prod.iter_mut().zip(pairs) {
-            *dst = orig[a] * orig[b];
-        }
-    }
+    (d, names)
 }
 
 /// The original row-cloning stage-D implementation, retained as the
-/// reference the streaming path is proven bit-identical against.
+/// reference the plan path is proven bit-identical against.
 pub fn expand_stage_d_legacy(
     c: &Matrix,
     groups: &[u32],
@@ -415,9 +410,10 @@ pub fn expand_stage_d_legacy(
     (Matrix::from_vec(c.rows(), width, data), names)
 }
 
-/// One final-output cell of the selective stage-D/E plan: which stage-D
-/// value a kept output column corresponds to, resolved through the
-/// second reduction's selection and the zero-variance `keep` list.
+/// One stage-D value, as [`eval_plan_row`] computes it. A plan lists
+/// stage-D columns in output order: every column ([`stage_d_plan`]) or
+/// the kept output columns of a column-selecting second reduction
+/// ([`FittedPipeline::plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PlanCell {
     /// Stage-C column `f` of the current row.
@@ -440,15 +436,39 @@ enum PlanCell {
     Product(usize, usize),
 }
 
+/// Every stage-D column as a plan cell, in stage-D order: the `rw`
+/// stage-C columns, then with time features one `Avg` band per lag in
+/// [`TIME_LAGS`] and one `Lag` band per lag (history slot `f` holds
+/// stage-C column `f`), then one product per pair.
+fn stage_d_plan(rw: usize, time: bool, pairs: &[(usize, usize)]) -> Vec<PlanCell> {
+    let mut plan: Vec<PlanCell> = (0..rw).map(PlanCell::Orig).collect();
+    if time {
+        for lag in TIME_LAGS {
+            plan.extend((0..rw).map(|h| PlanCell::Avg { h, lag }));
+        }
+        for lag in TIME_LAGS {
+            plan.extend((0..rw).map(|h| PlanCell::Lag { h, lag }));
+        }
+    }
+    plan.extend(pairs.iter().map(|&(a, b)| PlanCell::Product(a, b)));
+    plan
+}
+
 /// Evaluates the plan for chronological row `i` of a window, writing
 /// one value per plan cell into `out`. `cur` is row `i`'s stage-C row;
 /// `hist(h, r)` reads history slot `h` at chronological row `r ≤ i`
-/// (a column of the contiguous batch block, or the online ring).
+/// (a column of the contiguous batch block, or the online ring). This
+/// is the one function outside the legacy oracles that computes an
+/// `X-AVG`, `X-LAG` or product value: at fit time, in the batch
+/// transform and in the online push.
 ///
-/// Each `Avg` cell re-accumulates its clamped window in ascending
-/// chronological order — the same left-to-right f64 add sequence as the
-/// legacy full expansion, so every cell is bit-identical to the
-/// corresponding legacy stage-D column.
+/// Summation-order contract: each `Avg` cell re-accumulates its clamped
+/// window in ascending chronological order (`hist(h, start) + … +
+/// hist(h, i)`, left to right, one divide), the same f64 add sequence
+/// as the legacy `TimeExpander::expand_at`, so every cell is
+/// bit-identical to the corresponding legacy stage-D column. A rolling
+/// sum (add newest, subtract oldest) would reassociate the adds and
+/// break that; the window is at most 16 samples.
 fn eval_plan_row(
     plan: &[PlanCell],
     cur: &[f64],
@@ -463,7 +483,9 @@ fn eval_plan_row(
                 let start = i.saturating_sub(lag);
                 let n = (i - start + 1) as f64;
                 let mut acc = 0.0;
-                for r in start..=i {
+                // Not `start..=i`: the inclusive range's extra end check
+                // measurably slows this, the fit's hottest loop.
+                for r in start..i + 1 {
                     acc += hist(h, r);
                 }
                 acc / n
@@ -471,45 +493,6 @@ fn eval_plan_row(
             PlanCell::Lag { h, lag } => hist(h, i.saturating_sub(lag)),
             PlanCell::Product(a, b) => cur[a] * cur[b],
         };
-    }
-}
-
-/// Expands chronological row `i` (addressed as in [`eval_plan_row`],
-/// with every stage-C column in history, slot `f` holding column `f`)
-/// into the full stage-D row (time features + products), reusing `d` —
-/// the online fallback when the second reduction is PCA and every
-/// stage-D column is needed. Bit-identical to `expand_at` +
-/// `apply_products`.
-fn expand_row_full(
-    time: Option<&TimeExpander>,
-    cur: &[f64],
-    hist: impl Fn(usize, usize) -> f64,
-    i: usize,
-    pairs: &[(usize, usize)],
-    d: &mut Vec<f64>,
-) {
-    d.clear();
-    d.extend_from_slice(cur);
-    if time.is_some() {
-        let rw = cur.len();
-        for &x in &TIME_LAGS {
-            let start = i.saturating_sub(x);
-            let n = (i - start + 1) as f64;
-            for f in 0..rw {
-                let mut acc = 0.0;
-                for r in start..=i {
-                    acc += hist(f, r);
-                }
-                d.push(acc / n);
-            }
-        }
-        for &x in &TIME_LAGS {
-            let j = i.saturating_sub(x);
-            d.extend((0..rw).map(|f| hist(f, j)));
-        }
-    }
-    for &(a, b) in pairs {
-        d.push(cur[a] * cur[b]);
     }
 }
 
@@ -534,15 +517,16 @@ struct Serving {
     host_len: usize,
     ctr_len: usize,
     /// Stages 1–3 as one cell per value they write. For a forest filter
-    /// or no first reduction, that is each stage-C column some plan
-    /// cell reads (every column when the second reduction is PCA); the
+    /// first reduction, that is each stage-C column some plan cell
+    /// reads (every column when the second reduction is PCA); the
     /// stage-C columns no cell reads are never computed. A PCA first
     /// reduction projects the whole standardized base row, so it gets
     /// every base column.
     cells: Vec<BaseCell>,
-    /// The selective stage-D/E plan (`None` when the second reduction
-    /// is PCA).
-    plan: Option<Vec<PlanCell>>,
+    /// The stage-D plan ([`FittedPipeline::plan`]): the kept output
+    /// columns of a column-selecting second reduction, or every stage-D
+    /// column for a PCA second reduction to project.
+    plan: Vec<PlanCell>,
     /// The stage-C column each history slot holds, ascending: the
     /// columns the plan's `Avg`/`Lag` cells read, every column when the
     /// second reduction is PCA, none without time features. The online
@@ -586,7 +570,7 @@ fn check_reduction_input(
             "{stage} PCA was fitted on {} columns, the {input} width is {width}",
             p.n_features()
         )),
-        FittedReduction::None | FittedReduction::Pca(_) => Ok(()),
+        FittedReduction::Pca(_) => Ok(()),
     }
 }
 
@@ -603,13 +587,9 @@ impl FittedPipeline {
         self.check_parameters().map_err(JsonError)?;
         let base_len = self.expander.len();
         let rw = self.names_c.len();
-        let (plan, history) = match self.plan() {
-            Some((plan, history)) => (Some(plan), history),
-            None if self.time.is_some() => (None, (0..rw).collect()),
-            None => (None, Vec::new()),
-        };
-        let mut read = vec![plan.is_none(); rw];
-        for cell in plan.iter().flatten() {
+        let (plan, history) = self.plan();
+        let mut read = vec![false; rw];
+        for cell in &plan {
             match *cell {
                 PlanCell::Orig(f) => read[f] = true,
                 PlanCell::Product(a, b) => {
@@ -627,7 +607,6 @@ impl FittedPipeline {
             FittedReduction::Select(idx) => {
                 (0..rw).filter(|&c| read[c]).map(|c| (idx[c], c)).collect()
             }
-            FittedReduction::None => (0..rw).filter(|&c| read[c]).map(|c| (c, c)).collect(),
             FittedReduction::Pca(_) => (0..base_len).map(|b| (b, b)).collect(),
         };
         let stats = self
@@ -687,7 +666,7 @@ impl FittedPipeline {
         }
         check_reduction_input(&self.reduce1, "reduce1", "base", base_len)?;
         let rw = self.names_c.len();
-        let c_width = self.reduce1.output_width(base_len);
+        let c_width = self.reduce1.output_width();
         if rw != c_width {
             return Err(format!("names_c has {rw} names, reduce1 outputs {c_width} columns"));
         }
@@ -706,7 +685,7 @@ impl FittedPipeline {
         }
         let d_width = self.time_width() + self.pairs.len();
         check_reduction_input(&self.reduce2, "reduce2", "stage-D", d_width)?;
-        let e_width = self.reduce2.output_width(d_width);
+        let e_width = self.reduce2.output_width();
         if let Some(&k) = self.keep.iter().find(|&&k| k >= e_width) {
             return Err(format!("keep index {k} is out of range for {e_width} reduce2 outputs"));
         }
@@ -766,77 +745,60 @@ impl FittedPipeline {
         }
     }
 
-    /// Builds the selective stage-D/E evaluation plan: when the second
-    /// reduction is a column selection (or identity), final output
-    /// column `k` is exactly one stage-D value, so the batch and online
-    /// paths compute only those cells instead of materializing the full
-    /// stage-D row. Returns the plan with its history columns (the
-    /// stage-C columns its `Avg`/`Lag` cells read, ascending; each
-    /// cell's slot indexes this list), or `None` for PCA, which mixes
-    /// every column. Indices are in range once
+    /// Builds the serving plan from the full stage-D plan
+    /// ([`stage_d_plan`]). When the second reduction is a column
+    /// selection, final output column `k` is exactly one stage-D value,
+    /// so the plan keeps only those cells and the batch and online paths
+    /// never materialize the full stage-D row; a PCA second reduction
+    /// mixes every column, so it gets the full plan to project. Returns
+    /// the plan with its history columns (the stage-C columns its
+    /// `Avg`/`Lag` cells read, ascending), each cell's slot renumbered
+    /// to index that list. Indices are in range once
     /// [`FittedPipeline::check_parameters`] has passed.
-    fn plan(&self) -> Option<(Vec<PlanCell>, Vec<usize>)> {
-        let rw = self.names_c.len();
-        let time_width = self.time_width();
-        let d_columns: Vec<usize> = match &self.reduce2 {
-            FittedReduction::Select(idx) => self.keep.iter().map(|&k| idx[k]).collect(),
-            FittedReduction::None => self.keep.clone(),
-            FittedReduction::Pca(_) => return None,
+    fn plan(&self) -> (Vec<PlanCell>, Vec<usize>) {
+        let full = stage_d_plan(self.names_c.len(), self.time.is_some(), &self.pairs);
+        let mut plan: Vec<PlanCell> = match &self.reduce2 {
+            FittedReduction::Select(idx) => self.keep.iter().map(|&k| full[idx[k]]).collect(),
+            FittedReduction::Pca(_) => full,
         };
-        // Stage-D columns in bands 1.. of the time span are Avg/Lag.
-        let is_history = |j: usize| self.time.is_some() && (rw..time_width).contains(&j);
-        let mut history: Vec<usize> = d_columns
+        let mut history: Vec<usize> = plan
             .iter()
-            .filter(|&&j| is_history(j))
-            .map(|&j| j % rw)
+            .filter_map(|cell| match *cell {
+                PlanCell::Avg { h, .. } | PlanCell::Lag { h, .. } => Some(h),
+                PlanCell::Orig(_) | PlanCell::Product(..) => None,
+            })
             .collect();
         history.sort_unstable();
         history.dedup();
-        let plan = d_columns
-            .iter()
-            .map(|&j| {
-                if j >= time_width {
-                    let (a, b) = self.pairs[j - time_width];
-                    return PlanCell::Product(a, b);
-                }
-                if !is_history(j) {
-                    return PlanCell::Orig(j);
-                }
-                let (band, h) = (j / rw, history.partition_point(|&f| f < j % rw));
-                if band <= TIME_LAGS.len() {
-                    PlanCell::Avg {
-                        h,
-                        lag: TIME_LAGS[band - 1],
-                    }
-                } else {
-                    PlanCell::Lag {
-                        h,
-                        lag: TIME_LAGS[band - 1 - TIME_LAGS.len()],
-                    }
-                }
-            })
-            .collect();
-        Some((plan, history))
+        for cell in &mut plan {
+            if let PlanCell::Avg { h, .. } | PlanCell::Lag { h, .. } = cell {
+                *h = history.partition_point(|&f| f < *h);
+            }
+        }
+        (plan, history)
     }
 
-    /// Batch transform mirroring the fit-time flow on the streaming
-    /// kernels: stages 1–3 evaluate only the stage-C cells some plan
-    /// cell reads, row by row into the reduced matrix (no intermediate
-    /// base/scaled matrices), and stage D/E evaluates only the kept
-    /// output cells when the second reduction is a column selection.
-    /// Rows must be ordered chronologically within each group.
-    /// Bit-identical to [`FittedPipeline::transform_batch_legacy`].
+    /// Batch transform mirroring the fit-time flow: stages 1–3
+    /// evaluate only the stage-C cells some plan cell reads, row by row
+    /// into the reduced matrix (no intermediate base/scaled matrices),
+    /// then the serving plan is evaluated over each group block — only
+    /// the kept output cells when the second reduction is a column
+    /// selection, the stage-D row a PCA second reduction projects
+    /// otherwise. Rows must be ordered chronologically within each
+    /// group. Bit-identical to [`FittedPipeline::transform_batch_legacy`].
     ///
     /// # Errors
     ///
-    /// [`Error::Invalid`] when `x_raw` is not the raw width; propagates
-    /// PCA errors.
+    /// [`Error::Invalid`] when `x_raw` is not the raw width or `groups`
+    /// does not hold one id per row (both checked before any work);
+    /// propagates PCA errors.
     pub fn transform_batch(&self, x_raw: &Matrix, groups: &[u32]) -> Result<Matrix, Error> {
         let span = obs::Span::enter("pipeline.transform_batch");
         let rows = x_raw.rows();
         let rw = self.names_c.len();
         let host_len = self.serving.host_len;
         self.check_widths(x_raw.cols().min(host_len), x_raw.cols().saturating_sub(host_len))?;
+        let blocks = group_blocks(groups, rows)?;
 
         // Stages 1-3 from the selected cells, one row at a time.
         let mut c_data: Vec<f64> = Vec::with_capacity(rows * rw);
@@ -848,40 +810,11 @@ impl FittedPipeline {
             c_data.extend_from_slice(&reduced);
         }
         let c = Matrix::from_vec(rows, rw, c_data);
-
-        let out = match &self.serving.plan {
-            Some(plan) => {
-                let ow = plan.len();
-                let blocks = group_blocks(groups);
-                obs::counter_add("pipeline.rows", rows as u64);
-                obs::counter_add("pipeline.groups", blocks.len() as u64);
-                let mut data = vec![0.0; rows * ow];
-                let c_slice = c.as_slice();
-                let history = &self.serving.history;
-                shard_blocks(&mut data, ow, &blocks, self.config.n_jobs, |start, end, out| {
-                    let block = &c_slice[start * rw..end * rw];
-                    let hist = |h: usize, r: usize| block[r * rw + history[h]];
-                    for i in 0..end - start {
-                        let cur = &block[i * rw..(i + 1) * rw];
-                        eval_plan_row(plan, cur, hist, i, &mut out[i * ow..(i + 1) * ow]);
-                    }
-                });
-                Matrix::from_vec(rows, ow, data)
-            }
-            None => {
-                // PCA second stage: the projection needs every stage-D
-                // column, so run the full streaming expansion.
-                let (d, _) = expand_stage_d(
-                    &c,
-                    groups,
-                    self.time.as_ref(),
-                    &self.pairs,
-                    &self.names_c,
-                    self.config.n_jobs,
-                );
-                let e = self.reduce2.apply(&d)?;
-                e.select_columns(&self.keep)
-            }
+        let (plan, history) = (&self.serving.plan, &self.serving.history);
+        let d = eval_plan_blocks(plan, history, &c, &blocks, self.config.n_jobs);
+        let out = match &self.reduce2 {
+            FittedReduction::Select(_) => d,
+            FittedReduction::Pca(_) => self.reduce2.apply(&d)?.select_columns(&self.keep),
         };
         if let Some(us) = span.elapsed_us() {
             if us > 0.0 {
@@ -945,9 +878,7 @@ impl FittedPipeline {
     ) -> Result<(), Error> {
         let (pca, dst, width) = match &self.reduce1 {
             FittedReduction::Pca(p) => (Some(p), &mut *scaled, self.expander.len()),
-            FittedReduction::Select(_) | FittedReduction::None => {
-                (None, &mut *out, self.names_c.len())
-            }
+            FittedReduction::Select(_) => (None, &mut *out, self.names_c.len()),
         };
         dst.resize(width, 0.0);
         for c in &self.serving.cells {
@@ -993,13 +924,11 @@ impl TransformScratch {
     pub fn for_pipeline(pipeline: &FittedPipeline) -> Self {
         let scaled_cap = match pipeline.reduce1 {
             FittedReduction::Pca(_) => pipeline.expander.len(),
-            FittedReduction::Select(_) | FittedReduction::None => 0,
+            FittedReduction::Select(_) => 0,
         };
-        let d_width = pipeline.time_width() + pipeline.pairs.len();
-        let (d_cap, e_cap) = if pipeline.serving.plan.is_some() {
-            (0, 0)
-        } else {
-            (d_width, pipeline.reduce2.output_width(d_width))
+        let (d_cap, e_cap) = match &pipeline.reduce2 {
+            FittedReduction::Pca(p) => (pipeline.serving.plan.len(), p.n_components()),
+            FittedReduction::Select(_) => (0, 0),
         };
         TransformScratch {
             scaled: Vec::with_capacity(scaled_cap),
@@ -1155,11 +1084,12 @@ impl InstanceTransformer {
         }
         let (ring, head) = (&self.ring, self.head);
         let hist = |h: usize, r: usize| ring[h * WINDOW_LEN + (head + r) % WINDOW_LEN];
-        let i = self.filled - 1;
-        match &p.serving.plan {
-            Some(plan) => eval_plan_row(plan, cur, hist, i, out),
-            None => {
-                expand_row_full(p.time.as_ref(), cur, hist, i, &p.pairs, &mut scratch.d);
+        let (plan, i) = (&p.serving.plan, self.filled - 1);
+        match &p.reduce2 {
+            FittedReduction::Select(_) => eval_plan_row(plan, cur, hist, i, out),
+            FittedReduction::Pca(_) => {
+                scratch.d.resize(plan.len(), 0.0);
+                eval_plan_row(plan, cur, hist, i, &mut scratch.d);
                 p.reduce2.apply_row_into(&scratch.d, &mut scratch.e)?;
                 for (dst, &k) in out.iter_mut().zip(&p.keep) {
                     *dst = scratch.e[k];

@@ -9,8 +9,6 @@ use crate::Error;
 /// Reduction strategy for a pipeline stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Reduction {
-    /// Keep everything.
-    None,
     /// Train a random forest per training configuration and keep the
     /// union of each configuration's `top_k` most important features —
     /// the paper uses `top_k = 30`, yielding 117 unique features.
@@ -53,8 +51,6 @@ impl Reduction {
 /// A fitted reduction stage.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FittedReduction {
-    /// Identity.
-    None,
     /// Column selection (sorted indices into the stage input).
     Select(Vec<usize>),
     /// PCA projection.
@@ -76,7 +72,6 @@ impl FittedReduction {
         seed: u64,
     ) -> Result<Self, Error> {
         match reduction {
-            Reduction::None => Ok(FittedReduction::None),
             Reduction::Pca {
                 variance,
                 max_components,
@@ -139,10 +134,9 @@ impl FittedReduction {
         }
     }
 
-    /// Output width for `input_width` inputs.
-    pub fn output_width(&self, input_width: usize) -> usize {
+    /// Output width.
+    pub fn output_width(&self) -> usize {
         match self {
-            FittedReduction::None => input_width,
             FittedReduction::Select(idx) => idx.len(),
             FittedReduction::Pca(p) => p.n_components(),
         }
@@ -151,7 +145,6 @@ impl FittedReduction {
     /// Output feature names.
     pub fn names(&self, input_names: &[String]) -> Vec<String> {
         match self {
-            FittedReduction::None => input_names.to_vec(),
             FittedReduction::Select(idx) => idx.iter().map(|&i| input_names[i].clone()).collect(),
             FittedReduction::Pca(p) => (0..p.n_components()).map(|i| format!("PC{i}")).collect(),
         }
@@ -164,7 +157,6 @@ impl FittedReduction {
     /// Propagates PCA transform errors.
     pub fn apply(&self, x: &Matrix) -> Result<Matrix, Error> {
         match self {
-            FittedReduction::None => Ok(x.clone()),
             FittedReduction::Select(idx) => Ok(x.select_columns(idx)),
             FittedReduction::Pca(p) => Ok(p.transform(x)?),
         }
@@ -177,7 +169,6 @@ impl FittedReduction {
     /// Propagates PCA transform errors.
     pub fn apply_row(&self, row: &[f64]) -> Result<Vec<f64>, Error> {
         match self {
-            FittedReduction::None => Ok(row.to_vec()),
             FittedReduction::Select(idx) => Ok(idx.iter().map(|&i| row[i]).collect()),
             FittedReduction::Pca(p) => {
                 let m = Matrix::from_rows(&[row]);
@@ -195,10 +186,6 @@ impl FittedReduction {
     /// Propagates PCA transform errors.
     pub fn apply_row_into(&self, row: &[f64], out: &mut Vec<f64>) -> Result<(), Error> {
         match self {
-            FittedReduction::None => {
-                out.clear();
-                out.extend_from_slice(row);
-            }
             FittedReduction::Select(idx) => {
                 out.clear();
                 out.reserve(idx.len());
@@ -214,7 +201,6 @@ impl monitorless_std::json::ToJson for Reduction {
     fn to_json(&self) -> monitorless_std::json::Json {
         use monitorless_std::json::Json;
         match self {
-            Reduction::None => Json::Str("None".into()),
             Reduction::ForestFilter {
                 top_k,
                 n_estimators,
@@ -245,7 +231,6 @@ impl monitorless_std::json::FromJson for Reduction {
     ) -> Result<Self, monitorless_std::json::JsonError> {
         use monitorless_std::json::{field, Json, JsonError};
         match json {
-            Json::Str(s) if s == "None" => Ok(Reduction::None),
             Json::Obj(members) => match members.first().map(|(k, v)| (k.as_str(), v)) {
                 Some(("ForestFilter", body)) => Ok(Reduction::ForestFilter {
                     top_k: field(body, "top_k")?,
@@ -266,7 +251,6 @@ impl monitorless_std::json::ToJson for FittedReduction {
     fn to_json(&self) -> monitorless_std::json::Json {
         use monitorless_std::json::Json;
         match self {
-            FittedReduction::None => Json::Str("None".into()),
             FittedReduction::Select(idx) => Json::Obj(vec![("Select".into(), idx.to_json())]),
             FittedReduction::Pca(p) => Json::Obj(vec![("Pca".into(), p.to_json())]),
         }
@@ -279,7 +263,6 @@ impl monitorless_std::json::FromJson for FittedReduction {
     ) -> Result<Self, monitorless_std::json::JsonError> {
         use monitorless_std::json::{field, Json, JsonError};
         match json {
-            Json::Str(s) if s == "None" => Ok(FittedReduction::None),
             Json::Obj(members) => match members.first().map(|(k, _)| k.as_str()) {
                 Some("Select") => Ok(FittedReduction::Select(field(json, "Select")?)),
                 Some("Pca") => Ok(FittedReduction::Pca(field(json, "Pca")?)),
@@ -343,14 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn none_is_identity() {
-        let (x, y, groups) = toy();
-        let fitted = FittedReduction::fit(Reduction::None, &x, &y, &groups, 0).unwrap();
-        assert_eq!(fitted.apply(&x).unwrap(), x);
-        assert_eq!(fitted.output_width(3), 3);
-    }
-
-    #[test]
     fn pca_caps_components() {
         let (x, y, groups) = toy();
         let fitted = FittedReduction::fit(
@@ -364,7 +339,7 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(fitted.output_width(3), 2);
+        assert_eq!(fitted.output_width(), 2);
         assert_eq!(fitted.apply(&x).unwrap().cols(), 2);
         assert_eq!(fitted.names(&["a".into(), "b".into(), "c".into()]), vec!["PC0", "PC1"]);
     }
@@ -373,7 +348,6 @@ mod tests {
     fn apply_row_matches_matrix_apply() {
         let (x, y, groups) = toy();
         for reduction in [
-            Reduction::None,
             Reduction::ForestFilter {
                 top_k: 2,
                 n_estimators: 10,

@@ -3,12 +3,19 @@
 //! `X-AVG` averages the last `X + 1` samples including the current one;
 //! `X-LAG` is the value `X` samples ago. The paper uses `X = 1, 5, 15`
 //! (a 15-second window proved sufficient).
+//!
+//! [`TimeExpander`] fixes the layout of the time span of a stage-D row
+//! (its width and names). The values themselves are computed by the
+//! pipeline's one stage-D evaluator, as `Avg`/`Lag` plan cells, at fit
+//! time, in the batch transform and in the online push alike;
+//! [`TimeExpander::expand_at`] is the retained row-cloning reference
+//! that evaluator is proven bit-identical against.
 
 /// The lag distances used by the paper.
 pub const TIME_LAGS: [usize; 3] = [1, 5, 15];
 
-/// Expands a chronologically ordered block of feature vectors with AVG
-/// and LAG variants.
+/// The time span of a stage-D row for `width` stage-C features: the
+/// originals, then one AVG band and one LAG band per lag distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeExpander {
     width: usize,
@@ -73,76 +80,6 @@ impl TimeExpander {
         }
         out
     }
-
-    /// Expands a whole block.
-    pub fn expand_block(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        (0..rows.len()).map(|i| self.expand_at(rows, i)).collect()
-    }
-
-    /// Streaming expansion of a whole chronologically ordered block,
-    /// written straight into a caller-provided row-major buffer — no
-    /// per-row vectors, no row clones.
-    ///
-    /// `block` is the contiguous row-major input (`n_rows × width`);
-    /// row `i` of the output lands at `out[i * out_stride ..]`, leaving
-    /// `out_stride - output_width()` trailing cells per row untouched
-    /// for the caller (product features). `acc` is a `width`-long
-    /// scratch accumulator reused across rows.
-    ///
-    /// Summation-order contract: each `X-AVG` cell re-accumulates its
-    /// clamped window in ascending chronological order — for feature
-    /// `f`, the adds happen in exactly the legacy [`Self::expand_at`]
-    /// order (`rows[start][f] + … + rows[i][f]`, left to right), so the
-    /// output is bit-identical to the legacy path. A true rolling sum
-    /// (add new / evict old) would reassociate the f64 adds and break
-    /// bit-equality, so the kernel deliberately re-accumulates the ≤16
-    /// window rows; the win comes from the contiguous layout (the inner
-    /// loop is an elementwise slice add the compiler vectorizes) rather
-    /// than from fewer float operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is not a whole number of rows, `acc` is not
-    /// `width` long, or `out`/`out_stride` cannot hold the result.
-    pub fn expand_block_into(
-        &self,
-        block: &[f64],
-        out: &mut [f64],
-        out_stride: usize,
-        acc: &mut [f64],
-    ) {
-        let w = self.width;
-        assert!(block.len().is_multiple_of(w.max(1)), "block is whole rows");
-        assert_eq!(acc.len(), w, "accumulator width");
-        assert!(out_stride >= self.output_width(), "output stride");
-        let n_rows = block.len().checked_div(w).unwrap_or(0);
-        assert!(out.len() >= n_rows * out_stride, "output buffer size");
-        for i in 0..n_rows {
-            let out_row = &mut out[i * out_stride..i * out_stride + self.output_width()];
-            out_row[..w].copy_from_slice(&block[i * w..(i + 1) * w]);
-            for (li, &x) in TIME_LAGS.iter().enumerate() {
-                let start = i.saturating_sub(x);
-                let n = (i - start + 1) as f64;
-                acc.fill(0.0);
-                for r in start..=i {
-                    let row = &block[r * w..(r + 1) * w];
-                    for (a, v) in acc.iter_mut().zip(row) {
-                        *a += *v;
-                    }
-                }
-                let dst = &mut out_row[(1 + li) * w..(2 + li) * w];
-                for (d, a) in dst.iter_mut().zip(acc.iter()) {
-                    *d = *a / n;
-                }
-            }
-            let lag_base = 1 + TIME_LAGS.len();
-            for (li, &x) in TIME_LAGS.iter().enumerate() {
-                let j = i.saturating_sub(x);
-                out_row[(lag_base + li) * w..(lag_base + li + 1) * w]
-                    .copy_from_slice(&block[j * w..(j + 1) * w]);
-            }
-        }
-    }
 }
 
 monitorless_std::json_struct!(TimeExpander { width });
@@ -199,35 +136,5 @@ mod tests {
         let v2 = e.expand_at(&rows, 2);
         let lag15 = v2[12];
         assert_eq!(lag15, 0.0, "clamped to block start");
-    }
-
-    #[test]
-    fn block_expansion_covers_all_samples() {
-        let e = TimeExpander::new(2);
-        let rows = block();
-        let out = e.expand_block(&rows);
-        assert_eq!(out.len(), rows.len());
-        assert!(out.iter().all(|r| r.len() == e.output_width()));
-    }
-
-    #[test]
-    fn streaming_block_kernel_is_bit_identical_to_expand_at() {
-        let e = TimeExpander::new(2);
-        let rows = block();
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        // Stride larger than the output width: trailing cells untouched.
-        let stride = e.output_width() + 3;
-        let mut out = vec![f64::NAN; rows.len() * stride];
-        let mut acc = vec![0.0; 2];
-        e.expand_block_into(&flat, &mut out, stride, &mut acc);
-        for (i, legacy) in e.expand_block(&rows).iter().enumerate() {
-            let got = &out[i * stride..i * stride + e.output_width()];
-            for (a, b) in got.iter().zip(legacy) {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
-            }
-            assert!(out[i * stride + e.output_width()..(i + 1) * stride]
-                .iter()
-                .all(|v| v.is_nan()));
-        }
     }
 }

@@ -15,6 +15,7 @@ use monitorless::features::pipeline::{
     PipelineConfig, WINDOW_LEN,
 };
 use monitorless::features::{RawLayout, Reduction, TimeExpander};
+use monitorless::Error;
 use monitorless_learn::Matrix;
 use monitorless_metrics::catalog::Catalog;
 use monitorless_metrics::signals::{ContainerSignals, HostSignals};
@@ -360,6 +361,35 @@ fn wrong_width_samples_are_rejected() {
     assert_eq!(a, b);
     let narrow = messy_raw(5, 3, layout().raw_len() - 1, false);
     assert!(fitted.transform_batch(&narrow, &[0, 0, 0]).is_err());
+}
+
+/// Asserts that every fitted variant rejects a 3-row batch carrying
+/// `groups` with [`Error::Invalid`].
+fn assert_group_ids_rejected(groups: &[u32]) {
+    let raw = messy_raw(5, 3, layout().raw_len(), false);
+    for (name, fitted) in fitted_variants() {
+        match fitted.transform_batch(&raw, groups) {
+            Err(Error::Invalid(msg)) => {
+                let want = format!("{} group ids for 3 rows", groups.len());
+                assert!(msg.contains(&want), "{name}: {msg}");
+            }
+            Err(e) => panic!("{name}: expected Error::Invalid, got {e:?}"),
+            Ok(_) => panic!("{name}: {} group ids for 3 rows transformed", groups.len()),
+        }
+    }
+}
+
+/// A batch with one group id too few is an error, not a last output
+/// row of zeros.
+#[test]
+fn one_group_id_too_few_is_rejected() {
+    assert_group_ids_rejected(&[0, 0]);
+}
+
+/// A batch with one group id too many is an error, not a panic.
+#[test]
+fn one_group_id_too_many_is_rejected() {
+    assert_group_ids_rejected(&[0, 0, 0, 0]);
 }
 
 /// Fitting and transforming are independent of the worker count: the
