@@ -239,7 +239,6 @@ pub mod tick {
             measured_ticks: usize,
             legacy_us_per_instance: f64,
             batched_us_per_instance: f64,
-            batched_par_us_per_instance: f64,
             speedup: f64,
             batched_allocs_per_tick: f64,
         }
@@ -253,8 +252,6 @@ pub mod tick {
             n_trees: usize,
             n_nodes: usize,
             feature_width: usize,
-            packed: bool,
-            walk_bytes: usize,
             sizes: Vec<SizeResult>,
         }
     }

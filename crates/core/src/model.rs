@@ -217,10 +217,11 @@ impl MonitorlessModel {
 
     /// Predicts from an already-transformed feature vector.
     ///
-    /// This is the autoscaler's per-tick hot path: the flat single-row
-    /// walk performs no allocation (`table7_predict` asserts the
-    /// allocation count stays zero), where it previously built a 1-row
-    /// [`Matrix`] per call.
+    /// The flat single-row walk performs no allocation (`table7_predict`
+    /// asserts the allocation count stays zero). The per-instance
+    /// reference loop, `Orchestrator::step_legacy`, scores through it;
+    /// the serving tick scores its whole fleet at once through
+    /// [`MonitorlessModel::predict_fleet_into`].
     pub fn predict_features(&self, features: &[f64]) -> (f64, u8) {
         let p = self.flat.predict_row(features);
         (p, u8::from(p >= self.threshold))
@@ -235,19 +236,19 @@ impl MonitorlessModel {
     }
 
     /// Scores a whole fleet's worth of already-transformed feature
-    /// rows (row-major, one row per instance) in one blocked pass,
-    /// writing one probability per row into `probs`.
+    /// rows (row-major, one row per instance) in one blocked pass on
+    /// the calling thread, writing one probability per row into
+    /// `probs` — the serving tick's predict phase.
     ///
     /// Per row, the result is bit-identical to
-    /// [`MonitorlessModel::predict_features`] for every `n_jobs` — the
-    /// serving tick's batched fast path.
+    /// [`MonitorlessModel::predict_features`].
     ///
     /// # Panics
     ///
     /// As [`FlatEnsemble::predict_rows_into`].
-    pub fn predict_fleet_into(&self, rows: &[f64], probs: &mut [f64], n_jobs: usize) {
+    pub fn predict_fleet_into(&self, rows: &[f64], probs: &mut [f64]) {
         self.flat
-            .predict_rows_into(rows, self.pipeline.output_width(), probs, n_jobs);
+            .predict_rows_into(rows, self.pipeline.output_width(), probs, 1);
     }
 
     /// Feature importances of the trained forest, paired with pipeline

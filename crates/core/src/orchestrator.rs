@@ -10,10 +10,12 @@
 //! one reused row-major matrix ([`InstanceTransformer::push_into`]
 //! reading each entry's host and container vectors in place, with a
 //! single shared [`TransformScratch`]), one blocked
-//! [`FlatEnsemble::predict_rows_into`][flat] call scores the matrix
-//! (sharded over the worker pool when [`Orchestrator::set_n_jobs`] asks
-//! for it), and a fan-out phase turns the probability vector back into
-//! per-instance decisions, journal records and drift checks. The
+//! [`FlatEnsemble::predict_rows_into`][flat] call scores the matrix on
+//! the calling thread, and a fan-out phase turns the probability vector
+//! back into per-instance decisions, journal records and drift checks.
+//! Before any of that, the tick is checked whole: every host and
+//! container vector at the pipeline's raw width, and every instance id
+//! listed at most once. The
 //! retired per-instance loop survives as [`Orchestrator::step_legacy`]
 //! — the reference the batched path is proven bit-identical against
 //! (`tests/tick_equivalence.rs`, `table_tick`).
@@ -104,10 +106,10 @@ pub struct Orchestrator {
     drift: Option<DriftDetector>,
     /// Trace id minted for the most recent tick (0 when tracing is off).
     last_trace: u64,
-    /// Worker shards for the fleet predict pass (1 = in-thread).
-    n_jobs: usize,
     // Per-tick scratch, reused across ticks (zero-alloc steady state).
     live: Vec<InstanceId>,
+    /// The tick's instance ids, sorted to find one listed twice.
+    ids: Vec<InstanceId>,
     predictions: Vec<InstancePrediction>,
     /// Concatenated host ++ container vector (`step_legacy` only).
     raw: Vec<f64>,
@@ -142,8 +144,8 @@ impl Orchestrator {
             ticks: 0,
             drift,
             last_trace: 0,
-            n_jobs: 1,
             live: Vec::new(),
+            ids: Vec::new(),
             predictions: Vec::new(),
             raw: Vec::new(),
             contrib: vec![0.0; n_features],
@@ -151,14 +153,6 @@ impl Orchestrator {
             probs: Vec::new(),
             scratch,
         }
-    }
-
-    /// Sets the number of pool workers the fleet predict pass shards
-    /// over (default 1, in-thread). Probabilities are bit-identical for
-    /// every value; >1 trades the single-threaded tick's zero-alloc
-    /// guarantee for wall-clock on large fleets.
-    pub fn set_n_jobs(&mut self, n_jobs: usize) {
-        self.n_jobs = n_jobs.max(1);
     }
 
     /// The model driving predictions.
@@ -195,16 +189,17 @@ impl Orchestrator {
     /// in gather order — so records, counters and alerts arrive in the
     /// exact sequence the per-instance loop
     /// ([`Orchestrator::step_legacy`]) produced, and every probability
-    /// is bit-identical to it. With tracing off and `n_jobs` 1, a
-    /// steady-state tick performs no heap allocation (`table_tick`
-    /// asserts this).
+    /// is bit-identical to it. With tracing off, a steady-state tick
+    /// performs no heap allocation (`table_tick` asserts this).
     ///
     /// # Errors
     ///
     /// [`Error::Invalid`] when any entry's host or container vector is
-    /// not the pipeline's raw width; every entry is checked before any
-    /// window, drift or trace state changes, so a rejected tick leaves
-    /// the orchestrator as it was. Propagates feature-pipeline errors.
+    /// not the pipeline's raw width, or when one instance id is listed
+    /// twice (on one node or on two); every entry is checked before
+    /// any window, drift or trace state changes, so a rejected tick
+    /// leaves the orchestrator as it was. Propagates feature-pipeline
+    /// errors.
     pub fn step(&mut self, observations: &[Observation]) -> Result<&[InstancePrediction], Error> {
         self.check_observations(observations)?;
         self.ticks += 1;
@@ -253,11 +248,8 @@ impl Orchestrator {
         drop(gather_span);
         // Phase 2: one blocked lockstep pass over the whole fleet.
         let predict_span = obs::Span::enter("orchestrator.predict");
-        self.model.predict_fleet_into(
-            &self.fleet[..total * width],
-            &mut self.probs[..total],
-            self.n_jobs,
-        );
+        self.model
+            .predict_fleet_into(&self.fleet[..total * width], &mut self.probs[..total]);
         drop(predict_span);
         // Phase 3: fan out, in gather order.
         for (k, &instance) in self.live.iter().enumerate() {
@@ -295,9 +287,11 @@ impl Orchestrator {
     }
 
     /// [`Error::Invalid`] naming the first observation entry whose host
-    /// or container vector is not the pipeline's raw width.
-    fn check_observations(&self, observations: &[Observation]) -> Result<(), Error> {
+    /// or container vector is not the pipeline's raw width, or an
+    /// instance id listed more than once in the tick.
+    fn check_observations(&mut self, observations: &[Observation]) -> Result<(), Error> {
         let (host_len, ctr_len) = self.model.pipeline().raw_widths();
+        self.ids.clear();
         for o in observations {
             if o.host.len() != host_len {
                 return Err(Error::Invalid(format!(
@@ -315,6 +309,14 @@ impl Orchestrator {
                     ctr.len()
                 )));
             }
+            self.ids.extend(o.containers.iter().map(|(id, _)| *id));
+        }
+        self.ids.sort_unstable();
+        if let Some(pair) = self.ids.windows(2).find(|p| p[0] == p[1]) {
+            return Err(Error::Invalid(format!(
+                "{} is listed more than once in one tick",
+                pair[0]
+            )));
         }
         Ok(())
     }

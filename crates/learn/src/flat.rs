@@ -8,47 +8,38 @@
 //! into a contiguous struct-of-arrays node table and evaluates blocks
 //! of rows in lockstep:
 //!
-//! * [`FlatEnsemble`] holds all trees' nodes in four parallel arrays
-//!   (`feature: u32`, `threshold: f64`, `left`/`right: u32` — 20 bytes
-//!   per node, half the enum layout). Each tree is laid out
-//!   breadth-first, so siblings sit in adjacent slots
-//!   (`right == left + 1`) and levels form contiguous runs: the
-//!   evaluator's layout contract. Leaves are marked with the
-//!   [`LEAF`] sentinel in `feature` and store their value inline in
-//!   `threshold`. Leaf values are **pre-transformed** at compile time
-//!   (AdaBoost's per-stage vote or log-odds term, gradient boosting's
-//!   shrinkage) so the hot loop is load-and-add for every ensemble.
-//! * The blocked evaluator ([`FlatEnsemble::predict_into`]) walks
-//!   [`BLOCK`] rows at a time through each tree, advancing *all* rows
-//!   of the block one level per branchless pass. The rows' walks are
-//!   independent, so the out-of-order core overlaps their node fetches
-//!   instead of stalling on one row's pointer chase, and the BFS
-//!   layout means a descending block touches monotonically increasing
-//!   indices — prefetch-friendly, with the shared top levels staying
-//!   hot in L1. Rows that reach a leaf self-loop there cheaply until
-//!   the block's stragglers arrive.
+//! * [`FlatEnsemble`] holds all trees' nodes in three parallel walk
+//!   arrays (`feature: u32`, `threshold: f64`, `left: u32` — 16 bytes
+//!   per node, well under half the enum layout). Each tree is laid out
+//!   breadth-first, so siblings sit in adjacent slots and levels form
+//!   contiguous runs: the `>` child of a split is always `left + 1`,
+//!   the evaluator's layout contract, so no right-child index is
+//!   stored. Leaves are marked with the [`LEAF`] sentinel in `feature`
+//!   and store their value inline in `threshold`. Leaf values are
+//!   **pre-transformed** at compile time (AdaBoost's per-stage vote or
+//!   log-odds term, gradient boosting's shrinkage) so the hot loop is
+//!   load-and-add for every ensemble.
+//! * The blocked evaluator ([`FlatEnsemble::predict_into`]) walks up
+//!   to [`BLOCK`] rows at a time through each tree, advancing *all*
+//!   rows of the block one level per branchless pass. The rows' walks
+//!   are independent, so the out-of-order core overlaps their node
+//!   fetches instead of stalling on one row's pointer chase, and the
+//!   BFS layout means a descending block touches monotonically
+//!   increasing indices — prefetch-friendly, with the shared top
+//!   levels staying hot in L1. Rows that reach a leaf stay there
+//!   cheaply until the block's stragglers arrive; a short batch walks
+//!   only its own rows.
 //! * [`FlatEnsemble::predict_proba`] shards row ranges over
 //!   `monitorless_std::pool` workers; rows are independent, so results
 //!   are bit-identical for every `n_jobs`.
 //!   [`FlatEnsemble::predict_rows_into`] is the same evaluator over a
 //!   raw row-major slice — the fleet serving tick's entry, which reuses
-//!   one gather matrix and one output buffer across ticks.
-//! * When the table is losslessly compressible, `build` additionally
-//!   emits a **packed side table** the blocked evaluator runs on:
-//!   split feature and left-child index share one `u32`
-//!   (10 + 22 bits), and the threshold becomes a `u16` index into a
-//!   deduplicated f64 value pool — 6 bytes of node state per step
-//!   instead of 16, so the paper-shaped 250-tree forest's walk state
-//!   drops from ~4 MB to ~1.5 MB and the hot levels stay resident in
-//!   L2. The packed pass also runs at a fixed [`BLOCK`]-width trip
-//!   count (tail blocks pad by repeating the last row), giving the
-//!   compiler a constant-length inner loop. Thresholds are deduplicated
-//!   by *bit pattern*, so every comparison loads the identical f64 and
-//!   results stay bit-for-bit equal to the wide table; ensembles that
-//!   exceed the packed limits (1023 features, 2^22 nodes, 65536
-//!   distinct threshold/leaf bit patterns) silently keep the wide path.
+//!   one gather matrix and one output buffer across ticks and walks it
+//!   on the calling thread.
 //! * [`FlatEnsemble::predict_row`] is the allocation-free single-row
-//!   entry used by the autoscaler tick path.
+//!   walk behind `MonitorlessModel::predict_features`: the per-instance
+//!   reference loop and the single-row perf gates call it, and the
+//!   unit and property suites hold the blocked pass to it bit for bit.
 //!
 //! Split semantics are exactly the legacy walk's: `row[feature] <=
 //! threshold` goes left, anything else — including NaN, for which the
@@ -71,74 +62,6 @@ pub const LEAF: u32 = u32::MAX;
 /// exposing enough independent walks to hide node-fetch latency; the
 /// bench sweep in `table7_predict` showed no gain past this size.
 pub const BLOCK: usize = 64;
-
-/// Bits of the packed node word spent on the left-child index.
-const PACKED_LEFT_BITS: u32 = 22;
-/// Mask extracting the left-child index from a packed node word.
-const PACKED_LEFT_MASK: u32 = (1 << PACKED_LEFT_BITS) - 1;
-/// Leaf sentinel in the packed word's 10-bit feature field.
-const PACKED_LEAF: u32 = (1 << (32 - PACKED_LEFT_BITS)) - 1;
-
-/// Losslessly compressed node table the blocked evaluator prefers when
-/// the ensemble fits its index widths: one `u32` per node packing the
-/// split feature (high 10 bits, [`PACKED_LEAF`] marks leaves) with the
-/// left-child index (low 22 bits; leaves self-reference), plus a `u16`
-/// per node indexing the deduplicated `values` pool that holds both
-/// split thresholds and pre-transformed leaf values. Values are pooled
-/// by f64 *bit pattern*, so the packed walk loads the identical bits
-/// the wide arrays hold and stays bit-identical.
-#[derive(Debug, Clone, PartialEq)]
-struct PackedTable {
-    /// `feature << PACKED_LEFT_BITS | left` per node.
-    node: Vec<u32>,
-    /// Index into `values` per node.
-    value_idx: Vec<u16>,
-    /// Deduplicated thresholds and leaf values, first-appearance order.
-    values: Vec<f64>,
-}
-
-impl PackedTable {
-    /// Compresses the wide arrays, or `None` when an index would not
-    /// fit: more than 1023 features, 2^22 nodes, or 65536 distinct
-    /// value bit patterns.
-    fn compress(
-        feature: &[u32],
-        threshold: &[f64],
-        left: &[u32],
-        n_features: usize,
-    ) -> Option<Self> {
-        if n_features >= PACKED_LEAF as usize || feature.len() > PACKED_LEFT_MASK as usize + 1 {
-            return None;
-        }
-        let mut pool: std::collections::HashMap<u64, u16> = std::collections::HashMap::new();
-        let mut values = Vec::new();
-        let mut node = Vec::with_capacity(feature.len());
-        let mut value_idx = Vec::with_capacity(feature.len());
-        for ((&f, &thr), &l) in feature.iter().zip(threshold).zip(left) {
-            let idx = match pool.entry(thr.to_bits()) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let next = u16::try_from(values.len()).ok()?;
-                    values.push(thr);
-                    *e.insert(next)
-                }
-            };
-            let field = if f == LEAF { PACKED_LEAF } else { f };
-            node.push(field << PACKED_LEFT_BITS | l);
-            value_idx.push(idx);
-        }
-        Some(PackedTable {
-            node,
-            value_idx,
-            values,
-        })
-    }
-
-    /// Bytes of per-node walk state (`node` + `value_idx`).
-    fn node_bytes(&self) -> usize {
-        self.node.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<u16>())
-    }
-}
 
 /// How a row's accumulated leaf sum becomes the final probability.
 ///
@@ -174,19 +97,15 @@ pub struct FlatEnsemble {
     feature: Vec<u32>,
     /// Split threshold per node; at leaves, the pre-transformed value.
     threshold: Vec<f64>,
-    /// Absolute index of the `<=` child.
+    /// Absolute index of the `<=` child; the `>` (and NaN) child is its
+    /// BFS sibling at `left + 1`. Leaves point at themselves.
     left: Vec<u32>,
-    /// Absolute index of the `>` (and NaN) child.
-    right: Vec<u32>,
     /// Absolute root index of each tree, in accumulation order.
     roots: Vec<u32>,
     /// Expected margin value per node: the leaf value at leaves, the
     /// unweighted mean of the two children at splits (computed once at
     /// build time; see [`FlatEnsemble::predict_row_attributed`]).
     node_value: Vec<f64>,
-    /// Compressed node table the blocked evaluator runs on when the
-    /// ensemble fits the packed index widths (`None`: wide fallback).
-    packed: Option<PackedTable>,
     n_features: usize,
     /// Accumulator start value (gradient boosting's `base_score`).
     init: f64,
@@ -209,24 +128,14 @@ impl FlatEnsemble {
         self.n_features
     }
 
-    /// Whether the blocked evaluator runs on the compressed node table
-    /// (false: the ensemble exceeded a packed index width and the wide
-    /// arrays serve batched prediction too).
-    pub fn is_packed(&self) -> bool {
-        self.packed.is_some()
-    }
-
-    /// Bytes of per-node walk state the blocked evaluator touches:
-    /// the packed `u32`+`u16` arrays when compressed, the wide
-    /// feature/threshold/left arrays otherwise. (The value pool and the
-    /// attribution/`predict_row` arrays are not counted — the pool is a
-    /// few hundred hot cache lines and the wide arrays stay for the
-    /// single-row entries.)
-    pub fn walk_bytes(&self) -> usize {
-        match &self.packed {
-            Some(p) => p.node_bytes(),
-            None => self.n_nodes() * (2 * std::mem::size_of::<u32>() + std::mem::size_of::<f64>()),
-        }
+    /// The child a split node `n` sends value `v` to: `left` when
+    /// `v <= threshold`, its sibling `left + 1` otherwise. `v <= thr`
+    /// must stay the split test: NaN fails it and falls to the right
+    /// child, matching the legacy recursive walk bit for bit.
+    #[inline]
+    fn child(&self, n: usize, v: f64) -> usize {
+        let goes_left = v <= self.threshold[n];
+        self.left[n] as usize + usize::from(!goes_left)
     }
 
     #[inline]
@@ -268,14 +177,7 @@ impl FlatEnsemble {
                     acc += self.threshold[n];
                     break;
                 }
-                // `v <= thr` must stay the split test: NaN fails it
-                // and falls to the right child, matching the legacy
-                // recursive walk bit for bit.
-                n = if row[f as usize] <= self.threshold[n] {
-                    self.left[n] as usize
-                } else {
-                    self.right[n] as usize
-                };
+                n = self.child(n, row[f as usize]);
             }
         }
         self.finalize_value(acc)
@@ -344,11 +246,7 @@ impl FlatEnsemble {
                     acc += self.threshold[n];
                     break;
                 }
-                let next = if row[f as usize] <= self.threshold[n] {
-                    self.left[n] as usize
-                } else {
-                    self.right[n] as usize
-                };
+                let next = self.child(n, row[f as usize]);
                 contributions[f as usize] += self.node_value[next] - self.node_value[n];
                 n = next;
             }
@@ -388,13 +286,14 @@ impl FlatEnsemble {
     /// finalized probabilities into `out` (`out.len() <= BLOCK`).
     ///
     /// Each pass advances *every* row of the block one level with no
-    /// data-dependent branch: leaves self-loop (`left == right ==
-    /// self`), so a row that has arrived spins in place while the
-    /// stragglers descend, and the leaf test compiles to a conditional
-    /// move instead of an unpredictable branch. That keeps the ~64
-    /// independent node fetches of a pass in flight at once — the
-    /// whole point of blocking — where an early-exit branch would
-    /// flush them on every misprediction.
+    /// data-dependent branch: a row that has reached a leaf is pinned
+    /// there by a select while the stragglers descend, and the leaf
+    /// test compiles to a conditional move instead of an unpredictable
+    /// branch. That keeps up to [`BLOCK`] independent node fetches of a
+    /// pass in flight at once — the whole point of blocking — where an
+    /// early-exit branch would flush them on every misprediction. A
+    /// short block walks only its own rows, so a 1–3-row call costs a
+    /// few single-row walks, not a full block's.
     fn eval_block(&self, data: &[f64], cols: usize, row0: usize, out: &mut [f64]) {
         let b = out.len();
         debug_assert!(b <= BLOCK);
@@ -427,11 +326,11 @@ impl FlatEnsemble {
                     // below pins the row in place regardless.
                     let fi = if f == LEAF { 0 } else { f as usize };
                     let v = data[base + fi];
-                    // Siblings are adjacent (`right == left + 1`, the
-                    // builder's BFS layout), so the left index plus
-                    // the comparison bit picks the child. `v <= thr`
-                    // must stay the split test (NaN fails it → right),
-                    // so the right-child bit is its boolean negation.
+                    // Siblings are adjacent (the builder's BFS
+                    // layout), so the left index plus the comparison
+                    // bit picks the child. `v <= thr` must stay the
+                    // split test (NaN fails it → right), so the
+                    // right-child bit is its boolean negation.
                     let goes_left = v <= thr[n];
                     let step = left[n] + u32::from(!goes_left);
                     let next = if f == LEAF { *slot } else { step };
@@ -451,86 +350,11 @@ impl FlatEnsemble {
         }
     }
 
-    /// [`FlatEnsemble::eval_block`] on the compressed node table, with a
-    /// fixed [`BLOCK`]-width inner loop: a tail block (fewer than
-    /// [`BLOCK`] rows) pads its lane state by repeating the last row, so
-    /// every lockstep pass runs the same constant trip count and the
-    /// per-lane body carries no length-dependent control flow. Padded
-    /// lanes descend a real row's path and their results are simply not
-    /// copied out. Value loads go through the deduplicated pool, which
-    /// holds the identical f64 bit patterns as the wide arrays —
-    /// bit-identical outputs (the unit suite and every bench run assert
-    /// this against [`FlatEnsemble::predict_row`]).
-    fn eval_block_packed(
-        &self,
-        t: &PackedTable,
-        data: &[f64],
-        cols: usize,
-        row0: usize,
-        out: &mut [f64],
-    ) {
-        let b = out.len();
-        debug_assert!(0 < b && b <= BLOCK);
-        let node = t.node.as_slice();
-        let value_idx = t.value_idx.as_slice();
-        let values = t.values.as_slice();
-        let mut bases = [0usize; BLOCK];
-        for (o, base) in bases.iter_mut().enumerate() {
-            *base = (row0 + o.min(b - 1)) * cols;
-        }
-        let mut acc = [self.init; BLOCK];
-        let mut idx = [0u32; BLOCK];
-        for &root in &self.roots {
-            let r = root as usize;
-            if node[r] >> PACKED_LEFT_BITS == PACKED_LEAF {
-                // Single-leaf tree (depth-0 stump): no walk needed.
-                let v = values[value_idx[r] as usize];
-                for a in &mut acc {
-                    *a += v;
-                }
-                continue;
-            }
-            idx.fill(root);
-            loop {
-                let mut moved = 0u32;
-                for (slot, &base) in idx.iter_mut().zip(&bases) {
-                    let n = *slot as usize;
-                    let word = node[n];
-                    let f = word >> PACKED_LEFT_BITS;
-                    let leaf = f == PACKED_LEAF;
-                    // At a leaf, load any in-range column: the select
-                    // below pins the lane in place regardless.
-                    let fi = if leaf { 0 } else { f as usize };
-                    let v = data[base + fi];
-                    let thr = values[value_idx[n] as usize];
-                    // Same split test and sibling-adjacency step as the
-                    // wide pass (`v <= thr`; NaN fails it → right).
-                    let goes_left = v <= thr;
-                    let step = (word & PACKED_LEFT_MASK) + u32::from(!goes_left);
-                    let next = if leaf { *slot } else { step };
-                    moved |= next ^ *slot;
-                    *slot = next;
-                }
-                if moved == 0 {
-                    break;
-                }
-            }
-            for (a, &slot) in acc.iter_mut().zip(&idx) {
-                *a += values[value_idx[slot as usize] as usize];
-            }
-        }
-        for (o, dst) in out.iter_mut().enumerate() {
-            *dst = self.finalize_value(acc[o]);
-        }
-    }
-
-    /// Walks one ≤[`BLOCK`]-row block on the packed table when the
-    /// ensemble compressed, the wide arrays otherwise.
-    #[inline]
-    fn eval_block_at(&self, data: &[f64], cols: usize, row0: usize, out: &mut [f64]) {
-        match &self.packed {
-            Some(t) => self.eval_block_packed(t, data, cols, row0, out),
-            None => self.eval_block(data, cols, row0, out),
+    /// Walks rows `row0 .. row0 + out.len()` of `data` one
+    /// [`BLOCK`]-row block at a time.
+    fn eval_blocks(&self, data: &[f64], cols: usize, row0: usize, out: &mut [f64]) {
+        for (k, block) in out.chunks_mut(BLOCK).enumerate() {
+            self.eval_block(data, cols, row0 + k * BLOCK, block);
         }
     }
 
@@ -584,12 +408,7 @@ impl FlatEnsemble {
         let n_jobs = n_jobs.max(1).min(n_blocks);
         let span = obs::Span::enter("predict.batch");
         if n_jobs == 1 {
-            let mut start = 0;
-            while start < rows {
-                let end = (start + BLOCK).min(rows);
-                self.eval_block_at(data, cols, start, &mut out[start..end]);
-                start = end;
-            }
+            self.eval_blocks(data, cols, 0, out);
         } else {
             // Static row chunks; each worker walks its own blocks.
             // Chunk `i` starts at row `i * chunk_size` (the pool's
@@ -599,13 +418,7 @@ impl FlatEnsemble {
             let busy = &busy_us;
             monitorless_std::pool::for_each_chunk_mut(out, n_jobs, |chunk_id, chunk| {
                 let started = obs::enabled().then(std::time::Instant::now);
-                let row0 = chunk_id * chunk_size;
-                let mut start = 0;
-                while start < chunk.len() {
-                    let end = (start + BLOCK).min(chunk.len());
-                    self.eval_block_at(data, cols, row0 + start, &mut chunk[start..end]);
-                    start = end;
-                }
+                self.eval_blocks(data, cols, chunk_id * chunk_size, chunk);
                 if let Some(started) = started {
                     let us = started.elapsed().as_micros() as u64;
                     obs::observe("predict.worker_busy_us", us as f64);
@@ -639,7 +452,6 @@ pub struct FlatBuilder {
     feature: Vec<u32>,
     threshold: Vec<f64>,
     left: Vec<u32>,
-    right: Vec<u32>,
     roots: Vec<u32>,
     n_features: usize,
     init: f64,
@@ -662,7 +474,6 @@ impl FlatBuilder {
             feature: Vec::new(),
             threshold: Vec::new(),
             left: Vec::new(),
-            right: Vec::new(),
             roots: Vec::new(),
             n_features,
             init,
@@ -717,10 +528,11 @@ impl FlatBuilder {
     }
 
     /// Renumbers the pending tree breadth-first and appends it to the
-    /// global table. BFS order puts siblings in adjacent slots
-    /// (`right == left + 1` for every split, the evaluator's layout
-    /// contract) and levels in contiguous runs, so a descending block
-    /// of rows touches monotonically increasing node indices.
+    /// global table. BFS order puts siblings in adjacent slots (the
+    /// right child of every split sits at `left + 1`, the evaluator's
+    /// layout contract, so only `left` is stored) and levels in
+    /// contiguous runs, so a descending block of rows touches
+    /// monotonically increasing node indices.
     ///
     /// # Panics
     ///
@@ -764,15 +576,12 @@ impl FlatBuilder {
             let f = self.pending_feature[old];
             self.feature.push(f);
             self.threshold.push(self.pending_threshold[old]);
-            if f == LEAF {
-                let here = self.feature.len() as u32 - 1;
-                self.left.push(here);
-                self.right.push(here);
+            let left = if f == LEAF {
+                self.feature.len() as u32 - 1
             } else {
-                self.left.push(base + map[self.pending_left[old] as usize]);
-                self.right
-                    .push(base + map[self.pending_right[old] as usize]);
-            }
+                base + map[self.pending_left[old] as usize]
+            };
+            self.left.push(left);
         }
         self.pending_feature.clear();
         self.pending_threshold.clear();
@@ -797,22 +606,19 @@ impl FlatBuilder {
             node_value[i] = if self.feature[i] == LEAF {
                 self.threshold[i]
             } else {
-                0.5 * (node_value[self.left[i] as usize] + node_value[self.right[i] as usize])
+                let l = self.left[i] as usize;
+                0.5 * (node_value[l] + node_value[l + 1])
             };
         }
-        let packed =
-            PackedTable::compress(&self.feature, &self.threshold, &self.left, self.n_features);
         FlatEnsemble {
             feature: self.feature,
             threshold: self.threshold,
             left: self.left,
-            right: self.right,
             roots: self.roots,
             node_value,
             n_features: self.n_features,
             init: self.init,
             finalize: self.finalize,
-            packed,
         }
     }
 }
@@ -1035,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_table_matches_wide_bits_on_random_forests() {
+    fn block_pass_matches_predict_row_on_random_forests() {
         let mut rng = StdRng::seed_from_u64(0x9acc_ed01);
         for trial in 0..20u32 {
             let mut b = FlatBuilder::new(3, 0.25, Finalize::Mean(1.0 + (trial % 5) as f64));
@@ -1043,10 +849,6 @@ mod tests {
                 push_random_tree(&mut b, &mut rng, 1 + (trial % 4));
             }
             let f = b.build();
-            assert!(f.is_packed(), "trial {trial}: small forest must compress");
-            // Null out the side table to force the wide walker.
-            let mut wide = f.clone();
-            wide.packed = None;
             let rows: Vec<Vec<f64>> = (0..BLOCK + 17)
                 .map(|i| {
                     if i % 13 == 0 {
@@ -1056,52 +858,29 @@ mod tests {
                     }
                 })
                 .collect();
-            let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-            let x = Matrix::from_rows(&refs);
-            for jobs in [1, 4] {
-                let packed = f.predict_proba(&x, jobs);
-                let reference = wide.predict_proba(&x, jobs);
-                for (i, (p, w)) in packed.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        p.to_bits(),
-                        w.to_bits(),
-                        "trial {trial} row {i} n_jobs {jobs}: packed != wide"
-                    );
-                }
-                for (i, (row, p)) in rows.iter().zip(&packed).enumerate() {
-                    assert_eq!(
-                        p.to_bits(),
-                        f.predict_row(row).to_bits(),
-                        "trial {trial} row {i}: packed != predict_row"
-                    );
+            let want: Vec<u64> = rows.iter().map(|r| f.predict_row(r).to_bits()).collect();
+            // Every batch length: 1–3-row calls, one full block, and a
+            // block plus a ragged tail split over workers.
+            for len in 1..=rows.len() {
+                let refs: Vec<&[f64]> = rows[..len].iter().map(|r| r.as_slice()).collect();
+                let x = Matrix::from_rows(&refs);
+                for jobs in [1, 4] {
+                    for (i, p) in f.predict_proba(&x, jobs).iter().enumerate() {
+                        assert_eq!(
+                            p.to_bits(),
+                            want[i],
+                            "trial {trial} len {len} row {i} n_jobs {jobs}: block != predict_row"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn packed_table_shrinks_walk_state() {
-        let mut rng = StdRng::seed_from_u64(0x5123);
-        let mut b = FlatBuilder::new(3, 0.0, Finalize::Sum);
-        for _ in 0..8 {
-            push_random_tree(&mut b, &mut rng, 4);
-        }
-        let f = b.build();
-        assert!(f.is_packed());
-        let wide_bytes =
-            f.n_nodes() * (2 * std::mem::size_of::<u32>() + std::mem::size_of::<f64>());
-        assert!(
-            f.walk_bytes() * 2 < wide_bytes,
-            "packed walk state {} should be well under wide {}",
-            f.walk_bytes(),
-            wide_bytes
-        );
-    }
-
-    #[test]
-    fn wide_feature_space_falls_back_losslessly() {
-        // 2000 features exceeds the 10-bit packed feature field, so the
-        // side table must be skipped — and predictions must not change.
+    fn wide_feature_space_predicts_exactly() {
+        // 2000 features, split on a high index: both entries route
+        // the row by that column alone.
         let n = 2000;
         let mut b = FlatBuilder::new(n, 0.0, Finalize::Sum);
         b.begin_tree();
@@ -1109,7 +888,6 @@ mod tests {
         b.push_leaf(0.2);
         b.push_leaf(0.8);
         let f = b.build();
-        assert!(!f.is_packed(), "feature index 1500 cannot pack into 10 bits");
         let mut row = vec![0.0; n];
         assert_eq!(f.predict_row(&row), 0.2);
         row[1500] = 1.0;

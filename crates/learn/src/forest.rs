@@ -307,14 +307,16 @@ impl RandomForest {
             PresortTraversal::identity(ps)
         };
         // A bootstrap sample may contain a single class; fall back to a
-        // stump trained on the full data in that unlikely case.
+        // stump trained on the full data in that unlikely case, under
+        // the forest's own criterion, leaf and split floors and feature
+        // subsampling.
         if tree
             .fit_traversal(&mut trav, &yb, Some(&wb), klogk)
             .is_err()
         {
             let mut fallback = DecisionTree::new(DecisionTreeParams {
                 max_depth: Some(1),
-                ..DecisionTreeParams::default()
+                ..tree.params().clone()
             });
             fallback
                 .fit_presorted(ps, y, Some(base_weight))
@@ -607,6 +609,27 @@ mod tests {
         let p_bal = balanced.predict_proba(&x)[0];
         assert!(p_bal > p_plain);
         assert!((p_bal - 0.5).abs() < 0.15);
+    }
+
+    #[test]
+    fn one_class_bootstrap_fallback_keeps_the_forest_split_floor() {
+        // One positive in 15 rows: about a third of the bootstrap
+        // samples miss it and take the full-data fallback stump. A
+        // split floor above the row count must leave that stump a leaf
+        // too, though the single column separates the classes.
+        let rows: Vec<Vec<f64>> = (0..15).map(|i| vec![i as f64]).collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let x = Matrix::from_rows(&refs);
+        let y: Vec<u8> = (0..15).map(|i| u8::from(i == 14)).collect();
+        let mut rf = RandomForest::new(RandomForestParams {
+            n_estimators: 16,
+            min_samples_split: 30,
+            seed: 5,
+            ..RandomForestParams::default()
+        });
+        rf.fit(&x, &y, None).unwrap();
+        let flat = rf.to_flat();
+        assert_eq!(flat.n_nodes(), flat.n_trees(), "every tree must stay one leaf");
     }
 
     #[test]

@@ -81,8 +81,18 @@ fn assert_bits_equal(
     Ok(())
 }
 
+/// Case count for every property: `PROPTEST_CASES` when set (the
+/// nightly run raises it to 2000), otherwise 32.
+fn cases() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(32);
+    ProptestConfig::with_cases(cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(cases())]
 
     /// A single tree's flat table against the recursive reference walk,
     /// on NaN-bearing inputs.

@@ -7,15 +7,15 @@
 //!
 //! 1. **Bit-identical predictions** — probabilities and thresholded
 //!    decisions match the legacy path bit for bit, across fleet sizes
-//!    1 / 7 / 64 / 1000 and `n_jobs` ∈ {1, 4}.
+//!    1 / 7 / 64 / 1000.
 //! 2. **Scale-out / scale-in** — the gather matrix grows and shrinks
 //!    mid-episode without disturbing surviving instances' windows.
 //! 3. **Observability equivalence** — under ring tracing, both paths
 //!    journal the same record sequence (names, fields, labels) and the
 //!    same drift-alert set; drift detector state ends identical.
 //! 4. **Malformed input** — a tick with a host or container vector of
-//!    the wrong width is refused with an error before any window or
-//!    drift state moves.
+//!    the wrong width, or with one instance id listed twice, is
+//!    refused with an error before any window or drift state moves.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -104,25 +104,22 @@ fn batched_tick_matches_legacy_across_fleet_sizes() {
     let model = model();
     for n in [1usize, 7, 64, 1000] {
         let ticks = if n >= 1000 { 6 } else { 20 };
-        for n_jobs in [1usize, 4] {
-            let mut batched = Orchestrator::new(Arc::clone(&model));
-            batched.set_n_jobs(n_jobs);
-            let mut legacy = Orchestrator::new(Arc::clone(&model));
-            for t in 0..ticks {
-                let observed = observations(n, t);
-                let b = batched.step(&observed).unwrap().to_vec();
-                let l = legacy.step_legacy(&observed).unwrap().to_vec();
-                assert_eq!(b.len(), n, "fleet {n}: one prediction per instance");
-                assert_ticks_equal(t, &b, &l);
+        let mut batched = Orchestrator::new(Arc::clone(&model));
+        let mut legacy = Orchestrator::new(Arc::clone(&model));
+        for t in 0..ticks {
+            let observed = observations(n, t);
+            let b = batched.step(&observed).unwrap().to_vec();
+            let l = legacy.step_legacy(&observed).unwrap().to_vec();
+            assert_eq!(b.len(), n, "fleet {n}: one prediction per instance");
+            assert_ticks_equal(t, &b, &l);
+        }
+        // Drift detectors consumed identical rows → identical state.
+        match (batched.drift(), legacy.drift()) {
+            (Some(db), Some(dl)) => {
+                assert_eq!(db.scores(), dl.scores(), "fleet {n}: drift scores")
             }
-            // Drift detectors consumed identical rows → identical state.
-            match (batched.drift(), legacy.drift()) {
-                (Some(db), Some(dl)) => {
-                    assert_eq!(db.scores(), dl.scores(), "fleet {n}: drift scores")
-                }
-                (None, None) => {}
-                _ => panic!("fleet {n}: drift detectors must agree on presence"),
-            }
+            (None, None) => {}
+            _ => panic!("fleet {n}: drift detectors must agree on presence"),
         }
     }
 }
@@ -201,15 +198,28 @@ fn malformed_observation_is_rejected_and_leaves_windows_untouched() {
         orch.step(&observed).unwrap();
         twin.step(&observed).unwrap();
     }
-    // One container vector one metric short, then a host vector one
-    // metric long: each tick is refused before any window moves.
+    // One container vector one metric short, a host vector one metric
+    // long, and one instance listed twice (on its own node, then on a
+    // second node): each tick is refused before any window moves.
     let mut short = observations(7, 5);
     short[1].containers[0].1.pop();
     let mut long = observations(7, 5);
     long[2].host.push(1.0);
-    for bad in [short, long] {
+    let mut twice_on_one_node = observations(7, 5);
+    let entry = twice_on_one_node[0].containers[0].clone();
+    twice_on_one_node[0].containers.push(entry);
+    let mut twice_on_two_nodes = observations(7, 5);
+    let entry = twice_on_two_nodes[0].containers[0].clone();
+    twice_on_two_nodes[1].containers.push(entry);
+    for (bad, names) in [
+        (short, "instance1 container vector"),
+        (long, "host vector"),
+        (twice_on_one_node, "instance0 is listed more than once"),
+        (twice_on_two_nodes, "instance0 is listed more than once"),
+    ] {
         let err = orch.step(&bad).unwrap_err();
         assert!(matches!(err, monitorless::Error::Invalid(_)), "{err}");
+        assert!(err.to_string().contains(names), "{err}");
         assert_eq!(orch.tracked_instances(), 7);
     }
     // Enough ticks for the drift detectors to score (7 rows per tick).
