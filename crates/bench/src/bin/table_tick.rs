@@ -14,7 +14,9 @@
 //! paper-shaped forest (250 trees, entropy, `min_samples_leaf` 2)
 //! fitted on in-distribution transformed rows, so the per-tick predict
 //! cost is the paper's while training stays laptop-sized; it is
-//! trained once and cached under `target/`. Each fleet size feeds both
+//! trained once and cached under `target/`, in a file named by a digest
+//! of everything that shapes it (`tick_model_cache_path`), so a changed
+//! option is retrained rather than served stale. Each fleet size feeds both
 //! serving paths identical catalog-width observation batches (952
 //! host and 88 container metrics per instance, hash-derived, cycling
 //! so the rolling windows keep evolving).
@@ -36,10 +38,11 @@ use std::time::Instant;
 
 use monitorless::model::{ModelOptions, MonitorlessModel};
 use monitorless::orchestrator::{InstancePrediction, Orchestrator};
-use monitorless::training::generate_training_data;
+use monitorless::training::{generate_training_data, TrainingOptions};
 use monitorless_bench::harness::{alloc_events, CountingAlloc, Harness};
 use monitorless_bench::snapshot::tick::{BenchReport, SizeResult};
 use monitorless_bench::synth::value;
+use monitorless_bench::tick_model_cache_path;
 use monitorless_learn::RandomForestParams;
 use monitorless_metrics::catalog::Catalog;
 use monitorless_metrics::{InstanceId, NodeId, Observation};
@@ -181,24 +184,27 @@ fn graft_dataset(
 /// rows walk paper-depth paths. Cached under `target/` so re-runs skip
 /// both trainings.
 fn tick_model(seed: u64) -> Arc<MonitorlessModel> {
-    let path = std::path::PathBuf::from(format!("target/monitorless-tickmodel-{seed}.json"));
+    const ROWS: usize = 12_000;
+    let training = TrainingOptions::quick(seed);
+    let base_options = ModelOptions::quick();
+    let params = RandomForestParams {
+        min_samples_leaf: 2,
+        n_jobs: 4,
+        seed,
+        ..RandomForestParams::paper_selected()
+    };
+    let path = tick_model_cache_path(seed, &training, &base_options, &params, ROWS);
     if let Ok(model) = MonitorlessModel::load(&path) {
         obs::progress(&format!("loaded cached model from {}", path.display()));
         return Arc::new(model);
     }
     obs::progress("training base model (quick pipeline)...");
-    let data = generate_training_data(&monitorless::training::TrainingOptions::quick(seed))
-        .expect("training-data generation");
-    let base = MonitorlessModel::train(&data, &ModelOptions::quick()).expect("base model training");
+    let data = generate_training_data(&training).expect("training-data generation");
+    let base = MonitorlessModel::train(&data, &base_options).expect("base model training");
     let width = base.pipeline().output_width();
     obs::progress(&format!("fitting deep forest (250 trees, 12k x {width})..."));
-    let (x, y) = graft_dataset(&base, 12_000, seed);
-    let mut forest = monitorless_learn::RandomForest::new(RandomForestParams {
-        min_samples_leaf: 2,
-        n_jobs: 4,
-        seed,
-        ..RandomForestParams::paper_selected()
-    });
+    let (x, y) = graft_dataset(&base, ROWS, seed);
+    let mut forest = monitorless_learn::RandomForest::new(params);
     monitorless_learn::Classifier::fit(&mut forest, &x, &y, None)
         .expect("paper-shaped forest trains on the quantized dataset");
     let model = base

@@ -47,6 +47,7 @@ use std::sync::Arc;
 use monitorless::experiments::scenario::EvalOptions;
 use monitorless::model::{ModelOptions, MonitorlessModel};
 use monitorless::training::{generate_training_data, TrainingData, TrainingOptions};
+use monitorless_learn::RandomForestParams;
 use monitorless_obs as obs;
 
 /// Parsed command-line scale options.
@@ -123,8 +124,8 @@ impl Scale {
 const MODEL_FORMAT_VERSION: u32 = 1;
 
 /// Where [`trained_model`] caches the model for `scale` and `seed`:
-/// the file name ends in a 64-bit FNV-1a digest of the training
-/// options, the model options and the format `version`.
+/// the file name ends in a digest of the format `version`, the training
+/// options and the model options ([`digest_path`]).
 fn model_cache_path(
     scale: &str,
     seed: u64,
@@ -132,11 +133,38 @@ fn model_cache_path(
     model: &ModelOptions,
     version: u32,
 ) -> std::path::PathBuf {
-    let key = format!("{version} {training:?} {model:?}");
+    digest_path(&format!("monitorless-model-{scale}-{seed}"), version, &[training, model])
+}
+
+/// Where `table_tick` caches its grafted model for `seed`: keyed like
+/// [`trained_model`]'s cache by the format version and the base model's
+/// training and model options, plus the graft forest's parameters and
+/// the row count of its fit set.
+pub fn tick_model_cache_path(
+    seed: u64,
+    training: &TrainingOptions,
+    model: &ModelOptions,
+    forest: &RandomForestParams,
+    rows: usize,
+) -> std::path::PathBuf {
+    digest_path(
+        &format!("monitorless-tickmodel-{seed}"),
+        MODEL_FORMAT_VERSION,
+        &[training, model, forest, &rows],
+    )
+}
+
+/// `target/<stem>-<digest>.json`, where the digest is a 64-bit FNV-1a
+/// hash of the format `version` and the `Debug` form of every input, so
+/// a cache written from other inputs or by older code is not found.
+fn digest_path(stem: &str, version: u32, inputs: &[&dyn std::fmt::Debug]) -> std::path::PathBuf {
+    let key = inputs
+        .iter()
+        .fold(version.to_string(), |key, input| format!("{key} {input:?}"));
     let digest = key
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
-    std::path::PathBuf::from(format!("target/monitorless-model-{scale}-{seed}-{digest:016x}.json"))
+    std::path::PathBuf::from(format!("target/{stem}-{digest:016x}.json"))
 }
 
 /// Parsed command line: the scale plus the perf-gate binaries'
@@ -350,6 +378,44 @@ mod tests {
             ("seed", model_cache_path("quick", 8, &training, &model, MODEL_FORMAT_VERSION)),
         ] {
             assert_ne!(base, other, "{what}");
+        }
+    }
+
+    #[test]
+    fn tick_model_cache_path_changes_with_every_input() {
+        let training = TrainingOptions::quick(7);
+        let model = ModelOptions::quick();
+        let forest = RandomForestParams::paper_selected();
+        let path = tick_model_cache_path(7, &training, &model, &forest, 12_000);
+        assert_eq!(path, tick_model_cache_path(7, &training, &model, &forest.clone(), 12_000));
+        let name = path.to_str().unwrap();
+        assert!(name.starts_with("target/monitorless-tickmodel-7-"), "{name}");
+        let stem = "monitorless-tickmodel-7";
+        let inputs: [&dyn std::fmt::Debug; 4] = [&training, &model, &forest, &12_000_usize];
+        assert_eq!(path, digest_path(stem, MODEL_FORMAT_VERSION, &inputs));
+        let other_forest = RandomForestParams {
+            min_samples_leaf: forest.min_samples_leaf + 1,
+            ..forest.clone()
+        };
+        let other_model = ModelOptions {
+            threshold: 0.5,
+            ..model.clone()
+        };
+        for (what, other) in [
+            ("format version", digest_path(stem, MODEL_FORMAT_VERSION + 1, &inputs)),
+            ("seed", tick_model_cache_path(8, &training, &model, &forest, 12_000)),
+            (
+                "training options",
+                tick_model_cache_path(7, &TrainingOptions::quick(8), &model, &forest, 12_000),
+            ),
+            ("model options", tick_model_cache_path(7, &training, &other_model, &forest, 12_000)),
+            (
+                "forest parameters",
+                tick_model_cache_path(7, &training, &model, &other_forest, 12_000),
+            ),
+            ("row count", tick_model_cache_path(7, &training, &model, &forest, 12_001)),
+        ] {
+            assert_ne!(path, other, "{what}");
         }
     }
 

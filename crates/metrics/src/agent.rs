@@ -1,23 +1,23 @@
 //! The per-node monitoring agent.
 //!
 //! One agent runs on every cloud node (paper Figure 1). Each second it
-//! receives the node's signal frames from the simulator, expands them to
-//! the full catalog, emits raw (cumulative-counter) values, and converts
-//! them back to processed per-second vectors — the exact data the
-//! orchestrator trains and predicts on.
+//! receives the node's signal frames from the simulator and makes one
+//! pass over each scope's compiled column plan: constants, then gauges,
+//! then counters, which it folds into running totals and reads back as
+//! per-second rates in the same step. The result is the processed
+//! per-second vectors the orchestrator trains and predicts on.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::catalog::Catalog;
-use crate::kind::MetricKind;
-use crate::rates::{CounterAccumulator, RateConverter};
+use crate::catalog::{time_key, Catalog, ScopePlan};
+use crate::rates::CounterTotals;
 use crate::sample::{InstanceId, NodeId, Observation};
 use crate::signals::{ContainerSignals, HostSignals};
 
 /// Monitoring agent for one node.
 ///
-/// The agent owns its per-instance rate state and collects through
+/// The agent owns its per-instance counter state and collects through
 /// `&mut self`: each node's agent is driven by one caller at a time
 /// (the simulator's node entry), and it is `Send + Sync`, so a worker
 /// pool can tick different nodes' agents on different threads.
@@ -26,29 +26,18 @@ pub struct MonitoringAgent {
     node: NodeId,
     catalog: Arc<Catalog>,
     seed: u64,
-    ctr_kinds: Vec<MetricKind>,
-    host_acc: CounterAccumulator,
-    host_rates: RateConverter,
-    containers: HashMap<InstanceId, (CounterAccumulator, RateConverter)>,
-    /// Reused expansion/raw-sample buffers for the fused collect path.
-    scratch_inst: Vec<f64>,
-    scratch_raw: Vec<f64>,
+    host: CounterTotals,
+    containers: HashMap<InstanceId, CounterTotals>,
 }
 
 impl MonitoringAgent {
     /// Creates an agent for `node` using the given catalog and noise seed.
     pub fn new(node: NodeId, catalog: Arc<Catalog>, seed: u64) -> Self {
-        let host_kinds: Vec<_> = catalog.host_metrics().iter().map(|m| m.kind).collect();
-        let ctr_kinds: Vec<_> = catalog.container_metrics().iter().map(|m| m.kind).collect();
         MonitoringAgent {
             node,
             seed,
-            ctr_kinds,
-            host_acc: CounterAccumulator::new(host_kinds.clone()),
-            host_rates: RateConverter::new(host_kinds),
+            host: CounterTotals::new(catalog.host_plan().counters.len()),
             containers: HashMap::new(),
-            scratch_inst: Vec::new(),
-            scratch_raw: Vec::new(),
             catalog,
         }
     }
@@ -63,12 +52,13 @@ impl MonitoringAgent {
         &self.catalog
     }
 
-    /// Collects one second of data: expands signals, accumulates counters
-    /// and derives rates, producing the processed [`Observation`].
+    /// Collects one second of data: evaluates every metric, accumulates
+    /// counters and derives their rates, producing the processed
+    /// [`Observation`].
     ///
-    /// Instances that disappear (scale-in) have their rate state dropped;
-    /// new instances start with a zero-rate first interval, exactly like a
-    /// freshly started container.
+    /// Instances that disappear (scale-in) have their counter state
+    /// dropped; new instances start with a zero-rate first interval,
+    /// exactly like a freshly started container.
     pub fn collect(
         &mut self,
         time: u64,
@@ -85,14 +75,12 @@ impl MonitoringAgent {
         out
     }
 
-    /// Fused variant of [`MonitoringAgent::collect`] that writes the
-    /// processed observation into `out`, reusing its buffers.
+    /// [`MonitoringAgent::collect`] into `out`, reusing its buffers.
     ///
-    /// Bitwise-identical output and identical internal rate-state
-    /// evolution, but allocation-free in steady state (a stable set of
-    /// container ids): the expansion scratch, the retained raw samples
-    /// and the output vectors are all reused in place. The event-driven
-    /// simulator calls this once per node per monitoring sample.
+    /// Allocation-free in steady state (a stable set of container ids):
+    /// the output vectors are rewritten in place, and only a new
+    /// instance allocates its counter totals. The event-driven simulator
+    /// calls this once per node per monitoring sample.
     pub fn collect_into(
         &mut self,
         time: u64,
@@ -104,12 +92,13 @@ impl MonitoringAgent {
         monitorless_obs::counter_add("agent.collections", 1);
         out.node = self.node;
         out.time = time;
-        self.catalog
-            .expand_host_into(host, time, self.seed, &mut self.scratch_inst);
-        self.host_acc
-            .accumulate_into(&self.scratch_inst, &mut self.scratch_raw);
-        self.host_rates
-            .convert_into(&self.scratch_raw, 1.0, &mut out.host);
+        collect_scope(
+            self.catalog.host_plan(),
+            &host.slots(),
+            time_key(self.seed, time),
+            &mut self.host,
+            &mut out.host,
+        );
 
         // Drop state for instances that no longer exist.
         self.containers
@@ -119,24 +108,37 @@ impl MonitoringAgent {
         while out.containers.len() < containers.len() {
             out.containers.push((InstanceId(0), Vec::new()));
         }
+        let plan = self.catalog.container_plan();
         for (slot, (id, signals)) in out.containers.iter_mut().zip(containers) {
             slot.0 = *id;
-            self.catalog.expand_container_into(
-                signals,
-                time,
-                self.seed ^ (id.0 as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-                &mut self.scratch_inst,
-            );
-            let (acc, conv) = self.containers.entry(*id).or_insert_with(|| {
-                (
-                    CounterAccumulator::new(self.ctr_kinds.clone()),
-                    RateConverter::new(self.ctr_kinds.clone()),
-                )
-            });
-            acc.accumulate_into(&self.scratch_inst, &mut self.scratch_raw);
-            conv.convert_into(&self.scratch_raw, 1.0, &mut slot.1);
+            let seed = self.seed ^ u64::from(id.0).wrapping_mul(0xA24B_AED4_963E_E407);
+            let counters = self
+                .containers
+                .entry(*id)
+                .or_insert_with(|| CounterTotals::new(plan.counters.len()));
+            collect_scope(plan, &signals.slots(), time_key(seed, time), counters, &mut slot.1);
         }
     }
+}
+
+/// One pass over one scope instance: writes every metric of `plan` into
+/// `out`, constants first, then gauges, then counters as rates.
+fn collect_scope(
+    plan: &ScopePlan,
+    slots: &[f64],
+    time_key: u64,
+    counters: &mut CounterTotals,
+    out: &mut Vec<f64>,
+) {
+    // The three lists cover every index, so stale values are overwritten.
+    out.resize(plan.width, 0.0);
+    for &(i, c) in &plan.constants {
+        out[i] = c;
+    }
+    for col in &plan.gauges {
+        out[col.index as usize] = col.value(slots, time_key);
+    }
+    counters.advance(&plan.counters, slots, time_key, out);
 }
 
 #[cfg(test)]
@@ -170,6 +172,31 @@ mod tests {
         assert_eq!(first.host[pswitch], 0.0, "first counter interval dropped");
         let second = a.collect(1, &hs, &[]);
         assert!((second.host[pswitch] - 1000.0).abs() < 150.0, "rate = {}", second.host[pswitch]);
+    }
+
+    #[test]
+    fn non_finite_counter_sample_reads_zero_once() {
+        // An infinite total would read inf - inf = NaN every second after,
+        // so the infinite sample is dropped: that second reads 0 and the
+        // next ones read the signal again.
+        let mut a = agent();
+        let pswitch = Catalog::standard()
+            .host_index("kernel.all.pswitch")
+            .unwrap();
+        let read = |a: &mut MonitoringAgent, t: u64, rate: f64| {
+            let hs = HostSignals {
+                ctx_switch_rate: rate,
+                ..HostSignals::default()
+            };
+            a.collect(t, &hs, &[]).host[pswitch]
+        };
+        assert_eq!(read(&mut a, 0, 1000.0), 0.0, "first interval");
+        assert!((read(&mut a, 1, 1000.0) - 1000.0).abs() < 150.0);
+        assert_eq!(read(&mut a, 2, f64::INFINITY), 0.0, "the infinite sample adds nothing");
+        for t in 3..6 {
+            let v = read(&mut a, t, 1000.0);
+            assert!((v - 1000.0).abs() < 150.0, "t {t}: {v}");
+        }
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! `value = offset + weight * signal * (1 + noise * ε(metric, t))` — this
 //! mirrors how most real PCP metrics are per-device or per-protocol
 //! refinements of a handful of physical quantities.
+//!
+//! [`Catalog::standard`] compiles each scope once into a column plan:
+//! lists of constant, gauge and counter columns, each signal column
+//! carrying its signal slot, its coefficients and its precomputed noise
+//! key. The agent and [`Catalog::expand_host`]/[`Catalog::expand_container`]
+//! all evaluate through it, so one formula computes every metric.
 
 use crate::kind::{MetricKind, Scope};
 use crate::signals::{ContainerSignal, ContainerSignals, HostSignal, HostSignals, SignalSource};
@@ -30,46 +36,128 @@ pub struct MetricDef {
     pub noise: f64,
 }
 
-impl MetricDef {
-    /// Evaluates the metric for the given signal frames.
-    ///
-    /// `t` and `seed` drive the reproducible measurement noise. Exactly one
-    /// of `host`/`container` is consulted depending on the source.
-    pub fn evaluate(
-        &self,
-        host: &HostSignals,
-        container: &ContainerSignals,
-        t: u64,
-        seed: u64,
-        idx: usize,
-    ) -> f64 {
-        let base = match self.source {
-            SignalSource::Host(s) => s.value(host),
-            SignalSource::Container(s) => s.value(container),
-            SignalSource::Constant(c) => return c,
-        };
-        let eps = pseudo_noise(idx as u64, t, seed);
-        let v = self.offset + self.weight * base * (1.0 + self.noise * eps);
-        v.max(0.0)
-    }
+/// The noise key's per-metric term for catalog index `idx`.
+fn column_key(idx: u64) -> u64 {
+    idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Deterministic pseudo-noise in `[-1, 1]` from (metric, time, seed).
-pub fn pseudo_noise(idx: u64, t: u64, seed: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(idx.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(t.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+/// The noise key's per-second term: `seed + t · 0xBF58_476D_1CE4_E5B9`,
+/// computed once per collect and shared by every column of a scope.
+pub(crate) fn time_key(seed: u64, t: u64) -> u64 {
+    seed.wrapping_add(t.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+}
+
+/// SplitMix64's finalizer, mapped onto `[-1, 1]`.
+fn unit_noise(mut z: u64) -> f64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     (z as f64 / u64::MAX as f64) * 2.0 - 1.0
 }
 
-/// The full metric catalog.
+/// Deterministic pseudo-noise in `[-1, 1]` from (metric, time, seed).
+pub fn pseudo_noise(idx: u64, t: u64, seed: u64) -> f64 {
+    unit_noise(time_key(seed, t).wrapping_add(column_key(idx)))
+}
+
+/// One signal-driven column of a compiled scope.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Column {
+    /// Position in the scope's output vector.
+    pub(crate) index: u32,
+    /// Index into the scope's signal slots.
+    slot: u32,
+    weight: f64,
+    offset: f64,
+    noise: f64,
+    /// The column's noise-key term, `idx · 0x9E37_79B9_7F4A_7C15`.
+    key: u64,
+}
+
+impl Column {
+    /// The column's value for one second: `offset + weight · signal ·
+    /// (1 + noise · ε)`, clamped at 0, where `time_key` comes from
+    /// [`time_key`].
+    #[inline]
+    pub(crate) fn value(&self, slots: &[f64], time_key: u64) -> f64 {
+        let eps = unit_noise(time_key.wrapping_add(self.key));
+        let v = self.offset + self.weight * slots[self.slot as usize] * (1.0 + self.noise * eps);
+        v.max(0.0)
+    }
+}
+
+/// One catalog scope compiled once for collection: its columns split by
+/// kind, so a collect runs each list in a flat loop.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ScopePlan {
+    /// Output width: the scope's metric count.
+    pub(crate) width: usize,
+    /// `(index, value)` of every hardware-inventory constant.
+    pub(crate) constants: Vec<(usize, f64)>,
+    /// Every signal-driven column that is not a counter.
+    pub(crate) gauges: Vec<Column>,
+    /// Every counter column, in catalog order.
+    pub(crate) counters: Vec<Column>,
+}
+
+impl ScopePlan {
+    /// Compiles one scope's definitions; `first` is the catalog index of
+    /// `defs[0]`, which keys the noise.
+    fn compile(defs: &[MetricDef], first: usize) -> Self {
+        let mut plan = ScopePlan {
+            width: defs.len(),
+            ..ScopePlan::default()
+        };
+        for (i, m) in defs.iter().enumerate() {
+            let slot = match (m.scope, m.source) {
+                (_, SignalSource::Constant(c)) => {
+                    assert_ne!(m.kind, MetricKind::Counter, "{} is a constant counter", m.name);
+                    plan.constants.push((i, c));
+                    continue;
+                }
+                (Scope::Host, SignalSource::Host(s)) => s.slot(),
+                (Scope::Container, SignalSource::Container(s)) => s.slot(),
+                _ => panic!("{} reads a signal outside its scope", m.name),
+            };
+            let column = Column {
+                index: i as u32,
+                slot: slot as u32,
+                weight: m.weight,
+                offset: m.offset,
+                noise: m.noise,
+                key: column_key((first + i) as u64),
+            };
+            match m.kind {
+                MetricKind::Counter => plan.counters.push(column),
+                _ => plan.gauges.push(column),
+            }
+        }
+        plan
+    }
+
+    /// Every metric's instantaneous value for one signal frame: counters
+    /// read the second's increment, not a running total.
+    fn expand(&self, slots: &[f64], t: u64, seed: u64) -> Vec<f64> {
+        let key = time_key(seed, t);
+        let mut out = vec![0.0; self.width];
+        for &(i, c) in &self.constants {
+            out[i] = c;
+        }
+        for col in self.gauges.iter().chain(&self.counters) {
+            out[col.index as usize] = col.value(slots, key);
+        }
+        out
+    }
+}
+
+/// The full metric catalog, with each scope compiled once into a column
+/// plan that the agent and the expansions evaluate through.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Catalog {
     host: Vec<MetricDef>,
     container: Vec<MetricDef>,
+    host_plan: ScopePlan,
+    container_plan: ScopePlan,
 }
 
 /// Number of host-scoped metrics in the standard catalog (as in the paper).
@@ -85,6 +173,8 @@ impl Catalog {
         b.build_host();
         b.build_container();
         let c = Catalog {
+            host_plan: ScopePlan::compile(&b.host, 0),
+            container_plan: ScopePlan::compile(&b.container, b.host.len()),
             host: b.host,
             container: b.container,
         };
@@ -158,54 +248,24 @@ impl Catalog {
         self.container_index(name).map(|i| self.host.len() + i)
     }
 
-    /// Evaluates all host metrics for one signal frame.
-    pub fn expand_host(&self, signals: &HostSignals, t: u64, seed: u64) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.host.len());
-        self.expand_host_into(signals, t, seed, &mut out);
-        out
+    /// The compiled host scope.
+    pub(crate) fn host_plan(&self) -> &ScopePlan {
+        &self.host_plan
     }
 
-    /// Evaluates all host metrics into `out`, reusing its capacity.
-    ///
-    /// Bitwise-identical to [`Catalog::expand_host`] but allocation-free
-    /// once `out` has grown to the host width.
-    pub fn expand_host_into(&self, signals: &HostSignals, t: u64, seed: u64, out: &mut Vec<f64>) {
-        let dummy = ContainerSignals::default();
-        out.clear();
-        out.extend(
-            self.host
-                .iter()
-                .enumerate()
-                .map(|(i, m)| m.evaluate(signals, &dummy, t, seed, i)),
-        );
+    /// The compiled container scope.
+    pub(crate) fn container_plan(&self) -> &ScopePlan {
+        &self.container_plan
+    }
+
+    /// Evaluates all host metrics for one signal frame.
+    pub fn expand_host(&self, signals: &HostSignals, t: u64, seed: u64) -> Vec<f64> {
+        self.host_plan.expand(&signals.slots(), t, seed)
     }
 
     /// Evaluates all container metrics for one signal frame.
     pub fn expand_container(&self, signals: &ContainerSignals, t: u64, seed: u64) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.container.len());
-        self.expand_container_into(signals, t, seed, &mut out);
-        out
-    }
-
-    /// Evaluates all container metrics into `out`, reusing its capacity.
-    ///
-    /// Bitwise-identical to [`Catalog::expand_container`] but
-    /// allocation-free once `out` has grown to the container width.
-    pub fn expand_container_into(
-        &self,
-        signals: &ContainerSignals,
-        t: u64,
-        seed: u64,
-        out: &mut Vec<f64>,
-    ) {
-        let dummy = HostSignals::default();
-        out.clear();
-        out.extend(
-            self.container
-                .iter()
-                .enumerate()
-                .map(|(i, m)| m.evaluate(&dummy, signals, t, seed, i + self.host.len())),
-        );
+        self.container_plan.expand(&signals.slots(), t, seed)
     }
 }
 
@@ -1201,6 +1261,33 @@ mod tests {
                 assert_eq!(n, pseudo_noise(idx, t, 9));
             }
         }
+    }
+
+    #[test]
+    fn plans_cover_each_scope_index_exactly_once() {
+        let c = Catalog::standard();
+        for (plan, defs) in [
+            (c.host_plan(), c.host_metrics()),
+            (c.container_plan(), c.container_metrics()),
+        ] {
+            assert_eq!(plan.width, defs.len());
+            let mut hits = vec![0; defs.len()];
+            for &(i, _) in &plan.constants {
+                hits[i] += 1;
+            }
+            for col in plan.gauges.iter().chain(&plan.counters) {
+                hits[col.index as usize] += 1;
+            }
+            assert!(hits.iter().all(|&h| h == 1), "{hits:?}");
+            for col in &plan.counters {
+                assert_eq!(defs[col.index as usize].kind, MetricKind::Counter);
+            }
+            for col in &plan.gauges {
+                assert_ne!(defs[col.index as usize].kind, MetricKind::Counter);
+            }
+        }
+        assert_eq!(c.host_plan().counters.len(), 369);
+        assert_eq!(c.container_plan().counters.len(), 49);
     }
 
     #[test]

@@ -22,7 +22,7 @@ impl MetricKind {
     /// Applies the kind-specific scaling used before model training.
     ///
     /// Counters are assumed to have already been converted to rates by
-    /// [`crate::rates::RateConverter`]; rates and byte-valued metrics are
+    /// the [`crate::agent::MonitoringAgent`]; byte-valued metrics are
     /// compressed to `log10(1 + v)`.
     pub fn preprocess(self, v: f64) -> f64 {
         match self {

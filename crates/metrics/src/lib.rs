@@ -15,13 +15,14 @@
 //!   (per-device shares plus reproducible measurement noise) — mirroring
 //!   how most real PCP metrics are per-device refinements of a few
 //!   underlying quantities;
-//! * counter semantics: counters are *emitted cumulatively* by
-//!   [`rates::CounterAccumulator`] and differentiated back to per-second
-//!   rates by [`rates::RateConverter`], exercising the paper's
-//!   "convert counters into rates" preprocessing step;
-//! * a [`agent::MonitoringAgent`] that assembles, per
-//!   second, one host vector plus one vector per running container and
-//!   concatenates them into the per-instance metric vector `M_{I,t}`.
+//! * a [`agent::MonitoringAgent`] that assembles, per second, one host
+//!   vector plus one vector per running container, which concatenate
+//!   into the per-instance metric vector `M_{I,t}`. It makes one pass
+//!   per scope over the catalog's compiled column plan (constants,
+//!   gauges, counters) and gives counters their PCP semantics in the
+//!   same step: each counter column's running total grows by the
+//!   second's value and is differentiated back to a per-second rate,
+//!   the paper's "convert counters into rates" preprocessing step.
 //!
 //! ```
 //! use monitorless_metrics::catalog::Catalog;
@@ -39,7 +40,7 @@
 pub mod agent;
 pub mod catalog;
 pub mod kind;
-pub mod rates;
+mod rates;
 pub mod sample;
 pub mod signals;
 

@@ -81,6 +81,51 @@ pub struct HostSignals {
     pub inodes_free: f64,
 }
 
+/// Number of host signals: the length of [`HostSignals::slots`].
+pub const HOST_SIGNALS: usize = 33;
+
+impl HostSignals {
+    /// The frame as an array indexed by [`HostSignal::slot`], the view a
+    /// compiled catalog scope reads its signals from.
+    pub fn slots(&self) -> [f64; HOST_SIGNALS] {
+        [
+            self.cpu_util,
+            self.cpu_user,
+            self.cpu_sys,
+            self.cpu_iowait,
+            self.ctx_switch_rate,
+            self.intr_rate,
+            self.syscall_rate,
+            self.nprocs,
+            self.runnable,
+            self.load1,
+            self.mem_util,
+            self.mem_used_bytes,
+            self.mem_cached_bytes,
+            self.mem_dirty_bytes,
+            self.pgin_rate,
+            self.pgout_rate,
+            self.pgfault_rate,
+            self.swap_rate,
+            self.net_in_bytes,
+            self.net_out_bytes,
+            self.net_in_pkts,
+            self.net_out_pkts,
+            self.net_err_rate,
+            self.net_util,
+            self.tcp_estab,
+            self.tcp_inuse,
+            self.tcp_retrans,
+            self.disk_read_bytes,
+            self.disk_write_bytes,
+            self.disk_iops,
+            self.disk_aveq,
+            self.disk_util,
+            self.inodes_free,
+        ]
+    }
+}
+
 /// Symbolic reference to one [`HostSignals`] field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
@@ -121,6 +166,11 @@ pub enum HostSignal {
 }
 
 impl HostSignal {
+    /// The signal's index into [`HostSignals::slots`].
+    pub fn slot(self) -> usize {
+        self as usize
+    }
+
     /// Reads the referenced field.
     pub fn value(self, s: &HostSignals) -> f64 {
         match self {
@@ -208,6 +258,39 @@ pub struct ContainerSignals {
     pub nthreads: f64,
 }
 
+/// Number of container signals: the length of [`ContainerSignals::slots`].
+pub const CONTAINER_SIGNALS: usize = 21;
+
+impl ContainerSignals {
+    /// The frame as an array indexed by [`ContainerSignal::slot`], the view a
+    /// compiled catalog scope reads its signals from.
+    pub fn slots(&self) -> [f64; CONTAINER_SIGNALS] {
+        [
+            self.cpu_util,
+            self.cpu_usage_cores,
+            self.throttled_rate,
+            self.periods_rate,
+            self.mem_util,
+            self.mem_usage_bytes,
+            self.mem_cache_bytes,
+            self.mem_mapped_bytes,
+            self.mem_active_file,
+            self.mem_inactive_file,
+            self.mem_inactive_anon,
+            self.kernel_stack,
+            self.pgfault_rate,
+            self.net_in_bytes,
+            self.net_out_bytes,
+            self.tcp_conns,
+            self.disk_read_bytes,
+            self.disk_write_bytes,
+            self.disk_queue,
+            self.nprocs,
+            self.nthreads,
+        ]
+    }
+}
+
 /// Symbolic reference to one [`ContainerSignals`] field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
@@ -236,6 +319,11 @@ pub enum ContainerSignal {
 }
 
 impl ContainerSignal {
+    /// The signal's index into [`ContainerSignals::slots`].
+    pub fn slot(self) -> usize {
+        self as usize
+    }
+
     /// Reads the referenced field.
     pub fn value(self, s: &ContainerSignals) -> f64 {
         match self {
@@ -336,6 +424,138 @@ mod tests {
         };
         assert_eq!(ContainerSignal::CpuUtil.value(&s), 0.95);
         assert_eq!(ContainerSignal::MemMappedBytes.value(&s), 1024.0);
+    }
+
+    #[test]
+    fn every_signal_reads_the_same_through_its_slot() {
+        use ContainerSignal as C;
+        use HostSignal as H;
+        // Distinct field values, so a slot that names the wrong field
+        // reads a different value than `value()`.
+        let host = HostSignals {
+            cpu_util: 1.0,
+            cpu_user: 2.0,
+            cpu_sys: 3.0,
+            cpu_iowait: 4.0,
+            ctx_switch_rate: 5.0,
+            intr_rate: 6.0,
+            syscall_rate: 7.0,
+            nprocs: 8.0,
+            runnable: 9.0,
+            load1: 10.0,
+            mem_util: 11.0,
+            mem_used_bytes: 12.0,
+            mem_cached_bytes: 13.0,
+            mem_dirty_bytes: 14.0,
+            pgin_rate: 15.0,
+            pgout_rate: 16.0,
+            pgfault_rate: 17.0,
+            swap_rate: 18.0,
+            net_in_bytes: 19.0,
+            net_out_bytes: 20.0,
+            net_in_pkts: 21.0,
+            net_out_pkts: 22.0,
+            net_err_rate: 23.0,
+            net_util: 24.0,
+            tcp_estab: 25.0,
+            tcp_inuse: 26.0,
+            tcp_retrans: 27.0,
+            disk_read_bytes: 28.0,
+            disk_write_bytes: 29.0,
+            disk_iops: 30.0,
+            disk_aveq: 31.0,
+            disk_util: 32.0,
+            inodes_free: 33.0,
+        };
+        let all_host = [
+            H::CpuUtil,
+            H::CpuUser,
+            H::CpuSys,
+            H::CpuIowait,
+            H::CtxSwitchRate,
+            H::IntrRate,
+            H::SyscallRate,
+            H::NProcs,
+            H::Runnable,
+            H::Load1,
+            H::MemUtil,
+            H::MemUsedBytes,
+            H::MemCachedBytes,
+            H::MemDirtyBytes,
+            H::PgInRate,
+            H::PgOutRate,
+            H::PgFaultRate,
+            H::SwapRate,
+            H::NetInBytes,
+            H::NetOutBytes,
+            H::NetInPkts,
+            H::NetOutPkts,
+            H::NetErrRate,
+            H::NetUtil,
+            H::TcpEstab,
+            H::TcpInuse,
+            H::TcpRetrans,
+            H::DiskReadBytes,
+            H::DiskWriteBytes,
+            H::DiskIops,
+            H::DiskAveq,
+            H::DiskUtil,
+            H::InodesFree,
+        ];
+        assert_eq!(all_host.len(), HOST_SIGNALS);
+        for s in all_host {
+            assert_eq!(host.slots()[s.slot()], s.value(&host), "{s:?}");
+        }
+        let ctr = ContainerSignals {
+            cpu_util: 1.0,
+            cpu_usage_cores: 2.0,
+            throttled_rate: 3.0,
+            periods_rate: 4.0,
+            mem_util: 5.0,
+            mem_usage_bytes: 6.0,
+            mem_cache_bytes: 7.0,
+            mem_mapped_bytes: 8.0,
+            mem_active_file: 9.0,
+            mem_inactive_file: 10.0,
+            mem_inactive_anon: 11.0,
+            kernel_stack: 12.0,
+            pgfault_rate: 13.0,
+            net_in_bytes: 14.0,
+            net_out_bytes: 15.0,
+            tcp_conns: 16.0,
+            disk_read_bytes: 17.0,
+            disk_write_bytes: 18.0,
+            disk_queue: 19.0,
+            nprocs: 20.0,
+            nthreads: 21.0,
+        };
+        let all_ctr = [
+            C::CpuUtil,
+            C::CpuUsageCores,
+            C::ThrottledRate,
+            C::PeriodsRate,
+            C::MemUtil,
+            C::MemUsageBytes,
+            C::MemCacheBytes,
+            C::MemMappedBytes,
+            C::MemActiveFile,
+            C::MemInactiveFile,
+            C::MemInactiveAnon,
+            C::KernelStack,
+            C::PgFaultRate,
+            C::NetInBytes,
+            C::NetOutBytes,
+            C::TcpConns,
+            C::DiskReadBytes,
+            C::DiskWriteBytes,
+            C::DiskQueue,
+            C::NProcs,
+            C::NThreads,
+        ];
+        assert_eq!(all_ctr.len(), CONTAINER_SIGNALS);
+        for s in all_ctr {
+            assert_eq!(ctr.slots()[s.slot()], s.value(&ctr), "{s:?}");
+        }
     }
 
     #[test]

@@ -1,27 +1,45 @@
 //! Property-based tests for the metric model.
 
+use std::sync::Arc;
+
 use monitorless_metrics::catalog::{pseudo_noise, Catalog};
 use monitorless_metrics::kind::MetricKind;
-use monitorless_metrics::rates::{CounterAccumulator, RateConverter};
 use monitorless_metrics::signals::{ContainerSignals, HostSignals};
+use monitorless_metrics::{InstanceId, MonitoringAgent, NodeId};
 use proptest::prelude::*;
+
+/// Feeds one context-switch rate per second to a fresh agent and returns
+/// `kernel.all.pswitch` as the agent reads it and as the catalog expands
+/// it that second (the instantaneous value the counter accumulates).
+fn pswitch_reads(rates: &[f64]) -> Vec<(f64, f64)> {
+    let catalog = Arc::new(Catalog::standard());
+    let pswitch = catalog.host_index("kernel.all.pswitch").unwrap();
+    let mut agent = MonitoringAgent::new(NodeId(0), Arc::clone(&catalog), 11);
+    rates
+        .iter()
+        .enumerate()
+        .map(|(t, &rate)| {
+            let hs = HostSignals {
+                ctx_switch_rate: rate,
+                ..HostSignals::default()
+            };
+            let read = agent.collect(t as u64, &hs, &[]).host[pswitch];
+            (read, catalog.expand_host(&hs, t as u64, 11)[pswitch])
+        })
+        .collect()
+}
 
 proptest! {
     #[test]
     fn accumulate_then_rate_recovers_inputs(
         rates in proptest::collection::vec(0.0_f64..1e7, 2..30),
     ) {
-        let kinds = vec![MetricKind::Counter];
-        let mut acc = CounterAccumulator::new(kinds.clone());
-        let mut conv = RateConverter::new(kinds);
-        let mut out = Vec::new();
-        for r in &rates {
-            let raw = acc.accumulate(&[*r]);
-            out.push(conv.convert(&raw, 1.0)[0]);
-        }
-        // First interval is dropped; the rest roundtrip.
-        for (i, r) in rates.iter().enumerate().skip(1) {
-            prop_assert!((out[i] - r).abs() < 1e-6 * (1.0 + r));
+        let reads = pswitch_reads(&rates);
+        // First interval is dropped; the rest read back the second's
+        // value up to the rounding of the running total.
+        prop_assert_eq!(reads[0].0, 0.0);
+        for &(read, value) in &reads[1..] {
+            prop_assert!((read - value).abs() < 1e-6 * (1.0 + value), "{} vs {}", read, value);
         }
     }
 
@@ -29,21 +47,16 @@ proptest! {
     fn negative_rates_roundtrip_clamped_to_zero(
         rates in proptest::collection::vec(-1e6_f64..1e6, 2..30),
     ) {
-        // The kernel never reports a negative rate, so the accumulator
-        // clamps negative inputs to zero instead of letting the counter
-        // run backwards; the round trip therefore recovers max(r, 0)
-        // after the dropped first interval.
-        let kinds = vec![MetricKind::Counter];
-        let mut acc = CounterAccumulator::new(kinds.clone());
-        let mut conv = RateConverter::new(kinds);
-        let mut out = Vec::new();
-        for r in &rates {
-            let raw = acc.accumulate(&[*r]);
-            out.push(conv.convert(&raw, 1.0)[0]);
-        }
-        for (i, r) in rates.iter().enumerate().skip(1) {
-            let expected = r.max(0.0);
-            prop_assert!((out[i] - expected).abs() < 1e-6 * (1.0 + expected.abs()));
+        // The kernel never reports a negative rate, so a negative signal
+        // adds nothing to the counter instead of running it backwards;
+        // the round trip therefore recovers max(value, 0) after the
+        // dropped first interval.
+        let reads = pswitch_reads(&rates);
+        for (&(read, value), rate) in reads.iter().zip(&rates).skip(1) {
+            if *rate <= 0.0 {
+                prop_assert_eq!(read, 0.0);
+            }
+            prop_assert!((read - value).abs() < 1e-6 * (1.0 + value), "{} vs {}", read, value);
         }
     }
 
@@ -51,13 +64,33 @@ proptest! {
     fn decreasing_raw_counters_never_yield_negative_rates(
         raws in proptest::collection::vec(0.0_f64..1e9, 2..30),
     ) {
-        // Fed raw samples directly (bypassing the accumulator), any
-        // decrease looks like a counter reset and yields rate 0 rather
-        // than a negative spike.
-        let mut conv = RateConverter::new(vec![MetricKind::Counter]);
-        for raw in &raws {
-            let rate = conv.convert(&[*raw], 1.0)[0];
-            prop_assert!(rate >= 0.0);
+        // A falling signal slows a counter but never runs it backwards:
+        // fed in decreasing order, no counter column of the host or of a
+        // container reads a negative or non-finite rate.
+        let mut raws = raws;
+        raws.sort_by(|a, b| b.total_cmp(a));
+        let catalog = Arc::new(Catalog::standard());
+        let kinds = catalog.concat_kinds();
+        let mut agent = MonitoringAgent::new(NodeId(0), Arc::clone(&catalog), 5);
+        for (t, &v) in raws.iter().enumerate() {
+            let hs = HostSignals {
+                ctx_switch_rate: v,
+                net_in_bytes: v,
+                disk_write_bytes: v,
+                ..HostSignals::default()
+            };
+            let cs = ContainerSignals {
+                periods_rate: v,
+                net_out_bytes: v,
+                ..ContainerSignals::default()
+            };
+            let obs = agent.collect(t as u64, &hs, &[(InstanceId(1), cs)]);
+            let row = obs.instance_vector(InstanceId(1)).unwrap();
+            for (&x, kind) in row.iter().zip(&kinds) {
+                if *kind == MetricKind::Counter {
+                    prop_assert!(x >= 0.0 && x.is_finite(), "t {}: {}", t, x);
+                }
+            }
         }
     }
 
@@ -65,12 +98,16 @@ proptest! {
     fn counters_are_monotone_under_any_input(
         values in proptest::collection::vec(-100.0_f64..1e6, 1..30),
     ) {
-        let mut acc = CounterAccumulator::new(vec![MetricKind::Counter]);
-        let mut last = 0.0;
-        for v in values {
-            let raw = acc.accumulate(&[v])[0];
-            prop_assert!(raw >= last);
-            last = raw;
+        // The counter's total is the running sum of its rates: it never
+        // decreases, and it tracks the sum of the (clamped) values fed
+        // after the dropped first interval.
+        let reads = pswitch_reads(&values);
+        let (mut total, mut fed) = (0.0, 0.0);
+        for &(read, value) in &reads[1..] {
+            prop_assert!(total + read >= total);
+            total += read;
+            fed += value;
+            prop_assert!((total - fed).abs() < 1e-6 * (1.0 + fed), "{} vs {}", total, fed);
         }
     }
 
