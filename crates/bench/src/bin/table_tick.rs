@@ -42,7 +42,7 @@ use monitorless::training::{generate_training_data, TrainingOptions};
 use monitorless_bench::harness::{alloc_events, CountingAlloc, Harness};
 use monitorless_bench::snapshot::tick::{BenchReport, SizeResult};
 use monitorless_bench::synth::value;
-use monitorless_bench::tick_model_cache_path;
+use monitorless_bench::{cached_model, tick_model_cache_path};
 use monitorless_learn::RandomForestParams;
 use monitorless_metrics::catalog::Catalog;
 use monitorless_metrics::{InstanceId, NodeId, Observation};
@@ -194,26 +194,19 @@ fn tick_model(seed: u64) -> Arc<MonitorlessModel> {
         ..RandomForestParams::paper_selected()
     };
     let path = tick_model_cache_path(seed, &training, &base_options, &params, ROWS);
-    if let Ok(model) = MonitorlessModel::load(&path) {
-        obs::progress(&format!("loaded cached model from {}", path.display()));
-        return Arc::new(model);
-    }
-    obs::progress("training base model (quick pipeline)...");
-    let data = generate_training_data(&training).expect("training-data generation");
-    let base = MonitorlessModel::train(&data, &base_options).expect("base model training");
-    let width = base.pipeline().output_width();
-    obs::progress(&format!("fitting deep forest (250 trees, 12k x {width})..."));
-    let (x, y) = graft_dataset(&base, ROWS, seed);
-    let mut forest = monitorless_learn::RandomForest::new(params);
-    monitorless_learn::Classifier::fit(&mut forest, &x, &y, None)
-        .expect("paper-shaped forest trains on the quantized dataset");
-    let model = base
-        .with_forest(forest)
-        .expect("forest matches pipeline width");
-    if model.save(&path).is_ok() {
-        obs::progress(&format!("cached model at {}", path.display()));
-    }
-    Arc::new(model)
+    cached_model(&path, || {
+        obs::progress("training base model (quick pipeline)...");
+        let data = generate_training_data(&training).expect("training-data generation");
+        let base = MonitorlessModel::train(&data, &base_options).expect("base model training");
+        let width = base.pipeline().output_width();
+        obs::progress(&format!("fitting deep forest (250 trees, 12k x {width})..."));
+        let (x, y) = graft_dataset(&base, ROWS, seed);
+        let mut forest = monitorless_learn::RandomForest::new(params);
+        monitorless_learn::Classifier::fit(&mut forest, &x, &y, None)
+            .expect("paper-shaped forest trains on the quantized dataset");
+        base.with_forest(forest)
+            .expect("forest matches pipeline width")
+    })
 }
 
 fn assert_bit_identical(n: usize, tick: usize, a: &[InstancePrediction], b: &[InstancePrediction]) {

@@ -42,6 +42,7 @@ pub mod harness;
 pub mod snapshot;
 pub mod synth;
 
+use std::path::Path;
 use std::sync::Arc;
 
 use monitorless::experiments::scenario::EvalOptions;
@@ -267,16 +268,29 @@ pub fn training_data(scale: &Scale) -> TrainingData {
 
 /// Trains (or loads a cached) monitorless model at the selected scale.
 pub fn trained_model(scale: &Scale) -> Arc<MonitorlessModel> {
-    let path = scale.cache_path();
-    if let Ok(model) = MonitorlessModel::load(&path) {
+    cached_model(&scale.cache_path(), || {
+        let data = training_data(scale);
+        obs::progress(&format!("training monitorless model on {} samples...", data.dataset.len()));
+        MonitorlessModel::train(&data, &scale.model_options()).expect("model training")
+    })
+}
+
+/// Loads the model cached at `path`, or builds it with `train` and
+/// caches it there. A model that cannot be saved is still returned,
+/// and the failed save is reported on stderr, since the next run would
+/// train it again.
+pub fn cached_model(
+    path: &Path,
+    train: impl FnOnce() -> MonitorlessModel,
+) -> Arc<MonitorlessModel> {
+    if let Ok(model) = MonitorlessModel::load(path) {
         obs::progress(&format!("loaded cached model from {}", path.display()));
         return Arc::new(model);
     }
-    let data = training_data(scale);
-    obs::progress(&format!("training monitorless model on {} samples...", data.dataset.len()));
-    let model = MonitorlessModel::train(&data, &scale.model_options()).expect("model training");
-    if model.save(&path).is_ok() {
-        obs::progress(&format!("cached model at {}", path.display()));
+    let model = train();
+    match model.save(path) {
+        Ok(()) => obs::progress(&format!("cached model at {}", path.display())),
+        Err(e) => eprintln!("warning: model not cached at {}: {e}", path.display()),
     }
     Arc::new(model)
 }

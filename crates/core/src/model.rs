@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use monitorless_learn::{FlatEnsemble, Matrix, PresortedDataset, RandomForest, RandomForestParams};
 
-use crate::drift::{DriftConfig, DriftDetector, DriftProfile, PROFILE_BINS};
+use crate::drift::{DriftProfile, PROFILE_BINS};
 use crate::features::{FeaturePipeline, FittedPipeline, InstanceTransformer, PipelineConfig};
 use crate::training::TrainingData;
 use crate::Error;
@@ -68,9 +68,9 @@ pub struct MonitorlessModel {
     /// serialized (it is derived state).
     flat: FlatEnsemble,
     /// Reference profile of the transformed training features, captured
-    /// at fit time for serving-time drift detection. `None` only for
-    /// models saved before the profile existed.
-    drift: Option<DriftProfile>,
+    /// at fit time for serving-time drift detection; every saved model
+    /// carries one.
+    drift: DriftProfile,
 }
 
 impl MonitorlessModel {
@@ -113,7 +113,7 @@ impl MonitorlessModel {
         let mut forest = RandomForest::new(opts.forest.clone());
         forest.fit_presorted(&ps, labels, None)?;
         let flat = forest.to_flat();
-        let drift = Some(DriftProfile::from_presorted(&ps));
+        let drift = DriftProfile::from_presorted(&ps);
         Ok(MonitorlessModel {
             pipeline: Arc::new(fitted),
             forest,
@@ -144,16 +144,9 @@ impl MonitorlessModel {
         self.threshold
     }
 
-    /// Reference drift profile of the transformed training features
-    /// (`None` for models saved before the profile existed).
-    pub fn drift_profile(&self) -> Option<&DriftProfile> {
-        self.drift.as_ref()
-    }
-
-    /// Creates a streaming drift detector over this model's reference
-    /// profile, or `None` when the model predates drift profiles.
-    pub fn drift_detector(&self, config: DriftConfig) -> Option<DriftDetector> {
-        Some(self.drift.as_ref()?.detector(config))
+    /// Reference drift profile of the transformed training features.
+    pub fn drift_profile(&self) -> &DriftProfile {
+        &self.drift
     }
 
     /// Overrides the decision threshold (FN/FP trade-off, Section 4).
@@ -266,12 +259,16 @@ impl MonitorlessModel {
         pairs
     }
 
-    /// Persists the model as JSON.
+    /// Persists the model as JSON, creating the file's parent directory
+    /// when it does not exist yet.
     ///
     /// # Errors
     ///
     /// Returns I/O or serialization errors.
     pub fn save(&self, path: &Path) -> Result<(), Error> {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
         let json = monitorless_std::json::to_string(self);
         std::fs::write(path, json)?;
         Ok(())
@@ -282,9 +279,10 @@ impl MonitorlessModel {
     /// # Errors
     ///
     /// Returns I/O or deserialization errors. A forest with no trees, a
-    /// forest or drift profile whose width differs from the pipeline's
-    /// output width, and a drift feature without `PROFILE_BINS − 1`
-    /// edges are deserialization errors, not panics at the first tick.
+    /// missing drift profile, a forest or drift profile whose width
+    /// differs from the pipeline's output width, and a drift feature
+    /// without `PROFILE_BINS − 1` edges are deserialization errors, not
+    /// panics at the first tick.
     pub fn load(path: &Path) -> Result<Self, Error> {
         let json = std::fs::read_to_string(path)?;
         Ok(monitorless_std::json::from_str(&json)?)
@@ -292,23 +290,19 @@ impl MonitorlessModel {
 }
 
 // Hand-written (rather than `json_struct!`) because the flat table is
-// derived state: pipeline/forest/threshold plus the optional drift
-// profile go on the wire, and deserialization recompiles the flat table
-// from the forest. The drift field is read with `json.get` rather than
-// `field` so models saved before it existed still load. The widths the
-// serving path indexes by are checked here, so a malformed file fails
-// to load instead of panicking in `Orchestrator::new` or `step`.
+// derived state: pipeline/forest/threshold plus the drift profile go on
+// the wire, and deserialization recompiles the flat table from the
+// forest. The widths the serving path indexes by are checked here, so a
+// malformed file fails to load instead of panicking in
+// `Orchestrator::new` or `step`.
 impl monitorless_std::json::ToJson for MonitorlessModel {
     fn to_json(&self) -> monitorless_std::json::Json {
-        let mut members = vec![
+        monitorless_std::json::Json::Obj(vec![
             ("pipeline".to_string(), self.pipeline.to_json()),
             ("forest".to_string(), self.forest.to_json()),
             ("threshold".to_string(), self.threshold.to_json()),
-        ];
-        if let Some(drift) = &self.drift {
-            members.push(("drift".to_string(), drift.to_json()));
-        }
-        monitorless_std::json::Json::Obj(members)
+            ("drift".to_string(), self.drift.to_json()),
+        ])
     }
 }
 
@@ -320,10 +314,7 @@ impl monitorless_std::json::FromJson for MonitorlessModel {
             Arc::new(monitorless_std::json::field(json, "pipeline")?);
         let forest: RandomForest = monitorless_std::json::field(json, "forest")?;
         let threshold: f64 = monitorless_std::json::field(json, "threshold")?;
-        let drift = match json.get("drift") {
-            Some(j) => Some(DriftProfile::from_json(j)?),
-            None => None,
-        };
+        let drift: DriftProfile = monitorless_std::json::field(json, "drift")?;
         let invalid = |msg: String| Err(monitorless_std::json::JsonError(msg));
         if !forest.is_fitted() {
             return invalid("forest has no trees".into());
@@ -336,24 +327,22 @@ impl monitorless_std::json::FromJson for MonitorlessModel {
                 flat.n_features()
             ));
         }
-        if let Some(profile) = &drift {
-            if profile.features.len() != width {
-                return invalid(format!(
-                    "drift profile has {} features, pipeline produces {width}",
-                    profile.features.len()
-                ));
-            }
-            let bad = profile
-                .features
-                .iter()
-                .position(|f| f.edges.len() != PROFILE_BINS - 1);
-            if let Some(i) = bad {
-                return invalid(format!(
-                    "drift feature {i} has {} edges, expected {}",
-                    profile.features[i].edges.len(),
-                    PROFILE_BINS - 1
-                ));
-            }
+        if drift.features.len() != width {
+            return invalid(format!(
+                "drift profile has {} features, pipeline produces {width}",
+                drift.features.len()
+            ));
+        }
+        let bad = drift
+            .features
+            .iter()
+            .position(|f| f.edges.len() != PROFILE_BINS - 1);
+        if let Some(i) = bad {
+            return invalid(format!(
+                "drift feature {i} has {} edges, expected {}",
+                drift.features[i].edges.len(),
+                PROFILE_BINS - 1
+            ));
         }
         Ok(MonitorlessModel {
             pipeline,
@@ -419,6 +408,22 @@ mod tests {
             .unwrap();
         assert_eq!(p1, p2);
         let _ = std::fs::remove_file(dir);
+    }
+
+    /// Saving into a directory that does not exist yet creates it, and
+    /// loading the file back yields the model that wrote those bytes.
+    #[test]
+    fn save_creates_missing_directories() {
+        let model = MonitorlessModel::train(&tiny_data(), &ModelOptions::quick()).unwrap();
+        let root = std::env::temp_dir().join(format!("monitorless_save_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let path = root.join("nested").join("dir").join("model.json");
+        model.save(&path).unwrap();
+        let bytes = std::fs::read_to_string(&path).unwrap();
+        let back = MonitorlessModel::load(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(bytes, monitorless_std::json::to_string(&model));
+        assert_eq!(monitorless_std::json::to_string(&back), bytes);
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //!   each prediction (with its top-k feature attribution for saturated
 //!   calls) and drift alerts under that id, so one `trace_id` joins a
 //!   raw observation to the autoscaler decision it caused;
-//! * every transformed feature row is fed to the model's streaming
-//!   [`DriftDetector`], so a serving distribution that wanders from the
-//!   training profile raises `drift.alerts` without any extra plumbing
-//!   at the call site;
+//! * every transformed feature row is fed to a streaming
+//!   [`DriftDetector`] over the model's drift profile — every model
+//!   carries one, so every orchestrator scores drift — and a serving
+//!   distribution that wanders from the training profile raises
+//!   `drift.alerts` and a `drift.alert` journal record per newly
+//!   alerted feature without any extra plumbing at the call site;
 //! * the per-tick scratch buffers (feature row, prediction vector,
 //!   attribution vector) are owned by the orchestrator and reused
 //!   across ticks — with tracing off, a steady-state tick performs no
@@ -45,7 +47,7 @@ use std::sync::Arc;
 use monitorless_metrics::{InstanceId, Observation};
 use monitorless_obs as obs;
 
-use crate::drift::{DriftConfig, DriftDetector};
+use crate::drift::{DriftCheck, DriftDetector};
 use crate::features::{InstanceTransformer, TransformScratch};
 use crate::model::MonitorlessModel;
 use crate::Error;
@@ -101,9 +103,8 @@ pub struct Orchestrator {
     transformers: HashMap<InstanceId, (u64, InstanceTransformer)>,
     /// Ticks served so far: the stamp that marks an instance live.
     ticks: u64,
-    /// Streaming drift detector over the serving feature rows (`None`
-    /// when the model predates drift profiles).
-    drift: Option<DriftDetector>,
+    /// Streaming drift detector over the serving feature rows.
+    drift: DriftDetector,
     /// Trace id minted for the most recent tick (0 when tracing is off).
     last_trace: u64,
     // Per-tick scratch, reused across ticks (zero-alloc steady state).
@@ -126,16 +127,10 @@ pub struct Orchestrator {
 const TOP_K_KEYS: [&str; 3] = ["top1", "top2", "top3"];
 
 impl Orchestrator {
-    /// Creates an orchestrator around a trained model, with drift
-    /// detection at [`DriftConfig::default`] when the model carries a
-    /// reference profile.
+    /// Creates an orchestrator around a trained model, with a drift
+    /// detector over the model's reference profile.
     pub fn new(model: Arc<MonitorlessModel>) -> Self {
-        Self::with_drift_config(model, DriftConfig::default())
-    }
-
-    /// [`Orchestrator::new`] with explicit drift-detector tuning.
-    pub fn with_drift_config(model: Arc<MonitorlessModel>, config: DriftConfig) -> Self {
-        let drift = model.drift_detector(config);
+        let drift = DriftDetector::new(model.drift_profile());
         let n_features = model.flat().n_features();
         let scratch = TransformScratch::for_pipeline(model.pipeline());
         Orchestrator {
@@ -165,9 +160,9 @@ impl Orchestrator {
         self.transformers.len()
     }
 
-    /// The streaming drift detector, when the model carries a profile.
-    pub fn drift(&self) -> Option<&DriftDetector> {
-        self.drift.as_ref()
+    /// The streaming drift detector over the served feature rows.
+    pub fn drift(&self) -> &DriftDetector {
+        &self.drift
     }
 
     /// Trace id of the most recent tick (0 when tracing is off or no
@@ -271,10 +266,8 @@ impl Orchestrator {
                     saturated,
                 );
             }
-            if let Some(det) = self.drift.as_mut() {
-                if let Some(check) = det.push(features) {
-                    Self::journal_drift_check(&self.model, det, trace, &check);
-                }
+            if let Some(check) = self.drift.push(features) {
+                Self::journal_drift_check(&self.model, &self.drift, trace, &check);
             }
             self.predictions.push(InstancePrediction {
                 instance,
@@ -396,10 +389,8 @@ impl Orchestrator {
                         saturated,
                     );
                 }
-                if let Some(det) = self.drift.as_mut() {
-                    if let Some(check) = det.push(features) {
-                        Self::journal_drift_check(&self.model, det, trace, &check);
-                    }
+                if let Some(check) = self.drift.push(features) {
+                    Self::journal_drift_check(&self.model, &self.drift, trace, &check);
                 }
                 self.predictions.push(InstancePrediction {
                     instance,
@@ -453,26 +444,29 @@ impl Orchestrator {
     }
 
     /// Journals drift-alert transitions and streams them as discrete
-    /// events; steady-state checks journal nothing.
+    /// events; steady-state checks journal nothing. A record carries the
+    /// feature's PSI, the window's shares in its lowest and highest
+    /// reference bin (0.1 each when it looks like training, so they say
+    /// which way it moved) and its training mean and std.
     fn journal_drift_check(
         model: &MonitorlessModel,
         det: &DriftDetector,
         trace: u64,
-        check: &crate::drift::DriftCheck,
+        check: &DriftCheck,
     ) {
         for &feature in &check.new_alerts {
             let names = model.pipeline().feature_names();
             let name = names.get(feature).map_or("?", |n| n.as_str());
-            let (stream_mean, stream_std) = det.stream_stats(feature);
-            let reference = &det.profile().features[feature];
+            let (low_share, high_share) = det.tail_shares(feature);
+            let reference = &model.drift_profile().features[feature];
             obs::record(
                 "drift.alert",
                 trace,
                 &[
                     ("feature_index", feature as f64),
                     ("psi", det.scores()[feature]),
-                    ("stream_mean", stream_mean),
-                    ("stream_std", stream_std),
+                    ("low_share", low_share),
+                    ("high_share", high_share),
                     ("ref_mean", reference.mean),
                     ("ref_std", reference.std),
                 ],

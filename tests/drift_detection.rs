@@ -10,9 +10,12 @@
 //!    seed.
 //! 3. **Persistence.** The reference profile round-trips through
 //!    `MonitorlessModel` save/load, and a loaded model's detector is
-//!    equivalent to the original's.
+//!    equivalent to the original's. A model file without a profile
+//!    fails to load (`tests/model_load.rs`).
 
-use monitorless::drift::{DriftConfig, DriftProfile, PROFILE_BINS};
+use monitorless::drift::{
+    DriftDetector, DriftProfile, CHECK_EVERY, PATIENCE, PROFILE_BINS, WINDOW,
+};
 use monitorless::model::{ModelOptions, MonitorlessModel};
 use monitorless::training::{generate_training_data, TrainingOptions};
 use monitorless_learn::Matrix;
@@ -47,7 +50,7 @@ fn false_positive_rate_at_most_one_percent_over_100_seeds() {
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(0xFACE + seed);
         let profile = gaussian_profile(&mut rng, 1500, 4);
-        let mut det = profile.detector(DriftConfig::default());
+        let mut det = DriftDetector::new(&profile);
         let mut row = [0.0; 4];
         let mut alerted = false;
         for _ in 0..STREAM_ROWS {
@@ -70,18 +73,17 @@ fn false_positive_rate_at_most_one_percent_over_100_seeds() {
 
 #[test]
 fn injected_shifts_are_detected_within_bound_on_every_seed() {
-    let cfg = DriftConfig::default();
     // One full window refill plus the hysteresis patience, rounded up a
     // cadence: the documented detection bound.
-    let bound = cfg.window + (cfg.patience + 1) * cfg.check_every;
+    let bound = WINDOW + (PATIENCE + 1) * CHECK_EVERY;
     for seed in 0..20u64 {
         for scale_shift in [false, true] {
             let mut rng = StdRng::seed_from_u64(0xD21F7 + seed);
             let profile = gaussian_profile(&mut rng, 1500, 3);
-            let mut det = profile.detector(cfg);
+            let mut det = DriftDetector::new(&profile);
             let mut row = [0.0; 3];
             // Stationary warmup.
-            for _ in 0..cfg.window {
+            for _ in 0..WINDOW {
                 for (c, slot) in row.iter_mut().enumerate() {
                     *slot = c as f64 + (1.0 + 0.5 * c as f64) * gaussian(&mut rng);
                 }
@@ -126,7 +128,7 @@ fn injected_shifts_are_detected_within_bound_on_every_seed() {
 fn shifted_feature_outranks_stationary_features() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let profile = gaussian_profile(&mut rng, 1500, 3);
-    let mut det = profile.detector(DriftConfig::default());
+    let mut det = DriftDetector::new(&profile);
     let mut row = [0.0; 3];
     for t in 0..1000usize {
         for (c, slot) in row.iter_mut().enumerate() {
@@ -151,10 +153,7 @@ fn reference_profile_roundtrips_through_model_persistence() {
     })
     .unwrap();
     let model = MonitorlessModel::train(&data, &ModelOptions::quick()).unwrap();
-    let profile = model
-        .drift_profile()
-        .expect("training captures a profile")
-        .clone();
+    let profile = model.drift_profile().clone();
     assert_eq!(profile.n_features(), model.flat().n_features());
     for fp in &profile.features {
         assert_eq!(fp.edges.len(), PROFILE_BINS - 1);
@@ -166,11 +165,11 @@ fn reference_profile_roundtrips_through_model_persistence() {
     model.save(&path).unwrap();
     let back = MonitorlessModel::load(&path).unwrap();
     let _ = std::fs::remove_file(&path);
-    assert_eq!(back.drift_profile(), Some(&profile), "profile changed across save/load");
+    assert_eq!(back.drift_profile(), &profile, "profile changed across save/load");
 
     // A loaded model yields a working, equivalent detector.
-    let mut a = model.drift_detector(DriftConfig::default()).unwrap();
-    let mut b = back.drift_detector(DriftConfig::default()).unwrap();
+    let mut a = DriftDetector::new(model.drift_profile());
+    let mut b = DriftDetector::new(back.drift_profile());
     let mut rng = StdRng::seed_from_u64(99);
     let width = profile.n_features();
     let mut row = vec![0.0; width];
@@ -183,40 +182,4 @@ fn reference_profile_roundtrips_through_model_persistence() {
         assert_eq!(ca, cb, "detectors diverged on identical input");
     }
     assert_eq!(a.scores(), b.scores());
-}
-
-#[test]
-fn old_model_json_without_profile_still_loads() {
-    let data = generate_training_data(&TrainingOptions {
-        run_seconds: 30,
-        ramp_seconds: 100,
-        seed: 13,
-        n_jobs: 1,
-    })
-    .unwrap();
-    let model = MonitorlessModel::train(&data, &ModelOptions::quick()).unwrap();
-    let path = std::env::temp_dir().join("monitorless_drift_profile_legacy.json");
-    model.save(&path).unwrap();
-    // Strip the drift member to emulate a pre-profile save.
-    let json = std::fs::read_to_string(&path).unwrap();
-    let parsed = monitorless_std::json::Json::parse(&json).unwrap();
-    let monitorless_std::json::Json::Obj(members) = parsed else {
-        panic!("model JSON must be an object")
-    };
-    let stripped = monitorless_std::json::Json::Obj(
-        members.into_iter().filter(|(k, _)| k != "drift").collect(),
-    );
-    std::fs::write(&path, monitorless_std::json::to_string(&stripped)).unwrap();
-    let legacy = MonitorlessModel::load(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert!(legacy.drift_profile().is_none());
-    assert!(legacy.drift_detector(DriftConfig::default()).is_none());
-    // Prediction is unaffected.
-    let p1 = model
-        .predict_proba_batch(data.dataset.x(), data.dataset.groups())
-        .unwrap();
-    let p2 = legacy
-        .predict_proba_batch(data.dataset.x(), data.dataset.groups())
-        .unwrap();
-    assert_eq!(p1, p2);
 }

@@ -14,7 +14,9 @@
 //! too few drift edges in `Orchestrator::new`, and an over-long drift
 //! profile in the drift detector's first push.
 //! An under-long profile, a non-finite threshold or a leaf probability
-//! outside `[0, 1]` would load and silently serve wrong predictions.
+//! outside `[0, 1]` would load and silently serve wrong predictions, and
+//! a model without its drift profile would serve with no drift
+//! detection at all.
 //!
 //! A property then makes one to three random structured edits to the
 //! same file — a value replaced, an array element removed or
@@ -153,6 +155,17 @@ fn forest_wider_than_pipeline_fails_to_load() {
         *member(member(json, "forest"), "n_features") = Json::Int(width as i64 + 1);
     });
     assert_rejected(loaded, &format!("forest expects {} features", width + 1));
+}
+
+#[test]
+fn model_without_drift_profile_fails_to_load() {
+    let loaded = load_edited("no_profile", |json| {
+        let Json::Obj(members) = json else {
+            panic!("model JSON must be an object")
+        };
+        members.retain(|(k, _)| k != "drift");
+    });
+    assert_rejected(loaded, "field \"drift\"");
 }
 
 #[test]

@@ -16,6 +16,9 @@
 //! 4. **Malformed input** — a tick with a host or container vector of
 //!    the wrong width, or with one instance id listed twice, is
 //!    refused with an error before any window or drift state moves.
+//! 5. **Drift alert records** — each `drift.alert` record a tick
+//!    journals names a newly alerted feature and carries the detector's
+//!    PSI and tail shares and the model profile's mean and std for it.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -25,6 +28,8 @@ use monitorless::training::{generate_training_data, TrainingOptions};
 use monitorless_metrics::catalog::Catalog;
 use monitorless_metrics::{InstanceId, NodeId, Observation};
 use monitorless_obs as obs;
+use monitorless_sim::apps::build_single;
+use monitorless_sim::{Cluster, ContainerLimits, NodeSpec, ServiceProfile};
 
 /// Serializes tests that flip process-global telemetry state.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -114,13 +119,7 @@ fn batched_tick_matches_legacy_across_fleet_sizes() {
             assert_ticks_equal(t, &b, &l);
         }
         // Drift detectors consumed identical rows → identical state.
-        match (batched.drift(), legacy.drift()) {
-            (Some(db), Some(dl)) => {
-                assert_eq!(db.scores(), dl.scores(), "fleet {n}: drift scores")
-            }
-            (None, None) => {}
-            _ => panic!("fleet {n}: drift detectors must agree on presence"),
-        }
+        assert_eq!(batched.drift().scores(), legacy.drift().scores(), "fleet {n}: drift scores");
     }
 }
 
@@ -229,9 +228,80 @@ fn malformed_observation_is_rejected_and_leaves_windows_untouched() {
         let b = twin.step(&observed).unwrap().to_vec();
         assert_ticks_equal(t, &a, &b);
     }
-    match (orch.drift(), twin.drift()) {
-        (Some(a), Some(b)) => assert_eq!(a.scores(), b.scores()),
-        (None, None) => {}
-        _ => panic!("drift detectors must agree on presence"),
+    assert_eq!(orch.drift().scores(), twin.drift().scores());
+}
+
+/// Drives one instance through a load step until drift alerts fire and
+/// checks every `drift.alert` record of that tick against the detector
+/// and the model's profile. One instance is one row per tick, so the
+/// alerting check is the tick's last push: the detector's state after
+/// the tick is the state the records were written from.
+#[test]
+fn drift_alert_records_match_the_detector_and_the_profile() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let model = model();
+    obs::init(&obs::TelemetryConfig::with_format(obs::format()).with_trace(obs::TraceMode::Ring));
+    let _ = obs::drain();
+    let mut orch = Orchestrator::new(Arc::clone(&model));
+    let mut cluster = Cluster::new(vec![NodeSpec::training_server()], 17);
+    let (app, _) = build_single(
+        &mut cluster,
+        ServiceProfile::test_cpu_bound("svc", 10.0),
+        ContainerLimits::cpu(1.0),
+        NodeId(0),
+    );
+    let mut alerts = Vec::new();
+    let mut before = Vec::new();
+    for t in 0..1000 {
+        let load = if t < 100 { 20.0 } else { 90.0 };
+        before = orch.drift().alerted_features();
+        let report = cluster.step(&[(app, load)]);
+        orch.step(&report.observations).unwrap();
+        alerts = obs::drain()
+            .into_iter()
+            .filter(|r| r.name == "drift.alert")
+            .collect();
+        if !alerts.is_empty() {
+            break;
+        }
     }
+    obs::init(&obs::TelemetryConfig::with_format(obs::format()).with_trace(obs::TraceMode::Off));
+    let _ = obs::drain();
+    assert!(!alerts.is_empty(), "no drift alert in 1000 ticks");
+    let det = orch.drift();
+    let profile = model.drift_profile();
+    let names = model.pipeline().feature_names();
+    let mut newly: Vec<usize> = det
+        .alerted_features()
+        .into_iter()
+        .filter(|f| !before.contains(f))
+        .collect();
+    let mut recorded = Vec::new();
+    for r in &alerts {
+        let field = |key: &str| {
+            r.fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("drift.alert lacks {key}"))
+        };
+        let f = field("feature_index") as usize;
+        let (low, high) = det.tail_shares(f);
+        let reference = &profile.features[f];
+        let want = [
+            ("psi", det.scores()[f]),
+            ("low_share", low),
+            ("high_share", high),
+            ("ref_mean", reference.mean),
+            ("ref_std", reference.std),
+        ];
+        for (key, value) in want {
+            assert_eq!(field(key).to_bits(), value.to_bits(), "feature {f}: {key}");
+        }
+        assert_eq!(r.labels, vec![("feature", names[f].clone())], "feature {f}: label");
+        recorded.push(f);
+    }
+    recorded.sort_unstable();
+    newly.sort_unstable();
+    assert_eq!(recorded, newly, "one record per newly alerted feature");
 }
