@@ -13,7 +13,12 @@
 //!   reference distribution uniform by construction (`1/k` per bin), so no
 //!   per-bin reference counts need to ship.
 //! * [`DriftDetector`] — a zero-allocation-per-row streaming detector
-//!   fed every feature row the orchestrator predicts on. Per feature it
+//!   over the features the model's forest splits on: a feature no tree
+//!   reads cannot move a prediction, so it is neither binned nor scored.
+//!   The orchestrator feeds it a bounded sample of each tick's rows
+//!   ([`samples_row`]): every row of a tick of up to [`CHECK_EVERY`]
+//!   rows, and an evenly strided `CHECK_EVERY` or fewer of a larger
+//!   one. Per scored feature it
 //!   keeps only a sliding-window histogram over the reference bins (a
 //!   ring of bin indices, updated incrementally), and every
 //!   [`CHECK_EVERY`] rows scores each feature with the Population
@@ -30,9 +35,11 @@
 //!   dropping below [`PSI_CLEAR`]. A stationary stream therefore stays
 //!   quiet (sampling noise has expected PSI ≈ (k−1)/window, an order of
 //!   magnitude under the alert bound) while a sustained covariate shift
-//!   trips within a bounded number of ticks — roughly
-//!   `MIN_SAMPLES + PATIENCE · CHECK_EVERY` rows after onset
-//!   (`tests/drift_detection.rs` pins both properties).
+//!   trips within `WINDOW + (PATIENCE + 1) · CHECK_EVERY` rows after
+//!   onset (`tests/drift_detection.rs` pins both properties). Ticks of
+//!   more than `CHECK_EVERY` rows feed it 16 to 32 rows each, so a
+//!   fleet-wide shift alerts within 24 ticks, and within 13 once a
+//!   tick holds 992 rows or more.
 //!
 //! The detector publishes `drift.checks` / `drift.alerts` counters and
 //! a `drift.max_psi` gauge through `monitorless-obs`; the orchestrator
@@ -64,6 +71,20 @@ pub const PSI_CLEAR: f64 = 0.10;
 
 /// Consecutive tripped checks before an alert is raised.
 pub const PATIENCE: usize = 3;
+
+/// Whether row `k` of a tick of `n` rows in gather order, the `tick`-th
+/// the orchestrator serves, goes into its drift detector. With
+/// `stride = max(1, ⌈n / CHECK_EVERY⌉)`, row `k` goes in when
+/// `k % stride == tick % stride`. A tick so feeds the detector at most
+/// [`CHECK_EVERY`] rows and runs at most one check; a tick of
+/// `CHECK_EVERY` rows or fewer feeds every row; and while the fleet
+/// does not change, each gather position is taken once every `stride`
+/// ticks.
+#[inline]
+pub fn samples_row(k: usize, n: usize, tick: u64) -> bool {
+    let stride = n.div_ceil(CHECK_EVERY).max(1);
+    k % stride == (tick % stride as u64) as usize
+}
 
 /// Reference statistics for one feature, captured at fit time.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,35 +220,40 @@ pub struct DriftCheck {
 
 /// Streaming per-feature drift detector (see the module docs).
 ///
-/// A push bins each feature with a branch-free count over its edges
-/// (copied into one flat array); a check sums, per feature, the PSI term
-/// of each bin's count from a table indexed by count. The table holds
-/// `(p − q)·ln(p/q)` for every count `0..=WINDOW` and is rebuilt only
-/// when the window total changes — at most once per check during
-/// warm-up, never once the window is full. Every score is bit-identical
-/// to evaluating the formula per bin.
+/// It scores only the pipeline features it was built over (the model's
+/// split features); the others keep score 0 and never alert. A push
+/// bins each scored feature with a branch-free count over its edges
+/// (copied into one flat array); a check sums, per scored feature, the
+/// PSI term of each bin's count from a table indexed by count. The
+/// table holds `(p − q)·ln(p/q)` for every count `0..=WINDOW` and is
+/// rebuilt only when the window total changes — at most once per check
+/// during warm-up, never once the window is full. Every score is
+/// bit-identical to evaluating the formula per bin.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
-    /// Interior edges of every feature, `n_features × (PROFILE_BINS − 1)`.
+    /// The pipeline features scored, ascending.
+    features: Vec<usize>,
+    /// Interior edges of every scored feature,
+    /// `features.len() × (PROFILE_BINS − 1)`.
     edges: Vec<f64>,
     /// PSI term per bin count `0..=terms_total` for a window of
     /// `terms_total` rows (empty before the first check).
     psi_terms: Vec<f64>,
     terms_total: usize,
-    /// Ring of bin indices, `WINDOW × n_features`, row-major.
+    /// Ring of bin indices, `WINDOW × features.len()`, row-major.
     ring: Vec<u8>,
-    /// Current window histogram, `n_features × PROFILE_BINS`.
+    /// Current window histogram, `features.len() × PROFILE_BINS`.
     counts: Vec<u32>,
     /// Next ring row to overwrite.
     head: usize,
     /// Rows currently in the window (saturates at `WINDOW`).
     filled: usize,
     rows_since_check: usize,
-    /// Latest PSI per feature.
+    /// Latest PSI per pipeline feature.
     scores: Vec<f64>,
-    /// Consecutive tripped checks per feature.
+    /// Consecutive tripped checks per pipeline feature.
     trips: Vec<u32>,
-    /// Latched alert state per feature.
+    /// Latched alert state per pipeline feature.
     alerted: Vec<bool>,
 }
 
@@ -236,13 +262,19 @@ pub struct DriftDetector {
 const _: () = assert!(MIN_SAMPLES <= WINDOW);
 
 impl DriftDetector {
-    /// Creates a detector over `profile`, keeping only its bin edges.
+    /// Creates a detector over `profile` that scores the pipeline
+    /// features listed in `features` (the model's
+    /// [`split_features`][split]), keeping only their bin edges. An
+    /// empty list gives a detector that counts rows and never alerts.
+    ///
+    /// [split]: monitorless_learn::FlatEnsemble::split_features
     ///
     /// # Panics
     ///
-    /// Panics on a zero-feature profile or a feature without exactly
-    /// `PROFILE_BINS − 1` edges.
-    pub fn new(profile: &DriftProfile) -> Self {
+    /// Panics on a zero-feature profile, a feature without exactly
+    /// `PROFILE_BINS − 1` edges, or `features` not strictly ascending
+    /// below the profile's feature count.
+    pub fn new(profile: &DriftProfile, features: &[usize]) -> Self {
         let n = profile.n_features();
         assert!(n > 0, "drift profile has no features");
         assert!(
@@ -253,16 +285,21 @@ impl DriftDetector {
             "every drift profile feature needs {} edges",
             PROFILE_BINS - 1
         );
+        assert!(
+            features.windows(2).all(|w| w[0] < w[1]) && features.last().is_none_or(|&f| f < n),
+            "scored features must ascend below {n}"
+        );
+        let m = features.len();
         DriftDetector {
-            edges: profile
-                .features
+            features: features.to_vec(),
+            edges: features
                 .iter()
-                .flat_map(|fp| fp.edges.iter().copied())
+                .flat_map(|&f| profile.features[f].edges.iter().copied())
                 .collect(),
             psi_terms: Vec::with_capacity(WINDOW + 1),
             terms_total: 0,
-            ring: vec![0; WINDOW * n],
-            counts: vec![0; n * PROFILE_BINS],
+            ring: vec![0; WINDOW * m],
+            counts: vec![0; m * PROFILE_BINS],
             head: 0,
             filled: 0,
             rows_since_check: 0,
@@ -272,8 +309,9 @@ impl DriftDetector {
         }
     }
 
-    /// Feeds one feature row. Allocation-free. Returns `Some` when this
-    /// row completed a scoring pass.
+    /// Feeds one feature row, indexed by pipeline feature.
+    /// Allocation-free. Returns `Some` when this row completed a
+    /// scoring pass.
     ///
     /// # Panics
     ///
@@ -281,18 +319,18 @@ impl DriftDetector {
     pub fn push(&mut self, row: &[f64]) -> Option<DriftCheck> {
         let n = self.scores.len();
         assert!(row.len() >= n, "row has {} features, profile has {n}", row.len());
-        let base = self.head * n;
+        let base = self.head * self.features.len();
         let full = self.filled == WINDOW;
         let edges = self.edges.chunks_exact(PROFILE_BINS - 1);
-        for (f, (&v, edges)) in row[..n].iter().zip(edges).enumerate() {
+        for (j, (&f, edges)) in self.features.iter().zip(edges).enumerate() {
             // Evict the outgoing row's bin once the ring has wrapped.
             if full {
-                let old = self.ring[base + f] as usize;
-                self.counts[f * PROFILE_BINS + old] -= 1;
+                let old = self.ring[base + j] as usize;
+                self.counts[j * PROFILE_BINS + old] -= 1;
             }
-            let bin = bin_of(edges, v);
-            self.ring[base + f] = bin as u8;
-            self.counts[f * PROFILE_BINS + bin] += 1;
+            let bin = bin_of(edges, row[f]);
+            self.ring[base + j] = bin as u8;
+            self.counts[j * PROFILE_BINS + bin] += 1;
         }
         self.head = (self.head + 1) % WINDOW;
         self.filled = (self.filled + 1).min(WINDOW);
@@ -304,8 +342,8 @@ impl DriftDetector {
         Some(self.check())
     }
 
-    /// Scores every feature's window against the reference and updates
-    /// the hysteresis state.
+    /// Scores every scored feature's window against the reference and
+    /// updates the hysteresis state.
     fn check(&mut self) -> DriftCheck {
         if self.terms_total != self.filled {
             self.terms_total = self.filled;
@@ -321,7 +359,8 @@ impl DriftDetector {
         let mut max_psi = 0.0;
         let mut max_feature = 0;
         let mut new_alerts = Vec::new();
-        for (f, counts) in self.counts.chunks_exact(PROFILE_BINS).enumerate() {
+        let counts = self.counts.chunks_exact(PROFILE_BINS);
+        for (&f, counts) in self.features.iter().zip(counts) {
             let mut psi = 0.0;
             for &c in counts {
                 psi += self.psi_terms[c as usize];
@@ -355,7 +394,8 @@ impl DriftDetector {
         }
     }
 
-    /// Latest PSI per feature (zeros before the first check).
+    /// Latest PSI per pipeline feature (zeros before the first check,
+    /// and always for a feature the detector does not score).
     pub fn scores(&self) -> &[f64] {
         &self.scores
     }
@@ -372,13 +412,17 @@ impl DriftDetector {
             .collect()
     }
 
-    /// The shares of the window's rows that fall in `feature`'s lowest
-    /// and in its highest reference bin — each `1 / PROFILE_BINS` when
-    /// the window looks like training, both 0 before the first row.
-    /// Reported with an alert, so the audit record says which way the
-    /// feature moved, not just that it moved.
+    /// The shares of the window's rows that fall in pipeline feature
+    /// `feature`'s lowest and in its highest reference bin — each
+    /// `1 / PROFILE_BINS` when the window looks like training, both 0
+    /// before the first row and for a feature the detector does not
+    /// score. Reported with an alert, so the audit record says which
+    /// way the feature moved, not just that it moved.
     pub fn tail_shares(&self, feature: usize) -> (f64, f64) {
-        let counts = &self.counts[feature * PROFILE_BINS..(feature + 1) * PROFILE_BINS];
+        let Ok(j) = self.features.binary_search(&feature) else {
+            return (0.0, 0.0);
+        };
+        let counts = &self.counts[j * PROFILE_BINS..(j + 1) * PROFILE_BINS];
         let total = self.filled.max(1) as f64;
         (f64::from(counts[0]) / total, f64::from(counts[PROFILE_BINS - 1]) / total)
     }
@@ -394,6 +438,12 @@ mod tests {
         let u1 = rng.gen_f64().max(1e-12);
         let u2 = rng.gen_f64();
         mean + std * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    }
+
+    /// A detector that scores every profiled feature.
+    fn scoring_all(profile: &DriftProfile) -> DriftDetector {
+        let all: Vec<usize> = (0..profile.n_features()).collect();
+        DriftDetector::new(profile, &all)
     }
 
     fn profile_from(rng: &mut StdRng, rows: usize, cols: usize) -> DriftProfile {
@@ -488,7 +538,7 @@ mod tests {
     fn table_scores_match_the_direct_formula_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(21);
         let profile = profile_from(&mut rng, 400, 4);
-        let mut det = DriftDetector::new(&profile);
+        let mut det = scoring_all(&profile);
         let mut recent: std::collections::VecDeque<Vec<f64>> = Default::default();
         let (mut warm_checks, mut wrapped_checks) = (0, 0);
         for t in 0..1024 {
@@ -541,7 +591,7 @@ mod tests {
     fn stationary_stream_stays_quiet() {
         let mut rng = StdRng::seed_from_u64(7);
         let profile = profile_from(&mut rng, 2000, 3);
-        let mut det = DriftDetector::new(&profile);
+        let mut det = scoring_all(&profile);
         let mut row = [0.0; 3];
         for _ in 0..2000 {
             for (c, slot) in row.iter_mut().enumerate() {
@@ -558,7 +608,7 @@ mod tests {
     fn mean_shift_trips_within_bounded_ticks() {
         let mut rng = StdRng::seed_from_u64(11);
         let profile = profile_from(&mut rng, 2000, 3);
-        let mut det = DriftDetector::new(&profile);
+        let mut det = scoring_all(&profile);
         let mut row = [0.0; 3];
         // Warm up stationary, then shift feature 1 by 3 reference stds.
         for _ in 0..WINDOW {
@@ -596,7 +646,7 @@ mod tests {
                 std: 3.0,
             }],
         };
-        let mut det = DriftDetector::new(&profile);
+        let mut det = scoring_all(&profile);
         // All mass in one bin → PSI far above alert from the first
         // check, so the third check raises the alert.
         for _ in 0..MIN_SAMPLES + (PATIENCE - 1) * CHECK_EVERY {
@@ -632,5 +682,94 @@ mod tests {
         let json = monitorless_std::json::to_string(&p);
         let back: DriftProfile = monitorless_std::json::from_str(&json).unwrap();
         assert_eq!(p, back);
+    }
+
+    /// Features 0 and 2 are scored, 1 and 3 are not. The unscored ones
+    /// run off to ±1e12 and NaN from the first row and stay at score 0
+    /// with no alert; a mean shift of scored feature 2 still alerts
+    /// within the documented bound.
+    #[test]
+    fn only_scored_features_are_binned_scored_and_alerted() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let profile = profile_from(&mut rng, 2000, 4);
+        let mut det = DriftDetector::new(&profile, &[0, 2]);
+        let mut row = [0.0; 4];
+        let draw = |rng: &mut StdRng, row: &mut [f64; 4], t: usize, shift: f64| {
+            for (c, slot) in row.iter_mut().enumerate() {
+                *slot = match c {
+                    1 => 1e12,
+                    3 => [f64::NAN, -1e12][t % 2],
+                    2 => gaussian(rng, 2.0 + shift, 2.0),
+                    _ => gaussian(rng, 0.0, 1.0),
+                };
+            }
+        };
+        for t in 0..WINDOW {
+            draw(&mut rng, &mut row, t, 0.0);
+            if let Some(check) = det.push(&row) {
+                assert!(check.new_alerts.is_empty(), "alert at row {t}: {check:?}");
+                assert!([0, 2].contains(&check.max_feature));
+            }
+        }
+        assert!(!det.drifting());
+        let bound = WINDOW + (PATIENCE + 1) * CHECK_EVERY;
+        let mut alerted_at = None;
+        for t in 0..bound {
+            draw(&mut rng, &mut row, t, 3.0 * 2.0);
+            if let Some(check) = det.push(&row) {
+                assert!(!check.new_alerts.iter().any(|f| f % 2 == 1), "{check:?}");
+                if check.new_alerts.contains(&2) {
+                    alerted_at = Some(t);
+                    break;
+                }
+            }
+        }
+        assert!(alerted_at.is_some(), "shift in feature 2 not detected within {bound} rows");
+        assert_eq!(det.alerted_features(), vec![2]);
+        assert_eq!((det.scores()[1], det.scores()[3]), (0.0, 0.0));
+        assert_eq!((det.tail_shares(1), det.tail_shares(3)), ((0.0, 0.0), (0.0, 0.0)));
+        assert!(det.scores()[2] >= PSI_ALERT);
+    }
+
+    #[test]
+    fn a_detector_over_no_features_counts_rows_and_never_alerts() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let profile = profile_from(&mut rng, 100, 3);
+        let mut det = DriftDetector::new(&profile, &[]);
+        let checks = (0..4 * WINDOW)
+            .filter_map(|i| det.push(&[i as f64 * 1e9, f64::NAN, -1.0]))
+            .inspect(|check| assert!(check.new_alerts.is_empty()))
+            .count();
+        assert_eq!(checks, (4 * WINDOW - MIN_SAMPLES) / CHECK_EVERY + 1);
+        assert_eq!(det.scores(), &[0.0; 3]);
+        assert!(!det.drifting());
+    }
+
+    /// The row sample's documented bounds, for every tick size up to
+    /// 1,100 rows and a few larger ones, at every phase of the stride.
+    #[test]
+    fn row_sample_takes_at_most_check_every_rows_and_every_position_in_turn() {
+        for n in (0..=1100usize).chain([2047, 2048, 2049, 4096, 4097]) {
+            let stride = n.div_ceil(CHECK_EVERY).max(1);
+            let mut taken_at = vec![0usize; n];
+            for tick in 1..=stride as u64 {
+                let rows: Vec<usize> = (0..n).filter(|&k| samples_row(k, n, tick)).collect();
+                let r = rows.len();
+                assert!(r <= CHECK_EVERY, "{n} rows, tick {tick}: {r} taken");
+                if n <= CHECK_EVERY {
+                    assert_eq!(r, n, "{n} rows, tick {tick}");
+                } else {
+                    assert!(r >= CHECK_EVERY / 2, "{n} rows, tick {tick}: {r} taken");
+                }
+                if n >= 992 {
+                    assert!(r >= CHECK_EVERY - 1, "{n} rows, tick {tick}: {r} taken");
+                }
+                for k in rows {
+                    taken_at[k] += 1;
+                }
+            }
+            // Over `stride` consecutive ticks each position goes in once.
+            assert!(taken_at.iter().all(|&c| c == 1), "{n} rows: {taken_at:?}");
+        }
     }
 }

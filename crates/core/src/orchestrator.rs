@@ -30,12 +30,15 @@
 //!   each prediction (with its top-k feature attribution for saturated
 //!   calls) and drift alerts under that id, so one `trace_id` joins a
 //!   raw observation to the autoscaler decision it caused;
-//! * every transformed feature row is fed to a streaming
-//!   [`DriftDetector`] over the model's drift profile — every model
-//!   carries one, so every orchestrator scores drift — and a serving
-//!   distribution that wanders from the training profile raises
-//!   `drift.alerts` and a `drift.alert` journal record per newly
-//!   alerted feature without any extra plumbing at the call site;
+//! * a bounded sample of each tick's transformed feature rows — every
+//!   row of a tick of up to 32, an evenly strided 32 or fewer of a
+//!   larger one ([`drift::samples_row`]) — is fed to a streaming
+//!   [`DriftDetector`] over the model's drift profile and the features
+//!   its forest splits on. Every model carries a profile, so every
+//!   orchestrator scores drift, and a serving distribution that wanders
+//!   from the training profile raises `drift.alerts` and a
+//!   `drift.alert` journal record per newly alerted feature without any
+//!   extra plumbing at the call site;
 //! * the per-tick scratch buffers (feature row, prediction vector,
 //!   attribution vector) are owned by the orchestrator and reused
 //!   across ticks — with tracing off, a steady-state tick performs no
@@ -47,7 +50,7 @@ use std::sync::Arc;
 use monitorless_metrics::{InstanceId, Observation};
 use monitorless_obs as obs;
 
-use crate::drift::{DriftCheck, DriftDetector};
+use crate::drift::{self, DriftCheck, DriftDetector};
 use crate::features::{InstanceTransformer, TransformScratch};
 use crate::model::MonitorlessModel;
 use crate::Error;
@@ -103,7 +106,7 @@ pub struct Orchestrator {
     transformers: HashMap<InstanceId, (u64, InstanceTransformer)>,
     /// Ticks served so far: the stamp that marks an instance live.
     ticks: u64,
-    /// Streaming drift detector over the serving feature rows.
+    /// Streaming drift detector over a sample of the served rows.
     drift: DriftDetector,
     /// Trace id minted for the most recent tick (0 when tracing is off).
     last_trace: u64,
@@ -128,9 +131,10 @@ const TOP_K_KEYS: [&str; 3] = ["top1", "top2", "top3"];
 
 impl Orchestrator {
     /// Creates an orchestrator around a trained model, with a drift
-    /// detector over the model's reference profile.
+    /// detector over the model's reference profile that scores the
+    /// features its forest splits on.
     pub fn new(model: Arc<MonitorlessModel>) -> Self {
-        let drift = DriftDetector::new(model.drift_profile());
+        let drift = DriftDetector::new(model.drift_profile(), &model.flat().split_features());
         let n_features = model.flat().n_features();
         let scratch = TransformScratch::for_pipeline(model.pipeline());
         Orchestrator {
@@ -160,7 +164,7 @@ impl Orchestrator {
         self.transformers.len()
     }
 
-    /// The streaming drift detector over the served feature rows.
+    /// The streaming drift detector over the sampled served rows.
     pub fn drift(&self) -> &DriftDetector {
         &self.drift
     }
@@ -180,12 +184,13 @@ impl Orchestrator {
     /// One tick is three phases over the whole fleet: gather every
     /// instance's feature row into the reused fleet matrix, score the
     /// matrix with one blocked ensemble pass, then fan the probability
-    /// vector back out to decisions, journal records and drift checks
-    /// in gather order — so records, counters and alerts arrive in the
-    /// exact sequence the per-instance loop
-    /// ([`Orchestrator::step_legacy`]) produced, and every probability
-    /// is bit-identical to it. With tracing off, a steady-state tick
-    /// performs no heap allocation (`table_tick` asserts this).
+    /// vector back out to decisions, journal records and the drift
+    /// sample ([`drift::samples_row`]) in gather order — so records,
+    /// counters and alerts arrive in the exact sequence the
+    /// per-instance loop ([`Orchestrator::step_legacy`]) produced, and
+    /// every probability is bit-identical to it. With tracing off, a
+    /// steady-state tick performs no heap allocation (`table_tick`
+    /// asserts this).
     ///
     /// # Errors
     ///
@@ -266,8 +271,10 @@ impl Orchestrator {
                     saturated,
                 );
             }
-            if let Some(check) = self.drift.push(features) {
-                Self::journal_drift_check(&self.model, &self.drift, trace, &check);
+            if drift::samples_row(k, total, tick) {
+                if let Some(check) = self.drift.push(features) {
+                    Self::journal_drift_check(&self.model, &self.drift, trace, &check);
+                }
             }
             self.predictions.push(InstancePrediction {
                 instance,
@@ -360,8 +367,10 @@ impl Orchestrator {
         }
         self.ticks += 1;
         let tick = self.ticks;
+        let total: usize = observations.iter().map(Observation::n_instances).sum();
         for observation in observations {
             for instance in observation.instances() {
+                let k = self.live.len();
                 self.live.push(instance);
                 let ok = observation.instance_vector_into(instance, &mut self.raw);
                 debug_assert!(ok, "instance listed by the observation");
@@ -389,8 +398,10 @@ impl Orchestrator {
                         saturated,
                     );
                 }
-                if let Some(check) = self.drift.push(features) {
-                    Self::journal_drift_check(&self.model, &self.drift, trace, &check);
+                if drift::samples_row(k, total, tick) {
+                    if let Some(check) = self.drift.push(features) {
+                        Self::journal_drift_check(&self.model, &self.drift, trace, &check);
+                    }
                 }
                 self.predictions.push(InstancePrediction {
                     instance,

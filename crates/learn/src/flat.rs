@@ -128,6 +128,19 @@ impl FlatEnsemble {
         self.n_features
     }
 
+    /// The features some split of some tree reads, ascending and
+    /// without duplicates. A feature missing from it cannot move a
+    /// prediction; an ensemble of leaves alone reads none.
+    pub fn split_features(&self) -> Vec<usize> {
+        let mut read = vec![false; self.n_features];
+        for &f in &self.feature {
+            if f != LEAF {
+                read[f as usize] = true;
+            }
+        }
+        (0..self.n_features).filter(|&f| read[f]).collect()
+    }
+
     /// The child a split node `n` sends value `v` to: `left` when
     /// `v <= threshold`, its sibling `left + 1` otherwise. `v <= thr`
     /// must stay the split test: NaN fails it and falls to the right
@@ -894,6 +907,35 @@ mod tests {
         assert_eq!(f.predict_row(&row), 0.8);
         let x = Matrix::from_rows(&[row.as_slice()]);
         assert_eq!(f.predict_proba(&x, 1), vec![0.8]);
+    }
+
+    #[test]
+    fn split_features_are_ascending_unique_and_skip_leaves() {
+        let mut b = FlatBuilder::new(6, 0.0, Finalize::Sum);
+        // Pushed out of order, with feature 4 split on in two trees and
+        // twice in one, and a tree that is a lone leaf.
+        b.begin_tree();
+        b.push_split(4, 0.5, 1, 2);
+        b.push_split(1, 0.5, 3, 4);
+        b.push_split(4, 1.5, 5, 6);
+        b.push_leaf(0.1);
+        b.push_leaf(0.2);
+        b.push_leaf(0.3);
+        b.push_leaf(0.4);
+        b.begin_tree();
+        b.push_leaf(0.5);
+        b.begin_tree();
+        b.push_split(4, 0.0, 1, 2);
+        b.push_leaf(0.6);
+        b.push_leaf(0.7);
+        assert_eq!(b.build().split_features(), vec![1, 4]);
+
+        let mut leaves = FlatBuilder::new(3, 0.0, Finalize::Mean(2.0));
+        for v in [0.2, 0.8] {
+            leaves.begin_tree();
+            leaves.push_leaf(v);
+        }
+        assert!(leaves.build().split_features().is_empty());
     }
 
     #[test]

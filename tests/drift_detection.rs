@@ -28,6 +28,12 @@ fn gaussian(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
+/// A detector that scores every profiled feature.
+fn scoring_all(profile: &DriftProfile) -> DriftDetector {
+    let all: Vec<usize> = (0..profile.n_features()).collect();
+    DriftDetector::new(profile, &all)
+}
+
 /// A reference profile over `cols` gaussian features with distinct
 /// means/scales, captured from `rows` training samples.
 fn gaussian_profile(rng: &mut StdRng, rows: usize, cols: usize) -> DriftProfile {
@@ -50,7 +56,7 @@ fn false_positive_rate_at_most_one_percent_over_100_seeds() {
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(0xFACE + seed);
         let profile = gaussian_profile(&mut rng, 1500, 4);
-        let mut det = DriftDetector::new(&profile);
+        let mut det = scoring_all(&profile);
         let mut row = [0.0; 4];
         let mut alerted = false;
         for _ in 0..STREAM_ROWS {
@@ -80,7 +86,7 @@ fn injected_shifts_are_detected_within_bound_on_every_seed() {
         for scale_shift in [false, true] {
             let mut rng = StdRng::seed_from_u64(0xD21F7 + seed);
             let profile = gaussian_profile(&mut rng, 1500, 3);
-            let mut det = DriftDetector::new(&profile);
+            let mut det = scoring_all(&profile);
             let mut row = [0.0; 3];
             // Stationary warmup.
             for _ in 0..WINDOW {
@@ -128,7 +134,7 @@ fn injected_shifts_are_detected_within_bound_on_every_seed() {
 fn shifted_feature_outranks_stationary_features() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let profile = gaussian_profile(&mut rng, 1500, 3);
-    let mut det = DriftDetector::new(&profile);
+    let mut det = scoring_all(&profile);
     let mut row = [0.0; 3];
     for t in 0..1000usize {
         for (c, slot) in row.iter_mut().enumerate() {
@@ -167,9 +173,12 @@ fn reference_profile_roundtrips_through_model_persistence() {
     let _ = std::fs::remove_file(&path);
     assert_eq!(back.drift_profile(), &profile, "profile changed across save/load");
 
-    // A loaded model yields a working, equivalent detector.
-    let mut a = DriftDetector::new(model.drift_profile());
-    let mut b = DriftDetector::new(back.drift_profile());
+    // A loaded model yields a working, equivalent detector over the
+    // same split features.
+    let split = model.flat().split_features();
+    assert_eq!(back.flat().split_features(), split);
+    let mut a = DriftDetector::new(model.drift_profile(), &split);
+    let mut b = DriftDetector::new(back.drift_profile(), &split);
     let mut rng = StdRng::seed_from_u64(99);
     let width = profile.n_features();
     let mut row = vec![0.0; width];

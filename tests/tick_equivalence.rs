@@ -17,11 +17,19 @@
 //!    the wrong width, or with one instance id listed twice, is
 //!    refused with an error before any window or drift state moves.
 //! 5. **Drift alert records** — each `drift.alert` record a tick
-//!    journals names a newly alerted feature and carries the detector's
-//!    PSI and tail shares and the model profile's mean and std for it.
+//!    journals names a newly alerted split feature and carries the
+//!    detector's PSI and tail shares and the model profile's mean and
+//!    std for it.
+//! 6. **Drift row sample** — a tick of up to 32 instances feeds the
+//!    detector every served row; a larger one feeds exactly the rows
+//!    the sampling rule picks; a tick without instances feeds none; a
+//!    forest of leaves alone serves and never alerts.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use monitorless::drift::{DriftDetector, CHECK_EVERY, WINDOW};
+use monitorless::features::InstanceTransformer;
 use monitorless::model::{ModelOptions, MonitorlessModel};
 use monitorless::orchestrator::{InstancePrediction, Orchestrator};
 use monitorless::training::{generate_training_data, TrainingOptions};
@@ -30,6 +38,7 @@ use monitorless_metrics::{InstanceId, NodeId, Observation};
 use monitorless_obs as obs;
 use monitorless_sim::apps::build_single;
 use monitorless_sim::{Cluster, ContainerLimits, NodeSpec, ServiceProfile};
+use monitorless_std::json::{FromJson as _, Json, ToJson as _};
 
 /// Serializes tests that flip process-global telemetry state.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -120,6 +129,12 @@ fn batched_tick_matches_legacy_across_fleet_sizes() {
         }
         // Drift detectors consumed identical rows → identical state.
         assert_eq!(batched.drift().scores(), legacy.drift().scores(), "fleet {n}: drift scores");
+        if n == 1000 {
+            // 32 sampled rows a tick: the first check runs at the end
+            // of the fourth tick, so the equality above compares
+            // scored state.
+            assert!(scored(batched.drift()), "fleet {n}: the detector never scored");
+        }
     }
 }
 
@@ -271,6 +286,7 @@ fn drift_alert_records_match_the_detector_and_the_profile() {
     let det = orch.drift();
     let profile = model.drift_profile();
     let names = model.pipeline().feature_names();
+    let split = model.flat().split_features();
     let mut newly: Vec<usize> = det
         .alerted_features()
         .into_iter()
@@ -299,9 +315,202 @@ fn drift_alert_records_match_the_detector_and_the_profile() {
             assert_eq!(field(key).to_bits(), value.to_bits(), "feature {f}: {key}");
         }
         assert_eq!(r.labels, vec![("feature", names[f].clone())], "feature {f}: label");
+        assert!(split.binary_search(&f).is_ok(), "feature {f} is not a split feature");
         recorded.push(f);
     }
     recorded.sort_unstable();
     newly.sort_unstable();
     assert_eq!(recorded, newly, "one record per newly alerted feature");
+}
+
+/// Whether `det` has scored at least one check.
+fn scored(det: &DriftDetector) -> bool {
+    det.scores().iter().any(|&s| s > 0.0)
+}
+
+/// A detector over the model's profile and split features, as every
+/// orchestrator builds one, for the test to feed itself.
+fn twin_detector(model: &MonitorlessModel) -> DriftDetector {
+    DriftDetector::new(model.drift_profile(), &model.flat().split_features())
+}
+
+/// Asserts two detectors hold the same state: scores to the bit, tail
+/// shares of every feature and the alerted set.
+fn assert_same_detector(got: &DriftDetector, want: &DriftDetector, what: &str) {
+    assert_eq!(got.scores().len(), want.scores().len(), "{what}: feature count");
+    for (f, (g, w)) in got.scores().iter().zip(want.scores()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: feature {f} score {g} != {w}");
+        assert_eq!(got.tail_shares(f), want.tail_shares(f), "{what}: feature {f} tail shares");
+    }
+    assert_eq!(got.alerted_features(), want.alerted_features(), "{what}: alerted features");
+}
+
+/// The feature rows each tick serves, in gather order, computed by
+/// windows of the test's own that start cold and are dropped with
+/// their instance, as the orchestrator's are.
+struct ServedRows {
+    model: Arc<MonitorlessModel>,
+    windows: HashMap<InstanceId, (u64, InstanceTransformer)>,
+    ticks: u64,
+    raw: Vec<f64>,
+}
+
+impl ServedRows {
+    fn new(model: &Arc<MonitorlessModel>) -> Self {
+        ServedRows {
+            model: Arc::clone(model),
+            windows: HashMap::new(),
+            ticks: 0,
+            raw: Vec::new(),
+        }
+    }
+
+    fn tick(&mut self, observations: &[Observation]) -> Vec<Vec<f64>> {
+        self.ticks += 1;
+        let tick = self.ticks;
+        let mut rows = Vec::new();
+        for o in observations {
+            for id in o.instances() {
+                assert!(o.instance_vector_into(id, &mut self.raw));
+                let (seen, window) = self
+                    .windows
+                    .entry(id)
+                    .or_insert_with(|| (tick, self.model.transformer()));
+                *seen = tick;
+                rows.push(window.push(&self.raw).unwrap().to_vec());
+            }
+        }
+        self.windows.retain(|_, (seen, _)| *seen == tick);
+        rows
+    }
+}
+
+#[test]
+fn fleets_of_up_to_32_feed_the_detector_every_served_row() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let model = model();
+    for n in [1usize, 7, 32] {
+        let mut batched = Orchestrator::new(Arc::clone(&model));
+        let mut legacy = Orchestrator::new(Arc::clone(&model));
+        let mut served = ServedRows::new(&model);
+        let mut twin = twin_detector(&model);
+        // Two windows of rows: checks while the window fills and after
+        // its ring wrapped.
+        for t in 0..(2 * WINDOW / n + 1) as u64 {
+            let observed = observations(n, t);
+            batched.step(&observed).unwrap();
+            legacy.step_legacy(&observed).unwrap();
+            for row in served.tick(&observed) {
+                twin.push(&row);
+            }
+        }
+        assert!(scored(&twin), "fleet {n}: the detector never scored");
+        assert_same_detector(batched.drift(), &twin, &format!("fleet {n}, step"));
+        assert_same_detector(legacy.drift(), &twin, &format!("fleet {n}, step_legacy"));
+    }
+}
+
+/// The rule spelled out: with `stride = max(1, ⌈n / 32⌉)`, the
+/// orchestrator's `tick`-th tick (counted from 1) feeds row `k` when
+/// `k % stride == tick % stride`.
+#[test]
+fn a_fleet_of_1000_feeds_the_detector_exactly_the_rows_the_rule_picks() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let model = model();
+    let n = 1000usize;
+    let stride = n.div_ceil(CHECK_EVERY).max(1);
+    let mut orch = Orchestrator::new(Arc::clone(&model));
+    let mut served = ServedRows::new(&model);
+    let mut picked = twin_detector(&model);
+    let mut every = twin_detector(&model);
+    let mut picked_rows = 0;
+    for t in 0..40u64 {
+        let tick = t + 1;
+        let observed = observations(n, t);
+        orch.step(&observed).unwrap();
+        for (k, row) in served.tick(&observed).iter().enumerate() {
+            if k % stride == (tick % stride as u64) as usize {
+                picked.push(row);
+                picked_rows += 1;
+            }
+            every.push(row);
+        }
+    }
+    // 40 ticks of 31 or 32 rows: about 36 checks.
+    assert!((40 * (CHECK_EVERY - 1)..=40 * CHECK_EVERY).contains(&picked_rows));
+    assert!(scored(&picked), "the sampled detector never scored");
+    assert_same_detector(orch.drift(), &picked, "fleet 1000");
+    assert_ne!(orch.drift().scores(), every.scores(), "fleet 1000 fed every row");
+}
+
+#[test]
+fn a_tick_without_instances_feeds_the_detector_nothing() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let model = model();
+    let mut batched = Orchestrator::new(Arc::clone(&model));
+    let mut legacy = Orchestrator::new(Arc::clone(&model));
+    let mut served = ServedRows::new(&model);
+    let mut twin = twin_detector(&model);
+    for t in 0..60u64 {
+        if t % 5 == 4 {
+            // No nodes at all, then one node with no containers; both
+            // drop every window, as the test's own windows are dropped.
+            for empty in [Vec::new(), observations(0, t)] {
+                assert!(batched.step(&empty).unwrap().is_empty());
+                assert!(legacy.step_legacy(&empty).unwrap().is_empty());
+                assert!(served.tick(&empty).is_empty());
+            }
+            assert_eq!(batched.tracked_instances(), 0);
+            continue;
+        }
+        let observed = observations(7, t);
+        batched.step(&observed).unwrap();
+        legacy.step_legacy(&observed).unwrap();
+        for row in served.tick(&observed) {
+            twin.push(&row);
+        }
+    }
+    assert!(scored(&twin), "the detector never scored");
+    assert_same_detector(batched.drift(), &twin, "step");
+    assert_same_detector(legacy.drift(), &twin, "step_legacy");
+}
+
+/// The shared model with every tree cut down to one leaf: its forest
+/// splits on nothing, so its detector scores nothing.
+fn leaves_only(model: &MonitorlessModel) -> MonitorlessModel {
+    fn member<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(members) = json else {
+            panic!("expected an object holding {key}")
+        };
+        &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+    let mut json = model.to_json();
+    let Json::Arr(trees) = member(member(&mut json, "forest"), "trees") else {
+        panic!("forest trees must be an array")
+    };
+    let leaf = Json::Obj(vec![("proba".into(), Json::Num(0.25))]);
+    for tree in trees {
+        *member(tree, "nodes") = Json::Arr(vec![Json::Obj(vec![("Leaf".into(), leaf.clone())])]);
+    }
+    MonitorlessModel::from_json(&json).unwrap()
+}
+
+#[test]
+fn a_forest_of_leaves_serves_and_never_alerts() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let model = Arc::new(leaves_only(&model()));
+    assert!(model.flat().split_features().is_empty());
+    let mut batched = Orchestrator::new(Arc::clone(&model));
+    let mut legacy = Orchestrator::new(Arc::clone(&model));
+    for t in 0..80u64 {
+        let observed = observations(7, t);
+        let b = batched.step(&observed).unwrap().to_vec();
+        let l = legacy.step_legacy(&observed).unwrap().to_vec();
+        assert_ticks_equal(t, &b, &l);
+        assert!(b.iter().all(|p| p.probability == 0.25), "tick {t}: {b:?}");
+    }
+    for orch in [&batched, &legacy] {
+        assert!(!orch.drift().drifting());
+        assert!(orch.drift().scores().iter().all(|&s| s == 0.0));
+    }
 }
