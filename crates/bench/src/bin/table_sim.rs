@@ -25,10 +25,8 @@
 //! tick the event path's full `TickReport` — all 952 + 88·c metrics
 //! per node, KPIs and container ticks — is asserted bit-identical to
 //! the dense loop's, and a counting global allocator asserts the
-//! steady-state event tick (`n_jobs` 1) performs **zero** heap
-//! allocations (skipped while telemetry streams `jsonl` events, which
-//! allocate by design). A 4-worker column is reported for information; it
-//! allocates on pool spawn and is not part of the 0-alloc contract.
+//! steady-state event tick performs **zero** heap allocations (skipped
+//! while telemetry streams `jsonl` events, which allocate by design).
 //!
 //! `--check <path>` re-measures at the current scale and exits
 //! non-zero if the event path lost its edge: ms-per-tick more than 2x
@@ -164,22 +162,16 @@ fn assert_reports_identical(fast: &TickReport, dense: &TickReport, n: usize, tic
     }
 }
 
-fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize) -> SizeResult {
+fn measure_size(n_nodes: usize, seed: u64) -> SizeResult {
     obs::progress(&format!("fleet of {n_nodes} nodes..."));
     let (event_cluster, apps) = build_fleet(n_nodes, seed);
     let (mut dense, _) = build_fleet(n_nodes, seed);
-    let (par_cluster, _) = build_fleet(n_nodes, seed);
     let containers = event_cluster.container_count();
     let profiles = workloads(&apps, seed);
 
     let mut event = EventSim::new(event_cluster);
     for (app, p) in apps.iter().zip(workloads(&apps, seed)) {
         event.add_workload(*app, p);
-    }
-    let mut event_par = EventSim::new(par_cluster);
-    event_par.set_n_jobs(par_jobs);
-    for (app, p) in apps.iter().zip(workloads(&apps, seed)) {
-        event_par.add_workload(*app, p);
     }
 
     let ticks = (20_000 / n_nodes).clamp(3, 60);
@@ -196,7 +188,6 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize) -> SizeResult {
         let got = event.step();
         let want = dense.step_dense_legacy(&loads);
         assert_reports_identical(got, &want, n_nodes, t as usize);
-        event_par.step();
         t += 1;
     }
 
@@ -205,14 +196,12 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize) -> SizeResult {
     // measured tick cross-checks full bit-identity.
     let reps = 3;
     let mut event_s = f64::INFINITY;
-    let mut event_par_s = f64::INFINITY;
     let mut dense_s = f64::INFINITY;
     let mut event_allocs = 0u64;
     event.cluster_mut().reset_stats();
     let stats0 = event.cluster_stats();
     for _ in 0..reps {
         let mut te = 0.0;
-        let mut tp = 0.0;
         let mut td = 0.0;
         for _ in 0..ticks {
             let loads = loads_at(t);
@@ -224,14 +213,10 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize) -> SizeResult {
             let t1 = Instant::now();
             let want = dense.step_dense_legacy(&loads);
             td += t1.elapsed().as_secs_f64();
-            let t2 = Instant::now();
-            event_par.step();
-            tp += t2.elapsed().as_secs_f64();
             assert_reports_identical(got, &want, n_nodes, t as usize);
             t += 1;
         }
         event_s = event_s.min(te);
-        event_par_s = event_par_s.min(tp);
         dense_s = dense_s.min(td);
     }
     let measured = reps * ticks;
@@ -241,7 +226,7 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize) -> SizeResult {
         assert!(
             event_allocs == 0,
             "event tick allocated ({allocs_per_tick} events/tick over {measured} ticks); the \
-             steady-state simulation tick must be allocation-free at n_jobs 1"
+             steady-state simulation tick must be allocation-free"
         );
     }
     let stats = event.cluster_stats();
@@ -260,7 +245,6 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize) -> SizeResult {
         measured_ticks: measured,
         dense_ms_per_tick: dense_s / ticks as f64 * 1e3,
         event_ms_per_tick: event_s / ticks as f64 * 1e3,
-        event_par_ms_per_tick: event_par_s / ticks as f64 * 1e3,
         dense_sim_per_wall: ticks as f64 / dense_s,
         event_sim_per_wall: ticks as f64 / event_s,
         speedup: dense_s / event_s,
@@ -328,16 +312,11 @@ fn main() {
     } else {
         &[100, 1_000]
     };
-    let par_jobs = 4;
     let report = BenchReport {
         scale: scale.label().into(),
         seed: scale.seed,
         monitor_hz: 1.0,
-        par_jobs,
-        sizes: sizes
-            .iter()
-            .map(|&n| measure_size(n, scale.seed, par_jobs))
-            .collect(),
+        sizes: sizes.iter().map(|&n| measure_size(n, scale.seed)).collect(),
     };
     harness.finish(&report, check);
 }

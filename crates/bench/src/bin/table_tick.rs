@@ -113,11 +113,11 @@ fn graft_dataset(
     let mut t = 0u64;
     'ticks: loop {
         for observation in observations(fleet, t) {
-            for i in 0..observation.n_instances() {
+            for id in observation.instances() {
                 if rows == n {
                     break 'ticks;
                 }
-                let id = observation.instance_vector_at(i, &mut raw);
+                observation.instance_vector_into(id, &mut raw);
                 let row = transformers[id.0 as usize]
                     .push(&raw)
                     .expect("graft transform");

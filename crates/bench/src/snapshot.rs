@@ -275,7 +275,6 @@ pub mod sim {
             measured_ticks: usize,
             dense_ms_per_tick: f64,
             event_ms_per_tick: f64,
-            event_par_ms_per_tick: f64,
             /// Simulated seconds per wall-clock second at 1 Hz monitoring.
             dense_sim_per_wall: f64,
             event_sim_per_wall: f64,
@@ -293,7 +292,6 @@ pub mod sim {
             scale: String,
             seed: u64,
             monitor_hz: f64,
-            par_jobs: usize,
             sizes: Vec<SizeResult>,
         }
     }

@@ -228,7 +228,6 @@ pub struct ShadowRetrainer {
     champion: MonitorlessModel,
     ps: PresortedDataset,
     y: Vec<u8>,
-    groups: Vec<u32>,
     params: RetrainParams,
 }
 
@@ -258,7 +257,6 @@ impl ShadowRetrainer {
             champion,
             ps,
             y: data.dataset.y().to_vec(),
-            groups: data.dataset.groups().to_vec(),
             params,
         })
     }
@@ -326,7 +324,6 @@ impl ShadowRetrainer {
             .transform_batch(&episode.raw, &groups)?;
         self.ps.append_rows(&x);
         self.y.extend(&episode.labels);
-        self.groups.extend(groups);
         obs::counter_add("adapt.ingested_rows", x.rows() as u64);
         Ok(x.rows())
     }

@@ -17,7 +17,6 @@
 //! `table1_featurize`).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use monitorless_learn::{Matrix, StandardScaler, Transformer};
@@ -289,8 +288,8 @@ fn group_blocks(groups: &[u32], rows: usize) -> Result<Vec<(usize, usize)>, Erro
 /// writes its own contiguous slice of the output, and independent
 /// blocks are sharded over `n_jobs` pool workers, so the output is
 /// identical for any worker count. History slot `h` of the plan reads
-/// stage-C column `history[h]`. Per-block busy time feeds the
-/// `pipeline.worker_utilization` gauge.
+/// stage-C column `history[h]`. On two or more workers, per-block busy
+/// time feeds the `pipeline.worker_utilization` gauge.
 fn eval_plan_blocks(
     plan: &[PlanCell],
     history: &[usize],
@@ -311,31 +310,19 @@ fn eval_plan_blocks(
         rest = tail;
     }
     let c_data = c.as_slice();
-    let busy_us = AtomicU64::new(0);
-    let busy = &busy_us;
+    let workers =
+        obs::WorkerTelemetry::new(n_jobs, "pipeline.block_busy_us", "pipeline.worker_utilization");
     monitorless_std::pool::for_each_item_mut(&mut tasks, n_jobs, |_, (start, end, out)| {
-        let started = obs::enabled().then(std::time::Instant::now);
-        let block = &c_data[*start * rw..*end * rw];
-        let hist = |h: usize, r: usize| block[r * rw + history[h]];
-        for i in 0..*end - *start {
-            let cur = &block[i * rw..(i + 1) * rw];
-            eval_plan_row(plan, cur, hist, i, &mut out[i * width..(i + 1) * width]);
-        }
-        if let Some(started) = started {
-            let us = started.elapsed().as_micros() as u64;
-            obs::observe("pipeline.block_busy_us", us as f64);
-            busy.fetch_add(us, Ordering::Relaxed);
-        }
+        workers.time(|| {
+            let block = &c_data[*start * rw..*end * rw];
+            let hist = |h: usize, r: usize| block[r * rw + history[h]];
+            for i in 0..*end - *start {
+                let cur = &block[i * rw..(i + 1) * rw];
+                eval_plan_row(plan, cur, hist, i, &mut out[i * width..(i + 1) * width]);
+            }
+        });
     });
-    if let Some(wall_us) = span.elapsed_us() {
-        if wall_us > 0.0 {
-            let total_busy = busy_us.load(Ordering::Relaxed) as f64;
-            obs::gauge_set(
-                "pipeline.worker_utilization",
-                total_busy / (n_jobs.max(1) as f64 * wall_us),
-            );
-        }
-    }
+    workers.finish(&span);
     Matrix::from_vec(c.rows(), width, data)
 }
 

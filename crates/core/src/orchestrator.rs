@@ -343,11 +343,13 @@ impl Orchestrator {
     ///
     /// # Errors
     ///
-    /// Propagates feature-pipeline errors.
+    /// As [`Orchestrator::step`]: a tick it refuses leaves the
+    /// orchestrator as it was.
     pub fn step_legacy(
         &mut self,
         observations: &[Observation],
     ) -> Result<&[InstancePrediction], Error> {
+        self.check_observations(observations)?;
         self.live.clear();
         self.predictions.clear();
         let tracing = obs::trace_enabled();

@@ -8,9 +8,6 @@
 //! (Section 2.2); the measured run's samples are then labeled by
 //! comparing the per-second KPI against `Υ`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
 use monitorless_label::kneedle::KneedleParams;
 use monitorless_label::{SaturationDirection, SaturationThreshold};
 use monitorless_learn::{Dataset, MatrixBuilder};
@@ -533,8 +530,8 @@ pub fn generate_training_data(opts: &TrainingOptions) -> Result<TrainingData, Er
     let layout = RawLayout::from_catalog(&monitorless_metrics::Catalog::standard())?;
     let width = layout.names().len();
     let n_jobs = opts.n_jobs.max(1);
-    let busy_us = AtomicU64::new(0);
-    let wall = Instant::now();
+    let workers =
+        obs::WorkerTelemetry::new(n_jobs, "training.worker_busy_us", "training.worker_utilization");
 
     // Phase 1: calibrate every configuration in isolation. Ramp costs
     // vary per service, so the dynamic queue (not static chunks) keeps
@@ -542,9 +539,7 @@ pub fn generate_training_data(opts: &TrainingOptions) -> Result<TrainingData, Er
     let mut calibrations: Vec<Option<Result<Option<SaturationThreshold>, Error>>> =
         configs.iter().map(|_| None).collect();
     pool::for_each_item_mut(&mut calibrations, n_jobs, |i, slot| {
-        let t0 = Instant::now();
-        *slot = Some(calibrate_threshold(&configs[i], opts));
-        busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        *slot = Some(workers.time(|| calibrate_threshold(&configs[i], opts)));
     });
     let mut thresholds = Vec::with_capacity(configs.len());
     for slot in calibrations {
@@ -591,14 +586,11 @@ pub fn generate_training_data(opts: &TrainingOptions) -> Result<TrainingData, Er
         // Phase 3: run the batches over the same dynamic queue
         // (co-located pairs cost ~2x an isolated run).
         pool::for_each_item_mut(&mut jobs, n_jobs, |_, job| {
-            let t0 = Instant::now();
             let batch: Vec<&TrainingConfig> = job.members.iter().map(|&j| &configs[j]).collect();
             let batch_thresholds: Vec<Option<SaturationThreshold>> =
                 job.members.iter().map(|&j| thresholds[j]).collect();
-            if let Err(e) = run_configs(&batch, &batch_thresholds, opts, width, &mut job.sinks) {
-                job.err = Some(e);
-            }
-            busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+            let run = || run_configs(&batch, &batch_thresholds, opts, width, &mut job.sinks);
+            job.err = workers.time(run).err();
         });
 
         // Phase 4: stitch the outputs back in the deterministic
@@ -624,13 +616,9 @@ pub fn generate_training_data(opts: &TrainingOptions) -> Result<TrainingData, Er
     let dataset = Dataset::new(x, labels, names, groups)?;
     observed.sort_by_key(|(id, _)| *id);
 
+    workers.finish(&span);
     drop(span);
     obs::counter_add("training.episodes", episodes as u64);
-    let wall_us = wall.elapsed().as_micros().max(1) as f64;
-    obs::gauge_set(
-        "training.worker_utilization",
-        busy_us.load(Ordering::Relaxed) as f64 / (n_jobs as f64 * wall_us),
-    );
 
     Ok(TrainingData {
         dataset,

@@ -420,34 +420,19 @@ impl FlatEnsemble {
         let n_blocks = rows.div_ceil(BLOCK);
         let n_jobs = n_jobs.max(1).min(n_blocks);
         let span = obs::Span::enter("predict.batch");
-        if n_jobs == 1 {
-            self.eval_blocks(data, cols, 0, out);
-        } else {
-            // Static row chunks; each worker walks its own blocks.
-            // Chunk `i` starts at row `i * chunk_size` (the pool's
-            // documented partitioning).
-            let chunk_size = rows.div_ceil(n_jobs);
-            let busy_us = std::sync::atomic::AtomicU64::new(0);
-            let busy = &busy_us;
-            monitorless_std::pool::for_each_chunk_mut(out, n_jobs, |chunk_id, chunk| {
-                let started = obs::enabled().then(std::time::Instant::now);
-                self.eval_blocks(data, cols, chunk_id * chunk_size, chunk);
-                if let Some(started) = started {
-                    let us = started.elapsed().as_micros() as u64;
-                    obs::observe("predict.worker_busy_us", us as f64);
-                    busy.fetch_add(us, std::sync::atomic::Ordering::Relaxed);
-                }
-            });
-            if let Some(wall_us) = span.elapsed_us() {
-                if wall_us > 0.0 {
-                    let total_busy = busy_us.load(std::sync::atomic::Ordering::Relaxed) as f64;
-                    obs::gauge_set(
-                        "predict.worker_utilization",
-                        total_busy / (n_jobs as f64 * wall_us),
-                    );
-                }
-            }
-        }
+        // Static row chunks; each worker walks its own blocks. Chunk `i`
+        // starts at row `i * chunk_size` (the pool's documented
+        // partitioning); one worker walks every row inline.
+        let chunk_size = rows.div_ceil(n_jobs);
+        let workers = obs::WorkerTelemetry::new(
+            n_jobs,
+            "predict.worker_busy_us",
+            "predict.worker_utilization",
+        );
+        monitorless_std::pool::for_each_chunk_mut(out, n_jobs, |chunk_id, chunk| {
+            workers.time(|| self.eval_blocks(data, cols, chunk_id * chunk_size, chunk));
+        });
+        workers.finish(&span);
         drop(span);
         obs::counter_add("predict.rows", rows as u64);
         obs::counter_add("predict.blocks", n_blocks as u64);

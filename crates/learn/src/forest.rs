@@ -355,45 +355,26 @@ impl RandomForest {
             .then(|| crate::tree::klogk_table(ps.n_rows()));
         let klogk = klogk.as_deref();
         obs::gauge_set("forest.workers", n_jobs as f64);
-        if n_jobs == 1 {
-            self.trees = (0..n_trees)
-                .map(|t| self.train_one(ps, y, &base_weight, global_cw, klogk, t))
-                .collect();
-        } else {
-            let mut trees: Vec<Option<DecisionTree>> = vec![None; n_trees];
-            let this = &*self;
-            let bw = &base_weight;
-            // Summed busy time across workers; together with the wall
-            // clock of the whole scope this yields worker utilization.
-            let busy_us = std::sync::atomic::AtomicU64::new(0);
-            let busy = &busy_us;
-            let chunk_size = n_trees.div_ceil(n_jobs);
-            monitorless_std::pool::for_each_chunk_mut(&mut trees, n_jobs, |chunk_id, chunk| {
-                let started = obs::enabled().then(std::time::Instant::now);
+        let mut trees: Vec<Option<DecisionTree>> = vec![None; n_trees];
+        let this = &*self;
+        let workers =
+            obs::WorkerTelemetry::new(n_jobs, "forest.worker_busy_us", "forest.worker_utilization");
+        // Chunk `i` starts at tree `i * chunk_size` (the pool's
+        // documented partitioning); one worker fits every tree inline.
+        let chunk_size = n_trees.div_ceil(n_jobs);
+        monitorless_std::pool::for_each_chunk_mut(&mut trees, n_jobs, |chunk_id, chunk| {
+            workers.time(|| {
                 for (off, slot) in chunk.iter_mut().enumerate() {
                     let t = chunk_id * chunk_size + off;
-                    *slot = Some(this.train_one(ps, y, bw, global_cw, klogk, t));
-                }
-                if let Some(started) = started {
-                    let us = started.elapsed().as_micros() as u64;
-                    obs::observe("forest.worker_busy_us", us as f64);
-                    busy.fetch_add(us, std::sync::atomic::Ordering::Relaxed);
+                    *slot = Some(this.train_one(ps, y, &base_weight, global_cw, klogk, t));
                 }
             });
-            if let Some(wall_us) = fit_span.elapsed_us() {
-                if wall_us > 0.0 {
-                    let total_busy = busy_us.load(std::sync::atomic::Ordering::Relaxed) as f64;
-                    obs::gauge_set(
-                        "forest.worker_utilization",
-                        total_busy / (n_jobs as f64 * wall_us),
-                    );
-                }
-            }
-            self.trees = trees
-                .into_iter()
-                .map(|t| t.expect("all tree slots are filled by workers"))
-                .collect();
-        }
+        });
+        workers.finish(&fit_span);
+        self.trees = trees
+            .into_iter()
+            .map(|t| t.expect("all tree slots are filled by workers"))
+            .collect();
         drop(fit_span);
         obs::counter_add("forest.fits", 1);
         obs::counter_add("forest.trees_trained", n_trees as u64);

@@ -66,9 +66,7 @@ pub use linear::{
 };
 pub use matrix::{ColumnsView, Matrix, MatrixBuilder};
 pub use metrics::{accuracy, f1_score, lagged_confusion, ConfusionMatrix};
-pub use model_selection::{
-    cross_validate, cross_validate_parallel, GridSearch, GroupKFold, KFold, ParamGrid, ParamValue,
-};
+pub use model_selection::{GridSearch, GroupKFold, KFold, ParamGrid, ParamValue};
 pub use nn::{Activation, NeuralNet, NeuralNetParams};
 pub use pca::Pca;
 pub use presort::{FitCache, PresortedDataset};
@@ -87,10 +85,7 @@ pub mod prelude {
     };
     pub use crate::matrix::{Matrix, MatrixBuilder};
     pub use crate::metrics::{accuracy, f1_score, lagged_confusion, ConfusionMatrix};
-    pub use crate::model_selection::{
-        cross_validate, cross_validate_parallel, GridSearch, GroupKFold, KFold, ParamGrid,
-        ParamValue,
-    };
+    pub use crate::model_selection::{GridSearch, GroupKFold, KFold, ParamGrid, ParamValue};
     pub use crate::nn::{Activation, NeuralNet, NeuralNetParams};
     pub use crate::pca::Pca;
     pub use crate::presort::{FitCache, PresortedDataset};

@@ -136,7 +136,7 @@ fn fold_sizes(n: usize, k: usize) -> Vec<usize> {
     (0..k).map(|i| base + usize::from(i < extra)).collect()
 }
 
-/// Per-fold score plus aggregate statistics.
+/// Per-fold scores and their mean.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CvResult {
     /// Score of each fold.
@@ -151,62 +151,6 @@ impl CvResult {
         }
         self.fold_scores.iter().sum::<f64>() / self.fold_scores.len() as f64
     }
-
-    /// Population standard deviation of the fold scores.
-    pub fn std(&self) -> f64 {
-        if self.fold_scores.is_empty() {
-            return 0.0;
-        }
-        let m = self.mean();
-        (self
-            .fold_scores
-            .iter()
-            .map(|s| (s - m) * (s - m))
-            .sum::<f64>()
-            / self.fold_scores.len() as f64)
-            .sqrt()
-    }
-}
-
-/// Runs cross-validation: for each split, builds a fresh classifier with
-/// `factory`, fits on the train side and scores on the validation side
-/// with `scorer(y_true, y_pred)`.
-///
-/// Folds whose train or validation side ends up with a single class are
-/// skipped (their score is not recorded), mirroring how the paper's group
-/// scheme can produce degenerate folds for small subsets.
-///
-/// # Errors
-///
-/// Propagates classifier fit errors other than
-/// [`Error::InvalidLabels`] (which marks a degenerate fold).
-pub fn cross_validate<F, S>(
-    x: &Matrix,
-    y: &[u8],
-    splits: &[Split],
-    mut factory: F,
-    mut scorer: S,
-) -> Result<CvResult, Error>
-where
-    F: FnMut() -> Box<dyn Classifier>,
-    S: FnMut(&[u8], &[u8]) -> f64,
-{
-    let mut fold_scores = Vec::with_capacity(splits.len());
-    for (train, val) in splits {
-        let x_train = x.select_rows(train);
-        let y_train: Vec<u8> = train.iter().map(|&i| y[i]).collect();
-        let x_val = x.select_rows(val);
-        let y_val: Vec<u8> = val.iter().map(|&i| y[i]).collect();
-        let mut clf = factory();
-        match clf.fit(&x_train, &y_train, None) {
-            Ok(()) => {}
-            Err(Error::InvalidLabels) => continue,
-            Err(e) => return Err(e),
-        }
-        let pred = clf.predict(&x_val);
-        fold_scores.push(scorer(&y_val, &pred));
-    }
-    Ok(CvResult { fold_scores })
 }
 
 /// One fold's materialized train/validation data plus the lazily built
@@ -250,51 +194,6 @@ where
     }
     let pred = clf.predict(&fold.x_val);
     Ok(Some(scorer(&fold.y_val, &pred)))
-}
-
-/// Parallel variant of [`cross_validate`]: folds are evaluated
-/// concurrently on `n_jobs` worker threads.
-///
-/// Scores are identical to the sequential version — every fold trains
-/// the same classifier on the same data; only the scheduling differs —
-/// and degenerate folds are skipped the same way. When several folds
-/// fail with a non-degenerate error, the error of the earliest fold is
-/// returned, matching the sequential short-circuit.
-///
-/// # Errors
-///
-/// Propagates classifier fit errors other than [`Error::InvalidLabels`].
-pub fn cross_validate_parallel<F, S>(
-    x: &Matrix,
-    y: &[u8],
-    splits: &[Split],
-    factory: F,
-    scorer: S,
-    n_jobs: usize,
-) -> Result<CvResult, Error>
-where
-    F: Fn() -> Box<dyn Classifier> + Sync,
-    S: Fn(&[u8], &[u8]) -> f64 + Sync,
-{
-    // `Ok(None)` marks a degenerate (skipped) fold; the outer `Option`
-    // distinguishes "not yet evaluated" while workers fill the slots.
-    type FoldOutcome = Option<Result<Option<f64>, Error>>;
-    let folds = prepare_folds(x, y, splits);
-    let mut outcomes: Vec<(&FoldData, FoldOutcome)> = folds.iter().map(|f| (f, None)).collect();
-    monitorless_std::pool::for_each_chunk_mut(&mut outcomes, n_jobs.max(1), |_, chunk| {
-        for (fold, outcome) in chunk.iter_mut() {
-            *outcome = Some(evaluate_fold(fold, factory(), &scorer));
-        }
-    });
-    let mut fold_scores = Vec::with_capacity(folds.len());
-    for (_, outcome) in outcomes {
-        match outcome.expect("every fold is evaluated") {
-            Ok(Some(score)) => fold_scores.push(score),
-            Ok(None) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(CvResult { fold_scores })
 }
 
 /// A hyper-parameter value in a grid.
@@ -538,36 +437,20 @@ impl GridSearch {
             }
         }
 
-        {
-            let combos = &combos;
-            let folds = &folds;
-            let factory = &factory;
-            let scorer = &scorer;
-            let busy_us = std::sync::atomic::AtomicU64::new(0);
-            let busy = &busy_us;
-            // Dynamic scheduling: workers pull cells off a shared queue,
-            // so a candidate with expensive hyper-parameters cannot
-            // strand its whole chunk on one straggling worker.
-            monitorless_std::pool::for_each_item_mut(&mut cells, n_jobs, |_, cell| {
-                let started = obs::enabled().then(std::time::Instant::now);
-                let clf = factory(&combos[cell.candidate]);
-                cell.outcome = Some(evaluate_fold(&folds[cell.fold], clf, scorer));
-                if let Some(started) = started {
-                    let us = started.elapsed().as_micros() as u64;
-                    obs::observe("gridsearch.worker_busy_us", us as f64);
-                    busy.fetch_add(us, std::sync::atomic::Ordering::Relaxed);
-                }
-            });
-            if let Some(wall_us) = run_span.elapsed_us() {
-                if wall_us > 0.0 {
-                    let total_busy = busy_us.load(std::sync::atomic::Ordering::Relaxed) as f64;
-                    obs::gauge_set(
-                        "gridsearch.worker_utilization",
-                        total_busy / (n_jobs as f64 * wall_us),
-                    );
-                }
-            }
-        }
+        let workers = obs::WorkerTelemetry::new(
+            n_jobs,
+            "gridsearch.worker_busy_us",
+            "gridsearch.worker_utilization",
+        );
+        // Dynamic scheduling: workers pull cells off a shared queue, so a
+        // candidate with expensive hyper-parameters cannot strand its
+        // whole chunk on one straggling worker.
+        monitorless_std::pool::for_each_item_mut(&mut cells, n_jobs, |_, cell| {
+            let evaluate =
+                || evaluate_fold(&folds[cell.fold], factory(&combos[cell.candidate]), &scorer);
+            cell.outcome = Some(workers.time(evaluate));
+        });
+        workers.finish(&run_span);
         drop(run_span);
         obs::counter_add("gridsearch.candidates_evaluated", combos.len() as u64);
         obs::counter_add("gridsearch.cells_evaluated", cells.len() as u64);
@@ -650,29 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_validate_scores_reasonably() {
-        let mut rows = Vec::new();
-        let mut y = Vec::new();
-        for i in 0..40 {
-            rows.push(vec![i as f64]);
-            y.push(u8::from(i >= 20));
-        }
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = Matrix::from_rows(&refs);
-        let splits = KFold::new(4).split(40).unwrap();
-        let cv = cross_validate(
-            &x,
-            &y,
-            &splits,
-            || Box::new(DecisionTree::new(DecisionTreeParams::default())),
-            crate::metrics::f1_score,
-        )
-        .unwrap();
-        assert!(cv.mean() > 0.8, "mean F1 {}", cv.mean());
-        assert!(cv.std() <= 0.5);
-    }
-
-    #[test]
     fn param_grid_cartesian_product() {
         let grid = ParamGrid::new()
             .add("a", vec![ParamValue::I(1), ParamValue::I(2)])
@@ -725,6 +585,41 @@ mod tests {
     }
 
     #[test]
+    fn grid_search_skips_degenerate_folds() {
+        // Fold 0 trains on class 0 only: its fit is refused with
+        // `InvalidLabels`, so the fold is skipped, not scored.
+        let rows: Vec<[f64; 1]> = (0..20).map(|i| [f64::from(i)]).collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let x = Matrix::from_rows(&refs);
+        let y: Vec<u8> = (0..20).map(|i| u8::from(i >= 10)).collect();
+        let splits: Vec<Split> = vec![
+            ((0..10).collect(), (10..20).collect()),
+            ((0..20).step_by(2).collect(), (1..20).step_by(2).collect()),
+        ];
+        let grid = ParamGrid::new().add("max_depth", vec![ParamValue::I(1), ParamValue::I(3)]);
+        for n_jobs in [1, 4] {
+            let result = GridSearch::new(grid.clone(), splits.clone())
+                .with_n_jobs(n_jobs)
+                .run(
+                    |p| {
+                        Box::new(DecisionTree::new(DecisionTreeParams {
+                            max_depth: Some(p["max_depth"].as_usize()),
+                            ..DecisionTreeParams::default()
+                        }))
+                    },
+                    crate::metrics::f1_score,
+                    &x,
+                    &y,
+                )
+                .unwrap();
+            assert_eq!(result.evaluations.len(), 2);
+            for (params, cv) in &result.evaluations {
+                assert_eq!(cv.fold_scores, vec![1.0], "n_jobs={n_jobs} {params:?}");
+            }
+        }
+    }
+
+    #[test]
     fn param_value_accessors() {
         assert_eq!(ParamValue::F(1.5).as_f64(), 1.5);
         assert_eq!(ParamValue::I(3).as_f64(), 3.0);
@@ -757,7 +652,6 @@ mod tests {
             fold_scores: vec![0.8, 1.0],
         };
         assert!((cv.mean() - 0.9).abs() < 1e-12);
-        assert!((cv.std() - 0.1).abs() < 1e-12);
         let empty = CvResult {
             fold_scores: vec![],
         };

@@ -1,14 +1,14 @@
 //! Property tests pinning the presorted tree builder to the legacy
 //! per-node resorting builder, the lazily sorted cache to a fully
-//! sorted one, and parallel model selection to its sequential
-//! counterpart.
+//! sorted one, and parallel forest fits and grid search to their
+//! one-worker runs.
 //!
 //! The presorted path is an *exact* reimplementation: for every input —
 //! duplicate values and rows, constant columns, NaN cells, arbitrary
 //! sample weights, feature subsampling, the random splitter, the
 //! entropy filter of the unit-weight sweep — the serialized
-//! trees must be bit-for-bit identical, and parallel CV / grid search
-//! must produce exactly the scores of the sequential scan. A cache
+//! trees must be bit-for-bit identical, and a parallel grid search
+//! must produce exactly the scores of the one-worker scan. A cache
 //! sorts each feature on first read: in whatever order, and from
 //! however many threads, features are read, every feature's ranks and
 //! distinct values, the trees fit on it, its appends and its clones
@@ -487,29 +487,6 @@ proptest! {
             )
         };
         prop_assert_eq!(fit(1), fit(4));
-    }
-
-    #[test]
-    fn parallel_cross_validate_matches_sequential(
-        seed in 0u64..10_000,
-        rows in 16usize..48,
-    ) {
-        let x = messy_matrix(seed, rows, 4, true);
-        let y = messy_labels(seed, rows);
-        let splits = KFold::new(4).split(rows).unwrap();
-        let factory = || -> Box<dyn Classifier> {
-            Box::new(DecisionTree::new(DecisionTreeParams {
-                min_samples_leaf: 2,
-                seed: 7,
-                ..DecisionTreeParams::default()
-            }))
-        };
-        let sequential = cross_validate(&x, &y, &splits, factory, f1_score).unwrap();
-        for n_jobs in [1usize, 4] {
-            let parallel =
-                cross_validate_parallel(&x, &y, &splits, factory, f1_score, n_jobs).unwrap();
-            prop_assert_eq!(&parallel.fold_scores, &sequential.fold_scores, "n_jobs={}", n_jobs);
-        }
     }
 
     #[test]

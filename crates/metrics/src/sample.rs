@@ -95,24 +95,6 @@ impl Observation {
     pub fn n_instances(&self) -> usize {
         self.containers.len()
     }
-
-    /// Concatenated vector of the `i`-th container entry, by position —
-    /// the fleet gather path: iterating positions sidesteps the
-    /// per-instance id search of [`Observation::instance_vector_into`],
-    /// which is O(containers) per lookup and quadratic over a tick.
-    /// Writes host ++ container into `buf` (cleared first) and returns
-    /// the entry's [`InstanceId`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.n_instances()`.
-    pub fn instance_vector_at(&self, i: usize, buf: &mut Vec<f64>) -> InstanceId {
-        let (id, ctr) = &self.containers[i];
-        buf.clear();
-        buf.extend_from_slice(&self.host);
-        buf.extend_from_slice(ctr);
-        *id
-    }
 }
 
 #[cfg(test)]
@@ -143,12 +125,7 @@ mod tests {
         assert_eq!(row, [1.0, 2.0, 3.0]);
         assert!(!obs.instance_vector_write(InstanceId(9), &mut row));
         assert_eq!(row, [1.0, 2.0, 3.0]);
-        // Positional gather matches the id lookup entry for entry.
         assert_eq!(obs.n_instances(), 2);
-        for i in 0..obs.n_instances() {
-            let id = obs.instance_vector_at(i, &mut buf);
-            assert_eq!(Some(buf.clone()), obs.instance_vector(id));
-        }
     }
 
     #[test]

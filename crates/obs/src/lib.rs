@@ -51,6 +51,7 @@ pub mod histogram;
 pub mod journal;
 pub mod registry;
 pub mod span;
+pub mod workers;
 
 pub use config::{ExportFormat, TelemetryConfig, TraceMode, ENV_VAR, TRACE_ENV_VAR};
 pub use export::{event, progress, report_to_stderr, write_audit, write_report, Snapshot};
@@ -64,6 +65,7 @@ pub use registry::{
     observe, reset,
 };
 pub use span::{timed, Span};
+pub use workers::WorkerTelemetry;
 
 #[cfg(test)]
 pub(crate) mod test_support {

@@ -4,13 +4,12 @@
 //! [`TickReport`]s at the 1 Hz monitoring boundary:
 //!
 //! * [`Cluster::step`] (and its buffer-reusing form [`Cluster::step_into`])
-//!   — the incremental path. Nodes live in one list indexed by node id.
-//!   They share no mutable state within a tick, so they evaluate in
-//!   parallel over `monitorless_std::pool`. Within a node, containers
-//!   carry a *fixed-point cache*: once an evaluation leaves a container's
-//!   persistent state bit-unchanged and its inputs (offered load,
-//!   contention factors) are bit-identical, the cached tick is reused and
-//!   the container costs nothing until something changes.
+//!   — the incremental path. Nodes live in one list indexed by node id
+//!   and tick in that order on the calling thread. Within a node,
+//!   containers carry a *fixed-point cache*: once an evaluation leaves a
+//!   container's persistent state bit-unchanged and its inputs (offered
+//!   load, contention factors) are bit-identical, the cached tick is
+//!   reused and the container costs nothing until something changes.
 //! * [`Cluster::step_dense_legacy`] — the original dense loop, kept as
 //!   the equivalence oracle and benchmark baseline: every container is
 //!   re-evaluated every second and the gather phases use the original
@@ -28,7 +27,6 @@ use monitorless_metrics::catalog::Catalog;
 use monitorless_metrics::signals::{ContainerSignals, HostSignals};
 use monitorless_metrics::{InstanceId, MonitoringAgent, NodeId, Observation};
 use monitorless_obs as obs;
-use monitorless_std::pool;
 
 use crate::container::{Container, ContainerTick};
 use crate::error::ClusterError;
@@ -219,10 +217,6 @@ struct NodeEntry {
     topo_dirty: bool,
     sig_buf: Vec<(InstanceId, ContainerSignals)>,
     obs_buf: Observation,
-    /// The last tick's work: containers evaluated and cache hits,
-    /// written in the parallel phase and summed into `SimStats` after.
-    evals: u64,
-    cached: u64,
 }
 
 impl NodeEntry {
@@ -243,17 +237,12 @@ impl NodeEntry {
                 host: Vec::new(),
                 containers: Vec::new(),
             },
-            evals: 0,
-            cached: 0,
         }
     }
 
-    /// Advances this node by one second, recording the work done in
-    /// `evals` and `cached`.
-    fn tick(&mut self, time: u64, collect: bool) {
-        let mut evals = 0u64;
-        let mut cached = 0u64;
-
+    /// Advances this node by one second, adding the containers it
+    /// evaluated and the cache hits to `stats`.
+    fn tick(&mut self, time: u64, collect: bool, stats: &mut SimStats) {
         // Demand refresh for stale slots; settled slots with unchanged
         // load reuse their cached (cgroup-capped) demand terms.
         let mut demand_changed = self.topo_dirty;
@@ -329,9 +318,9 @@ impl NodeEntry {
                 slot.tick = Some(tick);
                 slot.offered_changed = false;
                 any_eval = true;
-                evals += 1;
+                stats.container_evals += 1;
             } else {
-                cached += 1;
+                stats.cached_ticks += 1;
             }
         }
 
@@ -349,8 +338,6 @@ impl NodeEntry {
             self.host_valid = false;
         }
         self.topo_dirty = false;
-        self.evals = evals;
-        self.cached = cached;
     }
 
     /// Host-signal synthesis, bit-identical to the dense loop: the same
@@ -456,7 +443,6 @@ pub struct Cluster {
     catalog: Arc<Catalog>,
     next_instance: u32,
     time: u64,
-    n_jobs: usize,
     /// Cleared by [`Cluster::step_dense_legacy`], whose evaluations leave
     /// the incremental caches stale; the next incremental tick then
     /// recomputes everything from scratch.
@@ -496,7 +482,6 @@ impl Cluster {
             catalog,
             next_instance: 0,
             time: 0,
-            n_jobs: 1,
             caches_valid: true,
             prev_loads: Vec::new(),
             loads_valid: false,
@@ -518,13 +503,6 @@ impl Cluster {
     /// Node ids in the cluster.
     pub fn node_ids(&self) -> &[NodeId] {
         &self.node_ids
-    }
-
-    /// Worker threads used to evaluate nodes in parallel (default 1).
-    /// The observation stream is bit-identical for any worker count —
-    /// nodes share no mutable state within a tick.
-    pub fn set_n_jobs(&mut self, n_jobs: usize) {
-        self.n_jobs = n_jobs.max(1);
     }
 
     /// Cumulative work counters (evaluations performed vs. cached).
@@ -755,12 +733,10 @@ impl Cluster {
         self.loads_valid = true;
     }
 
-    /// The parallel phase: every node advances independently.
+    /// Advances every node by one second, in node-id order.
     fn eval_nodes(&mut self, time: u64, collect: bool) {
-        pool::for_each_item_mut(&mut self.nodes, self.n_jobs, |_i, node| node.tick(time, collect));
-        for node in &self.nodes {
-            self.stats.container_evals += node.evals;
-            self.stats.cached_ticks += node.cached;
+        for node in &mut self.nodes {
+            node.tick(time, collect, &mut self.stats);
         }
     }
 
@@ -850,8 +826,7 @@ impl Cluster {
 
     /// Like [`Cluster::step`], but writes into `report`, reusing its
     /// buffers: a steady-state loop over `step_into` performs no heap
-    /// allocation (with `n_jobs == 1`; the worker pool allocates scoped
-    /// threads per call when parallel).
+    /// allocation.
     pub fn step_into(&mut self, loads: &[(AppId, f64)], report: &mut TickReport) {
         let _tick_span = obs::Span::enter("sim.tick");
         obs::counter_add("sim.ticks", 1);
@@ -1459,22 +1434,6 @@ mod tests {
                 mixed.step(&loads)
             };
             assert_reports_identical(&got, &want, t);
-        }
-    }
-
-    #[test]
-    fn parallel_nodes_match_serial_bitwise() {
-        let (mut serial, a, b) = two_app_cluster(13);
-        let (mut parallel, _, _) = two_app_cluster(13);
-        parallel.set_n_jobs(4);
-        let mut rs = TickReport::empty();
-        let mut rp = TickReport::empty();
-        for t in 0..10u64 {
-            let loads = [(a, 150.0 + t as f64), (b, 70.0)];
-            serial.step_into(&loads, &mut rs);
-            parallel.step_into(&loads, &mut rp);
-            assert_reports_identical(&rp, &rs, t);
-            assert_eq!(parallel.stats(), serial.stats(), "t={t}");
         }
     }
 

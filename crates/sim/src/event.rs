@@ -18,7 +18,7 @@
 //! Scale events sit in one queue ordered by a deterministic `(time, seq)`
 //! key, where `seq` is a globally increasing schedule counter — two runs
 //! with the same seed and the same schedule pop events in exactly the
-//! same order, on any worker count.
+//! same order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -142,11 +142,6 @@ impl EventSim {
     /// ticks.
     pub fn set_monitor_every(&mut self, seconds: u64) {
         self.monitor_every = seconds.max(1);
-    }
-
-    /// Worker threads for the parallel node phase.
-    pub fn set_n_jobs(&mut self, n_jobs: usize) {
-        self.cluster.set_n_jobs(n_jobs);
     }
 
     /// Drives `app` with `profile`, sampled every simulated second from

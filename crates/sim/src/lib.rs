@@ -34,7 +34,7 @@
 //!
 //! Two execution modes share one engine. [`Cluster::step`] advances one
 //! second incrementally (fixed-point container caching, per-node
-//! contention factors, node-parallel evaluation);
+//! contention factors);
 //! [`Cluster::step_dense_legacy`] is the original dense per-second loop,
 //! kept as the equivalence oracle. [`event::EventSim`] drives the
 //! cluster one second at a time — it samples every workload's load,

@@ -15,19 +15,15 @@
 //!    stepped, ramp, Locust, shifted/summed Locust, daily-pattern and
 //!    the trace-driven profiles (bundled sample + synthesizer, both
 //!    interpolations).
-//! 3. **Worker independence** — `n_jobs` 1 vs 4 produce bit-identical
-//!    report streams and work counters (nodes share no mutable state
-//!    within a tick).
-//! 4. **Deterministic event order** — two identically seeded runs pop
+//! 3. **Deterministic event order** — two identically seeded runs pop
 //!    events in the same `(time, seq)` order and end in the same state.
-//! 5. **Fixed-point accounting** — every second between sparse monitor
+//! 4. **Fixed-point accounting** — every second between sparse monitor
 //!    samples runs as a state-only tick, and a settled stretch is
 //!    served from the fixed-point cache instead of re-evaluated.
 
 use monitorless_metrics::{InstanceId, NodeId};
 use monitorless_sim::{
-    AppId, Cluster, ContainerLimits, EventSim, NodeSpec, ServiceProfile, ServiceRole, SimStats,
-    TickReport,
+    AppId, Cluster, ContainerLimits, EventSim, NodeSpec, ServiceProfile, ServiceRole, TickReport,
 };
 use monitorless_std::{Rng, StdRng};
 use monitorless_workload::{
@@ -135,13 +131,11 @@ fn profiles_for(apps: &[AppId], seed: u64) -> Vec<Box<dyn LoadProfile>> {
 
 /// Runs the event path and the dense twin in lockstep for `ticks`
 /// seconds (monitoring at 1 Hz), asserting bitwise-identical reports,
-/// with a scale-out and a scale-in fired mid-episode. Returns the event
-/// path's work counters.
-fn run_equivalence(seed: u64, ticks: u64, n_jobs: usize) -> SimStats {
+/// with a scale-out and a scale-in fired mid-episode.
+fn run_equivalence(seed: u64, ticks: u64) {
     let (cluster, apps) = random_cluster(seed);
     let (mut dense, _) = random_cluster(seed);
     let mut sim = EventSim::new(cluster);
-    sim.set_n_jobs(n_jobs);
     for (app, profile) in apps.iter().zip(profiles_for(&apps, seed)) {
         sim.add_workload(*app, profile);
     }
@@ -174,24 +168,12 @@ fn run_equivalence(seed: u64, ticks: u64, n_jobs: usize) -> SimStats {
         let want = dense.step_dense_legacy(&loads);
         assert_reports_identical(report, &want, &format!("seed={seed} t={t}"));
     }
-    sim.cluster_stats()
 }
 
 #[test]
 fn random_topologies_match_dense_bitwise() {
     for seed in 0..4u64 {
-        run_equivalence(seed, 75, 1);
-    }
-}
-
-#[test]
-fn parallel_workers_match_dense_bitwise() {
-    // Same scenarios, evaluated with 4 workers: node parallelism must
-    // not perturb a single bit, nor the cache's work counters.
-    for seed in 0..2u64 {
-        let parallel = run_equivalence(seed, 60, 4);
-        let serial = run_equivalence(seed, 60, 1);
-        assert_eq!(parallel, serial, "seed={seed}");
+        run_equivalence(seed, 75);
     }
 }
 

@@ -207,14 +207,16 @@ fn malformed_observation_is_rejected_and_leaves_windows_untouched() {
     let model = model();
     let mut orch = Orchestrator::new(Arc::clone(&model));
     let mut twin = Orchestrator::new(Arc::clone(&model));
+    let mut legacy = Orchestrator::new(Arc::clone(&model));
     for t in 0..5 {
         let observed = observations(7, t);
         orch.step(&observed).unwrap();
         twin.step(&observed).unwrap();
+        legacy.step_legacy(&observed).unwrap();
     }
     // One container vector one metric short, a host vector one metric
     // long, and one instance listed twice (on its own node, then on a
-    // second node): each tick is refused before any window moves.
+    // second node): both paths refuse each tick before any window moves.
     let mut short = observations(7, 5);
     short[1].containers[0].1.pop();
     let mut long = observations(7, 5);
@@ -231,19 +233,27 @@ fn malformed_observation_is_rejected_and_leaves_windows_untouched() {
         (twice_on_one_node, "instance0 is listed more than once"),
         (twice_on_two_nodes, "instance0 is listed more than once"),
     ] {
-        let err = orch.step(&bad).unwrap_err();
-        assert!(matches!(err, monitorless::Error::Invalid(_)), "{err}");
-        assert!(err.to_string().contains(names), "{err}");
+        for err in [
+            orch.step(&bad).unwrap_err(),
+            legacy.step_legacy(&bad).unwrap_err(),
+        ] {
+            assert!(matches!(err, monitorless::Error::Invalid(_)), "{err}");
+            assert!(err.to_string().contains(names), "{err}");
+        }
         assert_eq!(orch.tracked_instances(), 7);
+        assert_eq!(legacy.tracked_instances(), 7);
     }
     // Enough ticks for the drift detectors to score (7 rows per tick).
     for t in 5..25 {
         let observed = observations(7, t);
         let a = orch.step(&observed).unwrap().to_vec();
         let b = twin.step(&observed).unwrap().to_vec();
+        let c = legacy.step_legacy(&observed).unwrap().to_vec();
         assert_ticks_equal(t, &a, &b);
+        assert_ticks_equal(t, &a, &c);
     }
     assert_eq!(orch.drift().scores(), twin.drift().scores());
+    assert_eq!(legacy.drift().scores(), twin.drift().scores());
 }
 
 /// Drives one instance through a load step until drift alerts fire and
