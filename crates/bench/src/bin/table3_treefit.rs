@@ -107,10 +107,13 @@ fn legacy_forest_fit(x: &Matrix, y: &[u8], params: &RandomForestParams) -> Vec<D
                 seed: rng.gen(),
                 ..DecisionTreeParams::default()
             });
+            // A one-class draw takes the forest's fallback stump: the
+            // tree's own criterion, floors, feature sampling and seed,
+            // at depth 1, on the full data.
             if tree.fit_resorting(&xb, &yb, Some(&wb)).is_err() {
                 let mut fallback = DecisionTree::new(DecisionTreeParams {
                     max_depth: Some(1),
-                    ..DecisionTreeParams::default()
+                    ..tree.params().clone()
                 });
                 fallback
                     .fit_resorting(x, y, Some(&vec![1.0; n]))

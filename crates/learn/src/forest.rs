@@ -5,19 +5,26 @@
 //! information-gain splitting and no class weighting, with the decision
 //! threshold later lowered to 0.4 to favour recall (Section 4).
 //!
-//! Every tree fits on the shared presorted cache through a bootstrap
-//! row map ([`RandomForest::fit_presorted`]). The cache sorts a feature
-//! the first time any tree's split search samples it, on whichever
-//! worker gets there first, and every other tree reuses that sort;
-//! features no tree samples are never sorted, which is most of them
-//! when a small forest filters thousands of columns (the feature
-//! pipeline's per-configuration filters). With no class weighting
-//! the weights are all one, so an information-gain forest takes the
-//! tree builder's entropy filter: each candidate threshold is scored
-//! from a `k·log2 k` table, built once per forest fit and shared by
-//! its trees, and only the few that can still win pay for the exact
-//! entropy, with bit-identical trees. That fit is most of a shadow
-//! retrain's challenger fit.
+//! Every tree fits on the shared presorted cache
+//! ([`RandomForest::fit_presorted`]), and no bootstrap matrix is ever
+//! materialized. With no class weighting and unit sample weights —
+//! every forest the model, the feature pipeline's filters and the
+//! shadow retrainer fit — a tree grows on its distinct drawn rows, each
+//! carrying its draw count (about 63% of the draws); a node's size, its
+//! leaf floors and its class counts are drawn counts, so each tree is
+//! bit-identical to one grown on its materialized bootstrap. A
+//! class-weighted or sample-weighted fit keeps a virtual row per draw.
+//! The cache sorts a feature the first time any tree's split search
+//! samples it, on whichever worker gets there first, and every other
+//! tree reuses that sort; features no tree samples are never sorted,
+//! which is most of them when a small forest filters thousands of
+//! columns (the feature pipeline's per-configuration filters). With
+//! unit weights an information-gain forest takes the tree builder's
+//! entropy filter: each candidate threshold is scored from a `k·log2 k`
+//! table, built once per forest fit and shared by its trees, and only
+//! the few that can still win pay for the exact entropy, with
+//! bit-identical trees. That fit is most of a shadow retrain's
+//! challenger fit.
 
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
@@ -82,6 +89,20 @@ impl Default for RandomForestParams {
 }
 
 impl RandomForestParams {
+    /// Checks what every fit needs of the parameters: at least one
+    /// tree, and the split floors every tree fit needs.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameter`] naming the first parameter out of
+    /// range.
+    pub(crate) fn check(&self) -> Result<(), Error> {
+        if self.n_estimators == 0 {
+            return Err(Error::InvalidParameter("n_estimators must be at least 1".into()));
+        }
+        crate::tree::check_split_floors(self.min_samples_split, self.min_samples_leaf)
+    }
+
     /// The configuration the paper's grid search selected (Section 3.4):
     /// 250 trees, 20 samples per leaf, information gain, no class weights.
     pub fn paper_selected() -> Self {
@@ -255,11 +276,13 @@ impl RandomForest {
         (w0, w1)
     }
 
+    /// Grows tree `tree_idx`; `sample_weight` is `None` for unit
+    /// weights.
     fn train_one(
         &self,
         ps: &PresortedDataset,
         y: &[u8],
-        base_weight: &[f64],
+        sample_weight: Option<&[f64]>,
         global_cw: (f64, f64),
         klogk: Option<&[f64]>,
         tree_idx: usize,
@@ -272,23 +295,47 @@ impl RandomForest {
                 .wrapping_add(tree_idx as u64),
         );
         let n = ps.n_rows();
-        let indices: Vec<usize> = if self.params.bootstrap {
-            (0..n).map(|_| rng.gen_range(0..n)).collect()
+        // Instead of materializing the bootstrap matrix, derive its
+        // sorted order from the shared presorted cache. An unweighted
+        // draw keeps each drawn row once with its draw count; any
+        // other keeps a virtual row per draw, each with its own label
+        // and weight.
+        let counted = self.params.bootstrap
+            && sample_weight.is_none()
+            && self.params.class_weight == ClassWeight::None;
+        let (mut trav, labels) = if counted {
+            let mut draws = vec![0u32; n];
+            for _ in 0..n {
+                draws[rng.gen_range(0..n)] += 1;
+            }
+            (PresortTraversal::counted(ps, draws), None)
         } else {
-            (0..n).collect()
+            let indices: Vec<usize> = if self.params.bootstrap {
+                (0..n).map(|_| rng.gen_range(0..n)).collect()
+            } else {
+                (0..n).collect()
+            };
+            let cw = match self.params.class_weight {
+                ClassWeight::None => (1.0, 1.0),
+                ClassWeight::Balanced => global_cw,
+                ClassWeight::BalancedSubsample => Self::class_weights_for(y, &indices),
+            };
+            let yb: Vec<u8> = indices.iter().map(|&i| y[i]).collect();
+            let wb: Vec<f64> = indices
+                .iter()
+                .map(|&i| sample_weight.map_or(1.0, |w| w[i]) * if y[i] == 1 { cw.1 } else { cw.0 })
+                .collect();
+            let trav = if self.params.bootstrap {
+                PresortTraversal::with_map(ps, indices.iter().map(|&i| i as u32).collect())
+            } else {
+                PresortTraversal::identity(ps)
+            };
+            (trav, Some((yb, wb)))
         };
-
-        let cw = match self.params.class_weight {
-            ClassWeight::None => (1.0, 1.0),
-            ClassWeight::Balanced => global_cw,
-            ClassWeight::BalancedSubsample => Self::class_weights_for(y, &indices),
+        let (yb, wb) = match &labels {
+            Some((yb, wb)) => (yb.as_slice(), Some(wb.as_slice())),
+            None => (y, None),
         };
-
-        let yb: Vec<u8> = indices.iter().map(|&i| y[i]).collect();
-        let wb: Vec<f64> = indices
-            .iter()
-            .map(|&i| base_weight[i] * if y[i] == 1 { cw.1 } else { cw.0 })
-            .collect();
 
         let mut tree = DecisionTree::new(DecisionTreeParams {
             criterion: self.params.criterion,
@@ -299,27 +346,17 @@ impl RandomForest {
             max_features: self.params.max_features,
             seed: rng.gen(),
         });
-        // Instead of materializing the bootstrap matrix, derive its
-        // sorted order from the shared presorted cache.
-        let mut trav = if self.params.bootstrap {
-            PresortTraversal::with_map(ps, indices.iter().map(|&i| i as u32).collect())
-        } else {
-            PresortTraversal::identity(ps)
-        };
         // A bootstrap sample may contain a single class; fall back to a
         // stump trained on the full data in that unlikely case, under
         // the forest's own criterion, leaf and split floors and feature
-        // subsampling.
-        if tree
-            .fit_traversal(&mut trav, &yb, Some(&wb), klogk)
-            .is_err()
-        {
+        // subsampling. `fit_presorted` checked what else could fail.
+        if tree.fit_traversal(&mut trav, yb, wb, klogk).is_err() {
             let mut fallback = DecisionTree::new(DecisionTreeParams {
                 max_depth: Some(1),
                 ..tree.params().clone()
             });
             fallback
-                .fit_presorted(ps, y, Some(base_weight))
+                .fit_presorted(ps, y, sample_weight)
                 .expect("full training data was validated in fit");
             return fallback;
         }
@@ -335,21 +372,23 @@ impl RandomForest {
         sample_weight: Option<&[f64]>,
     ) -> Result<(), Error> {
         crate::validate_fit_parts(ps.n_rows(), ps.n_features(), y, sample_weight)?;
-        if self.params.n_estimators == 0 {
-            return Err(Error::InvalidParameter("n_estimators must be at least 1".into()));
+        self.params.check()?;
+        // All-one weights fit exactly as no weights do, so they take the
+        // counted bootstrap too.
+        let sample_weight = sample_weight.filter(|w| w.iter().any(|&v| v != 1.0));
+        // With these checked, only a one-class bootstrap draw can fail a
+        // tree's fit, and its full-data fallback stump cannot.
+        if sample_weight.is_some_and(|w| w.iter().sum::<f64>() <= 0.0) {
+            return Err(Error::InvalidParameter("sample weights must not all be zero".into()));
         }
         self.n_features = ps.n_features();
-        let base_weight: Vec<f64> = match sample_weight {
-            Some(w) => w.to_vec(),
-            None => vec![1.0; ps.n_rows()],
-        };
         let all: Vec<usize> = (0..ps.n_rows()).collect();
         let global_cw = Self::class_weights_for(y, &all);
 
         let n_jobs = self.params.n_jobs.max(1);
         let n_trees = self.params.n_estimators;
         let fit_span = obs::Span::enter("forest.fit");
-        // Every tree's traversal has `n_rows` rows, so one entropy-filter
+        // Every tree's sample draws `n_rows` rows, so one entropy-filter
         // table serves them all.
         let klogk = (self.params.criterion == SplitCriterion::Entropy)
             .then(|| crate::tree::klogk_table(ps.n_rows()));
@@ -366,7 +405,7 @@ impl RandomForest {
             workers.time(|| {
                 for (off, slot) in chunk.iter_mut().enumerate() {
                     let t = chunk_id * chunk_size + off;
-                    *slot = Some(this.train_one(ps, y, &base_weight, global_cw, klogk, t));
+                    *slot = Some(this.train_one(ps, y, sample_weight, global_cw, klogk, t));
                 }
             });
         });
@@ -457,6 +496,11 @@ impl monitorless_std::json::FromJson for RandomForest {
             trees: field(json, "trees")?,
             n_features: field(json, "n_features")?,
         };
+        // A retrain fits a challenger with these parameters.
+        forest
+            .params
+            .check()
+            .map_err(|e| JsonError(format!("forest params: {e}")))?;
         for (t, tree) in forest.trees.iter().enumerate() {
             if !tree.is_fitted() {
                 return Err(JsonError(format!("forest tree {t} has no nodes")));
@@ -642,6 +686,56 @@ mod tests {
         });
         let x = Matrix::from_rows(&[&[0.0], &[1.0]]);
         assert!(matches!(rf.fit(&x, &[0, 1], None), Err(Error::InvalidParameter(_))));
+    }
+
+    #[test]
+    fn bad_floors_and_zero_weights_are_rejected_before_any_tree_trains() {
+        let (x, y) = blob_data(10);
+        let fit = |params: RandomForestParams, w: Option<&[f64]>| {
+            RandomForest::new(RandomForestParams {
+                n_estimators: 4,
+                n_jobs: 2,
+                ..params
+            })
+            .fit(&x, &y, w)
+        };
+        let invalid = |r: Result<(), Error>, what: &str| match r {
+            Err(Error::InvalidParameter(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+            other => panic!("{what}: got {other:?}"),
+        };
+        invalid(
+            fit(
+                RandomForestParams {
+                    min_samples_leaf: 0,
+                    ..RandomForestParams::default()
+                },
+                None,
+            ),
+            "min_samples_leaf",
+        );
+        invalid(
+            fit(
+                RandomForestParams {
+                    min_samples_split: 1,
+                    ..RandomForestParams::default()
+                },
+                None,
+            ),
+            "min_samples_split",
+        );
+        let zeros = vec![0.0; x.rows()];
+        invalid(fit(RandomForestParams::default(), Some(&zeros)), "sample weights");
+        // A decoded forest with such floors fails to decode: a retrain
+        // would fit a challenger with them.
+        let mut rf = RandomForest::new(RandomForestParams {
+            n_estimators: 2,
+            ..RandomForestParams::default()
+        });
+        rf.fit(&x, &y, None).unwrap();
+        rf.params.min_samples_leaf = 0;
+        let json = monitorless_std::json::to_string(&rf);
+        let err = monitorless_std::json::from_str::<RandomForest>(&json).unwrap_err();
+        assert!(err.0.contains("min_samples_leaf must be at least 1"), "{}", err.0);
     }
 
     #[test]

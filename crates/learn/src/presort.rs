@@ -21,12 +21,13 @@
 //!   cache keeps, appends to and clones.
 //! * With unit sample weights — every non-boosted fit —
 //!   [`PresortTraversal::group_node`] turns a node into its per-rank
-//!   class histogram in two `O(len)` passes, and the split sweep runs
-//!   over *distinct values*, not rows. No sort, no gather, no per-row
-//!   scan survives on this path. Its class counts are exact integers,
-//!   which is also what lets entropy fits score each boundary from a
-//!   `k·log2 k` table and compute the exact entropy only for the few
-//!   that can still win (see `tree`).
+//!   class histogram in one `O(len)` pass and lists the ranks the node
+//!   holds, and the split sweep runs over those *distinct values*, not
+//!   over rows or over every rank the node spans. No sort, no gather,
+//!   no per-row scan survives on this path. Its class counts are exact
+//!   integers, which is also what lets entropy fits score each boundary
+//!   from a `k·log2 k` table and compute the exact entropy only for the
+//!   few that can still win (see `tree`).
 //! * Weighted fits ([`PresortTraversal::gather_node`]) recover the
 //!   node's sorted order from the ranks — a packed-integer-key sort for
 //!   small nodes, an offset counting sort when the node spans a narrow
@@ -40,9 +41,14 @@
 //! The cache is shared: all trees of a forest fit, all AdaBoost rounds,
 //! all gradient-boosting stages and all grid-search candidates
 //! evaluating the same fold reuse one build. Bootstrap resampling does
-//! not invalidate it either — a bootstrap sample only *duplicates and
-//! reorders* rows, so ranks keep working through the traversal's
-//! virtual-row map.
+//! not invalidate it either — a bootstrap sample only *repeats and
+//! drops* rows, so the ranks serve it as they are. An unweighted sample
+//! (`PresortTraversal::counted`) walks each drawn row once, by its own
+//! id, with its draw count: about 63% (1 − 1/e) of a draw's rows are
+//! distinct, and with every weight one a row drawn `k` times adds
+//! exactly what `k` copies add. A weighted sample keeps one virtual row
+//! per draw ([`PresortTraversal::with_map`]), since adding a weight `k`
+//! times and adding `k` times the weight round differently.
 //!
 //! # Storage
 //!
@@ -555,24 +561,31 @@ pub(crate) fn value_at(values: &[AtomicU64], i: usize) -> f64 {
 }
 
 /// Mutable per-fit traversal state over a shared [`PresortedDataset`]:
-/// the node-segmented row-membership list plus sorting scratch.
+/// the node-segmented list of row ids plus sorting scratch.
 ///
-/// Rows are *virtual*: with a bootstrap `map` of length `m`, virtual
-/// row `j` refers to original row `map[j]` (duplicates allowed). The
-/// identity traversal (`map = None`) trains on the matrix as-is.
+/// A traversal walks *row ids*, and per-row labels and weights are
+/// indexed by row id. How an id names a dataset row depends on the
+/// sample:
+/// * [`PresortTraversal::identity`]: id `v` is row `v`, once each;
+/// * `PresortTraversal::counted` (an unweighted bootstrap): id `v` is
+///   row `v`, drawn `draws[v]` times, and rows drawn zero times are not
+///   walked. A node's size is its drawn count, the sum of its rows'
+///   draws;
+/// * [`PresortTraversal::with_map`] (a weighted bootstrap): id `j` is a
+///   *virtual* row, one per draw, naming row `map[j]`.
 #[derive(Debug)]
 pub struct PresortTraversal<'a> {
     ps: &'a PresortedDataset,
-    /// Virtual-row → original-row map (`None` = identity).
-    map: Option<Vec<u32>>,
-    /// Virtual-row ids in ascending order, segmented per node — the
-    /// exact analogue of the legacy builder's `indices` lists.
+    /// How row ids name dataset rows.
+    ids: RowIds,
+    /// Row ids in ascending order, segmented per node — the exact
+    /// analogue of the legacy builder's `indices` lists.
     rows: Vec<u32>,
     /// Partition / counting-sort placement scratch.
     scratch: Vec<u32>,
-    /// Goes-left flag per virtual row for the split being applied.
+    /// Goes-left flag per row id for the split being applied.
     side: Vec<bool>,
-    /// `(rank, virtual row)` keys for the radix-sort path.
+    /// `(rank, row id)` keys for the radix-sort path.
     keys: Vec<u64>,
     /// Ping-pong buffer for radix place passes.
     keys_alt: Vec<u64>,
@@ -580,42 +593,120 @@ pub struct PresortTraversal<'a> {
     counts: Vec<u32>,
     /// Per-item rank cache for the counting-sort path.
     rank_scratch: Vec<u32>,
-    /// Per-group label-one counters for the grouped split search.
-    ones: Vec<u32>,
+    /// The grouped split search's per-rank class histogram.
+    groups: RankGroups,
+}
+
+/// How a [`PresortTraversal`]'s row ids name dataset rows.
+#[derive(Debug)]
+enum RowIds {
+    /// Id `v` is dataset row `v`, drawn once.
+    Identity,
+    /// Id `v` is dataset row `v`, drawn `draws[v]` times.
+    Counted(Vec<u32>),
+    /// Id `j` is dataset row `map[j]`, drawn once; ids may share a row.
+    Map(Vec<u32>),
+}
+
+impl RowIds {
+    /// The virtual-row map, if ids are virtual rows.
+    #[inline]
+    fn map(&self) -> Option<&[u32]> {
+        match self {
+            RowIds::Map(map) => Some(map),
+            RowIds::Identity | RowIds::Counted(_) => None,
+        }
+    }
 }
 
 /// Per-rank-group histogram of a node for one feature, produced by
-/// [`PresortTraversal::group_node`]. Group `g` covers local rank
-/// `min_rank + g`; absent ranks simply have `counts[g] == 0`.
+/// [`PresortTraversal::group_node`]. Group `r` holds the node's rows of
+/// rank `r`; read only the groups `present` lists.
 #[derive(Debug)]
 pub struct NodeGroups<'t> {
-    /// Smallest rank present in the node.
-    pub min_rank: usize,
-    /// Rows per group (node-local).
+    /// Drawn rows per rank.
     pub counts: &'t [u32],
-    /// Label-one rows per group (node-local).
+    /// Drawn label-one rows per rank.
     pub ones: &'t [u32],
+    /// The ranks the node holds, ascending: the only groups a sweep
+    /// needs to visit.
+    pub present: &'t [u32],
+}
+
+/// The grouped split search's per-rank class histogram, indexed by
+/// absolute rank and kept across nodes: between two tallies only the
+/// last node's present groups are non-zero, so a node pays for the
+/// ranks it holds, not for the ranks it spans. Deep nodes often span
+/// many more ranks than they hold rows.
+#[derive(Debug, Default)]
+struct RankGroups {
+    /// Drawn rows per rank.
+    counts: Vec<u32>,
+    /// Drawn label-one rows per rank.
+    ones: Vec<u32>,
+    /// One bit per rank, set by a tally and cleared as it is listed.
+    bits: Vec<u64>,
+    /// The ranks the last tally touched, ascending.
+    present: Vec<u32>,
+}
+
+impl RankGroups {
+    /// Histograms `(rank, drawn count, positive)` rows of a feature
+    /// with `n_ranks` ranks, after clearing the previous tally, and
+    /// lists the ranks touched.
+    fn tally(&mut self, n_ranks: usize, rows: impl Iterator<Item = (u32, u32, bool)>) {
+        for &r in &self.present {
+            self.counts[r as usize] = 0;
+            self.ones[r as usize] = 0;
+        }
+        self.present.clear();
+        if self.counts.len() < n_ranks {
+            self.counts.resize(n_ranks, 0);
+            self.ones.resize(n_ranks, 0);
+            self.bits.resize(n_ranks.div_ceil(64), 0);
+        }
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for (r, c, positive) in rows {
+            let r = r as usize;
+            self.counts[r] += c;
+            self.ones[r] += c * u32::from(positive);
+            self.bits[r / 64] |= 1 << (r % 64);
+            lo = lo.min(r);
+            hi = hi.max(r);
+        }
+        for w in lo / 64..=hi / 64 {
+            let mut bits = std::mem::take(&mut self.bits[w]);
+            while bits != 0 {
+                self.present.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 impl<'a> PresortTraversal<'a> {
-    fn with_rows(ps: &'a PresortedDataset, map: Option<Vec<u32>>, m: usize) -> Self {
+    fn with_rows(ps: &'a PresortedDataset, ids: RowIds, rows: Vec<u32>) -> Self {
+        let n_ids = match &ids {
+            RowIds::Map(map) => map.len(),
+            RowIds::Identity | RowIds::Counted(_) => ps.n_rows(),
+        };
         PresortTraversal {
             ps,
-            map,
-            rows: (0..m as u32).collect(),
-            scratch: vec![0u32; m],
-            side: vec![false; m],
+            ids,
+            scratch: vec![0u32; rows.len()],
+            rows,
+            side: vec![false; n_ids],
             keys: Vec::new(),
             keys_alt: Vec::new(),
             counts: Vec::new(),
             rank_scratch: Vec::new(),
-            ones: Vec::new(),
+            groups: RankGroups::default(),
         }
     }
 
     /// Traversal over the matrix rows as-is (no resampling).
     pub fn identity(ps: &'a PresortedDataset) -> Self {
-        Self::with_rows(ps, None, ps.n_rows())
+        Self::with_rows(ps, RowIds::Identity, (0..ps.n_rows() as u32).collect())
     }
 
     /// Resets an identity traversal for reuse (e.g. the next boosting
@@ -623,19 +714,39 @@ impl<'a> PresortTraversal<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the traversal was built with a bootstrap map.
+    /// Panics if the traversal was built over a sample.
     pub fn reset_identity(&mut self) {
-        assert!(self.map.is_none(), "reset_identity on a mapped traversal");
+        assert!(matches!(self.ids, RowIds::Identity), "reset_identity on a sampled traversal");
         for (j, r) in self.rows.iter_mut().enumerate() {
             *r = j as u32;
         }
     }
 
+    /// Traversal over an unweighted (bootstrap) sample that drew row
+    /// `v` `draws[v]` times: it walks each drawn row once, by its own
+    /// id, and counts it `draws[v]` times. With every weight one, a
+    /// node's class counts are exact integers however they are summed,
+    /// so a fit on this traversal grows the tree a fit on the
+    /// materialized sample grows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `draws` does not hold one count per dataset row.
+    pub(crate) fn counted(ps: &'a PresortedDataset, draws: Vec<u32>) -> Self {
+        assert_eq!(draws.len(), ps.n_rows(), "one draw count per dataset row");
+        let rows = (0..draws.len() as u32)
+            .filter(|&v| draws[v as usize] > 0)
+            .collect();
+        Self::with_rows(ps, RowIds::Counted(draws), rows)
+    }
+
     /// Traversal over a (bootstrap) sample: virtual row `j` is original
-    /// row `map[j]`.
+    /// row `map[j]`. Weighted samples take this form, since adding a
+    /// weight `k` times and adding `k` times the weight round
+    /// differently.
     pub fn with_map(ps: &'a PresortedDataset, map: Vec<u32>) -> Self {
-        let m = map.len();
-        Self::with_rows(ps, Some(map), m)
+        let rows = (0..map.len() as u32).collect();
+        Self::with_rows(ps, RowIds::Map(map), rows)
     }
 
     /// The shared dataset this traversal walks.
@@ -644,7 +755,7 @@ impl<'a> PresortTraversal<'a> {
         self.ps
     }
 
-    /// Number of (virtual) rows.
+    /// Number of row ids walked (distinct rows for a counted sample).
     #[inline]
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -656,34 +767,54 @@ impl<'a> PresortTraversal<'a> {
         self.rows.is_empty()
     }
 
-    /// Original row behind virtual row `v`.
+    /// The length per-row labels and weights must have: one entry per
+    /// row id.
     #[inline]
-    fn original(&self, v: u32) -> u32 {
-        match &self.map {
-            Some(map) => map[v as usize],
-            None => v,
-        }
+    pub(crate) fn n_ids(&self) -> usize {
+        self.side.len()
     }
 
-    /// Value of feature `f` at virtual row `v`.
+    /// Value of feature `f` at row id `v`.
     #[inline]
     pub fn value(&self, f: usize, v: u32) -> f64 {
-        self.ps.column(f)[self.original(v) as usize]
+        let row = match self.ids.map() {
+            Some(map) => map[v as usize],
+            None => v,
+        };
+        self.ps.column(f)[row as usize]
     }
 
-    /// Ascending virtual-row ids of the node spanning `[lo, hi)`.
+    /// Ascending row ids of the node spanning `[lo, hi)`.
     #[inline]
     pub fn rows_segment(&self, lo: usize, hi: usize) -> &[u32] {
         &self.rows[lo..hi]
     }
 
-    /// Calls `emit(slot, virtual_row, value)` exactly once for every
-    /// row of the node `[lo, hi)`, where `slot` is the row's position
-    /// in `(total_cmp value, row-ascending)` order — the exact order
-    /// the legacy builder's per-node stable sort produced. Calls may
+    /// The drawn size of the node `[lo, hi)` and its drawn label-one
+    /// rows (`y` indexed by row id): the segment's length and label
+    /// count, or, for a counted sample, the sums of its rows' draws.
+    pub(crate) fn drawn(&self, lo: usize, hi: usize, y: &[u8]) -> (usize, usize) {
+        let seg = &self.rows[lo..hi];
+        match &self.ids {
+            RowIds::Counted(draws) => seg.iter().fold((0, 0), |(n, n1), &v| {
+                let c = draws[v as usize] as usize;
+                (n + c, n1 + c * usize::from(y[v as usize] == 1))
+            }),
+            RowIds::Identity | RowIds::Map(_) => {
+                let n1 = seg.iter().filter(|&&v| y[v as usize] == 1).count();
+                (seg.len(), n1)
+            }
+        }
+    }
+
+    /// Calls `emit(slot, row_id, value)` exactly once for every row id
+    /// of the node `[lo, hi)`, where `slot` is the id's position in
+    /// `(total_cmp value, id-ascending)` order — the exact order the
+    /// legacy builder's per-node stable sort produced. Calls may
     /// arrive out of order; the caller writes `slot` of its own
     /// pre-sized buffers, so the sorted gather is built in one pass
-    /// fused into the final placement.
+    /// fused into the final placement. A counted sample's draws are not
+    /// applied: each drawn row is emitted once.
     ///
     /// Returns `false` — without emitting anything — when the feature
     /// is constant and non-NaN across the node, i.e. exactly when the
@@ -710,7 +841,7 @@ impl<'a> PresortTraversal<'a> {
         let rk = self.ps.ranks_of(feature);
         let seg = &self.rows[lo..hi];
         let len = seg.len();
-        let map = self.map.as_deref();
+        let map = self.ids.map();
         let row_of = |v: u32| -> usize {
             match map {
                 Some(map) => map[v as usize] as usize,
@@ -738,7 +869,7 @@ impl<'a> PresortTraversal<'a> {
         if len < 64 {
             // Small node: a comparison sort of the packed keys beats
             // any histogram setup. Segments are always ascending in
-            // virtual row, so `(rank, virtual_row)` order is exactly
+            // row id, so `(rank, row_id)` order is exactly
             // `(rank, segment position)` — stable-equivalent — and key
             // uniqueness makes the unstable sort deterministic.
             let keys = &mut self.keys;
@@ -774,7 +905,7 @@ impl<'a> PresortTraversal<'a> {
             }
         } else {
             // Wide-range node: stable LSD radix sort of
-            // `(rank << 32) | virtual_row` keys by the offset-rank
+            // `(rank << 32) | row_id` keys by the offset-rank
             // bytes. Stability keeps equal ranks in segment
             // (row-ascending) order, all byte histograms come from one
             // pass, uniform bytes are skipped, and the last live pass
@@ -843,20 +974,25 @@ impl<'a> PresortTraversal<'a> {
     }
 
     /// Builds the per-rank-group class histogram of the node `[lo, hi)`
-    /// for `feature`: two `O(len)` passes, no sort, no placement. `y`
-    /// holds the virtual-row labels (`1` = positive class).
+    /// for `feature`: one `O(len)` pass over its row ids, no sort, no
+    /// placement, then one walk over a bitmap of the ranks the pass
+    /// touched, which lists the node's non-empty groups in rank order.
+    /// `y` holds the labels by row id (`1` = positive class). A counted
+    /// sample's row adds its draw count to its group's rows, and
+    /// count × label to its positives.
     ///
     /// This is the unit-weight split search's whole input: with all
     /// sample weights exactly `1.0`, class-weight sums are exact
-    /// integer counts, so a sweep over rank groups — `O(distinct
-    /// values)` — reproduces the legacy per-row sweep bit for bit
-    /// (integer addition is order-independent, and each group's value
-    /// comes back bit-exact via
-    /// [`PresortedDataset::rank_values`]).
+    /// integer counts, so a sweep over the present rank groups —
+    /// `O(distinct values)` — reproduces the legacy per-row sweep over
+    /// the materialized sample bit for bit (integer addition is
+    /// order-independent, and each group's value comes back bit-exact
+    /// via [`PresortedDataset::rank_values`]).
     ///
-    /// Returns `None` when the feature is constant and non-NaN across
-    /// the node — exactly when the caller's `lo_v == hi_v` guard would
-    /// discard the result (see [`Self::gather_node`]).
+    /// Returns `None` when the node is empty, or when the feature is
+    /// constant and non-NaN across the node — exactly when the
+    /// caller's `lo_v == hi_v` guard would discard the result (see
+    /// [`Self::gather_node`]).
     pub fn group_node(
         &mut self,
         feature: usize,
@@ -865,42 +1001,34 @@ impl<'a> PresortTraversal<'a> {
         y: &[u8],
     ) -> Option<NodeGroups<'_>> {
         let rk = self.ps.ranks_of(feature);
+        let values = self.ps.rank_values_of(feature);
         let seg = &self.rows[lo..hi];
-        let map = self.map.as_deref();
-        let row_of = |v: u32| -> usize {
-            match map {
-                Some(map) => map[v as usize] as usize,
-                None => v as usize,
+        let groups = &mut self.groups;
+        let n_ranks = values.len();
+        let rank = |row: u32| rk[row as usize].load(Relaxed);
+        let positive = |v: u32| y[v as usize] == 1;
+        match &self.ids {
+            RowIds::Identity => {
+                groups.tally(n_ranks, seg.iter().map(|&v| (rank(v), 1, positive(v))));
             }
-        };
-        let cached = &mut self.rank_scratch;
-        cached.clear();
-        let (mut min_rank, mut max_rank) = (u32::MAX, 0u32);
-        cached.extend(seg.iter().map(|&v| {
-            let r = rk[row_of(v)].load(Relaxed);
-            min_rank = min_rank.min(r);
-            max_rank = max_rank.max(r);
-            r
-        }));
-        let range = (max_rank - min_rank) as usize + 1;
-        if range == 1 && !value_at(self.ps.rank_values_of(feature), min_rank as usize).is_nan() {
-            return None;
+            RowIds::Counted(draws) => {
+                let c = |v: u32| draws[v as usize];
+                groups.tally(n_ranks, seg.iter().map(|&v| (rank(v), c(v), positive(v))));
+            }
+            RowIds::Map(map) => {
+                let row = |v: u32| map[v as usize];
+                groups.tally(n_ranks, seg.iter().map(|&v| (rank(row(v)), 1, positive(v))));
+            }
         }
-        let counts = &mut self.counts;
-        counts.clear();
-        counts.resize(range, 0);
-        let ones = &mut self.ones;
-        ones.clear();
-        ones.resize(range, 0);
-        for (&v, &r) in seg.iter().zip(cached.iter()) {
-            let g = (r - min_rank) as usize;
-            counts[g] += 1;
-            ones[g] += u32::from(y[v as usize] == 1);
+        match groups.present[..] {
+            [] => return None,
+            [r] if !value_at(values, r as usize).is_nan() => return None,
+            _ => {}
         }
         Some(NodeGroups {
-            min_rank: min_rank as usize,
-            counts,
-            ones,
+            counts: &groups.counts,
+            ones: &groups.ones,
+            present: &groups.present,
         })
     }
 
@@ -1055,6 +1183,58 @@ mod tests {
             });
             assert_eq!(sorted_rows(&mut t, f, 0, map.len()), expect, "feature {f}");
         }
+    }
+
+    /// `(rank, drawn rows, drawn label-one rows)` of each group the node
+    /// holds, or `None` for a node-constant feature.
+    fn tallies(
+        t: &mut PresortTraversal<'_>,
+        f: usize,
+        (lo, hi): (usize, usize),
+        y: &[u8],
+    ) -> Option<Vec<(u32, u32, u32)>> {
+        let g = t.group_node(f, lo, hi, y)?;
+        Some(
+            g.present
+                .iter()
+                .map(|&r| (r, g.counts[r as usize], g.ones[r as usize]))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn counted_groups_match_the_mapped_sample() {
+        let ps = PresortedDataset::build(&sample_matrix());
+        let map = vec![4u32, 0, 0, 2, 1, 3, 0];
+        let y = [1u8, 0, 1, 0, 1];
+        let yb: Vec<u8> = map.iter().map(|&r| y[r as usize]).collect();
+        let mut draws = vec![0u32; 5];
+        for &r in &map {
+            draws[r as usize] += 1;
+        }
+        let mut counted = PresortTraversal::counted(&ps, draws);
+        let mut mapped = PresortTraversal::with_map(&ps, map);
+        assert_eq!((counted.len(), counted.drawn(0, 5, &y)), (5, (7, 5)));
+        for f in 0..2 {
+            let want = tallies(&mut mapped, f, (0, 7), &yb);
+            assert_eq!(tallies(&mut counted, f, (0, 5), &y), want, "feature {f}");
+        }
+        assert_eq!(
+            tallies(&mut counted, 1, (0, 5), &y),
+            Some(vec![(0, 1, 0), (1, 5, 4), (2, 1, 1)])
+        );
+        // Split on feature 0 at 1.5: rows 1 and 3 go left. The right
+        // child's tallies start from clean counters, and the left child
+        // is constant on feature 0.
+        assert_eq!(counted.partition(0, 5, 0, 1.5), 2);
+        assert_eq!(mapped.partition(0, 7, 0, 1.5), 2);
+        assert_eq!(counted.drawn(2, 5, &y), (5, 5));
+        for f in 0..2 {
+            let want = tallies(&mut mapped, f, (2, 7), &yb);
+            assert_eq!(tallies(&mut counted, f, (2, 5), &y), want, "feature {f}");
+        }
+        assert_eq!(tallies(&mut counted, 1, (2, 5), &y), Some(vec![(1, 4, 4), (2, 1, 1)]));
+        assert_eq!(tallies(&mut counted, 0, (0, 2), &y), None);
     }
 
     #[test]

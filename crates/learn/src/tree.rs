@@ -116,6 +116,21 @@ fn klogk_score(t: &[f64], l0: u32, l1: u32, r0: u32, r1: u32) -> f64 {
     at(l0 + l1) - at(l0) - at(l1) + at(r0 + r1) - at(r0) - at(r1)
 }
 
+/// Checks the split floors every tree fit needs: at least two rows to
+/// split a node and at least one per leaf.
+pub(crate) fn check_split_floors(
+    min_samples_split: usize,
+    min_samples_leaf: usize,
+) -> Result<(), Error> {
+    if min_samples_split < 2 {
+        return Err(Error::InvalidParameter("min_samples_split must be at least 2".into()));
+    }
+    if min_samples_leaf < 1 {
+        return Err(Error::InvalidParameter("min_samples_leaf must be at least 1".into()));
+    }
+    Ok(())
+}
+
 /// Split-point search strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Splitter {
@@ -710,14 +725,16 @@ impl DecisionTree {
         self.fit_traversal(&mut PresortTraversal::identity(ps), y, sample_weight, None)
     }
 
-    /// Fits on a prepared traversal, which may carry a bootstrap row map
-    /// (`y`/`sample_weight` are then indexed by *virtual* row). The
-    /// traversal's segments are consumed (reordered by the partitions);
-    /// reset or rebuild it before reuse.
+    /// Fits on a prepared traversal, which may walk a bootstrap sample
+    /// (`y`/`sample_weight` are indexed by the traversal's row ids; see
+    /// [`PresortTraversal`]). A counted sample takes no weights: it
+    /// stands for the unweighted materialized sample. The traversal's
+    /// segments are consumed (reordered by the partitions); reset or
+    /// rebuild it before reuse.
     ///
-    /// `klogk` may pass a [`klogk_table`] over at least `trav.len()`
-    /// rows for an entropy fit to use instead of building its own; a
-    /// forest builds one for all its trees.
+    /// `klogk` may pass a [`klogk_table`] over at least the sample's
+    /// drawn rows for an entropy fit to use instead of building its
+    /// own; a forest builds one for all its trees.
     pub(crate) fn fit_traversal(
         &mut self,
         trav: &mut PresortTraversal<'_>,
@@ -725,28 +742,29 @@ impl DecisionTree {
         sample_weight: Option<&[f64]>,
         klogk: Option<&[f64]>,
     ) -> Result<(), Error> {
-        let m = trav.len();
         let d = trav.dataset().n_features();
-        validate_fit_parts(m, d, y, sample_weight)?;
-        if self.params.min_samples_split < 2 {
-            return Err(Error::InvalidParameter("min_samples_split must be at least 2".into()));
+        validate_fit_parts(trav.n_ids(), d, y, sample_weight)?;
+        // A counted sample may draw one class only, though `y` holds
+        // both; its materialized sample would fail the check above.
+        let (m, n1) = trav.drawn(0, trav.len(), y);
+        if n1 == 0 || n1 == m {
+            return Err(Error::InvalidLabels);
         }
-        if self.params.min_samples_leaf < 1 {
-            return Err(Error::InvalidParameter("min_samples_leaf must be at least 1".into()));
-        }
+        check_split_floors(self.params.min_samples_split, self.params.min_samples_leaf)?;
         self.nodes.clear();
         self.n_features = d;
         self.importances = vec![0.0; d];
 
-        let weights: Vec<f64> = match sample_weight {
-            Some(w) => w.to_vec(),
-            None => vec![1.0; m],
+        // Summed in row order, like the legacy builder: `m` ones sum to
+        // exactly `m`.
+        let total_weight: f64 = match sample_weight {
+            Some(w) => w.iter().sum(),
+            None => m as f64,
         };
-        let total_weight: f64 = weights.iter().sum();
         if total_weight <= 0.0 {
             return Err(Error::InvalidParameter("sample weights must not all be zero".into()));
         }
-        let unit_w = weights.iter().all(|&x| x == 1.0);
+        let unit_w = sample_weight.is_none_or(|w| w.iter().all(|&x| x == 1.0));
         let filter = unit_w
             && self.params.criterion == SplitCriterion::Entropy
             && self.params.splitter == Splitter::Best;
@@ -764,21 +782,26 @@ impl DecisionTree {
         let mut ctx = PresortCtx {
             trav,
             y,
-            w: &weights,
-            vals: Vec::with_capacity(m),
-            labs: Vec::with_capacity(m),
-            wts: Vec::with_capacity(m),
+            w: sample_weight.unwrap_or_default(),
+            vals: Vec::new(),
+            labs: Vec::new(),
+            wts: Vec::new(),
             features: Vec::with_capacity(d),
             unit_w,
             klogk,
             sweep: SweepCounts::default(),
             rng: &mut rng,
         };
-        self.build_presorted(&mut ctx, 0, m, 0, total_weight);
+        let rows = ctx.trav.len();
+        self.build_presorted(&mut ctx, 0, rows, 0, total_weight);
         if let Some(us) = span.elapsed_us() {
             if us > 0.0 {
                 obs::observe("tree.nodes_per_sec", self.nodes.len() as f64 / (us / 1e6));
             }
+        }
+        if unit_w {
+            obs::counter_add("tree.rows_grouped", ctx.sweep.rows_grouped);
+            obs::counter_add("tree.groups_swept", ctx.sweep.groups_swept);
         }
         if filter {
             obs::counter_add("tree.split_candidates", ctx.sweep.candidates);
@@ -799,6 +822,8 @@ impl DecisionTree {
     /// Mirrors `build` exactly: same stop conditions, same importance
     /// accounting, same accumulation order (the traversal's row segment
     /// is the stable analogue of the legacy row-ascending index list).
+    /// A node's size is its drawn size, so a counted sample stops,
+    /// splits and weighs its nodes as its materialized sample would.
     fn build_presorted(
         &mut self,
         ctx: &mut PresortCtx<'_, '_>,
@@ -807,14 +832,11 @@ impl DecisionTree {
         depth: usize,
         total_weight: f64,
     ) -> usize {
-        let (w0, w1) = if ctx.unit_w {
+        let (len, w0, w1) = if ctx.unit_w {
             // Unit weights: the legacy sum of ones is an exact integer,
             // so counting labels reproduces it bit-for-bit.
-            let mut c1 = 0usize;
-            for &v in ctx.trav.rows_segment(lo, hi) {
-                c1 += usize::from(ctx.y[v as usize] == 1);
-            }
-            (((hi - lo) - c1) as f64, c1 as f64)
+            let (len, c1) = ctx.trav.drawn(lo, hi, ctx.y);
+            (len, (len - c1) as f64, c1 as f64)
         } else {
             let (mut w0, mut w1) = (0.0, 0.0);
             for &v in ctx.trav.rows_segment(lo, hi) {
@@ -825,7 +847,7 @@ impl DecisionTree {
                     w0 += ctx.w[vi];
                 }
             }
-            (w0, w1)
+            (hi - lo, w0, w1)
         };
         let node_weight = w0 + w1;
         let proba = if node_weight > 0.0 {
@@ -835,7 +857,6 @@ impl DecisionTree {
         };
         let impurity = self.params.criterion.impurity(w0, w1);
 
-        let len = hi - lo;
         let stop = len < self.params.min_samples_split
             || len < 2 * self.params.min_samples_leaf
             || impurity <= 0.0
@@ -845,7 +866,7 @@ impl DecisionTree {
             return self.nodes.len() - 1;
         }
 
-        let best = self.find_split_presorted(ctx, lo, hi, impurity, node_weight);
+        let best = self.find_split_presorted(ctx, lo, hi, len, impurity, node_weight);
         let Some(split) = best else {
             self.nodes.push(Node::Leaf { proba });
             return self.nodes.len() - 1;
@@ -878,12 +899,15 @@ impl DecisionTree {
     /// Split search over rank-sorted node segments: per evaluated
     /// feature the sorted order is recovered from the precomputed value
     /// ranks (counting sort or integer key sort — no float comparison
-    /// sort), then a single linear sweep scores the thresholds.
+    /// sort), then a single linear sweep scores the thresholds. `n` is
+    /// the node's drawn size.
+    #[allow(clippy::too_many_arguments)]
     fn find_split_presorted(
         &self,
         ctx: &mut PresortCtx<'_, '_>,
         lo: usize,
         hi: usize,
+        n: usize,
         parent_impurity: f64,
         node_weight: f64,
     ) -> Option<SplitCandidate> {
@@ -916,25 +940,26 @@ impl DecisionTree {
                 // its `lo_v == hi_v` check without consuming randomness.
                 continue;
             }
-            let len = hi - lo;
             if *unit_w {
                 // Unit weights: no gather, no placement, no per-row
                 // sweep. The node's per-rank-group class histogram is
                 // everything the split search needs, and the sweep runs
                 // over distinct values instead of rows.
                 let ps = trav.dataset();
+                sweep.rows_grouped += (hi - lo) as u64;
                 let Some(groups) = trav.group_node(feature, lo, hi, y) else {
                     // Node-constant non-NaN feature; the legacy builder
                     // reaches the same `continue` through `lo_v == hi_v`.
                     continue;
                 };
-                let tbl = &ps.rank_values_of(feature)[groups.min_rank..];
-                let n_groups = groups.counts.len();
-                let lo_v = value_at(tbl, 0);
-                let hi_v = value_at(tbl, n_groups - 1);
+                let tbl = ps.rank_values_of(feature);
+                let (first, last) = (groups.present[0], groups.present[groups.present.len() - 1]);
+                let lo_v = value_at(tbl, first as usize);
+                let hi_v = value_at(tbl, last as usize);
                 if lo_v == hi_v {
                     continue;
                 }
+                sweep.groups_swept += groups.present.len() as u64;
                 match self.params.splitter {
                     // One sweep, compiled with and without the filter so
                     // Gini fits pay nothing for it.
@@ -942,7 +967,7 @@ impl DecisionTree {
                         feature,
                         tbl,
                         &groups,
-                        len,
+                        n,
                         parent_impurity,
                         node_weight,
                         klogk,
@@ -953,7 +978,7 @@ impl DecisionTree {
                         feature,
                         tbl,
                         &groups,
-                        len,
+                        n,
                         parent_impurity,
                         node_weight,
                         klogk,
@@ -964,9 +989,8 @@ impl DecisionTree {
                         let threshold = rng.gen_range(lo_v..hi_v);
                         let candidate = self.evaluate_groups_unit(
                             tbl,
-                            groups.counts,
-                            groups.ones,
-                            len,
+                            &groups,
+                            n,
                             threshold,
                             parent_impurity,
                             node_weight,
@@ -980,6 +1004,7 @@ impl DecisionTree {
                 }
                 continue;
             }
+            let len = hi - lo;
             vals.resize(len, 0.0);
             labs.resize(len, 0);
             wts.resize(len, 0.0);
@@ -1039,8 +1064,10 @@ impl DecisionTree {
     /// — then converting at each boundary yields bit-identical impurity
     /// inputs, and the boundaries themselves (consecutive *present*
     /// groups whose values satisfy `next > v`) are exactly the rows
-    /// where the per-row sweep evaluated. `O(t)` for `t` distinct
-    /// node-local values instead of `O(len)`.
+    /// where the per-row sweep evaluated. The sweep visits only the
+    /// present groups: `O(t)` for `t` distinct node-local values,
+    /// however many ranks the node spans, instead of `O(len)`. `n` is
+    /// the node's drawn size, so the leaf floors count drawn rows.
     ///
     /// Entropy fits sweep with `FILTER` set and the fit's
     /// [`klogk_table`]; Gini fits compile the filter out. Each boundary
@@ -1066,7 +1093,11 @@ impl DecisionTree {
         best: &mut Option<SplitCandidate>,
     ) {
         let min_leaf = self.params.min_samples_leaf;
-        let n1: u32 = groups.ones.iter().sum();
+        let n1: u32 = groups
+            .present
+            .iter()
+            .map(|&g| groups.ones[g as usize])
+            .sum();
         let n0 = n as u32 - n1;
         // Table scores at or above the cut cannot beat the best so far.
         let cut_of = |best: &Option<SplitCandidate>| match best {
@@ -1082,10 +1113,9 @@ impl DecisionTree {
         // non-empty group, matching the per-row sweep's `next > v` gate
         // (which also rejects NaN and `-0.0`/`+0.0` boundaries).
         let mut pending: Option<f64> = None;
-        for (g, (&c, &o)) in groups.counts.iter().zip(groups.ones).enumerate() {
-            if c == 0 {
-                continue;
-            }
+        for &g in groups.present {
+            let g = g as usize;
+            let (c, o) = (groups.counts[g], groups.ones[g]);
             let v = value_at(tbl, g);
             if let Some(pv) = pending {
                 if v > pv && left_count >= min_leaf && n - left_count >= min_leaf {
@@ -1124,28 +1154,33 @@ impl DecisionTree {
         *best = local;
     }
 
-    /// [`Self::evaluate_threshold`] over a node's rank groups for unit
-    /// sample weights; see [`Self::scan_groups_unit`] for why the
-    /// integer-count form is bit-identical.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Self::evaluate_threshold`] over a node's present rank groups
+    /// for unit sample weights (`n` drawn rows); see
+    /// [`Self::scan_groups_unit`] for why the integer-count form is
+    /// bit-identical.
     fn evaluate_groups_unit(
         &self,
         tbl: &[AtomicU64],
-        counts: &[u32],
-        ones: &[u32],
+        groups: &NodeGroups<'_>,
         n: usize,
         threshold: f64,
         parent_impurity: f64,
         node_weight: f64,
     ) -> Option<SplitCandidate> {
-        let n1: u32 = ones.iter().sum();
+        let n1: u32 = groups
+            .present
+            .iter()
+            .map(|&g| groups.ones[g as usize])
+            .sum();
         let n0 = n as u32 - n1;
         let (mut l0, mut l1) = (0u32, 0u32);
         let mut left_count = 0usize;
-        for (g, (&c, &o)) in counts.iter().zip(ones).enumerate() {
+        for &g in groups.present {
+            let g = g as usize;
+            let (c, o) = (groups.counts[g], groups.ones[g]);
             // NaN groups compare false and stay on the right, exactly
             // like the per-row `v <= threshold` test.
-            if c > 0 && value_at(tbl, g) <= threshold {
+            if value_at(tbl, g) <= threshold {
                 l1 += o;
                 l0 += c - o;
                 left_count += c as usize;
@@ -1297,12 +1332,7 @@ impl DecisionTree {
         sample_weight: Option<&[f64]>,
     ) -> Result<(), Error> {
         validate_fit_parts(x.rows(), x.cols(), y, sample_weight)?;
-        if self.params.min_samples_split < 2 {
-            return Err(Error::InvalidParameter("min_samples_split must be at least 2".into()));
-        }
-        if self.params.min_samples_leaf < 1 {
-            return Err(Error::InvalidParameter("min_samples_leaf must be at least 1".into()));
-        }
+        check_split_floors(self.params.min_samples_split, self.params.min_samples_leaf)?;
         self.nodes.clear();
         self.n_features = x.cols();
         self.importances = vec![0.0; x.cols()];
@@ -1332,8 +1362,9 @@ impl DecisionTree {
 /// Per-fit state threaded through the presorted builder.
 struct PresortCtx<'a, 'b> {
     trav: &'b mut PresortTraversal<'a>,
+    /// Labels by row id.
     y: &'b [u8],
-    /// Per-(virtual-)row weights.
+    /// Weights by row id; empty for an unweighted fit.
     w: &'b [f64],
     /// Node-local sorted-gather buffers (structure-of-arrays: values,
     /// labels, weights), reused across nodes to avoid per-node
@@ -1356,10 +1387,16 @@ struct PresortCtx<'a, 'b> {
     rng: &'b mut StdRng,
 }
 
-/// What the entropy filter did over one fit, reported once per tree as
-/// the `tree.split_candidates` and `tree.entropy_evals` counters.
+/// What the unit-weight split search did over one fit, reported once
+/// per tree as the `tree.rows_grouped` and `tree.groups_swept`
+/// counters, and for entropy fits the filter's `tree.split_candidates`
+/// and `tree.entropy_evals`.
 #[derive(Debug, Default)]
 struct SweepCounts {
+    /// Row ids [`PresortTraversal::group_node`] histogrammed.
+    rows_grouped: u64,
+    /// Non-empty rank groups the sweeps visited.
+    groups_swept: u64,
     /// Admissible boundaries the filtered sweep reached.
     candidates: u64,
     /// Boundaries among them scored with the exact formula.

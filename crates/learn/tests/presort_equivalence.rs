@@ -1,6 +1,7 @@
 //! Property tests pinning the presorted tree builder to the legacy
-//! per-node resorting builder, the lazily sorted cache to a fully
-//! sorted one, and parallel forest fits and grid search to their
+//! per-node resorting builder, each bootstrap tree of a forest to that
+//! builder on its materialized bootstrap, the lazily sorted cache to a
+//! fully sorted one, and parallel forest fits and grid search to their
 //! one-worker runs.
 //!
 //! The presorted path is an *exact* reimplementation: for every input —
@@ -16,6 +17,7 @@
 
 use monitorless_learn::prelude::*;
 use monitorless_learn::tree::MaxFeatures;
+use monitorless_std::rng::{Rng, StdRng};
 use proptest::prelude::*;
 
 /// SplitMix64 — a tiny deterministic generator so each proptest case can
@@ -150,6 +152,111 @@ fn bootstrap(seed: u64, x: &Matrix, y: &[u8]) -> (Matrix, Vec<u8>) {
         .collect();
     let yb = picks.iter().map(|&r| y[r]).collect();
     (Matrix::from_vec(rows, x.cols(), data), yb)
+}
+
+/// sklearn's "balanced" class weights over the rows `picks`:
+/// `len / (2 · class count)`, zero for an absent class.
+fn balanced_weights(y: &[u8], picks: &[usize]) -> (f64, f64) {
+    let n = picks.len() as f64;
+    let n1 = picks.iter().filter(|&&i| y[i] == 1).count() as f64;
+    let n0 = n - n1;
+    let w = |c: f64| if c > 0.0 { n / (2.0 * c) } else { 0.0 };
+    (w(n0), w(n1))
+}
+
+/// The trees an unweighted-input [`RandomForest`] fit must grow, each
+/// grown by the legacy resorting builder on its materialized bootstrap:
+/// the draws and tree seed come from the forest's per-tree stream, and
+/// a draw holding one class takes the forest's fallback stump (the
+/// tree's own parameters at depth 1, fit on the full data). Returns the
+/// trees and how many took the fallback.
+fn oracle_forest(x: &Matrix, y: &[u8], params: &RandomForestParams) -> (Vec<DecisionTree>, usize) {
+    let n = x.rows();
+    let all: Vec<usize> = (0..n).collect();
+    let mut fallbacks = 0;
+    let trees = (0..params.n_estimators)
+        .map(|t| {
+            let mut rng = StdRng::seed_from_u64(
+                params
+                    .seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(t as u64),
+            );
+            let picks: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            let (w0, w1) = match params.class_weight {
+                ClassWeight::None => (1.0, 1.0),
+                ClassWeight::Balanced => balanced_weights(y, &all),
+                ClassWeight::BalancedSubsample => balanced_weights(y, &picks),
+            };
+            let xb = x.select_rows(&picks);
+            let yb: Vec<u8> = picks.iter().map(|&i| y[i]).collect();
+            let wb: Vec<f64> = yb.iter().map(|&l| if l == 1 { w1 } else { w0 }).collect();
+            let tree_params = DecisionTreeParams {
+                criterion: params.criterion,
+                splitter: Splitter::Best,
+                max_depth: params.max_depth,
+                min_samples_split: params.min_samples_split,
+                min_samples_leaf: params.min_samples_leaf,
+                max_features: params.max_features,
+                seed: rng.gen(),
+            };
+            let mut tree = DecisionTree::new(tree_params.clone());
+            if tree.fit_resorting(&xb, &yb, Some(&wb)).is_ok() {
+                return tree;
+            }
+            fallbacks += 1;
+            let mut stump = DecisionTree::new(DecisionTreeParams {
+                max_depth: Some(1),
+                ..tree_params
+            });
+            stump
+                .fit_resorting(x, y, None)
+                .expect("the full data trains a stump");
+            stump
+        })
+        .collect();
+    (trees, fallbacks)
+}
+
+/// Fits `params` as a forest and asserts each tree serializes equal to
+/// its [`oracle_forest`] twin; returns the oracle's fallback count.
+fn assert_forest_matches_oracle(
+    x: &Matrix,
+    y: &[u8],
+    params: &RandomForestParams,
+) -> Result<usize, proptest::test_runner::TestCaseError> {
+    let mut rf = RandomForest::new(params.clone());
+    rf.fit(x, y, None).unwrap();
+    let (oracle, fallbacks) = oracle_forest(x, y, params);
+    prop_assert_eq!(rf.trees().len(), oracle.len());
+    for (t, (ours, theirs)) in rf.trees().iter().zip(&oracle).enumerate() {
+        prop_assert_eq!(
+            monitorless_std::json::to_string(ours),
+            monitorless_std::json::to_string(theirs),
+            "tree {}",
+            t
+        );
+    }
+    Ok(fallbacks)
+}
+
+/// Forest parameters for the oracle properties: Gini or entropy,
+/// `min_samples_leaf` 1–20, the given class weighting.
+fn oracle_forest_params(seed: u64, class_weight: ClassWeight) -> RandomForestParams {
+    let tree = tree_params(seed);
+    let mut rng = Mix(seed ^ 0xF0E5);
+    RandomForestParams {
+        n_estimators: 5,
+        criterion: tree.criterion,
+        max_depth: tree.max_depth,
+        min_samples_split: tree.min_samples_split,
+        min_samples_leaf: 1 + rng.below(20) as usize,
+        max_features: tree.max_features,
+        bootstrap: true,
+        class_weight,
+        n_jobs: 1 + rng.below(2) as usize,
+        seed,
+    }
 }
 
 /// Case count for the tree-builder properties: `PROPTEST_CASES` when
@@ -418,6 +525,69 @@ proptest! {
         prop_assert_eq!(copy.sorted_features(), ps.sorted_features());
         prop_assert!(copy.bit_identical(&ps));
         prop_assert!(copy.bit_identical(&PresortedDataset::build_sorted(&x)));
+    }
+}
+
+proptest! {
+    #![proptest_config(tree_cases(24))]
+
+    #[test]
+    fn unweighted_bootstrap_forest_trees_match_the_resorting_builder(
+        seed in 0u64..1_000_000,
+        rows in 8usize..300,
+        cols in 1usize..9,
+        // One positive row in `rare` cases: about a third of the draws
+        // then hold one class and take the fallback stump.
+        rare in 0u64..4,
+    ) {
+        let x = signed_zero_matrix(seed, rows, cols);
+        let mut y = messy_labels(seed, rows);
+        if rare == 0 {
+            y.fill(0);
+            y[(seed % rows as u64) as usize] = 1;
+        }
+        assert_forest_matches_oracle(&x, &y, &oracle_forest_params(seed, ClassWeight::None))?;
+    }
+
+    #[test]
+    fn class_weighted_bootstrap_forest_trees_match_the_resorting_builder(
+        seed in 0u64..1_000_000,
+        rows in 8usize..120,
+        cols in 1usize..7,
+        subsample in 0u64..2,
+    ) {
+        // A class-weighted forest keeps a virtual row per draw, each
+        // with its own weight.
+        let x = signed_zero_matrix(seed, rows, cols);
+        let y = messy_labels(seed, rows);
+        let class_weight = if subsample == 1 {
+            ClassWeight::BalancedSubsample
+        } else {
+            ClassWeight::Balanced
+        };
+        assert_forest_matches_oracle(&x, &y, &oracle_forest_params(seed, class_weight))?;
+    }
+}
+
+#[test]
+fn one_class_draws_take_the_forests_fallback_stump() {
+    // Twelve rows, one positive: a draw misses it with probability
+    // (11/12)^12, about 0.35, so eight trees nearly always include a
+    // fallback; this seed's do.
+    for criterion in [SplitCriterion::Gini, SplitCriterion::Entropy] {
+        let x = signed_zero_matrix(5, 12, 3);
+        let mut y = vec![0u8; 12];
+        y[7] = 1;
+        let params = RandomForestParams {
+            n_estimators: 8,
+            criterion,
+            min_samples_leaf: 2,
+            max_features: MaxFeatures::All,
+            seed: 5,
+            ..RandomForestParams::default()
+        };
+        let fallbacks = assert_forest_matches_oracle(&x, &y, &params).unwrap();
+        assert!(fallbacks > 0, "{criterion:?}: no draw held one class");
     }
 }
 

@@ -11,8 +11,9 @@
 //! before it (from the raw layout's kinds and utilization indices on)
 //! while decoding builds the serving plans, or at the first transform;
 //! a forest wider than the pipeline in the first `Orchestrator::step`,
-//! too few drift edges in `Orchestrator::new`, and an over-long drift
-//! profile in the drift detector's first push.
+//! too few drift edges in `Orchestrator::new`, an over-long drift
+//! profile in the drift detector's first push, and forest parameters
+//! with no leaf floor in the first shadow retrain's challenger fit.
 //! An under-long profile, a non-finite threshold or a leaf probability
 //! outside `[0, 1]` would load and silently serve wrong predictions, and
 //! a model without its drift profile would serve with no drift
@@ -155,6 +156,17 @@ fn forest_wider_than_pipeline_fails_to_load() {
         *member(member(json, "forest"), "n_features") = Json::Int(width as i64 + 1);
     });
     assert_rejected(loaded, &format!("forest expects {} features", width + 1));
+}
+
+#[test]
+fn forest_params_without_a_leaf_floor_fail_to_load() {
+    // Such a model would serve, and then panic in the first retrain's
+    // challenger fit.
+    let loaded = load_edited("leaf_floor", |json| {
+        let params = member(member(json, "forest"), "params");
+        *member(params, "min_samples_leaf") = Json::Int(0);
+    });
+    assert_rejected(loaded, "min_samples_leaf must be at least 1");
 }
 
 #[test]
