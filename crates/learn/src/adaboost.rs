@@ -321,8 +321,17 @@ impl Classifier for AdaBoost {
         if self.params.n_estimators == 0 {
             return Err(Error::InvalidParameter("n_estimators must be at least 1".into()));
         }
-        if self.params.learning_rate <= 0.0 {
-            return Err(Error::InvalidParameter("learning_rate must be positive".into()));
+        // A NaN or infinite rate fits a SAMME ensemble of NaN
+        // probabilities without an error.
+        let lr = self.params.learning_rate;
+        if !(lr.is_finite() && lr > 0.0) {
+            return Err(Error::InvalidParameter(
+                "learning_rate must be finite and positive".into(),
+            ));
+        }
+        // Checked before the weights are normalized by their sum.
+        if sample_weight.is_some_and(|w| w.iter().sum::<f64>() <= 0.0) {
+            return Err(Error::InvalidParameter("sample weights must not all be zero".into()));
         }
         self.stages.clear();
         self.n_features = x.cols();
@@ -441,12 +450,30 @@ mod tests {
 
     #[test]
     fn invalid_learning_rate_rejected() {
-        let mut ab = AdaBoost::new(AdaBoostParams {
-            learning_rate: 0.0,
-            ..AdaBoostParams::default()
-        });
         let x = Matrix::from_rows(&[&[0.0], &[1.0]]);
-        assert!(matches!(ab.fit(&x, &[0, 1], None), Err(Error::InvalidParameter(_))));
+        for learning_rate in [0.0, f64::NAN, f64::INFINITY] {
+            for algorithm in [BoostAlgorithm::Samme, BoostAlgorithm::SammeR] {
+                let mut ab = AdaBoost::new(AdaBoostParams {
+                    learning_rate,
+                    algorithm,
+                    ..AdaBoostParams::default()
+                });
+                let r = ab.fit(&x, &[0, 1], None);
+                assert!(matches!(r, Err(Error::InvalidParameter(_))), "{learning_rate}: {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_zero_weights_are_rejected() {
+        let (x, y) = stripes();
+        let zeros = vec![0.0; y.len()];
+        match AdaBoost::new(AdaBoostParams::default()).fit(&x, &y, Some(&zeros)) {
+            Err(Error::InvalidParameter(msg)) => {
+                assert!(msg.contains("must not all be zero"), "{msg}")
+            }
+            other => panic!("got {other:?}"),
+        }
     }
 
     #[test]

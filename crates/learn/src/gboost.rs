@@ -327,13 +327,30 @@ impl Classifier for GradientBoosting {
         sample_weight: Option<&[f64]>,
     ) -> Result<(), Error> {
         validate_fit_input(x, y, sample_weight)?;
-        if self.params.n_rounds == 0 {
+        let p = &self.params;
+        if p.n_rounds == 0 {
             return Err(Error::InvalidParameter("n_rounds must be at least 1".into()));
         }
-        if self.params.learning_rate <= 0.0 || self.params.lambda < 0.0 {
+        // Unchecked, a NaN parameter or all-zero weights fit without an
+        // error into a booster of NaN probabilities or of stumps.
+        if !(p.learning_rate.is_finite() && p.learning_rate > 0.0) {
             return Err(Error::InvalidParameter(
-                "learning_rate must be positive and lambda non-negative".into(),
+                "learning_rate must be finite and positive".into(),
             ));
+        }
+        for (name, v) in [
+            ("lambda", p.lambda),
+            ("gamma", p.gamma),
+            ("min_child_weight", p.min_child_weight),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(Error::InvalidParameter(format!(
+                    "{name} must be finite and non-negative"
+                )));
+            }
+        }
+        if sample_weight.is_some_and(|w| w.iter().sum::<f64>() <= 0.0) {
+            return Err(Error::InvalidParameter("sample weights must not all be zero".into()));
         }
         self.trees.clear();
         self.n_features = x.cols();
@@ -516,5 +533,49 @@ mod tests {
             ..GradientBoostingParams::default()
         });
         assert!(gb.fit(&x, &[0, 1], None).is_err());
+    }
+
+    /// Fits `params` on the XOR data with weights `w` and asserts an
+    /// [`Error::InvalidParameter`] whose message contains `what`.
+    fn assert_invalid(params: GradientBoostingParams, w: Option<&[f64]>, what: &str) {
+        let (x, y) = xor_data();
+        match GradientBoosting::new(params).fit(&x, &y, w) {
+            Err(Error::InvalidParameter(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+            other => panic!("{what}: got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn all_zero_weights_are_rejected() {
+        let zeros = vec![0.0; xor_data().1.len()];
+        assert_invalid(GradientBoostingParams::default(), Some(&zeros), "must not all be zero");
+    }
+
+    #[test]
+    fn non_finite_learning_rate_is_rejected() {
+        for learning_rate in [f64::NAN, f64::INFINITY] {
+            let params = GradientBoostingParams {
+                learning_rate,
+                ..GradientBoostingParams::default()
+            };
+            assert_invalid(params, None, "learning_rate must be finite and positive");
+        }
+    }
+
+    #[test]
+    fn non_finite_or_negative_regularizers_are_rejected() {
+        type Field = fn(&mut GradientBoostingParams) -> &mut f64;
+        let fields: [(&str, Field); 3] = [
+            ("lambda", |p| &mut p.lambda),
+            ("gamma", |p| &mut p.gamma),
+            ("min_child_weight", |p| &mut p.min_child_weight),
+        ];
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            for (name, field) in fields {
+                let mut params = GradientBoostingParams::default();
+                *field(&mut params) = bad;
+                assert_invalid(params, None, &format!("{name} must be finite and non-negative"));
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 //!   and packs the distinct values densely — the form a long-lived
 //!   cache keeps, appends to and clones.
 //! * With unit sample weights — every non-boosted fit —
-//!   [`PresortTraversal::group_node`] turns a node into its per-rank
+//!   `PresortTraversal::group_node` turns a node into its per-rank
 //!   class histogram in one `O(len)` pass and lists the ranks the node
 //!   holds, and the split sweep runs over those *distinct values*, not
 //!   over rows or over every rank the node spans. No sort, no gather,
@@ -28,13 +28,12 @@
 //!   integers, which is also what lets entropy fits score each boundary
 //!   from a `k·log2 k` table and compute the exact entropy only for the
 //!   few that can still win (see `tree`).
-//! * Weighted fits ([`PresortTraversal::gather_node`]) recover the
-//!   node's sorted order from the ranks — a packed-integer-key sort for
-//!   small nodes, an offset counting sort when the node spans a narrow
-//!   local rank range (quantized counter-style metrics anywhere, any
-//!   column deep in the tree), a stable byte-wise radix sort otherwise.
-//!   All are far cheaper than comparison-sorting float tuples, and only
-//!   the features a node actually evaluates pay anything.
+//! * Weighted fits (`PresortTraversal::gather_node`) tally the node
+//!   into the same rank histogram, turn the counts of the ranks it
+//!   holds into slot offsets and place each row in one more pass: a
+//!   counting sort over present ranks, `O(len + distinct values)`,
+//!   where the legacy builder comparison-sorted float tuples. Only the
+//!   features a node actually evaluates pay anything.
 //! * Partitioning a node into its children touches the membership list
 //!   alone (`O(len)`), not any per-feature state.
 //!
@@ -47,7 +46,7 @@
 //! id, with its draw count: about 63% (1 − 1/e) of a draw's rows are
 //! distinct, and with every weight one a row drawn `k` times adds
 //! exactly what `k` copies add. A weighted sample keeps one virtual row
-//! per draw ([`PresortTraversal::with_map`]), since adding a weight `k`
+//! per draw (`PresortTraversal::with_map`), since adding a weight `k`
 //! times and adding `k` times the weight round differently.
 //!
 //! # Storage
@@ -70,13 +69,13 @@
 //!
 //! Everything here is bit-identity-preserving with respect to the
 //! legacy per-node re-sort (see `DecisionTree::fit_resorting`): equal
-//! ranks mean bit-identical values, the `(rank, position)` key order is
-//! exactly `(total_cmp value, row-ascending)` — what the legacy stable
-//! sort produced for its always row-ascending node index lists — and
-//! key uniqueness makes the unstable sort deterministic. When a feature
-//! is sorted changes nothing: its ranks and distinct values depend only
-//! on its column's bits, and which features a node evaluates depends
-//! only on the tree's own random stream. `tests/presort_equivalence.rs`
+//! ranks mean bit-identical values, and placing a node's rows by rank
+//! in segment order yields exactly `(total_cmp value, row-ascending)` —
+//! what the legacy stable sort produced for its always row-ascending
+//! node index lists. When a feature is sorted changes nothing: its
+//! ranks and distinct values depend only on its column's bits, and
+//! which features a node evaluates depends only on the tree's own
+//! random stream. `tests/presort_equivalence.rs`
 //! pins the equivalence property-test style, lazy reads from several
 //! threads included.
 
@@ -561,7 +560,8 @@ pub(crate) fn value_at(values: &[AtomicU64], i: usize) -> f64 {
 }
 
 /// Mutable per-fit traversal state over a shared [`PresortedDataset`]:
-/// the node-segmented list of row ids plus sorting scratch.
+/// the node-segmented list of row ids, partition scratch and the
+/// per-rank histogram every split search reads a node through.
 ///
 /// A traversal walks *row ids*, and per-row labels and weights are
 /// indexed by row id. How an id names a dataset row depends on the
@@ -574,26 +574,19 @@ pub(crate) fn value_at(values: &[AtomicU64], i: usize) -> f64 {
 /// * [`PresortTraversal::with_map`] (a weighted bootstrap): id `j` is a
 ///   *virtual* row, one per draw, naming row `map[j]`.
 #[derive(Debug)]
-pub struct PresortTraversal<'a> {
+pub(crate) struct PresortTraversal<'a> {
     ps: &'a PresortedDataset,
     /// How row ids name dataset rows.
     ids: RowIds,
     /// Row ids in ascending order, segmented per node — the exact
     /// analogue of the legacy builder's `indices` lists.
     rows: Vec<u32>,
-    /// Partition / counting-sort placement scratch.
+    /// Partition scratch.
     scratch: Vec<u32>,
     /// Goes-left flag per row id for the split being applied.
     side: Vec<bool>,
-    /// `(rank, row id)` keys for the radix-sort path.
-    keys: Vec<u64>,
-    /// Ping-pong buffer for radix place passes.
-    keys_alt: Vec<u64>,
-    /// Per-rank counters for the counting-sort path.
-    counts: Vec<u32>,
-    /// Per-item rank cache for the counting-sort path.
-    rank_scratch: Vec<u32>,
-    /// The grouped split search's per-rank class histogram.
+    /// The node's per-rank histogram: class counts for the grouped
+    /// split search, slot offsets for a gather.
     groups: RankGroups,
 }
 
@@ -623,7 +616,7 @@ impl RowIds {
 /// [`PresortTraversal::group_node`]. Group `r` holds the node's rows of
 /// rank `r`; read only the groups `present` lists.
 #[derive(Debug)]
-pub struct NodeGroups<'t> {
+pub(crate) struct NodeGroups<'t> {
     /// Drawn rows per rank.
     pub counts: &'t [u32],
     /// Drawn label-one rows per rank.
@@ -633,11 +626,12 @@ pub struct NodeGroups<'t> {
     pub present: &'t [u32],
 }
 
-/// The grouped split search's per-rank class histogram, indexed by
-/// absolute rank and kept across nodes: between two tallies only the
-/// last node's present groups are non-zero, so a node pays for the
-/// ranks it holds, not for the ranks it spans. Deep nodes often span
-/// many more ranks than they hold rows.
+/// A node's per-rank histogram, indexed by absolute rank and kept
+/// across nodes: the grouped split search reads its class counts, and
+/// a gather turns its counts into slot offsets. Between two tallies
+/// only the last node's present groups are non-zero, so a node pays
+/// for the ranks it holds, not for the ranks it spans. Deep nodes often
+/// span many more ranks than they hold rows.
 #[derive(Debug, Default)]
 struct RankGroups {
     /// Drawn rows per rank.
@@ -696,10 +690,6 @@ impl<'a> PresortTraversal<'a> {
             scratch: vec![0u32; rows.len()],
             rows,
             side: vec![false; n_ids],
-            keys: Vec::new(),
-            keys_alt: Vec::new(),
-            counts: Vec::new(),
-            rank_scratch: Vec::new(),
             groups: RankGroups::default(),
         }
     }
@@ -761,12 +751,6 @@ impl<'a> PresortTraversal<'a> {
         self.rows.len()
     }
 
-    /// Whether the traversal covers no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// The length per-row labels and weights must have: one entry per
     /// row id.
     #[inline]
@@ -813,23 +797,20 @@ impl<'a> PresortTraversal<'a> {
     /// legacy builder's per-node stable sort produced. Calls may
     /// arrive out of order; the caller writes `slot` of its own
     /// pre-sized buffers, so the sorted gather is built in one pass
-    /// fused into the final placement. A counted sample's draws are not
+    /// fused into the placement. A counted sample's draws are not
     /// applied: each drawn row is emitted once.
     ///
-    /// Returns `false` — without emitting anything — when the feature
-    /// is constant and non-NaN across the node, i.e. exactly when the
-    /// caller's `lo_v == hi_v` guard would discard the gather unread
-    /// (bit-identical non-NaN values always compare equal). The caller
-    /// must still keep that guard: a node mixing `-0.0` and `+0.0`
-    /// spans two ranks yet compares equal.
+    /// The node is tallied into the rank histogram [`Self::group_node`]
+    /// fills, the counts of the ranks it holds become slot offsets, and
+    /// one pass over the segment places each id at its rank's next
+    /// slot. The segment is id-ascending, so ties stay id-ascending.
     ///
-    /// Small nodes take a comparison sort of packed `(rank, row)` keys;
-    /// nodes spanning a narrow local rank range — quantized columns
-    /// anywhere, any column deep in the tree — take an offset counting
-    /// sort (`O(len + range)`, no comparisons); the rest take a stable
-    /// byte-wise LSD radix sort of the offset ranks with uniform bytes
-    /// skipped. All placement passes walk the segment in order, so ties
-    /// stay row-ascending.
+    /// Returns `false` — without emitting anything — when the node is
+    /// empty, or when the feature is constant and non-NaN across the
+    /// node, i.e. exactly when the caller's `lo_v == hi_v` guard would
+    /// discard the gather unread (bit-identical non-NaN values always
+    /// compare equal). The caller must still keep that guard: a node
+    /// mixing `-0.0` and `+0.0` spans two ranks yet compares equal.
     pub fn gather_node(
         &mut self,
         feature: usize,
@@ -839,136 +820,30 @@ impl<'a> PresortTraversal<'a> {
     ) -> bool {
         let col = self.ps.column(feature);
         let rk = self.ps.ranks_of(feature);
+        let values = self.ps.rank_values_of(feature);
         let seg = &self.rows[lo..hi];
-        let len = seg.len();
         let map = self.ids.map();
-        let row_of = |v: u32| -> usize {
-            match map {
-                Some(map) => map[v as usize] as usize,
-                None => v as usize,
-            }
+        let row_of = |v: u32| match map {
+            Some(map) => map[v as usize] as usize,
+            None => v as usize,
         };
-        // One gather of the segment's ranks feeds every strategy below
-        // and yields the node-local rank range: deep nodes span few
-        // distinct ranks even for continuous features, so the cheap
-        // offset counting sort applies far beyond globally quantized
-        // columns.
-        let cached = &mut self.rank_scratch;
-        cached.clear();
-        let (mut min_rank, mut max_rank) = (u32::MAX, 0u32);
-        cached.extend(seg.iter().map(|&v| {
-            let r = rk[row_of(v)].load(Relaxed);
-            min_rank = min_rank.min(r);
-            max_rank = max_rank.max(r);
-            r
-        }));
-        let range = (max_rank - min_rank) as usize + 1;
-        if range == 1 && !col[row_of(seg[0])].is_nan() {
-            return false;
+        let groups = &mut self.groups;
+        groups.tally(values.len(), seg.iter().map(|&v| (rk[row_of(v)].load(Relaxed), 1, false)));
+        match groups.present[..] {
+            [] => return false,
+            [r] if !value_at(values, r as usize).is_nan() => return false,
+            _ => {}
         }
-        if len < 64 {
-            // Small node: a comparison sort of the packed keys beats
-            // any histogram setup. Segments are always ascending in
-            // row id, so `(rank, row_id)` order is exactly
-            // `(rank, segment position)` — stable-equivalent — and key
-            // uniqueness makes the unstable sort deterministic.
-            let keys = &mut self.keys;
-            keys.clear();
-            keys.extend(
-                seg.iter()
-                    .zip(cached.iter())
-                    .map(|(&v, &r)| (u64::from(r) << 32) | u64::from(v)),
-            );
-            keys.sort_unstable();
-            for (slot, &key) in keys.iter().enumerate() {
-                let v = key as u32;
-                emit(slot, v, col[row_of(v)]);
-            }
-        } else if range <= 2 * len {
-            // Counting sort keyed by rank offset into the node-local
-            // range; the placement pass writes the finished tuples
-            // directly. Both passes walk the segment in order, so ties
-            // stay row-ascending.
-            let counts = &mut self.counts;
-            counts.clear();
-            counts.resize(range + 1, 0);
-            for &r in cached.iter() {
-                counts[(r - min_rank) as usize + 1] += 1;
-            }
-            for i in 1..=range {
-                counts[i] += counts[i - 1];
-            }
-            for (&v, &r) in seg.iter().zip(cached.iter()) {
-                let slot = &mut counts[(r - min_rank) as usize];
-                emit(*slot as usize, v, col[row_of(v)]);
-                *slot += 1;
-            }
-        } else {
-            // Wide-range node: stable LSD radix sort of
-            // `(rank << 32) | row_id` keys by the offset-rank
-            // bytes. Stability keeps equal ranks in segment
-            // (row-ascending) order, all byte histograms come from one
-            // pass, uniform bytes are skipped, and the last live pass
-            // places the finished tuples.
-            let keys = &mut self.keys;
-            keys.clear();
-            keys.extend(
-                seg.iter()
-                    .zip(cached.iter())
-                    .map(|(&v, &r)| (u64::from(r - min_rank) << 32) | u64::from(v)),
-            );
-            let rank_bytes =
-                (64 - u64::leading_zeros((range as u64 - 1).max(1)) as usize).div_ceil(8);
-            let mut hist = [[0u32; 256]; 4];
-            for &key in keys.iter() {
-                let r = key >> 32;
-                for (b, h) in hist.iter_mut().enumerate().take(rank_bytes) {
-                    h[(r >> (8 * b)) as usize & 0xFF] += 1;
-                }
-            }
-            let mut active = [false; 4];
-            for b in 0..rank_bytes {
-                let first = (keys[0] >> (32 + 8 * b)) as usize & 0xFF;
-                active[b] = hist[b][first] as usize != len;
-            }
-            let Some(last) = (0..rank_bytes).rev().find(|&b| active[b]) else {
-                // Every rank byte is uniform: all ranks equal, so the
-                // segment order is already the sorted order.
-                for (slot, &v) in seg.iter().enumerate() {
-                    emit(slot, v, col[row_of(v)]);
-                }
-                return true;
-            };
-            let alt = &mut self.keys_alt;
-            alt.resize(len, 0);
-            let (mut src, mut dst) = (keys, alt);
-            for b in 0..rank_bytes {
-                if !active[b] {
-                    continue;
-                }
-                let h = &mut hist[b];
-                let mut offset = 0u32;
-                for c in h.iter_mut() {
-                    let n = *c;
-                    *c = offset;
-                    offset += n;
-                }
-                if b == last {
-                    for &key in src.iter() {
-                        let slot = &mut h[(key >> (32 + 8 * b)) as usize & 0xFF];
-                        let v = key as u32;
-                        emit(*slot as usize, v, col[row_of(v)]);
-                        *slot += 1;
-                    }
-                    break;
-                }
-                for &key in src.iter() {
-                    let slot = &mut h[(key >> (32 + 8 * b)) as usize & 0xFF];
-                    dst[*slot as usize] = key;
-                    *slot += 1;
-                }
-                std::mem::swap(&mut src, &mut dst);
-            }
+        let mut slot = 0;
+        for &r in &groups.present {
+            let count = &mut groups.counts[r as usize];
+            (*count, slot) = (slot, slot + *count);
+        }
+        for &v in seg {
+            let row = row_of(v);
+            let next = &mut groups.counts[rk[row].load(Relaxed) as usize];
+            emit(*next as usize, v, col[row]);
+            *next += 1;
         }
         true
     }

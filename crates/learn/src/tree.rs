@@ -897,8 +897,9 @@ impl DecisionTree {
     }
 
     /// Split search over rank-sorted node segments: per evaluated
-    /// feature the sorted order is recovered from the precomputed value
-    /// ranks (counting sort or integer key sort — no float comparison
+    /// feature the node is tallied by its precomputed value ranks. Unit
+    /// weights sweep the rank groups themselves; weighted fits place the
+    /// rows in sorted order from the tally's counts (no float comparison
     /// sort), then a single linear sweep scores the thresholds. `n` is
     /// the node's drawn size.
     #[allow(clippy::too_many_arguments)]

@@ -68,6 +68,20 @@ fn messy_matrix(seed: u64, rows: usize, cols: usize, allow_nan: bool) -> Matrix 
     Matrix::from_vec(rows, cols, data)
 }
 
+/// Continuous columns whose values are almost surely all distinct.
+/// Past the root, a node of 64 rows or more then often spans more than
+/// twice as many ranks as it holds rows, since a split on another
+/// column leaves its rows spread over the whole rank range. The
+/// palette-heavy [`messy_matrix`] cannot produce that shape at the
+/// sizes the properties use: its columns hold too few ranks.
+fn continuous_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
+    let mut rng = Mix(seed ^ 0xC0A7);
+    let data = (0..rows * cols)
+        .map(|_| rng.next_f64() * 20.0 - 10.0)
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
 /// [`messy_matrix`] with signed zeros: about half of its `0.0` cells
 /// become `-0.0`, a distinct bit pattern that compares equal.
 fn signed_zero_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
@@ -323,9 +337,8 @@ proptest! {
     #[test]
     fn presorted_tree_matches_resorting_builder(
         seed in 0u64..1_000_000,
-        // Past 64 rows the root node leaves the packed-key sort path, so
-        // the grouped-histogram sweep and both histogram sort strategies
-        // get covered too.
+        // Unit weights: every node takes the grouped-histogram sweep,
+        // on nodes of up to 200 rows with heavy ties.
         rows in 8usize..200,
         cols in 1usize..7,
     ) {
@@ -339,10 +352,17 @@ proptest! {
         seed in 0u64..1_000_000,
         rows in 8usize..200,
         cols in 1usize..7,
+        wide_rows in 300usize..500,
     ) {
         let x = messy_matrix(seed, rows, cols, true);
         let y = messy_labels(seed, rows);
         let w = messy_weights(seed, rows);
+        assert_tree_paths_agree(&x, &y, Some(&w), &tree_params(seed))?;
+        // And a weighted gather of nodes that hold few of the ranks
+        // they span.
+        let x = continuous_matrix(seed, wide_rows, cols + 1);
+        let y = messy_labels(seed, wide_rows);
+        let w = messy_weights(seed, wide_rows);
         assert_tree_paths_agree(&x, &y, Some(&w), &tree_params(seed))?;
     }
 
@@ -554,6 +574,7 @@ proptest! {
         seed in 0u64..1_000_000,
         rows in 8usize..120,
         cols in 1usize..7,
+        wide_rows in 300usize..400,
         subsample in 0u64..2,
     ) {
         // A class-weighted forest keeps a virtual row per draw, each
@@ -565,7 +586,12 @@ proptest! {
         } else {
             ClassWeight::Balanced
         };
-        assert_forest_matches_oracle(&x, &y, &oracle_forest_params(seed, class_weight))?;
+        let params = oracle_forest_params(seed, class_weight);
+        assert_forest_matches_oracle(&x, &y, &params)?;
+        // And on nodes that hold few of the ranks they span.
+        let x = continuous_matrix(seed, wide_rows, cols + 1);
+        let y = messy_labels(seed, wide_rows);
+        assert_forest_matches_oracle(&x, &y, &params)?;
     }
 }
 
