@@ -1,6 +1,8 @@
 //! Regenerates Table 3: training time, per-sample classification time
 //! and F1₂ on the first validation set (the three-tier application) for
-//! all six classifiers.
+//! all six classifiers. Stdout holds the algorithm and F1₂ columns,
+//! identical across runs at one seed; the two timing columns, which
+//! move from run to run, go to stderr.
 //!
 //! ```sh
 //! cargo run -p monitorless-bench --bin table3_algorithms --release [-- --full]
@@ -33,5 +35,6 @@ fn main() {
     println!("Table 3 — classifier comparison (validation: three-tier app)\n");
     print!("{}", table3::format(&rows));
     println!("\n(paper: Random Forest wins with F1_2 = 0.997; tree ensembles lead)");
+    eprint!("{}", table3::format_times(&rows));
     telemetry_report("table3_algorithms");
 }

@@ -547,6 +547,19 @@ mod tests {
     }
 
     #[test]
+    fn adjacent_doubles_are_learned() {
+        let (a, b) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        let x = Matrix::from_rows(&[&[a], &[a], &[a], &[b], &[b], &[b]]);
+        let y = vec![0, 0, 0, 1, 1, 1];
+        let mut rf = RandomForest::new(RandomForestParams {
+            n_estimators: 8,
+            ..RandomForestParams::default()
+        });
+        rf.fit(&x, &y, None).unwrap();
+        assert_eq!(rf.predict(&x), y);
+    }
+
+    #[test]
     fn parallel_matches_sequential() {
         let (x, y) = blob_data(20);
         let mut seq = RandomForest::new(RandomForestParams {

@@ -6,6 +6,7 @@
 //! L2 leaf penalty `lambda` and shrinkage.
 
 use crate::presort::{FitCache, PresortTraversal};
+use crate::tree::split_threshold;
 use crate::{validate_fit_input, Classifier, Error, Matrix};
 
 /// Hyper-parameters for [`GradientBoosting`].
@@ -286,7 +287,7 @@ impl GradientBoosting {
                         - parent_score)
                     - self.params.gamma;
                 if gain >= 0.0 && best.is_none_or(|(_, _, bg)| gain > bg) {
-                    best = Some((feature, cur + (next - cur) / 2.0, gain));
+                    best = Some((feature, split_threshold(cur, next), gain));
                 }
             }
         }
@@ -433,6 +434,17 @@ mod tests {
     #[test]
     fn learns_xor() {
         let (x, y) = xor_data();
+        let mut gb = GradientBoosting::new(GradientBoostingParams::default());
+        gb.fit(&x, &y, None).unwrap();
+        assert_eq!(gb.predict(&x), y);
+    }
+
+    #[test]
+    fn adjacent_doubles_are_learned() {
+        let (a, b) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        // Four rows a side clear the default `min_child_weight` of 1.
+        let x = Matrix::from_rows(&[&[a], &[a], &[a], &[a], &[b], &[b], &[b], &[b]]);
+        let y = vec![0, 0, 0, 0, 1, 1, 1, 1];
         let mut gb = GradientBoosting::new(GradientBoostingParams::default());
         gb.fit(&x, &y, None).unwrap();
         assert_eq!(gb.predict(&x), y);

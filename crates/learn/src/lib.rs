@@ -64,7 +64,7 @@ pub use gboost::{GradientBoosting, GradientBoostingParams};
 pub use linear::{
     LinearSvc, LinearSvcParams, LogisticRegression, LogisticRegressionParams, Penalty,
 };
-pub use matrix::{ColumnsView, Matrix, MatrixBuilder};
+pub use matrix::{Matrix, MatrixBuilder};
 pub use metrics::{accuracy, f1_score, lagged_confusion, ConfusionMatrix};
 pub use model_selection::{GridSearch, GroupKFold, KFold, ParamGrid, ParamValue};
 pub use nn::{Activation, NeuralNet, NeuralNetParams};

@@ -123,11 +123,10 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copy of column `c`.
-    ///
-    /// For repeated column access, build a [`ColumnsView`] once with
-    /// [`Matrix::columns`] and borrow slices from it instead of paying
-    /// one strided gather and `Vec` allocation per call.
+    /// Copy of column `c`: one strided gather and one `Vec` per call.
+    /// Tree fits read columns through the presorted training cache
+    /// ([`crate::presort::PresortedDataset`]), which gathers every
+    /// column once and keeps its values as ranks and distinct values.
     ///
     /// # Panics
     ///
@@ -135,11 +134,6 @@ impl Matrix {
     pub fn column(&self, c: usize) -> Vec<f64> {
         assert!(c < self.cols, "column index out of bounds");
         (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
-    /// Builds a column-major snapshot for borrowed column access.
-    pub fn columns(&self) -> ColumnsView {
-        ColumnsView::from_matrix(self)
     }
 
     /// Flat row-major view of the underlying data.
@@ -404,158 +398,6 @@ impl MatrixBuilder {
     }
 }
 
-/// A column-major snapshot of a [`Matrix`].
-///
-/// Column access on the row-major [`Matrix`] is a strided gather plus a
-/// fresh `Vec` per call; a `ColumnsView` pays one cache-blocked
-/// transpose up front and then hands out contiguous borrowed slices.
-/// It backs the presorted training cache
-/// ([`crate::presort::PresortedDataset`]) and any statistics path that
-/// walks whole columns repeatedly.
-#[derive(Debug, Clone)]
-pub struct ColumnsView {
-    rows: usize,
-    cols: usize,
-    /// Per-column stride: column `c` owns `data[c*cap .. c*cap + rows]`.
-    /// The `cap - rows` tail cells of each column are append slack, so
-    /// [`ColumnsView::append_rows`] can land new rows without moving a
-    /// byte of existing data.
-    cap: usize,
-    data: Vec<f64>,
-}
-
-/// Logical equality: shape and per-column contents. Capacity slack is
-/// scratch space and never participates, so a freshly gathered view and
-/// an appended-into one with headroom still compare equal.
-impl PartialEq for ColumnsView {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && (0..self.cols).all(|c| self.column_slice(c) == other.column_slice(c))
-    }
-}
-
-impl ColumnsView {
-    /// Gathers the matrix into column-major order (tiled transpose).
-    pub fn from_matrix(m: &Matrix) -> Self {
-        Self::gather(m, m.rows, |r| r)
-    }
-
-    /// Gathers the listed rows of `m`, in list order, into column-major
-    /// order: the view of `m.select_rows(rows)` in the same tiled pass,
-    /// without materializing that row subset first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub(crate) fn gather_rows(m: &Matrix, rows: &[usize]) -> Self {
-        Self::gather(m, rows.len(), |r| rows[r])
-    }
-
-    /// Tiled transpose of `rows` rows, row `r` of the view being row
-    /// `row_of(r)` of `m`.
-    fn gather(m: &Matrix, rows: usize, row_of: impl Fn(usize) -> usize) -> Self {
-        const TILE: usize = 32;
-        let cols = m.cols;
-        let mut data = vec![0.0; rows * cols];
-        for r0 in (0..rows).step_by(TILE) {
-            let r1 = (r0 + TILE).min(rows);
-            for c0 in (0..cols).step_by(TILE) {
-                let c1 = (c0 + TILE).min(cols);
-                for r in r0..r1 {
-                    let src = row_of(r);
-                    let row = &m.data[src * cols..(src + 1) * cols];
-                    for c in c0..c1 {
-                        data[c * rows + r] = row[c];
-                    }
-                }
-            }
-        }
-        ColumnsView {
-            rows,
-            cols,
-            cap: rows,
-            data,
-        }
-    }
-
-    /// Number of rows per column.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Row capacity: how tall every column may grow before the next
-    /// append has to move data.
-    #[inline]
-    pub fn capacity_rows(&self) -> usize {
-        self.cap
-    }
-
-    /// Borrowed contiguous values of column `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of bounds.
-    #[inline]
-    pub fn column_slice(&self, c: usize) -> &[f64] {
-        assert!(c < self.cols, "column index out of bounds");
-        &self.data[c * self.cap..c * self.cap + self.rows]
-    }
-
-    /// Re-strides every column so up to `cap` total rows fit without
-    /// another buffer move. No-op when the current capacity already
-    /// suffices. Columns move right-to-left, so each `copy_within`
-    /// reads a region not yet overwritten (column `c`'s destination
-    /// `c * cap` is at or past its source `c * self.cap`, and past
-    /// every smaller column's source entirely).
-    pub fn reserve_total_rows(&mut self, cap: usize) {
-        if cap <= self.cap {
-            return;
-        }
-        self.data.resize(cap * self.cols, 0.0);
-        for c in (0..self.cols).rev() {
-            self.data
-                .copy_within(c * self.cap..c * self.cap + self.rows, c * cap);
-        }
-        self.cap = cap;
-    }
-
-    /// Appends `extra`'s rows below the existing ones. Within capacity
-    /// this writes only the `add * cols` new cells — a strided gather
-    /// into each column's slack tail, no existing byte moves. When the
-    /// delta outgrows the slack, the view re-strides once with 50%
-    /// headroom over the new height, so repeated appends stay
-    /// amortized O(cells appended). This is the column-major half of
-    /// [`crate::presort::PresortedDataset::append_rows`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extra.cols() != self.cols()`.
-    pub fn append_rows(&mut self, extra: &Matrix) {
-        assert_eq!(extra.cols(), self.cols, "appended rows must match the column count");
-        let (old, add) = (self.rows, extra.rows());
-        let rows = old + add;
-        if rows > self.cap {
-            self.reserve_total_rows(rows + rows / 2);
-        }
-        let flat = extra.as_slice();
-        for c in 0..self.cols {
-            let base = c * self.cap + old;
-            for r in 0..add {
-                self.data[base + r] = flat[r * self.cols + c];
-            }
-        }
-        self.rows = rows;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,28 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_view_matches_column_copies() {
-        // Shape larger than one transpose tile in both dimensions.
-        let mut m = Matrix::zeros(70, 37);
-        for r in 0..m.rows() {
-            for c in 0..m.cols() {
-                m.set(r, c, (r * 37 + c) as f64);
-            }
-        }
-        let view = m.columns();
-        assert_eq!((view.rows(), view.cols()), (70, 37));
-        for c in 0..m.cols() {
-            assert_eq!(view.column_slice(c), m.column(c).as_slice());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "column index out of bounds")]
-    fn columns_view_rejects_bad_index() {
-        let _ = Matrix::zeros(2, 2).columns().column_slice(2);
-    }
-
-    #[test]
     fn builder_full_regions_match_from_rows() {
         let mut b = MatrixBuilder::with_regions(3, 2, 2);
         assert_eq!((b.regions(), b.region_rows(), b.cols()), (3, 2, 2));
@@ -699,17 +519,5 @@ mod tests {
     #[should_panic(expected = "overflows its capacity")]
     fn builder_rejects_overfull_region() {
         let _ = MatrixBuilder::with_regions(1, 2, 1).finish(&[3]);
-    }
-
-    #[test]
-    fn columns_view_append_matches_fresh_build() {
-        let base = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let extra = Matrix::from_rows(&[&[7.0, 8.0, 9.0]]);
-        let mut view = base.columns();
-        view.append_rows(&extra);
-        assert_eq!(view, base.vstack(&extra).columns());
-        // Appending zero rows is a no-op on the contents.
-        view.append_rows(&Matrix::zeros(0, 3));
-        assert_eq!(view.rows(), 3);
     }
 }

@@ -7,12 +7,13 @@
 //! [`Matrix`]. This module replaces the expensive part of that work
 //! with one sort per feature, paid once per feature, on first read:
 //!
-//! * [`PresortedDataset::build`] copies the matrix into column-major
-//!   order and sorts nothing. The first reader of a feature — a split
-//!   search sampling it, [`PresortedDataset::is_constant`], a drift
-//!   profile — sorts it and keeps each row's per-feature *value rank*
-//!   (ties share a rank; ranks increase in `f64::total_cmp` order) and
-//!   the distinct values per rank. Every later node, tree and worker
+//! * [`PresortedDataset::build`] gathers each column's values into the
+//!   feature's block and sorts nothing. The first reader of a feature —
+//!   a split search sampling it, [`PresortedDataset::is_constant`], a
+//!   drift profile — sorts it and keeps each row's per-feature *value
+//!   rank* (ties share a rank; ranks increase in `f64::total_cmp`
+//!   order) and the distinct values per rank, which replace the
+//!   gathered values in their block. Every later node, tree and worker
 //!   reuses that sort, and a feature no split search samples is never
 //!   sorted: a twelve-tree filtering forest over thousands of columns
 //!   reads only a fraction of them.
@@ -51,21 +52,29 @@
 //!
 //! # Storage
 //!
-//! `build` allocates a few packed buffers on the calling thread: ranks
-//! at a stride of the row capacity, and a slot of `n_rows` distinct
-//! values per feature. A feature's sort fills its two regions in place,
-//! and the feature's `OnceLock` publishes them. Forest workers share
-//! the cache by `&`, so the cells are atomics (`AtomicU32` ranks,
-//! `AtomicU64` value bits), written and read `Relaxed` under the lock's
-//! happens-before edge; on x86-64 those are plain loads and stores. The
-//! buffers start zeroed, so the pages of features nobody reads are
-//! never touched. A heap buffer per feature would cost the same CPU but
-//! scatter thousands of allocations over the workers' allocator arenas
-//! and raise the process's resident memory. `build_sorted` allocates no
-//! slots at all: it learns each feature's distinct count as it packs.
-//! Allocating slots only to pack the values after sorting raised the
-//! resident memory of a process holding several retraining caches by
-//! about 18 MB.
+//! The cache keeps each training value once. A sorted feature's row
+//! holds value `rank_values[rank]`, bit for bit, so ranks and distinct
+//! values are the whole column: partitions, gathers and the constant
+//! test read every value through its rank, and no column-major copy of
+//! the matrix exists.
+//!
+//! `build` allocates two packed buffers on the calling thread: ranks
+//! at a stride of the row capacity, and a block of `n_rows` value cells
+//! per feature holding the feature's values in row order. A feature's
+//! sort reads its block whole, fills its ranks and rewrites the block
+//! in place into its distinct values, of which there are at most
+//! `n_rows`; the feature's `OnceLock` publishes both regions. Forest
+//! workers share the cache by `&`, so the cells are atomics
+//! (`AtomicU32` ranks, `AtomicU64` value bits), written and read
+//! `Relaxed` under the lock's happens-before edge; on x86-64 those are
+//! plain loads and stores. Nothing reads an unsorted feature's block
+//! but its sort, and `Clone`, the one copy taken through `&`, sorts
+//! every feature first. A heap buffer per feature would cost the same
+//! CPU but scatter thousands of allocations over the workers'
+//! allocator arenas and raise the process's resident memory.
+//! `build_sorted` sorts in those blocks too, then copies the distinct
+//! values into a dense buffer of their exact size and frees the
+//! blocks before it returns.
 //!
 //! Everything here is bit-identity-preserving with respect to the
 //! legacy per-node re-sort (see `DecisionTree::fit_resorting`): equal
@@ -84,27 +93,26 @@ use std::sync::OnceLock;
 
 use monitorless_obs as obs;
 
-use crate::matrix::{ColumnsView, Matrix};
+use crate::matrix::Matrix;
 
-/// A column-major snapshot of a feature matrix whose features are
-/// sorted on first read ([`PresortedDataset::build`]) or all up front
+/// A feature matrix held as per-feature value ranks and distinct
+/// values, each feature sorted on first read
+/// ([`PresortedDataset::build`]) or all up front
 /// ([`PresortedDataset::build_sorted`]).
 ///
 /// Built once per `(Matrix, y)` pair and shared (by reference) across
 /// trees, boosting rounds and cross-validation candidates.
 #[derive(Debug)]
 pub struct PresortedDataset {
-    /// Column-major copy of the matrix values (carries the row
-    /// capacity shared with `ranks`).
-    columns: ColumnsView,
+    /// Number of rows.
+    n_rows: usize,
     /// Per-feature value rank of each row (feature `f` owns
-    /// `ranks[f*row_cap .. f*row_cap + n]`; the tail up to `row_cap`
-    /// is append slack): rows with bit-identical values share a rank,
-    /// and ranks increase with the `total_cmp` value order. Valid for a
-    /// feature once it is `sorted`.
+    /// `ranks[f*row_cap .. f*row_cap + n_rows]`; the tail up to
+    /// `row_cap` is append slack): rows with bit-identical values share
+    /// a rank, and ranks increase with the `total_cmp` value order.
+    /// Valid for a feature once it is `sorted`.
     ranks: Vec<AtomicU32>,
-    /// Per-feature stride of `ranks` — kept equal to
-    /// `columns.capacity_rows()` so in-capacity appends touch no
+    /// Per-feature stride of `ranks`, so in-capacity appends touch no
     /// existing rank.
     row_cap: usize,
     /// Per feature, its number of distinct ranks, set by the feature's
@@ -114,54 +122,51 @@ pub struct PresortedDataset {
     /// `get_or_init` returns, and the lock's completion (a release)
     /// and a successful read of it (an acquire) order the two.
     sorted: Vec<OnceLock<u32>>,
-    /// The bits of every feature's distinct values in rank order
-    /// (feature `f`'s block starts at `rank_offsets[f]`). Entry `r` of
-    /// a sorted feature's block is the bit-exact value all rows of rank
-    /// `r` share, so consumers can turn ranks back into values without
-    /// touching the columns.
+    /// Value bits, one block per feature starting at `rank_offsets[f]`.
+    /// A sorted feature's block holds its distinct values in rank
+    /// order: entry `r` is the bit-exact value all rows of rank `r`
+    /// share, so a row's value is the entry its rank names. An unsorted
+    /// feature's block holds its `n_rows` values in row order, which
+    /// its sort rewrites in place.
     rank_values: Vec<AtomicU64>,
-    /// Start of each feature's block in `rank_values`. Blocks lie in
-    /// feature order: a sorted feature's holds its distinct values, an
-    /// unsorted one's has room for `n_rows` of them.
+    /// Start of each feature's block in `rank_values`, in feature
+    /// order.
     rank_offsets: Vec<usize>,
 }
 
-/// A copy of the cache as far as it is sorted. Each feature's flag is
-/// read before its cells: a feature seen sorted was fully written
-/// before the flag was set, and one seen unsorted is sorted again by
-/// the copy on first read.
+/// A copy with every feature sorted and the distinct values packed
+/// densely. A feature's first sort rewrites its block in place, so the
+/// copy sorts every feature of the original first, waiting on any sort
+/// another thread is running, and never reads a block mid-rewrite.
 impl Clone for PresortedDataset {
     fn clone(&self) -> Self {
-        let sorted = self.sorted.clone();
+        let (rank_values, rank_offsets) = self.packed_values();
         PresortedDataset {
-            columns: self.columns.clone(),
+            n_rows: self.n_rows,
             ranks: self
                 .ranks
                 .iter()
                 .map(|r| AtomicU32::new(r.load(Relaxed)))
                 .collect(),
             row_cap: self.row_cap,
-            sorted,
-            rank_values: self
-                .rank_values
-                .iter()
-                .map(|v| AtomicU64::new(v.load(Relaxed)))
-                .collect(),
-            rank_offsets: self.rank_offsets.clone(),
+            sorted: self.sorted.clone(),
+            rank_values,
+            rank_offsets,
         }
     }
 }
 
-/// Logical equality: shape, column contents, ranks and distinct
-/// values, sorting any feature either side has not read yet. Capacity
-/// slack never participates, so an appended-into cache with headroom
-/// still compares equal to a fresh build — except through NaN cells,
-/// which (as everywhere in `f64` comparison) are unequal to themselves;
-/// use [`PresortedDataset::bit_identical`] to prove NaN-holding caches
+/// Logical equality: shape, ranks and distinct values, sorting any
+/// feature either side has not read yet. Capacity slack never
+/// participates, so an appended-into cache with headroom still
+/// compares equal to a fresh build — except through NaN cells, which
+/// (as everywhere in `f64` comparison) are unequal to themselves; use
+/// [`PresortedDataset::bit_identical`] to prove NaN-holding caches
 /// identical.
 impl PartialEq for PresortedDataset {
     fn eq(&self, other: &Self) -> bool {
-        self.columns == other.columns
+        self.n_rows == other.n_rows
+            && self.n_features() == other.n_features()
             && (0..self.n_features()).all(|f| {
                 self.n_ranks(f) == other.n_ranks(f)
                     && self.ranks(f).eq(other.ranks(f))
@@ -170,50 +175,57 @@ impl PartialEq for PresortedDataset {
     }
 }
 
-/// The order-preserving bit trick: this key compares exactly like
-/// `f64::total_cmp`, and key equality is bit equality.
+/// The order-preserving bit trick: the key of a value's bits compares
+/// exactly like `f64::total_cmp`, and key equality is bit equality.
 #[inline]
-fn sort_key(v: f64) -> u64 {
-    let b = v.to_bits();
-    if b >> 63 == 1 {
-        !b
+fn sort_key(bits: u64) -> u64 {
+    if bits >> 63 == 1 {
+        !bits
     } else {
-        b ^ (1u64 << 63)
+        bits ^ (1u64 << 63)
     }
 }
 
-/// Sorts one column: calls `rank(row, id)` once per row and
-/// `distinct(value)` once per distinct bit pattern, in ascending
+/// The value bits [`sort_key`] maps to `key`.
+#[inline]
+fn key_bits(key: u64) -> u64 {
+    if key >> 63 == 1 {
+        key ^ (1u64 << 63)
+    } else {
+        !key
+    }
+}
+
+/// Sorts one column of value bits: calls `rank(row, id)` once per row
+/// and `distinct(bits)` once per distinct bit pattern, in ascending
 /// `total_cmp` order, where `id` counts distinct values from 0 in that
-/// order. Returns the number of distinct values.
+/// order. Returns the number of distinct values. The column is read
+/// whole before the first call, so `distinct` may overwrite it.
 fn rank_column(
-    col: &[f64],
+    col: impl Iterator<Item = u64>,
     mut rank: impl FnMut(usize, u32),
-    mut distinct: impl FnMut(f64),
+    mut distinct: impl FnMut(u64),
 ) -> u32 {
     // Ranks only depend on the value blocks — not on tie order — so an
     // unstable sort of `(key, row)` pairs suffices and beats the
     // comparator-based index sort.
     let mut keyed: Vec<(u64, u32)> = col
-        .iter()
         .enumerate()
-        .map(|(row, &v)| (sort_key(v), row as u32))
+        .map(|(row, bits)| (sort_key(bits), row as u32))
         .collect();
     keyed.sort_unstable_by_key(|p| p.0);
     let mut id = 0u32;
-    let mut prev_key = 0u64;
     for (pos, &(key, row)) in keyed.iter().enumerate() {
-        if pos == 0 || key != prev_key {
+        if pos == 0 || key != keyed[pos - 1].0 {
             if pos > 0 {
                 id += 1;
             }
-            distinct(col[row as usize]);
+            distinct(key_bits(key));
         }
-        prev_key = key;
         rank(row as usize, id);
     }
     obs::counter_add("presort.features_sorted", 1);
-    if col.is_empty() {
+    if keyed.is_empty() {
         0
     } else {
         id + 1
@@ -224,7 +236,7 @@ impl PresortedDataset {
     /// Builds the cache: one column gather and no sort. Each feature is
     /// sorted once, on first read.
     pub fn build(x: &Matrix) -> Self {
-        Self::from_columns(|| x.columns(), false)
+        Self::gather(x, x.rows(), |r| r, false)
     }
 
     /// Builds the cache of `x`'s listed rows, in list order — what
@@ -235,71 +247,84 @@ impl PresortedDataset {
     ///
     /// Panics if any index is out of bounds.
     pub fn build_rows(x: &Matrix, rows: &[usize]) -> Self {
-        Self::from_columns(|| ColumnsView::gather_rows(x, rows), false)
+        Self::gather(x, rows.len(), |r| rows[r], false)
     }
 
     /// Builds the cache with every feature sorted up front and the
-    /// distinct values packed densely, in `distinct` cells rather than
-    /// a slot of `n_rows` per feature. This is the form for a
-    /// long-lived cache that is appended to and cloned, such as the
-    /// retraining loop's: no later read sorts, and no slot buffer is
-    /// ever allocated.
+    /// distinct values packed densely, one cell per distinct value
+    /// rather than a block of `n_rows` per feature. This is the form
+    /// for a long-lived cache that is appended to and cloned, such as
+    /// the retraining loop's: no later read sorts, and the gathered
+    /// blocks are freed before this returns.
     pub fn build_sorted(x: &Matrix) -> Self {
-        Self::from_columns(|| x.columns(), true)
+        Self::gather(x, x.rows(), |r| r, true)
     }
 
-    fn from_columns(gather: impl FnOnce() -> ColumnsView, sort_now: bool) -> Self {
+    /// Gathers `n` rows into per-feature blocks, row `r` of the cache
+    /// being row `row_of(r)` of `x`, in one tiled transpose.
+    fn gather(x: &Matrix, n: usize, row_of: impl Fn(usize) -> usize, sort_now: bool) -> Self {
+        const TILE: usize = 32;
         let span = obs::Span::enter("presort.build");
-        let columns = gather();
-        let (n, d) = (columns.rows(), columns.cols());
-        let ranks: Vec<AtomicU32> = (0..n * d).map(|_| AtomicU32::new(0)).collect();
-        let (sorted, rank_values, rank_offsets) = if sort_now {
-            let mut packed: Vec<AtomicU64> = Vec::with_capacity(d);
-            let mut offsets = Vec::with_capacity(d);
-            let sorted = (0..d)
-                .map(|f| {
-                    offsets.push(packed.len());
-                    let rk = &ranks[f * n..];
-                    OnceLock::from(rank_column(
-                        columns.column_slice(f),
-                        |row, id| rk[row].store(id, Relaxed),
-                        |v| packed.push(AtomicU64::new(v.to_bits())),
-                    ))
-                })
-                .collect();
-            (sorted, packed, offsets)
-        } else {
-            (
-                (0..d).map(|_| OnceLock::new()).collect(),
-                (0..n * d).map(|_| AtomicU64::new(0)).collect(),
-                (0..d).map(|f| f * n).collect(),
-            )
+        let d = x.cols();
+        let mut rank_values: Vec<AtomicU64> = (0..n * d).map(|_| AtomicU64::new(0)).collect();
+        for r0 in (0..n).step_by(TILE) {
+            let r1 = (r0 + TILE).min(n);
+            for c0 in (0..d).step_by(TILE) {
+                let c1 = (c0 + TILE).min(d);
+                for r in r0..r1 {
+                    let row = x.row(row_of(r));
+                    for c in c0..c1 {
+                        *rank_values[c * n + r].get_mut() = row[c].to_bits();
+                    }
+                }
+            }
+        }
+        let mut ps = PresortedDataset {
+            n_rows: n,
+            ranks: (0..n * d).map(|_| AtomicU32::new(0)).collect(),
+            row_cap: n,
+            sorted: (0..d).map(|_| OnceLock::new()).collect(),
+            rank_values,
+            rank_offsets: (0..d).map(|f| f * n).collect(),
         };
+        if sort_now {
+            (ps.rank_values, ps.rank_offsets) = ps.packed_values();
+        }
         drop(span);
         obs::counter_add("presort.builds", 1);
-        PresortedDataset {
-            columns,
-            ranks,
-            row_cap: n,
-            sorted,
-            rank_values,
-            rank_offsets,
-        }
+        ps
     }
 
-    /// Sorts feature `f` into its regions; the caller publishes it.
+    /// Sorts feature `f` in its regions; the caller publishes it.
     fn sort_feature(&self, f: usize) -> u32 {
         let rk = &self.ranks[f * self.row_cap..];
-        let vals = &self.rank_values[self.rank_offsets[f]..];
+        let vals = &self.rank_values[self.rank_offsets[f]..][..self.n_rows];
         let mut next = 0;
         rank_column(
-            self.column(f),
+            vals.iter().map(|v| v.load(Relaxed)),
             |row, id| rk[row].store(id, Relaxed),
-            |v| {
-                vals[next].store(v.to_bits(), Relaxed);
+            |bits| {
+                vals[next].store(bits, Relaxed);
                 next += 1;
             },
         )
+    }
+
+    /// Sorts every feature, waiting on any sort already running, and
+    /// copies the distinct values into a buffer of their exact size:
+    /// returns it and each feature's offset in it.
+    fn packed_values(&self) -> (Vec<AtomicU64>, Vec<usize>) {
+        let total = (0..self.n_features()).map(|f| self.n_ranks(f)).sum();
+        let mut values = Vec::with_capacity(total);
+        let offsets = (0..self.n_features())
+            .map(|f| {
+                let start = values.len();
+                let block = self.rank_values_of(f).iter();
+                values.extend(block.map(|v| AtomicU64::new(v.load(Relaxed))));
+                start
+            })
+            .collect();
+        (values, offsets)
     }
 
     /// Appends `extra`'s rows to the cache incrementally: per sorted
@@ -307,8 +332,9 @@ impl PresortedDataset {
     /// pass over the existing *distinct* values and one `O(n)` rank
     /// remap — instead of the full `O(n log n)` re-sort a fresh build
     /// of the concatenated matrix pays. A feature not sorted yet stays
-    /// unsorted; its first read sorts the whole column. Retraining on
-    /// `old + fresh episodes` therefore pays only for the delta.
+    /// unsorted, its block extended by the new rows' values; its first
+    /// read sorts the whole column. Retraining on `old + fresh
+    /// episodes` therefore pays only for the delta.
     ///
     /// Bit-identical to that fresh build: ranks depend only on the
     /// multiset of value bit patterns (the order-preserving key makes
@@ -330,17 +356,14 @@ impl PresortedDataset {
             return;
         }
         let span = obs::Span::enter("presort.append");
-        let old_n = self.n_rows();
+        let old_n = self.n_rows;
         let n = old_n + m;
-        // Grow first (columns, then the rank stride) while `n_rows()`
-        // still reports the old height, then gather the delta into the
-        // guaranteed slack.
-        if n > self.columns.capacity_rows() {
-            self.columns.reserve_total_rows(n + n / 2);
+        if n > self.row_cap {
+            self.restride_ranks(n + n / 2);
         }
-        self.restride_ranks();
-        self.columns.append_rows(extra);
         let cap = self.row_cap;
+        let flat = extra.as_slice();
+        let new_bits = |j: usize, f: usize| flat[j * d + f].to_bits();
 
         // Scratch reused across features.
         let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(m);
@@ -349,24 +372,29 @@ impl PresortedDataset {
         let mut new_rank_values: Vec<AtomicU64> =
             Vec::with_capacity(self.rank_values.len() + m * d);
         let mut new_rank_offsets = Vec::with_capacity(d);
+        let copy = |v: &AtomicU64| AtomicU64::new(v.load(Relaxed));
 
         for f in 0..d {
             new_rank_offsets.push(new_rank_values.len());
             let vals_start = new_rank_values.len();
+            let old_start = self.rank_offsets[f];
             let Some(&r_old) = self.sorted[f].get() else {
-                // Never read: room for all `n` rows' distinct values.
-                new_rank_values.extend((0..n).map(|_| AtomicU64::new(0)));
+                // Never read: the block keeps every row's value, in
+                // row order.
+                new_rank_values.extend(
+                    self.rank_values[old_start..old_start + old_n]
+                        .iter()
+                        .map(copy),
+                );
+                new_rank_values.extend((0..m).map(|j| AtomicU64::new(new_bits(j, f))));
                 continue;
             };
             let r_old = r_old as usize;
-            let col = self.columns.column_slice(f);
-            let old_start = self.rank_offsets[f];
             let old_vals = &self.rank_values[old_start..old_start + r_old];
-            let old_val = |i: usize| f64::from_bits(old_vals[i].load(Relaxed));
-            let push = |vals: &mut Vec<AtomicU64>, v: f64| vals.push(AtomicU64::new(v.to_bits()));
+            let old_key = |i: usize| sort_key(old_vals[i].load(Relaxed));
 
             keyed.clear();
-            keyed.extend((0..m).map(|j| (sort_key(col[old_n + j]), j as u32)));
+            keyed.extend((0..m).map(|j| (sort_key(new_bits(j, f)), j as u32)));
             keyed.sort_unstable_by_key(|p| p.0);
 
             // One fused merge over the old distinct values and the
@@ -384,22 +412,18 @@ impl PresortedDataset {
             let mut count = 0u32;
             while ki < m {
                 let key = keyed[ki].0;
-                while lo < r_old {
-                    let v = old_val(lo);
-                    if sort_key(v) >= key {
-                        break;
-                    }
-                    push(&mut new_rank_values, v);
+                while lo < r_old && old_key(lo) < key {
+                    new_rank_values.push(copy(&old_vals[lo]));
                     shift.push(count);
                     lo += 1;
                 }
                 let id = (new_rank_values.len() - vals_start) as u32;
-                if lo < r_old && sort_key(old_val(lo)) == key {
-                    push(&mut new_rank_values, old_val(lo));
+                if lo < r_old && old_key(lo) == key {
+                    new_rank_values.push(copy(&old_vals[lo]));
                     shift.push(count);
                     lo += 1;
                 } else {
-                    push(&mut new_rank_values, col[old_n + keyed[ki].1 as usize]);
+                    new_rank_values.push(AtomicU64::new(key_bits(key)));
                     count += 1;
                 }
                 while ki < m && keyed[ki].0 == key {
@@ -407,7 +431,7 @@ impl PresortedDataset {
                     ki += 1;
                 }
             }
-            new_rank_values.extend((lo..r_old).map(|i| AtomicU64::new(old_vals[i].load(Relaxed))));
+            new_rank_values.extend(old_vals[lo..].iter().map(copy));
             self.sorted[f] = OnceLock::from(r_old as u32 + count);
 
             // Remap the existing rows' ranks in place — old id `i`
@@ -426,6 +450,7 @@ impl PresortedDataset {
                 *cell.get_mut() = id;
             }
         }
+        self.n_rows = n;
         self.rank_values = new_rank_values;
         self.rank_offsets = new_rank_offsets;
         drop(span);
@@ -436,20 +461,19 @@ impl PresortedDataset {
     /// appends land in existing slack instead of re-striding — the
     /// retraining loop calls this once when it adopts a cache.
     pub fn reserve_rows(&mut self, additional: usize) {
-        self.columns.reserve_total_rows(self.n_rows() + additional);
-        self.restride_ranks();
+        self.restride_ranks(self.n_rows + additional);
     }
 
-    /// Brings the `ranks` stride back in line with the columns' row
-    /// capacity after the columns grew. Features move right-to-left and
-    /// each feature's cells back to front: no destination lies below
-    /// its source, so every cell is read before it is overwritten.
-    fn restride_ranks(&mut self) {
-        let cap = self.columns.capacity_rows();
-        if cap == self.row_cap {
+    /// Re-strides `ranks` so up to `cap` rows fit without another
+    /// move; a no-op when the row capacity already suffices. Features
+    /// move right-to-left and each feature's cells back to front: no
+    /// destination lies below its source, so every cell is read before
+    /// it is overwritten.
+    fn restride_ranks(&mut self, cap: usize) {
+        if cap <= self.row_cap {
             return;
         }
-        let (d, n, old) = (self.n_features(), self.n_rows(), self.row_cap);
+        let (d, n, old) = (self.n_features(), self.n_rows, self.row_cap);
         self.ranks.resize_with(cap * d, || AtomicU32::new(0));
         for f in (1..d).rev() {
             for i in (0..n).rev() {
@@ -460,43 +484,35 @@ impl PresortedDataset {
         self.row_cap = cap;
     }
 
-    /// Bit-exact structural equality: like `==`, but `f64` buffers
+    /// Bit-exact structural equality: like `==`, but `f64` values
     /// compare by bit pattern, so NaN-holding caches can still be
     /// proven identical to their independently built twins (derived
     /// `PartialEq` makes any NaN cell unequal to itself). This is the
     /// relation the append-vs-fresh-build equivalence proofs use. Like
     /// `==`, it sorts any feature either side has not read yet.
     pub fn bit_identical(&self, other: &Self) -> bool {
-        fn same_bits(a: impl Iterator<Item = f64>, b: impl Iterator<Item = f64>) -> bool {
-            a.map(f64::to_bits).eq(b.map(f64::to_bits))
-        }
-        self.n_rows() == other.n_rows()
+        self.n_rows == other.n_rows
             && self.n_features() == other.n_features()
             && (0..self.n_features()).all(|f| {
                 self.n_ranks(f) == other.n_ranks(f)
-                    && same_bits(self.column(f).iter().copied(), other.column(f).iter().copied())
                     && self.ranks(f).eq(other.ranks(f))
-                    && same_bits(self.rank_values(f), other.rank_values(f))
+                    && self
+                        .rank_values(f)
+                        .map(f64::to_bits)
+                        .eq(other.rank_values(f).map(f64::to_bits))
             })
     }
 
     /// Number of rows in the underlying matrix.
     #[inline]
     pub fn n_rows(&self) -> usize {
-        self.columns.rows()
+        self.n_rows
     }
 
     /// Number of features (columns) in the underlying matrix.
     #[inline]
     pub fn n_features(&self) -> usize {
-        self.columns.cols()
-    }
-
-    /// Borrowed contiguous values of feature `f`. Reading the values
-    /// sorts nothing.
-    #[inline]
-    pub fn column(&self, f: usize) -> &[f64] {
-        self.columns.column_slice(f)
+        self.sorted.len()
     }
 
     /// Number of features sorted so far.
@@ -517,19 +533,23 @@ impl PresortedDataset {
     /// the feature on first read.
     #[inline]
     pub fn is_constant(&self, f: usize) -> bool {
-        self.n_ranks(f) == 1 && !self.column(f)[0].is_nan()
+        match self.rank_values_of(f) {
+            [v] => !f64::from_bits(v.load(Relaxed)).is_nan(),
+            _ => false,
+        }
     }
 
     /// The value ranks of feature `f`, indexed by row.
     #[inline]
     pub(crate) fn ranks_of(&self, f: usize) -> &[AtomicU32] {
         self.n_ranks(f);
-        &self.ranks[f * self.row_cap..f * self.row_cap + self.n_rows()]
+        &self.ranks[f * self.row_cap..f * self.row_cap + self.n_rows]
     }
 
     /// Feature `f`'s distinct values in rank order, as bits: entry `r`
     /// holds the bit-exact value every row of rank `r` holds (read it
-    /// with [`value_at`]). Split scans index this slice directly.
+    /// with [`value_at`]). Split scans and partitions index this slice
+    /// directly.
     #[inline]
     pub(crate) fn rank_values_of(&self, f: usize) -> &[AtomicU64] {
         let len = self.n_ranks(f);
@@ -602,12 +622,12 @@ enum RowIds {
 }
 
 impl RowIds {
-    /// The virtual-row map, if ids are virtual rows.
+    /// The dataset row id `v` names.
     #[inline]
-    fn map(&self) -> Option<&[u32]> {
+    fn row(&self, v: u32) -> usize {
         match self {
-            RowIds::Map(map) => Some(map),
-            RowIds::Identity | RowIds::Counted(_) => None,
+            RowIds::Map(map) => map[v as usize] as usize,
+            RowIds::Identity | RowIds::Counted(_) => v as usize,
         }
     }
 }
@@ -758,16 +778,6 @@ impl<'a> PresortTraversal<'a> {
         self.side.len()
     }
 
-    /// Value of feature `f` at row id `v`.
-    #[inline]
-    pub fn value(&self, f: usize, v: u32) -> f64 {
-        let row = match self.ids.map() {
-            Some(map) => map[v as usize],
-            None => v,
-        };
-        self.ps.column(f)[row as usize]
-    }
-
     /// Ascending row ids of the node spanning `[lo, hi)`.
     #[inline]
     pub fn rows_segment(&self, lo: usize, hi: usize) -> &[u32] {
@@ -818,17 +828,12 @@ impl<'a> PresortTraversal<'a> {
         hi: usize,
         mut emit: impl FnMut(usize, u32, f64),
     ) -> bool {
-        let col = self.ps.column(feature);
         let rk = self.ps.ranks_of(feature);
         let values = self.ps.rank_values_of(feature);
         let seg = &self.rows[lo..hi];
-        let map = self.ids.map();
-        let row_of = |v: u32| match map {
-            Some(map) => map[v as usize] as usize,
-            None => v as usize,
-        };
+        let rank = |v: u32| rk[self.ids.row(v)].load(Relaxed);
         let groups = &mut self.groups;
-        groups.tally(values.len(), seg.iter().map(|&v| (rk[row_of(v)].load(Relaxed), 1, false)));
+        groups.tally(values.len(), seg.iter().map(|&v| (rank(v), 1, false)));
         match groups.present[..] {
             [] => return false,
             [r] if !value_at(values, r as usize).is_nan() => return false,
@@ -840,9 +845,9 @@ impl<'a> PresortTraversal<'a> {
             (*count, slot) = (slot, slot + *count);
         }
         for &v in seg {
-            let row = row_of(v);
-            let next = &mut groups.counts[rk[row].load(Relaxed) as usize];
-            emit(*next as usize, v, col[row]);
+            let r = rank(v) as usize;
+            let next = &mut groups.counts[r];
+            emit(*next as usize, v, value_at(values, r));
             *next += 1;
         }
         true
@@ -907,15 +912,20 @@ impl<'a> PresortTraversal<'a> {
         })
     }
 
-    /// Stably partitions the node `[lo, hi)` by
-    /// `value(feature, v) <= threshold` and returns the left child's
-    /// size. Only the membership list moves — per-feature sorted orders
-    /// are re-derived from the ranks on demand, so unevaluated features
-    /// cost nothing.
+    /// Stably partitions the node `[lo, hi)` by `value <= threshold`,
+    /// each row id's value of `feature` read through its rank, and
+    /// returns the left child's size. The comparison is on the value,
+    /// not on a rank cut, so rows go where the fitted tree's
+    /// `x <= threshold` test sends them. Only the membership list moves
+    /// — per-feature sorted orders are re-derived from the ranks on
+    /// demand, so unevaluated features cost nothing.
     pub fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
+        let rk = self.ps.ranks_of(feature);
+        let values = self.ps.rank_values_of(feature);
         let mut n_left = 0usize;
         for &v in &self.rows[lo..hi] {
-            let left = self.value(feature, v) <= threshold;
+            let rank = rk[self.ids.row(v)].load(Relaxed) as usize;
+            let left = value_at(values, rank) <= threshold;
             self.side[v as usize] = left;
             n_left += usize::from(left);
         }
@@ -1201,11 +1211,19 @@ mod tests {
     fn features_sort_on_first_read_only() {
         let ps = PresortedDataset::build(&sample_matrix());
         assert_eq!(ps.sorted_features(), 0);
-        // Column values are there without a sort.
-        assert_eq!(ps.column(1), &[1.0, 1.0, 1.0, 0.0, 2.0]);
-        assert_eq!(ps.sorted_features(), 0);
+        // Feature 1's block holds its values in row order until its
+        // first read sorts it into its distinct values, in place.
+        let block = |ps: &PresortedDataset| -> Vec<f64> {
+            ps.rank_values[5..10]
+                .iter()
+                .map(|v| f64::from_bits(v.load(Relaxed)))
+                .collect()
+        };
+        assert_eq!(block(&ps), [1.0, 1.0, 1.0, 0.0, 2.0]);
         assert!(!ps.is_constant(1));
         assert_eq!(ps.sorted_features(), 1);
+        assert_eq!(block(&ps)[..3], [0.0, 1.0, 2.0]);
+        assert_eq!(ps.ranks(1).collect::<Vec<_>>(), [1, 1, 1, 0, 2]);
         let eager = PresortedDataset::build_sorted(&sample_matrix());
         assert_eq!(eager.sorted_features(), 2);
         // Packed densely: one cell per distinct value.

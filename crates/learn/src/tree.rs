@@ -116,6 +116,21 @@ fn klogk_score(t: &[f64], l0: u32, l1: u32, r0: u32, r1: u32) -> f64 {
     at(l0 + l1) - at(l0) - at(l1) + at(r0 + r1) - at(r0) - at(r1)
 }
 
+/// The threshold between adjacent distinct values `lo < hi`: their
+/// midpoint, or `lo` where the midpoint rounds onto `hi` (adjacent
+/// doubles) or is not finite (an infinite side, or a gap wider than
+/// `f64::MAX`), scikit-learn's rule. Either way `x <= threshold` sends
+/// `lo` left and `hi` right, so neither child of the split is empty.
+#[inline]
+pub(crate) fn split_threshold(lo: f64, hi: f64) -> f64 {
+    let mid = lo + (hi - lo) / 2.0;
+    if mid == hi || !mid.is_finite() {
+        lo
+    } else {
+        mid
+    }
+}
+
 /// Checks the split floors every tree fit needs: at least two rows to
 /// split a node and at least one per leaf.
 pub(crate) fn check_split_floors(
@@ -662,7 +677,7 @@ impl DecisionTree {
             if best.as_ref().is_none_or(|b| decrease > b.decrease) {
                 best = Some(SplitCandidate {
                     feature: 0,
-                    threshold: v + (next - v) / 2.0,
+                    threshold: split_threshold(v, next),
                     decrease,
                 });
             }
@@ -1139,7 +1154,7 @@ impl DecisionTree {
                         if local.as_ref().is_none_or(|b| decrease > b.decrease) {
                             local = Some(SplitCandidate {
                                 feature,
-                                threshold: pv + (v - pv) / 2.0,
+                                threshold: split_threshold(pv, v),
                                 decrease,
                             });
                             cut = cut_of(&local);
@@ -1266,7 +1281,7 @@ impl DecisionTree {
             if best.as_ref().is_none_or(|b| decrease > b.decrease) {
                 best = Some(SplitCandidate {
                     feature: 0,
-                    threshold: v + (next - v) / 2.0,
+                    threshold: split_threshold(v, next),
                     decrease,
                 });
             }
@@ -1700,6 +1715,43 @@ mod tests {
         let json = monitorless_std::json::to_string(&t);
         let back: DecisionTree = monitorless_std::json::from_str(&json).unwrap();
         assert_eq!(back.predict_proba(&x), t.predict_proba(&x));
+    }
+
+    #[test]
+    fn split_threshold_keeps_both_values_apart() {
+        let (a, b) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        // `a`'s last mantissa bit is odd, so the midpoint rounds onto `b`.
+        assert_eq!(a + (b - a) / 2.0, b);
+        assert_eq!(split_threshold(a, b), a);
+        assert_eq!(split_threshold(-f64::MAX, f64::MAX), -f64::MAX);
+        assert_eq!(split_threshold(0.0, f64::INFINITY), 0.0);
+        assert_eq!(split_threshold(f64::NEG_INFINITY, 0.0), f64::NEG_INFINITY);
+        assert_eq!(split_threshold(1.0, 3.0), 2.0);
+    }
+
+    #[test]
+    fn adjacent_doubles_grow_one_split() {
+        let (a, b) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        let x = Matrix::from_rows(&[&[a], &[a], &[b], &[b]]);
+        let y = vec![0, 0, 1, 1];
+        let weights = [1.0, 2.0, 1.0, 2.0];
+        type Fit = fn(&mut DecisionTree, &Matrix, &[u8], Option<&[f64]>) -> Result<(), Error>;
+        let fits: [(Fit, Option<&[f64]>); 4] = [
+            (|t, x, y, w| t.fit(x, y, w), None),
+            (|t, x, y, w| t.fit(x, y, w), Some(&weights)),
+            (DecisionTree::fit_resorting, None),
+            (DecisionTree::fit_resorting, Some(&weights)),
+        ];
+        for (fit, w) in fits {
+            let mut t = DecisionTree::new(DecisionTreeParams::default());
+            fit(&mut t, &x, &y, w).unwrap();
+            assert_eq!((t.node_count(), t.predict(&x)), (3, y.clone()), "weights {w:?}");
+        }
+        // A midpoint of the two ends of the range overflows.
+        let x = Matrix::from_rows(&[&[-f64::MAX], &[f64::MAX]]);
+        let mut t = DecisionTree::new(DecisionTreeParams::default());
+        t.fit(&x, &[0, 1], None).unwrap();
+        assert_eq!((t.node_count(), t.predict(&x)), (3, vec![0, 1]));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! sorts each feature on first read: in whatever order, and from
 //! however many threads, features are read, every feature's ranks and
 //! distinct values, the trees fit on it, its appends and its clones
-//! must equal those of a cache sorted up front.
+//! must equal those of a cache sorted up front, and every cell must
+//! read back through its rank with the source matrix's bits.
 
 use monitorless_learn::prelude::*;
 use monitorless_learn::tree::MaxFeatures;
@@ -93,6 +94,53 @@ fn signed_zero_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
         }
     }
     Matrix::from_vec(rows, cols, data)
+}
+
+/// Cells drawn from the bit patterns an `f64` column can hold at its
+/// edges — NaN of both signs (and a second payload), both zeros, both
+/// infinities, both ends of the range and subnormals — mixed with
+/// continuous values.
+fn extreme_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
+    let mut rng = Mix(seed ^ 0xE0E0);
+    let sub = f64::MIN_POSITIVE / 8.0;
+    let palette = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(f64::NAN.to_bits() | 1),
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        -f64::MAX,
+        sub,
+        -sub,
+        f64::from_bits(1),
+    ];
+    let data = (0..rows * cols)
+        .map(|_| match rng.below(3) {
+            0 => rng.next_f64() * 20.0 - 10.0,
+            _ => palette[rng.below(palette.len() as u64) as usize],
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// Asserts that every cell of `x` reads back from `ps` through its
+/// rank, `rank_values(f)[ranks(f)[row]]`, with the cell's bits.
+fn assert_reads_back(
+    ps: &PresortedDataset,
+    x: &Matrix,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!((ps.n_rows(), ps.n_features()), (x.rows(), x.cols()));
+    for f in 0..x.cols() {
+        let values: Vec<f64> = ps.rank_values(f).collect();
+        for (row, rank) in ps.ranks(f).enumerate() {
+            let (got, want) = (values[rank as usize].to_bits(), x.get(row, f).to_bits());
+            prop_assert_eq!(got, want, "row {} feature {}", row, f);
+        }
+    }
+    Ok(())
 }
 
 /// A random permutation of `0..n`.
@@ -545,6 +593,85 @@ proptest! {
         prop_assert_eq!(copy.sorted_features(), ps.sorted_features());
         prop_assert!(copy.bit_identical(&ps));
         prop_assert!(copy.bit_identical(&PresortedDataset::build_sorted(&x)));
+    }
+
+    #[test]
+    fn every_cell_reads_back_through_its_rank(
+        seed in 0u64..1_000_000,
+        rows in 0usize..60,
+        cols in 1usize..8,
+        appends in proptest::collection::vec(0usize..30, 0..4),
+    ) {
+        let x = extreme_matrix(seed, rows, cols);
+        let mut rng = Mix(seed ^ 0x0EAD);
+        assert_reads_back(&PresortedDataset::build(&x), &x)?;
+        assert_reads_back(&PresortedDataset::build_sorted(&x), &x)?;
+        let picks = if rows == 0 { 0 } else { rng.below(2 * rows as u64) as usize };
+        let picked: Vec<usize> = (0..picks).map(|_| rng.below(rows as u64) as usize).collect();
+        assert_reads_back(&PresortedDataset::build_rows(&x, &picked), &x.select_rows(&picked))?;
+
+        // Appends onto a lazy cache, some within the reserved capacity
+        // and some beyond it, with features sorted before, between and
+        // after them and at most one clone taken part way.
+        let mut ps = PresortedDataset::build(&x);
+        let mut want = x.clone();
+        if rng.below(2) == 0 {
+            ps.reserve_rows(rng.below(40) as usize);
+        }
+        let clone_at = rng.below(appends.len() as u64 + 2) as usize;
+        let mut copy = None;
+        for (step, &m) in appends.iter().enumerate() {
+            for f in 0..cols {
+                if rng.below(3) == 0 {
+                    feature_view(&ps, f, rng.below(4));
+                }
+            }
+            if step == clone_at {
+                copy = Some((ps.clone(), want.clone()));
+            }
+            let extra = extreme_matrix(seed ^ step as u64 ^ 0xADD, m, cols);
+            ps.append_rows(&extra);
+            want = want.vstack(&extra);
+        }
+        assert_reads_back(&ps, &want)?;
+        if let Some((copy, want)) = copy {
+            assert_reads_back(&copy, &want)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(tree_cases(16))]
+
+    #[test]
+    fn clone_while_forest_workers_sort_equals_a_sorted_build(
+        seed in 0u64..1_000_000,
+        rows in 8usize..150,
+        cols in 4usize..40,
+        n_jobs in 2usize..5,
+    ) {
+        let x = signed_zero_matrix(seed, rows, cols);
+        let y = messy_labels(seed, rows);
+        let params = RandomForestParams {
+            n_estimators: 8,
+            n_jobs,
+            seed,
+            ..RandomForestParams::default()
+        };
+        let fit = |ps: &PresortedDataset| {
+            let mut rf = RandomForest::new(params.clone());
+            rf.fit_presorted(ps, &y, None).unwrap();
+            monitorless_std::json::to_string(&rf)
+        };
+        let lazy = PresortedDataset::build(&x);
+        let (forest, copy) = std::thread::scope(|s| {
+            let forest = s.spawn(|| fit(&lazy));
+            let copy = s.spawn(|| lazy.clone());
+            (forest.join().expect("forest fit"), copy.join().expect("clone"))
+        });
+        let sorted = PresortedDataset::build_sorted(&x);
+        prop_assert!(copy.bit_identical(&sorted));
+        prop_assert_eq!(forest, fit(&sorted));
     }
 }
 
