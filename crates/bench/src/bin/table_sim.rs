@@ -21,12 +21,14 @@
 //!
 //! Measurements interleave the two paths tick by tick (best-of-3
 //! reps) against twin clusters built from the same seed, so a noise
-//! burst on a shared core hits both sides alike. On **every** measured
-//! tick the event path's full `TickReport` — all 952 + 88·c metrics
-//! per node, KPIs and container ticks — is asserted bit-identical to
-//! the dense loop's, and a counting global allocator asserts the
-//! steady-state event tick performs **zero** heap allocations (skipped
-//! while telemetry streams `jsonl` events, which allocate by design).
+//! burst on a shared core hits both sides alike. Each side's tick is
+//! the simulator step plus a full collection of its signal frames (all
+//! 952 + 88·c metrics per node, through one `Collector` per side). On
+//! **every** measured tick the event path's frames, collected metrics,
+//! KPIs and container ticks are asserted bit-identical to the dense
+//! loop's, and a counting global allocator asserts the steady-state
+//! event tick performs **zero** heap allocations (skipped while
+//! telemetry streams `jsonl` events, which allocate by design).
 //!
 //! `--check <path>` re-measures at the current scale and exits
 //! non-zero if the event path lost its edge: ms-per-tick more than 2x
@@ -38,7 +40,7 @@ use std::time::Instant;
 
 use monitorless_bench::harness::{alloc_events, CountingAlloc, Harness};
 use monitorless_bench::snapshot::sim::{BenchReport, SizeResult};
-use monitorless_metrics::NodeId;
+use monitorless_metrics::{Collector, NodeId, Observation};
 use monitorless_obs as obs;
 use monitorless_sim::{
     AppId, Cluster, ContainerLimits, EventSim, NodeSpec, ServiceProfile, ServiceRole, TickReport,
@@ -123,11 +125,28 @@ fn workloads(apps: &[AppId], seed: u64) -> Vec<Box<dyn LoadProfile>> {
         .collect()
 }
 
-/// Asserts two tick reports are bit-identical in every float.
-fn assert_reports_identical(fast: &TickReport, dense: &TickReport, n: usize, tick: usize) {
+/// Asserts two tick reports and their collections are bit-identical in
+/// every float.
+fn assert_reports_identical(
+    (fast, fast_obs): (&TickReport, &[Observation]),
+    (dense, dense_obs): (&TickReport, &[Observation]),
+    n: usize,
+    tick: usize,
+) {
     assert_eq!(fast.time, dense.time, "fleet {n} tick {tick}");
-    assert_eq!(fast.observations.len(), dense.observations.len());
-    for (f, d) in fast.observations.iter().zip(&dense.observations) {
+    assert_eq!(fast.frames.len(), dense.frames.len());
+    for (f, d) in fast.frames.iter().zip(&dense.frames) {
+        assert_eq!((f.node, f.seed), (d.node, d.seed));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&f.host.slots()), bits(&d.host.slots()), "fleet {n} tick {tick}");
+        assert_eq!(f.containers.len(), d.containers.len());
+        for ((fi, fs), (di, ds)) in f.containers.iter().zip(&d.containers) {
+            assert_eq!(fi, di);
+            assert_eq!(bits(&fs.slots()), bits(&ds.slots()), "fleet {n} tick {tick} inst {fi}");
+        }
+    }
+    assert_eq!(fast_obs.len(), dense_obs.len());
+    for (f, d) in fast_obs.iter().zip(dense_obs) {
         assert_eq!(f.node, d.node);
         for (i, (a, b)) in f.host.iter().zip(&d.host).enumerate() {
             assert_eq!(
@@ -173,6 +192,9 @@ fn measure_size(n_nodes: usize, seed: u64) -> SizeResult {
     for (app, p) in apps.iter().zip(workloads(&apps, seed)) {
         event.add_workload(*app, p);
     }
+    let mut event_collector = Collector::full(event.cluster().catalog());
+    let mut dense_collector = Collector::full(dense.catalog());
+    let (mut event_obs, mut dense_obs) = (Vec::new(), Vec::new());
 
     let ticks = (20_000 / n_nodes).clamp(3, 60);
     let warmup = ticks.min(5);
@@ -186,8 +208,10 @@ fn measure_size(n_nodes: usize, seed: u64) -> SizeResult {
     for _ in 0..warmup {
         let loads = loads_at(t);
         let got = event.step();
+        event_collector.collect_into(got.time, &got.frames, &mut event_obs);
         let want = dense.step_dense_legacy(&loads);
-        assert_reports_identical(got, &want, n_nodes, t as usize);
+        dense_collector.collect_into(want.time, &want.frames, &mut dense_obs);
+        assert_reports_identical((got, &event_obs), (&want, &dense_obs), n_nodes, t as usize);
         t += 1;
     }
 
@@ -208,12 +232,14 @@ fn measure_size(n_nodes: usize, seed: u64) -> SizeResult {
             let a0 = alloc_events();
             let t0 = Instant::now();
             let got = event.step();
+            event_collector.collect_into(got.time, &got.frames, &mut event_obs);
             te += t0.elapsed().as_secs_f64();
             event_allocs += alloc_events() - a0;
             let t1 = Instant::now();
             let want = dense.step_dense_legacy(&loads);
+            dense_collector.collect_into(want.time, &want.frames, &mut dense_obs);
             td += t1.elapsed().as_secs_f64();
-            assert_reports_identical(got, &want, n_nodes, t as usize);
+            assert_reports_identical((got, &event_obs), (&want, &dense_obs), n_nodes, t as usize);
             t += 1;
         }
         event_s = event_s.min(te);

@@ -69,6 +69,7 @@ fn observations(n: usize, t: u64) -> Vec<Observation> {
                 .map(|m| value(node as u64, m as u64, t))
                 .collect(),
             containers: Vec::new(),
+            subscription: None,
         })
         .collect();
     for i in 0..n {

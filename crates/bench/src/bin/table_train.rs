@@ -116,6 +116,7 @@ fn measure_assembly(rows: usize) -> PhaseResult {
                     .map(|m| value(2, m as u64, t))
                     .collect(),
             )],
+            subscription: None,
         })
         .collect();
 

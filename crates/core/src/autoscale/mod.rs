@@ -179,7 +179,7 @@ pub fn run_teastore_autoscale(
             }
             Policy::Monitorless(_) => {
                 let orch = orchestrator.as_mut().expect("created above");
-                let preds = orch.step(&report.observations)?;
+                let preds = orch.step_report(&report)?;
                 SCALED_SERVICES.iter().any(|service| {
                     let instances = cluster.app(tea).instances_of(service);
                     preds

@@ -45,7 +45,7 @@
 //! a `drift.max_psi` gauge through `monitorless-obs`; the orchestrator
 //! adds trace-stamped journal records on alert transitions.
 
-use monitorless_learn::{Matrix, PresortedDataset};
+use monitorless_learn::{value_order, Matrix, PresortedDataset};
 use monitorless_obs as obs;
 
 /// Number of equi-depth bins per feature in the reference profile. Ten
@@ -102,7 +102,7 @@ pub struct FeatureProfile {
 monitorless_std::json_struct!(FeatureProfile { edges, mean, std });
 
 impl FeatureProfile {
-    /// The profile of a non-empty column sorted in `total_cmp` order:
+    /// The profile of a non-empty column sorted in [`value_order`]:
     /// equi-depth decile edges, then mean and std summed in that order.
     fn of_sorted(col: &[f64]) -> Self {
         let rows = col.len();
@@ -161,10 +161,10 @@ impl DriftProfile {
             for (r, slot) in col.iter_mut().enumerate() {
                 *slot = x.row(r)[c];
             }
-            // NaNs sort last under total_cmp, biasing high quantile
+            // NaNs of either sign sort last, biasing high quantile
             // edges; training matrices are imputed upstream so this is
             // a safety net, not a design point.
-            col.sort_by(|a, b| a.total_cmp(b));
+            col.sort_by(|a, b| value_order(*a, *b));
             features.push(FeatureProfile::of_sorted(&col));
         }
         DriftProfile { features }
@@ -172,7 +172,7 @@ impl DriftProfile {
 
     /// Captures the same profile as [`DriftProfile::from_matrix`], bit
     /// for bit, from a presorted view of the matrix, without sorting a
-    /// column again: a column in `total_cmp` order is its distinct
+    /// column again: a column in [`value_order`] is its distinct
     /// values in rank order, each repeated as many times as rows hold
     /// its rank. A forest fit on the same view has sorted most columns
     /// already; this sorts the rest.

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use monitorless_label::kneedle::KneedleParams;
 use monitorless_label::{SaturationDirection, SaturationThreshold};
-use monitorless_metrics::NodeId;
+use monitorless_metrics::{Collector, NodeId};
 use monitorless_sim::apps::{build_elgg, build_sockshop, build_teastore};
 use monitorless_sim::{AppId, Cluster, NodeSpec};
 use monitorless_workload::{
@@ -234,6 +234,10 @@ pub fn run_eval_scenario(
         upsilon: threshold.upsilon(),
     };
     let raw_instance_ids: Vec<_> = cluster.app(target).instances().to_vec();
+    // The baselines and the raw-series dump read columns the model may
+    // not, so this loop collects every column, from the first tick.
+    let mut collector = Collector::full(&catalog);
+    let mut observed = Vec::new();
 
     for t in 0..opts.duration {
         let load = profile.intensity(t);
@@ -242,6 +246,7 @@ pub fn run_eval_scenario(
             loads.push((*other, other_profile.intensity(t)));
         }
         let report = cluster.step(&loads);
+        collector.collect_into(report.time, &report.frames, &mut observed);
         let kpi = report.kpi(target).expect("target exists");
 
         run.workload.push(load);
@@ -255,7 +260,7 @@ pub fn run_eval_scenario(
                 .instances()
                 .iter()
                 .filter_map(|&inst| {
-                    report.observations.iter().find_map(|o| {
+                    observed.iter().find_map(|o| {
                         o.containers
                             .iter()
                             .find(|(id, _)| *id == inst)
@@ -267,18 +272,14 @@ pub fn run_eval_scenario(
 
         if let Some(raws) = run.raw_instances.as_mut() {
             for (k, &inst) in raw_instance_ids.iter().enumerate() {
-                if let Some(v) = report
-                    .observations
-                    .iter()
-                    .find_map(|o| o.instance_vector(inst))
-                {
+                if let Some(v) = observed.iter().find_map(|o| o.instance_vector(inst)) {
                     raws[k].1.push(v);
                 }
             }
         }
 
         if let Some(orch) = orchestrator.as_mut() {
-            let preds = orch.step(&report.observations)?;
+            let preds = orch.step(&observed)?;
             let app_instances = cluster.app(target).instances();
             let app_pred =
                 Orchestrator::application_prediction(preds, app_instances, Aggregation::Or);

@@ -89,6 +89,18 @@ impl RawLayout {
         &self.names
     }
 
+    /// Raw indices of the four utilization metrics the binary level
+    /// features read: host CPU idle, host memory, container CPU and
+    /// container memory.
+    pub(crate) fn utilization_columns(&self) -> [usize; 4] {
+        [
+            self.host_cpu_idle,
+            self.host_mem_util,
+            self.ctr_cpu_util,
+            self.ctr_mem_util,
+        ]
+    }
+
     /// Host CPU utilization (%) from a raw vector.
     pub fn host_cpu_util(&self, raw: &[f64]) -> f64 {
         (100.0 - raw[self.host_cpu_idle]).clamp(0.0, 100.0)

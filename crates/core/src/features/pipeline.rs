@@ -691,6 +691,38 @@ impl FittedPipeline {
         (self.serving.host_len, self.serving.ctr_len)
     }
 
+    /// The raw columns serving reads, as `(host, container)` indices
+    /// within each scope, ascending: the raw column of every serving
+    /// cell's base feature, plus the four utilization columns behind
+    /// the binary level features. A PCA first reduction projects the
+    /// whole base row, so it reads every column.
+    pub fn serving_columns(&self) -> (Vec<usize>, Vec<usize>) {
+        let layout = self.expander.layout();
+        let raw_len = layout.raw_len();
+        let mut read = vec![false; raw_len];
+        for cell in &self.serving.cells {
+            if cell.base < raw_len {
+                read[cell.base] = true;
+            }
+        }
+        for i in layout.utilization_columns() {
+            read[i] = true;
+        }
+        let host_len = self.serving.host_len;
+        let host = (0..host_len).filter(|&i| read[i]).collect();
+        let ctr = (host_len..raw_len)
+            .filter(|&i| read[i])
+            .map(|i| i - host_len)
+            .collect();
+        (host, ctr)
+    }
+
+    /// Raw metric names, host metrics then `ctr.`-prefixed container
+    /// metrics.
+    pub(crate) fn raw_names(&self) -> &[String] {
+        self.expander.layout().names()
+    }
+
     /// [`Error::Invalid`] unless `(host, ctr)` are the raw widths.
     fn check_widths(&self, host: usize, ctr: usize) -> Result<(), Error> {
         let (want_host, want_ctr) = self.raw_widths();

@@ -14,11 +14,22 @@
 //! the calling thread, and a fan-out phase turns the probability vector
 //! back into per-instance decisions, journal records and drift checks.
 //! Before any of that, the tick is checked whole: every host and
-//! container vector at the pipeline's raw width, and every instance id
-//! listed at most once. The
+//! container vector at the pipeline's raw width, every column the model
+//! reads collected, and every instance id listed at most once. The
 //! retired per-instance loop survives as [`Orchestrator::step_legacy`]
 //! — the reference the batched path is proven bit-identical against
 //! (`tests/tick_equivalence.rs`, `table_tick`).
+//!
+//! [`Orchestrator::step_report`] serves a simulator tick: the
+//! orchestrator's own [`Collector`], subscribed to the raw columns the
+//! model reads ([`FittedPipeline::serving_columns`]), collects those
+//! columns from the report's signal frames and nothing else. A
+//! collected value depends only on its column, the second, the node's
+//! seed and that column's counter history, so an orchestrator built
+//! with its cluster serves every tick to the same bits as one stepped
+//! with full collections.
+//!
+//! [`FittedPipeline::serving_columns`]: crate::features::FittedPipeline::serving_columns
 //!
 //! [flat]: monitorless_learn::FlatEnsemble::predict_rows_into
 //!
@@ -47,7 +58,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use monitorless_metrics::{InstanceId, Observation};
+use monitorless_metrics::{Catalog, Collector, InstanceId, Observation, Subscription};
 use monitorless_obs as obs;
 
 use crate::drift::{self, DriftCheck, DriftDetector};
@@ -101,6 +112,11 @@ pub struct InstancePrediction {
 #[derive(Debug)]
 pub struct Orchestrator {
     model: Arc<MonitorlessModel>,
+    /// The model's columns, collected from simulator ticks by
+    /// [`Orchestrator::step_report`].
+    collector: Collector,
+    /// `step_report`'s observation buffers, reused across ticks.
+    collected: Vec<Observation>,
     /// Per-instance rolling windows, each stamped with the last tick
     /// that saw its instance.
     transformers: HashMap<InstanceId, (u64, InstanceTransformer)>,
@@ -132,13 +148,17 @@ const TOP_K_KEYS: [&str; 3] = ["top1", "top2", "top3"];
 impl Orchestrator {
     /// Creates an orchestrator around a trained model, with a drift
     /// detector over the model's reference profile that scores the
-    /// features its forest splits on.
+    /// features its forest splits on, and a collector subscribed to the
+    /// raw columns the model reads.
     pub fn new(model: Arc<MonitorlessModel>) -> Self {
         let drift = DriftDetector::new(model.drift_profile(), &model.flat().split_features());
         let n_features = model.flat().n_features();
         let scratch = TransformScratch::for_pipeline(model.pipeline());
+        let collector = Collector::new(Arc::new(Self::subscription(&model)));
         Orchestrator {
             model,
+            collector,
+            collected: Vec::new(),
             transformers: HashMap::new(),
             ticks: 0,
             drift,
@@ -154,9 +174,26 @@ impl Orchestrator {
         }
     }
 
+    /// The columns `model` reads from the standard catalog. A model laid
+    /// out for other widths cannot serve standard observations, so it
+    /// subscribes to every column and the width check refuses its ticks.
+    fn subscription(model: &MonitorlessModel) -> Subscription {
+        let catalog = Catalog::standard();
+        if model.pipeline().raw_widths() != (catalog.host_len(), catalog.container_len()) {
+            return Subscription::all(&catalog);
+        }
+        let (host, ctr) = model.pipeline().serving_columns();
+        Subscription::new(&catalog, host, ctr)
+    }
+
     /// The model driving predictions.
     pub fn model(&self) -> &Arc<MonitorlessModel> {
         &self.model
+    }
+
+    /// The collector [`Orchestrator::step_report`] collects through.
+    pub fn collector(&self) -> &Collector {
+        &self.collector
     }
 
     /// Number of instances currently tracked.
@@ -195,11 +232,12 @@ impl Orchestrator {
     /// # Errors
     ///
     /// [`Error::Invalid`] when any entry's host or container vector is
-    /// not the pipeline's raw width, or when one instance id is listed
-    /// twice (on one node or on two); every entry is checked before
-    /// any window, drift or trace state changes, so a rejected tick
-    /// leaves the orchestrator as it was. Propagates feature-pipeline
-    /// errors.
+    /// not the pipeline's raw width, when an observation was collected
+    /// without a column the model reads (naming the node and the
+    /// column), or when one instance id is listed twice (on one node or
+    /// on two); every entry is checked before any window, drift or trace
+    /// state changes, so a rejected tick leaves the orchestrator as it
+    /// was. Propagates feature-pipeline errors.
     pub fn step(&mut self, observations: &[Observation]) -> Result<&[InstancePrediction], Error> {
         self.check_observations(observations)?;
         self.ticks += 1;
@@ -287,10 +325,12 @@ impl Orchestrator {
     }
 
     /// [`Error::Invalid`] naming the first observation entry whose host
-    /// or container vector is not the pipeline's raw width, or an
-    /// instance id listed more than once in the tick.
+    /// or container vector is not the pipeline's raw width, the first
+    /// column the model reads that an observation was collected without,
+    /// or an instance id listed more than once in the tick.
     fn check_observations(&mut self, observations: &[Observation]) -> Result<(), Error> {
         let (host_len, ctr_len) = self.model.pipeline().raw_widths();
+        let read = self.collector.subscription();
         self.ids.clear();
         for o in observations {
             if o.host.len() != host_len {
@@ -309,6 +349,26 @@ impl Orchestrator {
                     ctr.len()
                 )));
             }
+            let partial = o
+                .subscription
+                .as_ref()
+                .filter(|g| !Arc::ptr_eq(g, read) && !g.is_full());
+            if let Some(got) = partial {
+                let missing = (read.host_columns().find(|&i| !got.has_host(i))).or_else(|| {
+                    (read.container_columns())
+                        .find(|&i| !got.has_container(i))
+                        .map(|i| host_len + i)
+                });
+                if let Some(i) = missing {
+                    let names = self.model.pipeline().raw_names();
+                    return Err(Error::Invalid(format!(
+                        "{} at t={}: column {} is not collected, and the model reads it",
+                        o.node,
+                        o.time,
+                        names.get(i).map_or("?", String::as_str)
+                    )));
+                }
+            }
             self.ids.extend(o.containers.iter().map(|(id, _)| *id));
         }
         self.ids.sort_unstable();
@@ -321,16 +381,29 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// Ingests a simulator tick directly: feeds the report's observation
-    /// stream to [`Orchestrator::step`]. This is the natural coupling
-    /// with [`monitorless_sim::EventSim`], whose [`TickReport`]s arrive
-    /// only at monitoring boundaries.
+    /// Ingests a simulator tick directly: collects the columns the model
+    /// reads from the report's signal frames through the orchestrator's
+    /// own collector, then serves them with [`Orchestrator::step`]. This
+    /// is the natural coupling with [`monitorless_sim::EventSim`], whose
+    /// [`TickReport`]s arrive only at monitoring boundaries.
+    ///
+    /// The collector starts each node's counters at the first tick it
+    /// sees, so an orchestrator should see its cluster's ticks from the
+    /// first: one that joins later reads a first interval of 0 on every
+    /// counter, as a freshly attached agent would. With tracing off, a
+    /// steady-state tick performs no heap allocation.
     ///
     /// # Errors
     ///
-    /// Propagates feature-pipeline errors.
+    /// As [`Orchestrator::step`].
     pub fn step_report(&mut self, report: &TickReport) -> Result<&[InstancePrediction], Error> {
-        self.step(&report.observations)
+        let mut collected = std::mem::take(&mut self.collected);
+        self.collector
+            .collect_into(report.time, &report.frames, &mut collected);
+        let served = self.step(&collected).map(|_| ());
+        self.collected = collected;
+        served?;
+        Ok(&self.predictions)
     }
 
     /// The original per-instance serving loop — transform one instance,
@@ -521,7 +594,7 @@ mod tests {
     use super::*;
     use crate::model::ModelOptions;
     use crate::training::{generate_training_data, TrainingOptions};
-    use monitorless_metrics::NodeId;
+    use monitorless_metrics::{Collector, NodeId};
     use monitorless_sim::apps::build_single;
     use monitorless_sim::{Cluster, ContainerLimits, NodeSpec, ServiceProfile};
 
@@ -559,40 +632,72 @@ mod tests {
             NodeId(0),
         );
         let report = cluster.step(&[(app, 10.0)]);
-        let preds = orch.step(&report.observations).unwrap().to_vec();
+        let preds = orch.step_report(&report).unwrap().to_vec();
         assert_eq!(preds.len(), 1);
         assert_eq!(orch.tracked_instances(), 1);
         assert!((0.0..=1.0).contains(&preds[0].probability));
         // Scale out: second instance appears next tick.
         cluster.scale_out(app, "svc", NodeId(0)).unwrap();
         let report = cluster.step(&[(app, 10.0)]);
-        let preds = orch.step(&report.observations).unwrap().to_vec();
+        let preds = orch.step_report(&report).unwrap().to_vec();
         assert_eq!(preds.len(), 2);
         assert_eq!(orch.tracked_instances(), 2);
     }
 
+    /// A two-node fleet episode with scale-outs and scale-ins: the
+    /// subscribed `step_report` serves every tick to the bits `step`
+    /// serves from full collections, decisions and drift state included,
+    /// while collecting a fraction of the cells.
     #[test]
     fn step_report_matches_step() {
         let model = trained_model();
         let mut by_obs = Orchestrator::new(Arc::clone(&model));
         let mut by_report = Orchestrator::new(model);
-        let mut c1 = Cluster::new(vec![NodeSpec::training_server()], 23);
-        let (app, _) = build_single(
+        let nodes = vec![NodeSpec::training_server(), NodeSpec::m2()];
+        let mut c1 = Cluster::new(nodes, 23);
+        let mut full = Collector::full(c1.catalog());
+        let mut observed = Vec::new();
+        let (a, _) = build_single(
             &mut c1,
             ServiceProfile::test_cpu_bound("svc", 10.0),
             ContainerLimits::cpu(1.0),
             NodeId(0),
         );
-        for _ in 0..3 {
-            let report = c1.step(&[(app, 30.0)]);
-            let a = by_obs.step(&report.observations).unwrap().to_vec();
-            let b = by_report.step_report(&report).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.instance, y.instance);
-                assert_eq!(x.probability.to_bits(), y.probability.to_bits());
+        let (b, _) = build_single(
+            &mut c1,
+            ServiceProfile::test_cpu_bound("svc", 6.0),
+            ContainerLimits::cpu(0.5),
+            NodeId(1),
+        );
+        for t in 0..60u64 {
+            match t {
+                10 | 25 => drop(c1.scale_out(a, "svc", NodeId(1)).unwrap()),
+                18 => drop(c1.scale_out(b, "svc", NodeId(0)).unwrap()),
+                35 | 50 => assert!(c1.scale_in(c1.app(a).instances()[0])),
+                _ => {}
             }
+            let load = if t % 20 < 10 { 30.0 } else { 85.0 };
+            let report = c1.step(&[(a, load), (b, 40.0)]);
+            full.collect_into(report.time, &report.frames, &mut observed);
+            let want = by_obs.step(&observed).unwrap().to_vec();
+            let got = by_report.step_report(&report).unwrap();
+            assert_eq!(want.len(), got.len(), "t {t}");
+            for (x, y) in want.iter().zip(got) {
+                assert_eq!(x.instance, y.instance, "t {t}");
+                assert_eq!(x.probability.to_bits(), y.probability.to_bits(), "t {t}");
+                assert_eq!(x.saturated, y.saturated, "t {t}");
+            }
+            let bits = |o: &Orchestrator| {
+                o.drift()
+                    .scores()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&by_obs), bits(&by_report), "t {t}: drift scores");
+            assert_eq!(by_obs.drift().alerted_features(), by_report.drift().alerted_features());
         }
+        assert!(by_report.collector().cells() * 5 < full.cells(), "subscribed collection is small");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use monitorless_label::kneedle::KneedleParams;
 use monitorless_label::{SaturationDirection, SaturationThreshold};
 use monitorless_learn::{Dataset, MatrixBuilder};
-use monitorless_metrics::{InstanceId, NodeId};
+use monitorless_metrics::{Collector, InstanceId, NodeId};
 use monitorless_obs as obs;
 use monitorless_sim::apps::{build_single, cassandra_profile, memcache_profile, solr_profile};
 use monitorless_sim::{AppId, Bottleneck, Cluster, ContainerLimits, NodeSpec, ServiceProfile};
@@ -431,6 +431,8 @@ fn run_configs(
         })
         .collect();
 
+    let mut collector = Collector::full(cluster.catalog());
+    let mut observed = Vec::new();
     let mut loads: Vec<(AppId, f64)> = Vec::with_capacity(apps.len());
     for t in 0..opts.run_seconds {
         loads.clear();
@@ -440,13 +442,10 @@ fn run_configs(
                 .map(|((app, _), p)| (*app, p.intensity(t))),
         );
         let report = cluster.step(&loads);
+        collector.collect_into(report.time, &report.frames, &mut observed);
         for (((app, inst), threshold), sink) in apps.iter().zip(thresholds).zip(sinks.iter_mut()) {
             let row = &mut sink.region[sink.rows * width..(sink.rows + 1) * width];
-            if !report
-                .observations
-                .iter()
-                .any(|o| o.instance_vector_write(*inst, row))
-            {
+            if !observed.iter().any(|o| o.instance_vector_write(*inst, row)) {
                 continue;
             }
             let kpi = report.kpi(*app).expect("app exists");
@@ -657,6 +656,8 @@ pub fn run_fresh_episode(
         .profile(opts.run_seconds, opts.seed ^ salt ^ u64::from(config.id));
 
     let run_rows = opts.run_seconds as usize;
+    let mut collector = Collector::full(cluster.catalog());
+    let mut observed = Vec::new();
     let mut builder = MatrixBuilder::with_regions(1, run_rows, width);
     let mut offered_rps = Vec::with_capacity(run_rows);
     let mut throughput_rps = Vec::with_capacity(run_rows);
@@ -668,12 +669,9 @@ pub fn run_fresh_episode(
         for t in 0..opts.run_seconds {
             let load = profile.intensity(t);
             let report = cluster.step(&[(app, load)]);
+            collector.collect_into(report.time, &report.frames, &mut observed);
             let row = &mut region[rows * width..(rows + 1) * width];
-            if !report
-                .observations
-                .iter()
-                .any(|o| o.instance_vector_write(inst, row))
-            {
+            if !observed.iter().any(|o| o.instance_vector_write(inst, row)) {
                 continue;
             }
             let kpi = report.kpi(app).expect("app exists");

@@ -270,7 +270,7 @@ impl GradientBoosting {
                 let next = sorted[i + 1].0;
                 let cur = sorted[i].0;
                 // `!(next > cur)` also rejects a NaN boundary (sorted
-                // last under `total_cmp`): a NaN midpoint threshold
+                // last in `value_order`): a NaN midpoint threshold
                 // would send every row right and never make progress.
                 if !(next > cur) {
                     continue;

@@ -69,7 +69,7 @@ pub use metrics::{accuracy, f1_score, lagged_confusion, ConfusionMatrix};
 pub use model_selection::{GridSearch, GroupKFold, KFold, ParamGrid, ParamValue};
 pub use nn::{Activation, NeuralNet, NeuralNetParams};
 pub use pca::Pca;
-pub use presort::{FitCache, PresortedDataset};
+pub use presort::{value_order, FitCache, PresortedDataset};
 pub use scaler::{MinMaxScaler, StandardScaler, Transformer};
 pub use tree::{DecisionTree, DecisionTreeParams, SplitCriterion, Splitter};
 

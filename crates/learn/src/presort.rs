@@ -11,8 +11,8 @@
 //!   feature's block and sorts nothing. The first reader of a feature —
 //!   a split search sampling it, [`PresortedDataset::is_constant`], a
 //!   drift profile — sorts it and keeps each row's per-feature *value
-//!   rank* (ties share a rank; ranks increase in `f64::total_cmp`
-//!   order) and the distinct values per rank, which replace the
+//!   rank* (ties share a rank; ranks increase in [`value_order`]) and
+//!   the distinct values per rank, which replace the
 //!   gathered values in their block. Every later node, tree and worker
 //!   reuses that sort, and a feature no split search samples is never
 //!   sorted: a twelve-tree filtering forest over thousands of columns
@@ -79,7 +79,7 @@
 //! Everything here is bit-identity-preserving with respect to the
 //! legacy per-node re-sort (see `DecisionTree::fit_resorting`): equal
 //! ranks mean bit-identical values, and placing a node's rows by rank
-//! in segment order yields exactly `(total_cmp value, row-ascending)` —
+//! in segment order yields exactly `(value order, row-ascending)` —
 //! what the legacy stable sort produced for its always row-ascending
 //! node index lists. When a feature is sorted changes nothing: its
 //! ranks and distinct values depend only on its column's bits, and
@@ -109,7 +109,7 @@ pub struct PresortedDataset {
     /// Per-feature value rank of each row (feature `f` owns
     /// `ranks[f*row_cap .. f*row_cap + n_rows]`; the tail up to
     /// `row_cap` is append slack): rows with bit-identical values share
-    /// a rank, and ranks increase with the `total_cmp` value order.
+    /// a rank, and ranks increase in [`value_order`].
     /// Valid for a feature once it is `sorted`.
     ranks: Vec<AtomicU32>,
     /// Per-feature stride of `ranks`, so in-capacity appends touch no
@@ -175,20 +175,29 @@ impl PartialEq for PresortedDataset {
     }
 }
 
-/// The order-preserving bit trick: the key of a value's bits compares
-/// exactly like `f64::total_cmp`, and key equality is bit equality.
+/// Keys the `f64::total_cmp` bit trick gives the NaN patterns with the
+/// sign bit set: `0 ..= 2^52 - 2`, below every other key.
+const NEG_NAN_KEYS: u64 = (1 << 52) - 1;
+
+/// The order-preserving bit trick: the key of a value's bits orders
+/// values as [`value_order`] does, and key equality is bit equality.
+/// It is the `f64::total_cmp` key rotated down by [`NEG_NAN_KEYS`], so
+/// `-inf` keys 0 and a negative NaN wraps round to the top, after every
+/// positive NaN.
 #[inline]
 fn sort_key(bits: u64) -> u64 {
-    if bits >> 63 == 1 {
+    let key = if bits >> 63 == 1 {
         !bits
     } else {
         bits ^ (1u64 << 63)
-    }
+    };
+    key.wrapping_sub(NEG_NAN_KEYS)
 }
 
 /// The value bits [`sort_key`] maps to `key`.
 #[inline]
 fn key_bits(key: u64) -> u64 {
+    let key = key.wrapping_add(NEG_NAN_KEYS);
     if key >> 63 == 1 {
         key ^ (1u64 << 63)
     } else {
@@ -196,9 +205,21 @@ fn key_bits(key: u64) -> u64 {
     }
 }
 
+/// The one value order of every training-side sort: `f64::total_cmp`
+/// (so `-0.0` before `0.0`, and distinct bits never tie), except that a
+/// NaN of either sign ranks after `+inf`. Split sweeps count a row left
+/// of a boundary by its rank, while partitioning and prediction send
+/// NaN right, so NaN must rank last whatever its sign. The presort's
+/// ranks, the legacy builder's per-node sort and the drift profile's
+/// quantiles all sort this way.
+#[inline]
+pub fn value_order(a: f64, b: f64) -> std::cmp::Ordering {
+    sort_key(a.to_bits()).cmp(&sort_key(b.to_bits()))
+}
+
 /// Sorts one column of value bits: calls `rank(row, id)` once per row
 /// and `distinct(bits)` once per distinct bit pattern, in ascending
-/// `total_cmp` order, where `id` counts distinct values from 0 in that
+/// [`value_order`], where `id` counts distinct values from 0 in that
 /// order. Returns the number of distinct values. The column is read
 /// whole before the first call, so `distinct` may overwrite it.
 fn rank_column(
@@ -558,8 +579,8 @@ impl PresortedDataset {
     }
 
     /// The value rank of every row of feature `f`, in row order: rows
-    /// with bit-identical values share a rank, and ranks increase with
-    /// the `total_cmp` value order.
+    /// with bit-identical values share a rank, and ranks increase in
+    /// [`value_order`].
     pub fn ranks(&self, f: usize) -> impl ExactSizeIterator<Item = u32> + '_ {
         self.ranks_of(f).iter().map(|r| r.load(Relaxed))
     }
@@ -803,7 +824,7 @@ impl<'a> PresortTraversal<'a> {
 
     /// Calls `emit(slot, row_id, value)` exactly once for every row id
     /// of the node `[lo, hi)`, where `slot` is the id's position in
-    /// `(total_cmp value, id-ascending)` order — the exact order the
+    /// `(value order, id-ascending)` order — the exact order the
     /// legacy builder's per-node stable sort produced. Calls may
     /// arrive out of order; the caller writes `slot` of its own
     /// pre-sized buffers, so the sorted gather is built in one pass
@@ -1063,8 +1084,7 @@ mod tests {
         for f in 0..x.cols() {
             let mut expect: Vec<u32> = (0..map.len() as u32).collect();
             expect.sort_by(|&a, &b| {
-                x.get(map[a as usize] as usize, f)
-                    .total_cmp(&x.get(map[b as usize] as usize, f))
+                value_order(x.get(map[a as usize] as usize, f), x.get(map[b as usize] as usize, f))
             });
             assert_eq!(sorted_rows(&mut t, f, 0, map.len()), expect, "feature {f}");
         }

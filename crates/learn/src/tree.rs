@@ -24,7 +24,9 @@ use std::sync::atomic::AtomicU64;
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
 
-use crate::presort::{value_at, FitCache, NodeGroups, PresortTraversal, PresortedDataset};
+use crate::presort::{
+    value_at, value_order, FitCache, NodeGroups, PresortTraversal, PresortedDataset,
+};
 use crate::{validate_fit_parts, Classifier, Error, Matrix};
 
 /// Impurity criterion for choosing splits.
@@ -364,7 +366,7 @@ impl DecisionTree {
     /// Checks what walking and flattening the tree rely on: each
     /// split's children lie inside the tree and after the split, every
     /// node but the root has exactly one parent, split features are
-    /// below `n_features`, thresholds are finite and leaf probabilities
+    /// below `n_features`, thresholds are finite or `-inf` and leaf probabilities
     /// lie in `[0, 1]`. Together the first two make the nodes one tree
     /// rooted at node 0, so every walk ends at a leaf.
     fn check_structure(&self) -> Result<(), String> {
@@ -391,7 +393,10 @@ impl DecisionTree {
                             self.n_features
                         ));
                     }
-                    if !threshold.is_finite() {
+                    // A boundary whose lower side is `-inf` splits at
+                    // `-inf` (`split_threshold`); no fit splits at NaN
+                    // or `+inf`.
+                    if threshold.is_nan() || threshold == f64::INFINITY {
                         return Err(format!(
                             "tree node {i}: split threshold {threshold} is not finite"
                         ));
@@ -586,9 +591,9 @@ impl DecisionTree {
         for &feature in features.iter() {
             sorted.clear();
             sorted.extend(indices.iter().map(|&i| (x.get(i, feature), y[i], w[i])));
-            // `total_cmp` keeps the sort independent of NaN position
-            // (and matches the presorted builder's base order).
-            sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+            // The presorted builder's value order: NaN of either sign
+            // last, where the partition sends it.
+            sorted.sort_by(|a, b| value_order(a.0, b.0));
             let lo = sorted[0].0;
             let hi = sorted[sorted.len() - 1].0;
             if lo == hi {
@@ -651,7 +656,7 @@ impl DecisionTree {
             }
             let next = sorted[i + 1].0;
             // Requires a strictly increasing, *finite* boundary: with NaN
-            // cells sorted to the end (`total_cmp`), a midpoint against
+            // cells sorted to the end (`value_order`), a midpoint against
             // NaN would be NaN, sending every row right and making no
             // progress. Skipping here keeps the sweep's left/right counts
             // consistent with the actual partition (NaN rows go right).
@@ -1752,6 +1757,63 @@ mod tests {
         let mut t = DecisionTree::new(DecisionTreeParams::default());
         t.fit(&x, &[0, 1], None).unwrap();
         assert_eq!((t.node_count(), t.predict(&x)), (3, vec![0, 1]));
+    }
+
+    #[test]
+    fn a_split_at_negative_infinity_saves_and_loads() {
+        let inf = f64::NEG_INFINITY;
+        let x = Matrix::from_rows(&[&[inf], &[inf], &[1.0], &[1.0]]);
+        let y = vec![0, 0, 1, 1];
+        let mut t = DecisionTree::new(DecisionTreeParams::default());
+        t.fit(&x, &y, None).unwrap();
+        assert_eq!(t.predict(&x), y);
+        let json = monitorless_std::json::to_string(&t);
+        let back: DecisionTree = monitorless_std::json::from_str(&json).unwrap();
+        assert_eq!(back.predict(&x), y);
+        assert_eq!(back.predict_proba(&x), t.predict_proba(&x));
+    }
+
+    /// A NaN ranks after every value whatever its sign, so the sweep's
+    /// counts match the partition, which sends NaN right: no leaf falls
+    /// below `min_samples_leaf`.
+    #[test]
+    fn a_negative_nan_ranks_last_on_both_builders() {
+        let neg_nan = -f64::NAN;
+        assert!(neg_nan.is_sign_negative() && neg_nan.is_nan());
+        let x = Matrix::from_rows(&[&[neg_nan], &[1.0], &[2.0], &[3.0]]);
+        let y = vec![0, 0, 1, 1];
+        let params = DecisionTreeParams {
+            min_samples_leaf: 2,
+            ..DecisionTreeParams::default()
+        };
+        type Fit = fn(&mut DecisionTree, &Matrix, &[u8], Option<&[f64]>) -> Result<(), Error>;
+        let fits: [(&str, Fit); 2] = [
+            ("presorted", |t, x, y, w| t.fit(x, y, w)),
+            ("resorting", DecisionTree::fit_resorting),
+        ];
+        for (name, fit) in fits {
+            let mut t = DecisionTree::new(params.clone());
+            fit(&mut t, &x, &y, None).unwrap();
+            let mut leaves = vec![0usize; t.nodes.len()];
+            for r in 0..x.rows() {
+                let mut idx = 0;
+                while let Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } = t.nodes[idx]
+                {
+                    idx = if x.get(r, feature) <= threshold {
+                        left
+                    } else {
+                        right
+                    };
+                }
+                leaves[idx] += 1;
+            }
+            assert!(leaves.iter().all(|&n| n == 0 || n >= 2), "{name}: leaf sizes {leaves:?}");
+        }
     }
 
     #[test]

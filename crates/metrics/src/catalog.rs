@@ -135,6 +135,30 @@ impl ScopePlan {
         plan
     }
 
+    /// The plan restricted to the indices `keep` marks: each kept
+    /// column keeps its list, its catalog order and its noise key, so
+    /// it evaluates to the same bits as in the full plan.
+    pub(crate) fn subset(&self, keep: &[bool]) -> Self {
+        let kept = |col: &&Column| keep[col.index as usize];
+        ScopePlan {
+            width: self.width,
+            constants: self
+                .constants
+                .iter()
+                .copied()
+                .filter(|&(i, _)| keep[i])
+                .collect(),
+            gauges: self.gauges.iter().filter(kept).copied().collect(),
+            counters: self.counters.iter().filter(kept).copied().collect(),
+        }
+    }
+
+    /// Columns a collection evaluates and noise-hashes: every gauge and
+    /// counter (constants are copied, not evaluated).
+    pub(crate) fn cells(&self) -> usize {
+        self.gauges.len() + self.counters.len()
+    }
+
     /// Every metric's instantaneous value for one signal frame: counters
     /// read the second's increment, not a running total.
     fn expand(&self, slots: &[f64], t: u64, seed: u64) -> Vec<f64> {

@@ -22,7 +22,11 @@
 //!   gauges, counters) and gives counters their PCP semantics in the
 //!   same step: each counter column's running total grows by the
 //!   second's value and is differentiated back to a per-second rate,
-//!   the paper's "convert counters into rates" preprocessing step.
+//!   the paper's "convert counters into rates" preprocessing step;
+//! * a [`subscription::Subscription`] of the columns a consumer reads,
+//!   and an [`agent::Collector`] that runs one agent per node over the
+//!   simulator's [`sample::SignalFrame`]s and evaluates only those
+//!   columns (every column for a full collection).
 //!
 //! ```
 //! use monitorless_metrics::catalog::Catalog;
@@ -43,9 +47,11 @@ pub mod kind;
 mod rates;
 pub mod sample;
 pub mod signals;
+pub mod subscription;
 
-pub use agent::MonitoringAgent;
+pub use agent::{Collector, MonitoringAgent};
 pub use catalog::{Catalog, MetricDef};
 pub use kind::{MetricKind, Scope};
-pub use sample::{InstanceId, NodeId, Observation};
+pub use sample::{InstanceId, NodeId, Observation, SignalFrame};
 pub use signals::{ContainerSignals, HostSignals};
+pub use subscription::Subscription;

@@ -29,6 +29,11 @@ impl CounterTotals {
         }
     }
 
+    /// Number of counter columns held.
+    pub(crate) fn len(&self) -> usize {
+        self.totals.len()
+    }
+
     /// Folds one second of the counter `columns` into the totals and
     /// writes each column's rate into `out` at the column's index.
     ///

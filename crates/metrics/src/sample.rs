@@ -1,4 +1,10 @@
-//! Sample types exchanged between agents and the orchestrator.
+//! Sample types exchanged between the simulator, the agents and the
+//! orchestrator.
+
+use std::sync::Arc;
+
+use crate::signals::{ContainerSignals, HostSignals};
+use crate::subscription::Subscription;
 
 /// Identifier of a cloud node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -20,8 +26,31 @@ impl std::fmt::Display for InstanceId {
     }
 }
 
+/// One second of one node's signals, before any metric is collected:
+/// what a node hands its monitoring agents.
+///
+/// A [`crate::agent::Collector`] turns a frame into an [`Observation`]
+/// of the columns it subscribes to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SignalFrame {
+    /// The node.
+    pub node: NodeId,
+    /// The node's measurement-noise seed.
+    pub seed: u64,
+    /// Host signals.
+    pub host: HostSignals,
+    /// Signals of each running container, in ascending instance order.
+    pub containers: Vec<(InstanceId, ContainerSignals)>,
+}
+
 /// One second of processed monitoring data from one node: the host
 /// metric vector plus one container vector per running instance.
+///
+/// Vectors are as wide as the catalog's scopes. An observation collected
+/// under a [`Subscription`] records it: only its columns are written,
+/// and [`Observation::host_value`] and [`Observation::container_value`]
+/// read every other column as missing. A collector's own buffers hold
+/// NaN there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// Node the observation came from.
@@ -32,9 +61,30 @@ pub struct Observation {
     pub host: Vec<f64>,
     /// Processed container metrics per instance.
     pub containers: Vec<(InstanceId, Vec<f64>)>,
+    /// The columns the observation was collected under; `None` means
+    /// every column, as in a hand-built observation.
+    pub subscription: Option<Arc<Subscription>>,
 }
 
 impl Observation {
+    /// Host column `i`, or `None` when it is beyond the vector or was
+    /// not collected.
+    pub fn host_value(&self, i: usize) -> Option<f64> {
+        let present = self.subscription.as_deref().is_none_or(|s| s.has_host(i));
+        self.host.get(i).copied().filter(|_| present)
+    }
+
+    /// Container column `i` of the `k`th container entry, or `None` when
+    /// either is out of range or the column was not collected.
+    pub fn container_value(&self, k: usize, i: usize) -> Option<f64> {
+        let present = self
+            .subscription
+            .as_deref()
+            .is_none_or(|s| s.has_container(i));
+        let (_, ctr) = self.containers.get(k)?;
+        ctr.get(i).copied().filter(|_| present)
+    }
+
     /// The concatenated per-instance vector `M_{I,t}` = host ++ container
     /// for the given instance, or `None` if the instance is not present.
     ///
@@ -108,6 +158,7 @@ mod tests {
             time: 3,
             host: vec![1.0, 2.0],
             containers: vec![(InstanceId(7), vec![3.0]), (InstanceId(8), vec![4.0])],
+            subscription: None,
         };
         assert_eq!(obs.instance_vector(InstanceId(7)).unwrap(), vec![1.0, 2.0, 3.0]);
         assert_eq!(obs.instance_vector(InstanceId(8)).unwrap(), vec![1.0, 2.0, 4.0]);

@@ -10,16 +10,26 @@
 //! a non-finite value; a sample that would make it one adds nothing.
 //! For random signal frames full of NaN, infinities, negatives, huge
 //! values and zeros, random times and seeds, and instances that come,
-//! go, return and reorder between seconds, the agent must write the
+//! go, return and change places between seconds (listed in ascending
+//! id order, as a signal frame lists them), the agent must write the
 //! reference's bits into a reused observation whose slots held other
 //! instances.
+//!
+//! A second property collects random subscriptions — empty, every
+//! column, random subsets — through a [`Collector`] over several
+//! nodes, some without containers: every subscribed cell must carry the
+//! reference's bits, no unsubscribed cell may be written, and counter
+//! state may exist only for subscribed counters.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use monitorless_metrics::catalog::{pseudo_noise, Catalog, MetricDef};
 use monitorless_metrics::signals::{ContainerSignals, HostSignals, SignalSource};
-use monitorless_metrics::{InstanceId, MetricKind, MonitoringAgent, NodeId, Observation};
+use monitorless_metrics::{
+    Collector, InstanceId, MetricKind, MonitoringAgent, NodeId, Observation, SignalFrame,
+    Subscription,
+};
 use proptest::prelude::*;
 
 /// SplitMix64 — expands one proptest seed into a whole run.
@@ -92,6 +102,31 @@ impl Mix {
             disk_aveq: self.signal(),
             disk_util: self.signal(),
             inodes_free: self.signal(),
+        }
+    }
+
+    /// A random subset of a small id pool, ascending: ids come, go,
+    /// come back with fresh state and change places. Some seconds list
+    /// none.
+    fn containers(&mut self) -> Vec<(InstanceId, ContainerSignals)> {
+        if self.below(5) == 0 {
+            return Vec::new();
+        }
+        let ids: Vec<u32> = (0..6).filter(|_| self.below(3) != 0).collect();
+        ids.iter()
+            .map(|&id| (InstanceId(id), self.container()))
+            .collect()
+    }
+
+    /// Empty, every column, or a random share of each scope's columns.
+    fn columns(&mut self, width: usize) -> Vec<usize> {
+        match self.below(4) {
+            0 => Vec::new(),
+            1 => (0..width).collect(),
+            _ => {
+                let keep = self.next_f64();
+                (0..width).filter(|_| self.next_f64() < keep).collect()
+            }
         }
     }
 
@@ -281,19 +316,14 @@ proptest! {
             containers: (0..rng.below(6))
                 .map(|i| (InstanceId(100 + i as u32), vec![-1.0; rng.below(200) as usize]))
                 .collect(),
+            subscription: None,
         };
         let mut t = rng.next_u64();
         for _ in 0..seconds {
             // Most seconds follow the last; some jump anywhere.
             t = if rng.below(4) == 0 { rng.next_u64() } else { t.wrapping_add(1) };
             let host = rng.host();
-            // A random subset of a small id pool, in random order: ids
-            // come, go, come back with fresh state and change places.
-            let mut ids: Vec<u32> = (0..6).filter(|_| rng.below(3) != 0).collect();
-            for i in (1..ids.len()).rev() {
-                ids.swap(i, rng.below(i as u64 + 1) as usize);
-            }
-            let containers: Vec<_> = ids.iter().map(|&id| (InstanceId(id), rng.container())).collect();
+            let containers = rng.containers();
 
             agent.collect_into(t, &host, &containers, &mut out);
             let (want_host, want_ctrs) = reference.collect(t, &host, &containers);
@@ -306,5 +336,99 @@ proptest! {
                 assert_bits(got, want, "container")?;
             }
         }
+    }
+    /// A subscribed collection writes the reference's bits in every
+    /// subscribed cell and nothing else, and keeps counter totals for
+    /// subscribed counters only.
+    #[test]
+    fn subscribed_collect_writes_only_its_columns(
+        run in 0u64..1_000_000,
+        seconds in 1usize..10,
+    ) {
+        let mut rng = Mix(run);
+        let catalog = Arc::new(Catalog::standard());
+        let (host_cols, ctr_cols) = (rng.columns(catalog.host_len()), rng.columns(catalog.container_len()));
+        let sub = Arc::new(Subscription::new(&catalog, host_cols.iter().copied(), ctr_cols.iter().copied()));
+        let counters = |defs: &[MetricDef], cols: &[usize]| {
+            cols.iter().filter(|&&i| defs[i].kind == MetricKind::Counter).count()
+        };
+        let (host_counters, ctr_counters) =
+            (counters(catalog.host_metrics(), &host_cols), counters(catalog.container_metrics(), &ctr_cols));
+        let mut collector = Collector::new(Arc::clone(&sub));
+        let nodes = 1 + rng.below(3) as u32;
+        let seeds: Vec<u64> = (0..nodes).map(|_| rng.next_u64()).collect();
+        let mut references: Vec<Reference> = seeds
+            .iter()
+            .map(|&seed| Reference {
+                catalog: Arc::clone(&catalog),
+                seed,
+                host: RefScope::new(catalog.host_len()),
+                containers: HashMap::new(),
+            })
+            .collect();
+        // Buffers that already hold a sentinel everywhere: a collection
+        // may only overwrite subscribed cells. Cells a buffer grows by
+        // read NaN.
+        let sentinel = -7.25f64;
+        let mut out: Vec<Observation> = (0..nodes)
+            .map(|n| Observation {
+                node: NodeId(n),
+                time: 0,
+                host: vec![sentinel; catalog.host_len()],
+                containers: (0..6)
+                    .map(|i| (InstanceId(i), vec![sentinel; catalog.container_len()]))
+                    .collect(),
+                subscription: None,
+            })
+            .collect();
+        let untouched = |v: f64| v.to_bits() == sentinel.to_bits() || v.to_bits() == f64::NAN.to_bits();
+        let mut t = rng.next_u64();
+        for _ in 0..seconds {
+            t = t.wrapping_add(1 + rng.below(2));
+            let frames: Vec<SignalFrame> = (0..nodes)
+                .map(|n| SignalFrame {
+                    node: NodeId(n),
+                    seed: seeds[n as usize],
+                    host: rng.host(),
+                    containers: rng.containers(),
+                })
+                .collect();
+            collector.collect_into(t, &frames, &mut out);
+            prop_assert_eq!(out.len(), frames.len());
+            for ((o, frame), reference) in out.iter().zip(&frames).zip(&mut references) {
+                let (want_host, want_ctrs) = reference.collect(t, &frame.host, &frame.containers);
+                prop_assert_eq!((o.node, o.time), (frame.node, t));
+                for (i, want) in want_host.iter().enumerate() {
+                    match (sub.has_host(i), o.host_value(i)) {
+                        (true, Some(got)) => prop_assert_eq!(got.to_bits(), want.to_bits(), "host[{}]", i),
+                        (false, None) => prop_assert_eq!(o.host[i].to_bits(), sentinel.to_bits(), "host[{}] written", i),
+                        (has, got) => prop_assert!(false, "host[{}]: subscribed {} but read {:?}", i, has, got),
+                    }
+                }
+                prop_assert_eq!(o.containers.len(), want_ctrs.len());
+                for (k, ((id, got), (want_id, want))) in o.containers.iter().zip(&want_ctrs).enumerate() {
+                    prop_assert_eq!(id, want_id);
+                    prop_assert_eq!(got.len(), want.len());
+                    for (i, w) in want.iter().enumerate() {
+                        match (sub.has_container(i), o.container_value(k, i)) {
+                            (true, Some(g)) => prop_assert_eq!(g.to_bits(), w.to_bits(), "{}[{}]", id, i),
+                            (false, None) => prop_assert!(untouched(got[i]), "{}[{}] written: {}", id, i, got[i]),
+                            (has, g) => prop_assert!(false, "{}[{}]: subscribed {} but read {:?}", id, i, has, g),
+                        }
+                    }
+                }
+                let agent = collector.agent(frame.node).expect("the collector saw the node");
+                prop_assert_eq!(
+                    agent.counter_state(),
+                    host_counters + frame.containers.len() * ctr_counters,
+                    "counter state of {}", frame.node
+                );
+            }
+        }
+        let cells = |cols: &[usize], defs: &[MetricDef]| {
+            cols.iter().filter(|&&i| !matches!(defs[i].source, SignalSource::Constant(_))).count()
+        };
+        let per_ctr = cells(&ctr_cols, catalog.container_metrics());
+        prop_assert_eq!(sub.cells(2), cells(&host_cols, catalog.host_metrics()) + 2 * per_ctr);
     }
 }

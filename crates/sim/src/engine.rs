@@ -24,8 +24,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use monitorless_metrics::catalog::Catalog;
-use monitorless_metrics::signals::{ContainerSignals, HostSignals};
-use monitorless_metrics::{InstanceId, MonitoringAgent, NodeId, Observation};
+use monitorless_metrics::signals::HostSignals;
+use monitorless_metrics::{InstanceId, NodeId, SignalFrame};
 use monitorless_obs as obs;
 
 use crate::container::{Container, ContainerTick};
@@ -108,14 +108,18 @@ impl Application {
 /// Per-tick output of [`Cluster::step`].
 ///
 /// `containers` is sorted by ascending instance id, so
-/// [`TickReport::container`] is a binary search.
+/// [`TickReport::container`] is a binary search. The report carries no
+/// platform metric: each reader collects the columns it reads from the
+/// signal frames with its own
+/// [`Collector`](monitorless_metrics::Collector).
 #[derive(Debug, Clone, Default)]
 pub struct TickReport {
     /// Tick timestamp (seconds since start).
     pub time: u64,
-    /// One processed observation per node (agent output), in node-id
-    /// order.
-    pub observations: Vec<Observation>,
+    /// One signal frame per node, in node-id order: its host signals,
+    /// its containers' signals in ascending instance order and its
+    /// measurement seed.
+    pub frames: Vec<SignalFrame>,
     /// Application KPIs, in the order of the offered-load slice.
     pub kpis: Vec<(AppId, AppKpi)>,
     /// Per-container evaluation details (bottlenecks, drops, …), sorted
@@ -201,13 +205,16 @@ impl Slot {
     }
 }
 
-/// One node: spec, agent, and its containers in ascending instance-id
-/// order (instance ids only ever grow, so appends preserve the order the
-/// dense loop's sorted scans established).
+/// One node: spec, measurement seed, and its containers in ascending
+/// instance-id order (instance ids only ever grow, so appends preserve
+/// the order the dense loop's sorted scans established).
 #[derive(Debug)]
 struct NodeEntry {
+    id: NodeId,
     spec: NodeSpec,
-    agent: MonitoringAgent,
+    /// Measurement-noise seed of the node's metrics, carried by its
+    /// signal frames.
+    seed: u64,
     slots: Vec<Slot>,
     factors: (f64, f64, f64),
     factors_valid: bool,
@@ -215,34 +222,27 @@ struct NodeEntry {
     host_valid: bool,
     /// Containers were added/removed since the last tick.
     topo_dirty: bool,
-    sig_buf: Vec<(InstanceId, ContainerSignals)>,
-    obs_buf: Observation,
 }
 
 impl NodeEntry {
-    fn new(id: NodeId, spec: NodeSpec, agent: MonitoringAgent) -> Self {
+    fn new(id: NodeId, spec: NodeSpec, seed: u64) -> Self {
         NodeEntry {
+            id,
             spec,
-            agent,
+            seed,
             slots: Vec::new(),
             factors: (1.0, 1.0, 1.0),
             factors_valid: false,
             host: HostSignals::default(),
             host_valid: false,
             topo_dirty: false,
-            sig_buf: Vec::new(),
-            obs_buf: Observation {
-                node: id,
-                time: 0,
-                host: Vec::new(),
-                containers: Vec::new(),
-            },
         }
     }
 
     /// Advances this node by one second, adding the containers it
-    /// evaluated and the cache hits to `stats`.
-    fn tick(&mut self, time: u64, collect: bool, stats: &mut SimStats) {
+    /// evaluated and the cache hits to `stats`. A monitored second
+    /// (`monitor`) also brings the host signals up to date.
+    fn tick(&mut self, monitor: bool, stats: &mut SimStats) {
         // Demand refresh for stale slots; settled slots with unchanged
         // load reuse their cached (cgroup-capped) demand terms.
         let mut demand_changed = self.topo_dirty;
@@ -324,14 +324,11 @@ impl NodeEntry {
             }
         }
 
-        if collect {
+        if monitor {
             if any_eval || self.topo_dirty || !self.host_valid {
                 self.compute_host();
                 self.host_valid = true;
             }
-            self.refill_signals();
-            self.agent
-                .collect_into(time, &self.host, &self.sig_buf, &mut self.obs_buf);
         } else if any_eval || self.topo_dirty {
             // State-only tick moved the containers; a later collect must
             // not trust the stale host aggregate.
@@ -418,9 +415,14 @@ impl NodeEntry {
         };
     }
 
-    fn refill_signals(&mut self) {
-        self.sig_buf.clear();
-        self.sig_buf.extend(
+    /// Rewrites `frame` as this node's signal frame, reusing its
+    /// container list.
+    fn fill_frame(&self, frame: &mut SignalFrame) {
+        frame.node = self.id;
+        frame.seed = self.seed;
+        frame.host = self.host;
+        frame.containers.clear();
+        frame.containers.extend(
             self.slots
                 .iter()
                 .map(|sl| (sl.id, sl.tick.as_ref().expect("evaluated").signals)),
@@ -428,8 +430,7 @@ impl NodeEntry {
     }
 }
 
-/// A simulated cloud: nodes with monitoring agents, containers, and
-/// applications.
+/// A simulated cloud: nodes, containers, and applications.
 #[derive(Debug)]
 pub struct Cluster {
     /// Indexed by node id (dense `0..n`).
@@ -462,15 +463,15 @@ fn same_loads(a: &[(AppId, f64)], b: &[(AppId, f64)]) -> bool {
 
 impl Cluster {
     /// Creates a cluster with the given nodes; `seed` drives all
-    /// measurement noise.
+    /// measurement noise: node `i`'s frames carry the seed
+    /// `seed ^ (i << 32)`.
     pub fn new(specs: Vec<NodeSpec>, seed: u64) -> Self {
         let catalog = Arc::new(Catalog::standard());
         let mut nodes = Vec::with_capacity(specs.len());
         let mut node_ids = Vec::with_capacity(specs.len());
         for (i, spec) in specs.into_iter().enumerate() {
             let id = NodeId(i as u32);
-            let agent = MonitoringAgent::new(id, Arc::clone(&catalog), seed ^ (i as u64) << 32);
-            nodes.push(NodeEntry::new(id, spec, agent));
+            nodes.push(NodeEntry::new(id, spec, seed ^ ((i as u64) << 32)));
             node_ids.push(id);
         }
         Cluster {
@@ -490,7 +491,7 @@ impl Cluster {
         }
     }
 
-    /// The shared metric catalog.
+    /// The metric catalog the cluster's signals expand against.
     pub fn catalog(&self) -> &Arc<Catalog> {
         &self.catalog
     }
@@ -734,9 +735,9 @@ impl Cluster {
     }
 
     /// Advances every node by one second, in node-id order.
-    fn eval_nodes(&mut self, time: u64, collect: bool) {
+    fn eval_nodes(&mut self, monitor: bool) {
         for node in &mut self.nodes {
-            node.tick(time, collect, &mut self.stats);
+            node.tick(monitor, &mut self.stats);
         }
     }
 
@@ -747,18 +748,22 @@ impl Cluster {
         Some(&entry.slots[idx])
     }
 
-    /// The sequential gather phase: observations (ping-ponged into the
-    /// report without copying), KPIs and the sorted container list.
+    /// The sequential gather phase: signal frames (rewritten in the
+    /// report's reused buffers), KPIs and the sorted container list.
     fn emit_report(&mut self, time: u64, loads: &[(AppId, f64)], report: &mut TickReport) {
         report.time = time;
-        report.observations.truncate(self.node_ids.len());
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+        report.frames.truncate(self.nodes.len());
+        for (i, node) in self.nodes.iter().enumerate() {
             obs::observe("sim.node_queue_depth", node.host.disk_aveq);
-            if i < report.observations.len() {
-                std::mem::swap(&mut report.observations[i], &mut node.obs_buf);
-            } else {
-                report.observations.push(node.obs_buf.clone());
+            if i == report.frames.len() {
+                report.frames.push(SignalFrame {
+                    node: node.id,
+                    seed: node.seed,
+                    host: node.host,
+                    containers: Vec::new(),
+                });
             }
+            node.fill_frame(&mut report.frames[i]);
         }
 
         report.kpis.clear();
@@ -834,7 +839,7 @@ impl Cluster {
         let t = self.time;
         self.prepare();
         self.apply_loads(loads);
-        self.eval_nodes(t, true);
+        self.eval_nodes(true);
         self.emit_report(t, loads, report);
         self.time += 1;
         self.stats.ticks += 1;
@@ -849,10 +854,9 @@ impl Cluster {
     /// Panics if a load entry references an unknown application.
     pub fn tick_state_only(&mut self, loads: &[(AppId, f64)]) {
         obs::counter_add("sim.state_ticks", 1);
-        let t = self.time;
         self.prepare();
         self.apply_loads(loads);
-        self.eval_nodes(t, false);
+        self.eval_nodes(false);
         self.time += 1;
         self.stats.state_ticks += 1;
     }
@@ -1010,9 +1014,9 @@ impl Cluster {
             ));
         }
 
-        // Host signals and agent collection per node, scanning the whole
+        // Host signals and signal frame per node, scanning the whole
         // fleet per node as the dense loop always did.
-        let mut observations = Vec::new();
+        let mut frames = Vec::new();
         for i in 0..self.node_ids.len() {
             let node_id = self.node_ids[i];
             let entry = &self.nodes[i];
@@ -1095,7 +1099,12 @@ impl Cluster {
                 inodes_free: 1_500_000.0 - 100.0 * procs,
             };
             obs::observe("sim.node_queue_depth", queue);
-            observations.push(self.nodes[i].agent.collect(t, &host, &ctr_signals));
+            frames.push(SignalFrame {
+                node: node_id,
+                seed: entry.seed,
+                host,
+                containers: ctr_signals,
+            });
         }
 
         self.time += 1;
@@ -1105,7 +1114,7 @@ impl Cluster {
         self.caches_valid = false;
         TickReport {
             time: t,
-            observations,
+            frames,
             kpis,
             containers: ticks,
         }
@@ -1113,7 +1122,7 @@ impl Cluster {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn one_node_cluster() -> (Cluster, AppId, InstanceId) {
@@ -1132,13 +1141,28 @@ mod tests {
         (cluster, app, inst)
     }
 
+    /// A frame's node, seed, and every instance id and signal, as bits
+    /// for bitwise comparison.
+    pub(crate) fn frame_bits(f: &SignalFrame) -> Vec<u64> {
+        let mut bits = vec![u64::from(f.node.0), f.seed];
+        bits.extend(f.host.slots().iter().map(|x| x.to_bits()));
+        for (id, c) in &f.containers {
+            bits.push(u64::from(id.0));
+            bits.extend(c.slots().iter().map(|x| x.to_bits()));
+        }
+        bits
+    }
+
     #[test]
     fn step_produces_observations_and_kpis() {
         let (mut cluster, app, inst) = one_node_cluster();
         let report = cluster.step(&[(app, 50.0)]);
-        assert_eq!(report.observations.len(), 1);
-        assert_eq!(report.observations[0].host.len(), 952);
-        assert!(report.observations[0].instance_vector(inst).is_some());
+        assert_eq!(report.frames.len(), 1);
+        assert_eq!(report.frames[0].node, NodeId(0));
+        assert_eq!(report.frames[0].seed, 1);
+        assert_eq!(report.frames[0].containers.len(), 1);
+        assert_eq!(report.frames[0].containers[0].0, inst);
+        assert!(report.frames[0].host.cpu_util > 0.0);
         let kpi = report.kpi(app).unwrap();
         assert!((kpi.throughput_rps - 50.0).abs() < 1.0);
         assert!(kpi.response_ms < 100.0);
@@ -1353,21 +1377,9 @@ mod tests {
 
     fn assert_reports_identical(fast: &TickReport, dense: &TickReport, t: u64) {
         assert_eq!(fast.time, dense.time, "t={t}");
-        assert_eq!(fast.observations.len(), dense.observations.len());
-        for (f, d) in fast.observations.iter().zip(&dense.observations) {
-            assert_eq!(f.node, d.node, "t={t}");
-            assert_eq!(f.time, d.time, "t={t}");
-            assert_eq!(f.host.len(), d.host.len());
-            for (i, (a, b)) in f.host.iter().zip(&d.host).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "t={t} node {} host[{i}]", f.node);
-            }
-            assert_eq!(f.containers.len(), d.containers.len());
-            for ((fi, fv), (di, dv)) in f.containers.iter().zip(&d.containers) {
-                assert_eq!(fi, di, "t={t}");
-                for (i, (a, b)) in fv.iter().zip(dv).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "t={t} inst {fi} metric[{i}]");
-                }
-            }
+        assert_eq!(fast.frames.len(), dense.frames.len());
+        for (f, d) in fast.frames.iter().zip(&dense.frames) {
+            assert_eq!(frame_bits(f), frame_bits(d), "t={t} node {}", f.node);
         }
         assert_eq!(fast.kpis.len(), dense.kpis.len());
         for ((fa, fk), (da, dk)) in fast.kpis.iter().zip(&dense.kpis) {

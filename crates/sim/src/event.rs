@@ -324,6 +324,7 @@ impl EventSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::frame_bits;
     use crate::engine::ServiceRole;
     use crate::resources::{ContainerLimits, NodeSpec};
     use crate::service::ServiceProfile;
@@ -357,10 +358,9 @@ mod tests {
             let report = sim.step();
             let want = dense.step_dense_legacy(&[(app, profile.intensity(t))]);
             assert_eq!(report.time, want.time);
-            for (f, d) in report.observations.iter().zip(&want.observations) {
-                for (a, b) in f.host.iter().zip(&d.host) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "t={t}");
-                }
+            assert_eq!(report.frames.len(), want.frames.len());
+            for (f, d) in report.frames.iter().zip(&want.frames) {
+                assert_eq!(frame_bits(f), frame_bits(d), "t={t}");
             }
         }
         assert_eq!(sim.cluster_stats().ticks, 120);

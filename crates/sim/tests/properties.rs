@@ -1,6 +1,6 @@
 //! Property-based tests for the simulator's physical invariants.
 
-use monitorless_metrics::NodeId;
+use monitorless_metrics::{Collector, NodeId};
 use monitorless_sim::apps::build_single;
 use monitorless_sim::{Cluster, ContainerLimits, NodeSpec, ServiceProfile};
 use proptest::prelude::*;
@@ -71,13 +71,14 @@ proptest! {
     ) {
         let (mut cluster, app) = cluster_with(2.0, 10.0, seed);
         cluster.scale_out(app, "svc", NodeId(0)).unwrap();
+        let mut collector = Collector::full(cluster.catalog());
         let report = cluster.step(&[(app, load)]);
+        let observations = collector.collect(report.time, &report.frames);
         let instances = cluster.app(app).instances();
         prop_assert_eq!(instances.len(), 2);
         for &inst in instances {
-            prop_assert!(
-                report.observations.iter().any(|o| o.instance_vector(inst).is_some())
-            );
+            prop_assert!(report.frames.iter().any(|f| f.containers.iter().any(|(i, _)| *i == inst)));
+            prop_assert!(observations.iter().any(|o| o.instance_vector(inst).is_some()));
         }
     }
 

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let offered = 2.0 + t as f64;
         let report = cluster.step(&[(app, offered)]);
         let kpi = report.kpi(app).expect("app exists");
-        let predictions = orchestrator.step(&report.observations)?;
+        let predictions = orchestrator.step_report(&report)?;
         let saturated = Orchestrator::application_prediction(
             predictions,
             cluster.app(app).instances(),

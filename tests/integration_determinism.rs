@@ -5,8 +5,14 @@
 //! in-tree RNG (no external `rand`), two identical runs must produce
 //! identical training data and byte-identical serialized models.
 
+use std::sync::Arc;
+
 use monitorless::model::{ModelOptions, MonitorlessModel};
+use monitorless::orchestrator::Orchestrator;
 use monitorless::training::{generate_training_data, TrainingOptions};
+use monitorless_metrics::{Collector, NodeId};
+use monitorless_sim::apps::build_single;
+use monitorless_sim::{Cluster, ContainerLimits, NodeSpec, ServiceProfile};
 
 fn options() -> TrainingOptions {
     TrainingOptions {
@@ -117,4 +123,39 @@ fn different_seeds_produce_different_data() {
     })
     .unwrap();
     assert_ne!(a.dataset.x(), b.dataset.x(), "seed must matter");
+}
+
+/// The golden model's orchestrator collects only the columns its
+/// serving cells and level features read. On a fixed three-node cluster
+/// (two containers, one, none) it noise-hashes a pinned number of cells
+/// per collection, about a tenth of a full collection's.
+#[test]
+fn golden_model_collects_only_the_columns_it_reads() {
+    let data = generate_training_data(&options()).unwrap();
+    let model = Arc::new(MonitorlessModel::train(&data, &ModelOptions::quick()).unwrap());
+    let mut orch = Orchestrator::new(model);
+    let nodes = vec![NodeSpec::training_server(); 3];
+    let mut cluster = Cluster::new(nodes, 5);
+    let mut full = Collector::full(cluster.catalog());
+    let (app, _) = build_single(
+        &mut cluster,
+        ServiceProfile::test_cpu_bound("svc", 8.0),
+        ContainerLimits::cpu(1.0),
+        NodeId(0),
+    );
+    cluster.scale_out(app, "svc", NodeId(0)).unwrap();
+    cluster.scale_out(app, "svc", NodeId(1)).unwrap();
+    let ticks = 10;
+    for _ in 0..ticks {
+        let report = cluster.step(&[(app, 40.0)]);
+        full.collect(report.time, &report.frames);
+        assert_eq!(orch.step_report(&report).unwrap().len(), 3);
+    }
+    let sub = orch.collector().subscription();
+    let read = (sub.host_columns().count(), sub.container_columns().count());
+    assert_eq!(read, (94, 15), "host and container columns the golden model reads");
+    // Three hosts and three containers a second, none of the golden
+    // model's columns a constant.
+    assert_eq!(orch.collector().cells(), ticks * (3 * 94 + 3 * 15));
+    assert_eq!(full.cells(), ticks * (3 * 927 + 3 * 88));
 }

@@ -14,7 +14,7 @@
 //! too few drift edges in `Orchestrator::new`, an over-long drift
 //! profile in the drift detector's first push, and forest parameters
 //! with no leaf floor in the first shadow retrain's challenger fit.
-//! An under-long profile, a non-finite threshold or a leaf probability
+//! An under-long profile, a NaN or `+inf` threshold or a leaf probability
 //! outside `[0, 1]` would load and silently serve wrong predictions, and
 //! a model without its drift profile would serve with no drift
 //! detection at all.
@@ -266,12 +266,22 @@ fn split_feature_out_of_range_fails_to_load() {
     );
 }
 
+/// NaN and `+inf` thresholds are refused; `-inf` is what a fit splits
+/// at when a boundary's lower side is `-inf`, so it loads.
 #[test]
 fn non_finite_threshold_fails_to_load() {
     let loaded = load_edited("nan_threshold", |json| {
         *member(root_split(json), "threshold") = Json::Str("NaN".into());
     });
     assert_rejected(loaded, "tree node 0: split threshold NaN is not finite");
+    let loaded = load_edited("inf_threshold", |json| {
+        *member(root_split(json), "threshold") = Json::Str("Infinity".into());
+    });
+    assert_rejected(loaded, "tree node 0: split threshold inf is not finite");
+    let loaded = load_edited("neg_inf_threshold", |json| {
+        *member(root_split(json), "threshold") = Json::Str("-Infinity".into());
+    });
+    assert!(loaded.is_ok(), "a -inf threshold loads: {:?}", loaded.err());
 }
 
 #[test]
@@ -598,6 +608,7 @@ fn observation(t: u64) -> Observation {
         time: t,
         host: catalog.expand_host(&host, t, 1),
         containers: vec![(InstanceId(0), catalog.expand_container(&ctr, t, 2))],
+        subscription: None,
     }
 }
 

@@ -4,9 +4,10 @@
 //! must be **observation-bit-identical** at the 1 Hz monitoring
 //! boundary to the retained dense loop
 //! ([`Cluster::step_dense_legacy`]): every float in every
-//! [`TickReport`] — host metric vectors, container metric vectors,
-//! KPIs, container ticks — matches bit for bit. This suite pins that
-//! contract:
+//! [`TickReport`] — host and container signal frames, KPIs, container
+//! ticks — and in the host and container metric vectors a full
+//! [`Collector`] expands the frames to matches bit for bit. This suite
+//! pins that contract:
 //!
 //! 1. **Random paper-shaped topologies** — multi-node clusters with
 //!    1–3 multi-service applications placed at random, driven through
@@ -21,7 +22,7 @@
 //!    samples runs as a state-only tick, and a settled stretch is
 //!    served from the fixed-point cache instead of re-evaluated.
 
-use monitorless_metrics::{InstanceId, NodeId};
+use monitorless_metrics::{Catalog, Collector, InstanceId, NodeId, Observation};
 use monitorless_sim::{
     AppId, Cluster, ContainerLimits, EventSim, NodeSpec, ServiceProfile, ServiceRole, TickReport,
 };
@@ -31,41 +32,69 @@ use monitorless_workload::{
     ShiftedProfile, SineProfile, SteppedProfile, SumProfile, TraceInterp, TraceProfile,
 };
 
-/// Asserts two tick reports are bit-identical in every float.
-fn assert_reports_identical(fast: &TickReport, dense: &TickReport, ctx: &str) {
-    assert_eq!(fast.time, dense.time, "{ctx}");
-    assert_eq!(fast.observations.len(), dense.observations.len(), "{ctx}");
-    for (f, d) in fast.observations.iter().zip(&dense.observations) {
-        assert_eq!(f.node, d.node, "{ctx}");
-        assert_eq!(f.time, d.time, "{ctx}");
-        assert_eq!(f.host.len(), d.host.len(), "{ctx}");
-        for (i, (a, b)) in f.host.iter().zip(&d.host).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{ctx} node {} host[{i}]", f.node);
+/// Full collectors for the two sides of a comparison, each started
+/// with its cluster, so every platform metric the frames expand to is
+/// compared too.
+struct Twins {
+    fast: (Collector, Vec<Observation>),
+    dense: (Collector, Vec<Observation>),
+}
+
+impl Twins {
+    fn new() -> Self {
+        let catalog = Catalog::standard();
+        Twins {
+            fast: (Collector::full(&catalog), Vec::new()),
+            dense: (Collector::full(&catalog), Vec::new()),
         }
-        assert_eq!(f.containers.len(), d.containers.len(), "{ctx}");
-        for ((fi, fv), (di, dv)) in f.containers.iter().zip(&d.containers) {
-            assert_eq!(fi, di, "{ctx}");
-            for (i, (a, b)) in fv.iter().zip(dv).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{ctx} inst {fi} metric[{i}]");
+    }
+
+    /// Asserts two tick reports, and the observations collected from
+    /// them, are bit-identical in every float.
+    fn assert_identical(&mut self, fast: &TickReport, dense: &TickReport, ctx: &str) {
+        assert_eq!(fast.time, dense.time, "{ctx}");
+        assert_eq!(fast.frames.len(), dense.frames.len(), "{ctx}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (f, d) in fast.frames.iter().zip(&dense.frames) {
+            assert_eq!((f.node, f.seed), (d.node, d.seed), "{ctx}");
+            assert_eq!(bits(&f.host.slots()), bits(&d.host.slots()), "{ctx} node {}", f.node);
+            assert_eq!(f.containers.len(), d.containers.len(), "{ctx}");
+            for ((fi, fs), (di, ds)) in f.containers.iter().zip(&d.containers) {
+                assert_eq!(fi, di, "{ctx}");
+                assert_eq!(bits(&fs.slots()), bits(&ds.slots()), "{ctx} inst {fi}");
             }
         }
-    }
-    assert_eq!(fast.kpis.len(), dense.kpis.len(), "{ctx}");
-    for ((fa, fk), (da, dk)) in fast.kpis.iter().zip(&dense.kpis) {
-        assert_eq!(fa, da, "{ctx}");
-        for (x, y) in [
-            (fk.offered_rps, dk.offered_rps),
-            (fk.throughput_rps, dk.throughput_rps),
-            (fk.response_ms, dk.response_ms),
-            (fk.dropped_rps, dk.dropped_rps),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "{ctx} app {fa:?}");
+        let (fc, fo) = &mut self.fast;
+        fc.collect_into(fast.time, &fast.frames, fo);
+        let (dc, dobs) = &mut self.dense;
+        dc.collect_into(dense.time, &dense.frames, dobs);
+        for (f, d) in fo.iter().zip(dobs.iter()) {
+            assert_eq!(f.node, d.node, "{ctx}");
+            assert_eq!(f.time, d.time, "{ctx}");
+            assert_eq!(bits(&f.host), bits(&d.host), "{ctx} node {} host", f.node);
+            assert_eq!(f.containers.len(), d.containers.len(), "{ctx}");
+            for ((fi, fv), (di, dv)) in f.containers.iter().zip(&d.containers) {
+                assert_eq!(fi, di, "{ctx}");
+                assert_eq!(bits(fv), bits(dv), "{ctx} inst {fi} metrics");
+            }
         }
-    }
-    assert_eq!(fast.containers.len(), dense.containers.len(), "{ctx}");
-    for ((fi, ft), (di, dt)) in fast.containers.iter().zip(&dense.containers) {
-        assert_eq!(fi, di, "{ctx}");
-        assert_eq!(ft, dt, "{ctx} instance {fi}");
+        assert_eq!(fast.kpis.len(), dense.kpis.len(), "{ctx}");
+        for ((fa, fk), (da, dk)) in fast.kpis.iter().zip(&dense.kpis) {
+            assert_eq!(fa, da, "{ctx}");
+            for (x, y) in [
+                (fk.offered_rps, dk.offered_rps),
+                (fk.throughput_rps, dk.throughput_rps),
+                (fk.response_ms, dk.response_ms),
+                (fk.dropped_rps, dk.dropped_rps),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "{ctx} app {fa:?}");
+            }
+        }
+        assert_eq!(fast.containers.len(), dense.containers.len(), "{ctx}");
+        for ((fi, ft), (di, dt)) in fast.containers.iter().zip(&dense.containers) {
+            assert_eq!(fi, di, "{ctx}");
+            assert_eq!(ft, dt, "{ctx} instance {fi}");
+        }
     }
 }
 
@@ -152,6 +181,7 @@ fn run_equivalence(seed: u64, ticks: u64) {
     sim.schedule_scale_out(out_at, apps[0], "svc0", scale_node);
     sim.schedule_scale_in(in_at, added);
 
+    let mut twins = Twins::new();
     for t in 0..ticks {
         if t == out_at {
             assert_eq!(dense.scale_out(apps[0], "svc0", scale_node).unwrap(), added);
@@ -166,7 +196,7 @@ fn run_equivalence(seed: u64, ticks: u64) {
             .collect();
         let report = sim.step();
         let want = dense.step_dense_legacy(&loads);
-        assert_reports_identical(report, &want, &format!("seed={seed} t={t}"));
+        twins.assert_identical(report, &want, &format!("seed={seed} t={t}"));
     }
 }
 
@@ -190,6 +220,7 @@ fn mid_episode_scale_in_matches() {
     let dense_profiles = profiles_for(&apps, 9);
     let node = NodeId(0);
     sim.schedule_scale_out(10, app, "svc0", node);
+    let mut twins = Twins::new();
     for t in 0..40u64 {
         if t == 10 {
             let added = dense.scale_out(app, "svc0", node).unwrap();
@@ -207,7 +238,7 @@ fn mid_episode_scale_in_matches() {
             .collect();
         let report = sim.step();
         let want = dense.step_dense_legacy(&loads);
-        assert_reports_identical(report, &want, &format!("t={t}"));
+        twins.assert_identical(report, &want, &format!("t={t}"));
     }
 }
 
@@ -258,10 +289,11 @@ fn all_profile_families_match_dense_bitwise() {
         let (mut dense, _) = build();
         let mut sim = EventSim::new(cluster);
         sim.add_workload(app, profile);
+        let mut twins = Twins::new();
         for t in 0..70u64 {
             let report = sim.step();
             let want = dense.step_dense_legacy(&[(app, dense_profile.intensity(t))]);
-            assert_reports_identical(report, &want, &format!("profile={name} t={t}"));
+            twins.assert_identical(report, &want, &format!("profile={name} t={t}"));
         }
     }
 }
@@ -279,10 +311,11 @@ fn identically_seeded_runs_are_bit_identical() {
         // Two same-second actions: their relative order is fixed by seq.
         sim.schedule_scale_out(8, apps[0], "svc0", NodeId(0));
         sim.schedule_scale_out(8, apps[0], "svc0", NodeId(1));
+        let mut collector = Collector::full(sim.cluster().catalog());
         let mut host_bits = Vec::new();
         for _ in 0..30 {
             let report = sim.step();
-            for o in &report.observations {
+            for o in collector.collect(report.time, &report.frames) {
                 host_bits.extend(o.host.iter().map(|v| v.to_bits()));
             }
         }

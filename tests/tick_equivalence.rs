@@ -24,6 +24,13 @@
 //!    detector every served row; a larger one feeds exactly the rows
 //!    the sampling rule picks; a tick without instances feeds none; a
 //!    forest of leaves alone serves and never alerts.
+//! 7. **Subscribed collection** — over random fleet episodes with
+//!    scale-outs and scale-ins, `Orchestrator::step_report`, which
+//!    collects only the columns the model reads, serves every tick to
+//!    the bits `step` serves from full collections: probabilities,
+//!    decisions, drift state and the journal record sequence. An
+//!    observation collected without a column the model reads is
+//!    refused, naming the node and the column.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -34,11 +41,12 @@ use monitorless::model::{ModelOptions, MonitorlessModel};
 use monitorless::orchestrator::{InstancePrediction, Orchestrator};
 use monitorless::training::{generate_training_data, TrainingOptions};
 use monitorless_metrics::catalog::Catalog;
-use monitorless_metrics::{InstanceId, NodeId, Observation};
+use monitorless_metrics::{Collector, InstanceId, NodeId, Observation, Subscription};
 use monitorless_obs as obs;
 use monitorless_sim::apps::build_single;
 use monitorless_sim::{Cluster, ContainerLimits, NodeSpec, ServiceProfile};
 use monitorless_std::json::{FromJson as _, Json, ToJson as _};
+use proptest::prelude::*;
 
 /// Serializes tests that flip process-global telemetry state.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -72,6 +80,7 @@ fn observations(n: usize, t: u64) -> Vec<Observation> {
                 .map(|m| value(node as u64, m as u64, t))
                 .collect(),
             containers: Vec::new(),
+            subscription: None,
         })
         .collect();
     for i in 0..n {
@@ -227,11 +236,25 @@ fn malformed_observation_is_rejected_and_leaves_windows_untouched() {
     let mut twice_on_two_nodes = observations(7, 5);
     let entry = twice_on_two_nodes[0].containers[0].clone();
     twice_on_two_nodes[1].containers.push(entry);
+    // Collected without the first host column the model reads.
+    let catalog = Catalog::standard();
+    let read = orch.collector().subscription();
+    let first = read
+        .host_columns()
+        .next()
+        .expect("the model reads a host column");
+    let without =
+        Subscription::new(&catalog, read.host_columns().skip(1), read.container_columns());
+    let mut uncollected = observations(7, 5);
+    uncollected[2].subscription = Some(Arc::new(without));
+    let missing =
+        format!("node2 at t=5: column {} is not collected", catalog.host_metrics()[first].name);
     for (bad, names) in [
         (short, "instance1 container vector"),
         (long, "host vector"),
         (twice_on_one_node, "instance0 is listed more than once"),
         (twice_on_two_nodes, "instance0 is listed more than once"),
+        (uncollected, missing.as_str()),
     ] {
         for err in [
             orch.step(&bad).unwrap_err(),
@@ -281,7 +304,7 @@ fn drift_alert_records_match_the_detector_and_the_profile() {
         let load = if t < 100 { 20.0 } else { 90.0 };
         before = orch.drift().alerted_features();
         let report = cluster.step(&[(app, load)]);
-        orch.step(&report.observations).unwrap();
+        orch.step_report(&report).unwrap();
         alerts = obs::drain()
             .into_iter()
             .filter(|r| r.name == "drift.alert")
@@ -522,5 +545,111 @@ fn a_forest_of_leaves_serves_and_never_alerts() {
     for orch in [&batched, &legacy] {
         assert!(!orch.drift().drifting());
         assert!(orch.drift().scores().iter().all(|&s| s == 0.0));
+    }
+}
+
+/// Case count: `PROPTEST_CASES` when set (the nightly run raises it to
+/// 2000), otherwise 8.
+fn cases() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(8);
+    ProptestConfig::with_cases(cases)
+}
+
+/// A journal record without its minted trace id, fields as bits.
+type Record = (&'static str, Vec<(&'static str, u64)>, Vec<(&'static str, String)>);
+
+/// One orchestrator's tick under ring tracing: each prediction as bits
+/// and the journal records the tick wrote.
+fn served(preds: &[InstancePrediction]) -> (Vec<(InstanceId, u64, u8)>, Vec<Record>) {
+    let preds = preds
+        .iter()
+        .map(|p| (p.instance, p.probability.to_bits(), p.saturated))
+        .collect();
+    let records = obs::drain()
+        .into_iter()
+        .map(|r| {
+            let fields = r.fields.iter().map(|&(k, v)| (k, v.to_bits())).collect();
+            (r.name, fields, r.labels.clone())
+        })
+        .collect();
+    (preds, records)
+}
+
+fn drift_bits(orch: &Orchestrator) -> Vec<u64> {
+    orch.drift().scores().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    /// A two-node fleet episode with random loads, scale-outs and
+    /// scale-ins: the orchestrator that collects its own columns from
+    /// each report serves every tick to the bits of one stepped with
+    /// full collections, journal records included, while it
+    /// noise-hashes a fraction of the cells.
+    #[test]
+    fn subscribed_step_report_matches_full_step(run in 0u64..1_000_000) {
+        let _guard = OBS_LOCK.lock().unwrap();
+        let model = model();
+        let mut by_obs = Orchestrator::new(Arc::clone(&model));
+        let mut by_report = Orchestrator::new(Arc::clone(&model));
+        let mut cluster = Cluster::new(vec![NodeSpec::training_server(), NodeSpec::m2()], run);
+        let mut full = Collector::full(cluster.catalog());
+        let mut observed = Vec::new();
+        let (a, _) = build_single(
+            &mut cluster,
+            ServiceProfile::test_cpu_bound("svc", 10.0),
+            ContainerLimits::cpu(1.0),
+            NodeId(0),
+        );
+        let (b, _) = build_single(
+            &mut cluster,
+            ServiceProfile::test_cpu_bound("svc", 6.0),
+            ContainerLimits::cpu(0.5),
+            NodeId(1),
+        );
+        obs::init(&obs::TelemetryConfig::with_format(obs::format()).with_trace(obs::TraceMode::Ring));
+        let _ = obs::drain();
+        let mut mix = run.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |n: u64| {
+            mix ^= mix << 13;
+            mix ^= mix >> 7;
+            mix ^= mix << 17;
+            mix % n
+        };
+        let mut result = Ok(());
+        for t in 0..40u64 {
+            // Scale out onto either node, or scale in down to one
+            // instance of an application.
+            for app in [a, b] {
+                match next(12) {
+                    0 => drop(cluster.scale_out(app, "svc", NodeId(next(2) as u32))),
+                    1 if cluster.app(app).instances().len() > 1 => {
+                        let victim = cluster.app(app).instances()[0];
+                        assert!(cluster.scale_in(victim));
+                    }
+                    _ => {}
+                }
+            }
+            let loads = [(a, 5.0 + next(90) as f64), (b, 5.0 + next(60) as f64)];
+            let report = cluster.step(&loads);
+            full.collect_into(report.time, &report.frames, &mut observed);
+            let want = served(by_obs.step(&observed).unwrap());
+            let got = served(by_report.step_report(&report).unwrap());
+            result = result.and_then(|()| {
+                prop_assert_eq!(&want.0, &got.0, "t {}: predictions", t);
+                prop_assert_eq!(&want.1, &got.1, "t {}: journal records", t);
+                prop_assert_eq!(drift_bits(&by_obs), drift_bits(&by_report), "t {}: drift", t);
+                prop_assert_eq!(by_obs.drift().alerted_features(), by_report.drift().alerted_features());
+                Ok(())
+            });
+        }
+        obs::init(&obs::TelemetryConfig::with_format(obs::format()).with_trace(obs::TraceMode::Off));
+        let _ = obs::drain();
+        result?;
+        prop_assert!(by_report.collector().cells() * 5 < full.cells(), "subscribed collection is small");
     }
 }
